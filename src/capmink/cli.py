@@ -27,7 +27,6 @@ from .grid import (
     embed_body,
     field_from_csv,
     field_to_csv,
-    robin_residual,
 )
 from .ellipsoid import cap_from_RH, make_cap
 from .john import john_construct, verify_sandwich
@@ -39,18 +38,16 @@ from .monitors import (
     q_monitor,
 )
 from .problem_io import (
-    load_problem_file,
+    density_from_config,
+    grid_size,
+    load_problem,
+    read_config,
     resolved_config,
+    solver_config,
     write_json_report,
     write_solve_artifacts,
 )
-from .solver import (
-    ProblemSpec,
-    SolverConfig,
-    continuation_solve,
-    pq_limit_solve,
-    pq_residual,
-)
+from .solver import ProblemSpec, continuation_solve, pq_limit_solve
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 2
@@ -69,28 +66,18 @@ def _load(args):
     if args.config is None:
         raise ConfigError("--config is required for this command")
     override = _parse_grid(args.grid) if args.grid else None
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    geom, spec, cfg = load_problem_file(args.config, override)
-    return doc, geom, spec, cfg
+    doc = read_config(args.config)
+    return (doc, *load_problem(doc, override))
 
 
 def _solve(geom, spec, cfg):
+    """(SolveResult, PqLimitResult or None); the one place that routes p == q.
+
+    p != q calls this module's ``continuation_solve``, which perfbench times.
+    """
     if spec.p == spec.q:
         pq = pq_limit_solve(spec, geom, cfg)
-        res = pq_residual(geom, spec.f, spec.p, pq.h_bar, pq.C_star)
-        from .solver import SolveResult
-
-        cd = curvature_tensor(geom, pq.h_bar)
-        return SolveResult(
-            h=pq.h_bar,
-            u=ScalarField(geom, pq.h_bar.values / ell_field(geom).values),
-            residual_sup=float(np.max(np.abs(res.values))),
-            robin_defect_sup=float(np.max(np.abs(robin_residual(geom, pq.h_bar)))),
-            b_eigen_range=(cd.lambda_min, cd.lambda_max),
-            newton_trace=[],
-            converged=pq.residual_sup <= cfg.newton_tol * 10.0,
-        ), pq
+        return pq.solution, pq
     return continuation_solve(spec, geom, cfg), None
 
 
@@ -202,27 +189,18 @@ def cmd_monitors(args) -> int:
 
 def _sweep_entry(task):
     """One sweep cell; returns a plain row dict (runs in a worker)."""
-    (p, q, theta, fcfg, Nphi, Npsi, scfg) = task
-    from .problem_io import density_from_config
-
+    (p, q, theta, fcfg, Nphi, Npsi, cfg) = task
     row = {"p": p, "q": q, "theta": theta, "converged": 0,
            "ratio": "", "lambda_min": "", "sigma1_max": "", "error": ""}
     try:
         geom = build_grid(theta, Nphi, Npsi)
         f = density_from_config(geom, fcfg, p, q)
         spec = ProblemSpec(p=p, q=q, theta=theta, f=f, even=True)
-        cfg = SolverConfig(**scfg)
-        if p == q:
-            pq = pq_limit_solve(spec, geom, cfg)
-            h = pq.h_bar
-            converged = True
-        else:
-            result = continuation_solve(spec, geom, cfg)
-            converged = result.converged
-            h = result.h
+        result, _ = _solve(geom, spec, cfg)
+        h = result.h
         cd = curvature_tensor(geom, h)
         row.update(
-            converged=int(converged),
+            converged=int(result.converged),
             ratio=f"{float(np.max(h.values) / np.min(h.values)):.12g}",
             lambda_min=f"{cd.lambda_min:.12g}",
             sigma1_max=f"{float(np.max(cd.sigma1)):.12g}",
@@ -235,23 +213,21 @@ def _sweep_entry(task):
 def cmd_sweep(args) -> int:
     if args.config is None:
         raise ConfigError("--config is required for sweep")
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = read_config(args.config)
     try:
         ps = [float(v) for v in doc["p_values"]]
         qs = [float(v) for v in doc["q_values"]]
         thetas = [float(v) for v in doc["theta_values"]]
     except KeyError as exc:
         raise ConfigError(f"sweep config missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep values must be lists of numbers: {exc}") from exc
     fcfg = doc.get("f", {"kind": "constant"})
-    gcfg = doc.get("grid", {})
-    Nphi = int(gcfg.get("Nphi", 24))
-    Npsi = int(gcfg.get("Npsi", 48))
-    if args.grid:
-        Nphi, Npsi = _parse_grid(args.grid)
-    scfg = doc.get("solver", {})
+    Nphi, Npsi = _parse_grid(args.grid) if args.grid else grid_size(
+        doc.get("grid", {}), (24, 48))
+    cfg = solver_config(doc.get("solver", {}))
     tasks = [
-        (p, q, th, fcfg, Nphi, Npsi, scfg)
+        (p, q, th, fcfg, Nphi, Npsi, cfg)
         for p, q, th in itertools.product(ps, qs, thetas)
     ]
     if args.jobs > 1:

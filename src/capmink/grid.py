@@ -16,7 +16,6 @@ one-sided stencil so the boundary row keeps second-order accuracy.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ _W_DERIV = np.array([1.0, -3.0, -21.0, 23.0]) / 24.0
 # quadratic one-sided weights at offsets (-5/2, -3/2, -1/2) * dphi from theta
 _W3_VALUE = np.array([3.0, -10.0, 15.0]) / 8.0
 _W3_DERIV = np.array([1.0, -3.0, 2.0])
+EVEN_TOL = 1e-10  # largest evenness_defect of data that counts as even
 
 
 class CapGeometry:
@@ -222,21 +222,30 @@ def grad_sq(geom: CapGeometry, s: ScalarField) -> np.ndarray:
     return g1.values**2 + g2.values**2
 
 
-def hessian_frame(geom: CapGeometry, values: np.ndarray, bc: str):
-    """Frame components of hess + id acting on a field, via ghost-padded stencils.
+def _ell_ext_rows(geom: CapGeometry) -> np.ndarray:
+    """ell on the ghost-padded phi rows: pole ghost, the Nphi cells, top ghost."""
+    phi_ext = np.concatenate(
+        [[-geom.dphi / 2.0], geom.phi_nodes, [geom.theta + geom.dphi / 2.0]]
+    )
+    return 1.0 - geom.cos_theta * np.cos(phi_ext)
 
-    Returns (b11, b12, b22, g1, g2) where b = hess(values) + values * I and
-    (g1, g2) is the covariant gradient consistent with the same ghosts.
+
+def _frame(geom: CapGeometry, ext: np.ndarray):
+    """Frame components of hess + id on a ghost-padded field (see :func:`extend`).
+
+    Returns (b11, b12, b22, g1, g2) on the interior cells, where
+    b = hess(v) + v I and (g1, g2) is the covariant gradient of the interior
+    values v = ext[1:-1], both in the frame e1 = d_phi, e2 = d_psi/sin(phi).
     """
-    ext = extend(geom, values, bc)
     d = geom.dphi
     sin = geom.sin_phi[:, None]
     cos = geom.cos_phi[:, None]
+    values = ext[1:-1]
     h_phi = (ext[2:] - ext[:-2]) / (2.0 * d)
-    h_phiphi = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / d**2
+    h_phiphi = (ext[2:] - 2.0 * values + ext[:-2]) / d**2
     # psi differences annihilate row constants; subtracting the row mean first
     # removes the cancellation noise that the 1/sin(phi)^2 factor amplifies
-    # near the pole
+    # near the pole, which sets the attainable Newton residual floor
     dev = ext - np.mean(ext, axis=1, keepdims=True)
     h_psi = _psi_d1(dev[1:-1], geom.dpsi)
     h_psipsi = _psi_d2(dev[1:-1], geom.dpsi)
@@ -244,9 +253,12 @@ def hessian_frame(geom: CapGeometry, values: np.ndarray, bc: str):
     b11 = h_phiphi + values
     b12 = h_phipsi / sin - cos / sin**2 * h_psi
     b22 = h_psipsi / sin**2 + cos / sin * h_phi + values
-    g1 = h_phi
-    g2 = h_psi / sin
-    return b11, b12, b22, g1, g2
+    return b11, b12, b22, h_phi, h_psi / sin
+
+
+def hessian_frame(geom: CapGeometry, values: np.ndarray, bc: str):
+    """Frame components (b11, b12, b22, g1, g2) of a field with ``bc`` ghosts."""
+    return _frame(geom, extend(geom, values, bc))
 
 
 def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
@@ -292,18 +304,6 @@ def evenness_defect(geom: CapGeometry, values: np.ndarray) -> float:
         return 0.0
     gap = values - np.roll(values, geom.Npsi // 2, axis=1)
     return float(np.max(np.abs(gap))) / scale
-
-
-def field_norms(geom: CapGeometry, s: ScalarField):
-    """(sup, weighted L2, min, max) of a field; L2 uses the area weights."""
-    v = s.values
-    l2 = math.sqrt(float(np.sum(geom.area_weights * v**2)))
-    return (
-        float(np.max(np.abs(v))),
-        l2,
-        float(np.min(v)),
-        float(np.max(v)),
-    )
 
 
 def embed_body(geom: CapGeometry, h: ScalarField) -> EmbeddedBody:
@@ -366,22 +366,6 @@ def bump_profile(phi, theta: float):
 # serialization
 
 
-def field_to_json(s: ScalarField) -> dict:
-    g = s.geometry
-    return {
-        "theta": g.theta,
-        "Nphi": g.Nphi,
-        "Npsi": g.Npsi,
-        "values": [float(v) for v in s.values.ravel()],
-    }
-
-
-def field_from_json(doc: dict) -> ScalarField:
-    geom = build_grid(doc["theta"], doc["Nphi"], doc["Npsi"])
-    vals = np.asarray(doc["values"], dtype=float).reshape(geom.shape)
-    return ScalarField(geom, vals)
-
-
 def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
     g = s.geometry
     with open(path, "w", newline="") as fh:
@@ -403,18 +387,29 @@ def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
 
 
 def field_from_csv(path, theta: float) -> ScalarField:
-    rows = []
+    """Read a field written by :func:`field_to_csv` on the cap of half-angle theta.
+
+    The rows must list every cell once, in the order and at the (phi, psi)
+    that field_to_csv writes; anything else is a ConfigError, never a field
+    with holes.
+    """
     with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line)
-    reader = csv.DictReader(rows)
-    entries = [(int(r["i"]), int(r["j"]), float(r["value"])) for r in reader]
-    Nphi = max(e[0] for e in entries)
-    Npsi = max(e[1] for e in entries) + 1
-    geom = build_grid(theta, Nphi, Npsi)
-    vals = np.empty(geom.shape)
-    for i, j, v in entries:
-        vals[i - 1, j] = v
-    return ScalarField(geom, vals)
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        try:
+            rows = [(int(r["i"]), int(r["j"]), float(r["phi"]), float(r["psi"]),
+                     float(r["value"])) for r in reader]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed field CSV {path}: {exc!r}") from exc
+    if not rows:
+        raise ConfigError(f"field CSV {path} has no rows")
+    i, j, phi, psi, vals = (np.array(col) for col in zip(*rows))
+    geom = build_grid(theta, int(i.max()), int(j.max()) + 1)
+    ii, jj = np.indices(geom.shape).reshape(2, -1)
+    if (len(rows) != geom.size or np.any(i - 1 != ii) or np.any(j != jj)
+            or np.max(np.abs(phi - geom.phi_nodes[ii])) > 1e-9
+            or np.max(np.abs(psi - geom.psi_nodes[jj])) > 1e-9):
+        raise ConfigError(
+            f"field CSV {path} does not hold the {geom.Nphi}x{geom.Npsi} grid "
+            f"of theta={theta:.6g} in row-major order"
+        )
+    return ScalarField(geom, vals.reshape(geom.shape))

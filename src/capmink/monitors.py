@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError
 from .grid import (
+    EVEN_TOL,
     CapGeometry,
     ScalarField,
     boundary_values,
@@ -25,8 +26,6 @@ from .grid import (
     evenness_defect,
     grad_sq,
 )
-
-EVEN_TOL = 1e-10
 
 
 @dataclass

@@ -1,10 +1,14 @@
-"""Sparse matrix form of the cap differential operators.
+"""Sparse matrix form of the frame stencil of :mod:`capmink.grid`.
 
-These matrices realize exactly the same ghost-cell stencils as
-:mod:`capmink.grid`, but as linear maps on flattened fields so the Newton
-solver can assemble an exact Jacobian.  Flattening is row-major over
-``(phi, psi)``; the extended layout prepends the pole ghost row and appends
-the top ghost row.
+The Newton residual evaluates ``b = hess(h) + h I`` and the covariant
+gradient with one dense kernel, ``grid._frame``, over a ghost-padded field.
+This module assembles the same stencil as linear maps on flattened fields, so
+the solver can build an exact Jacobian: an extension matrix inserts the ghost
+rows, and Kronecker products of the 1-D phi and psi difference weights apply
+the kernel's differences.  Flattening is row-major over ``(phi, psi)``; the
+extended layout prepends the pole ghost row and appends the top ghost row.
+The dense kernel subtracts the row mean before its psi differences, so the
+two agree up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -12,85 +16,24 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import CapGeometry, ell_field, top_ghost_coeffs
+from .grid import CapGeometry, _ell_ext_rows, ell_field, top_ghost_coeffs
 
 
 def _extension_matrix(geom: CapGeometry, bc: str) -> sp.csr_matrix:
     """Map interior (N) -> extended (N + 2*Npsi) values, inserting ghost rows."""
-    Nphi, Npsi = geom.Nphi, geom.Npsi
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    half = Npsi // 2
-    for j in range(Npsi):
-        # pole ghost: value at (phi_1, psi + pi)
-        add(j, (j + half) % Npsi, 1.0)
-    for i in range(Nphi):
-        for j in range(Npsi):
-            add((i + 1) * Npsi + j, i * Npsi + j, 1.0)
-    a = top_ghost_coeffs(geom, bc)
-    for j in range(Npsi):
-        r = (Nphi + 1) * Npsi + j
-        add(r, (Nphi - 3) * Npsi + j, a[0])
-        add(r, (Nphi - 2) * Npsi + j, a[1])
-        add(r, (Nphi - 1) * Npsi + j, a[2])
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=((Nphi + 2) * Npsi, Nphi * Npsi)
+    Nphi, Npsi, half = geom.Nphi, geom.Npsi, geom.Npsi // 2
+    # pole ghost: value at (phi_1, psi + pi)
+    antipode = sp.diags([1.0, 1.0], [half, -half], shape=(Npsi, Npsi))
+    top = np.zeros((1, Nphi))
+    top[0, -3:] = top_ghost_coeffs(geom, bc)
+    return sp.vstack(
+        [
+            sp.kron(sp.eye(1, Nphi), antipode),
+            sp.identity(geom.size),
+            sp.kron(top, sp.identity(Npsi)),
+        ],
+        format="csr",
     )
-
-
-def _phi_matrices(geom: CapGeometry):
-    """1-D (interior x extended) first/second difference and extraction."""
-    Nphi = geom.Nphi
-    d = geom.dphi
-    D1 = sp.lil_matrix((Nphi, Nphi + 2))
-    D2 = sp.lil_matrix((Nphi, Nphi + 2))
-    P = sp.lil_matrix((Nphi, Nphi + 2))
-    for i in range(Nphi):
-        D1[i, i] = -1.0 / (2.0 * d)
-        D1[i, i + 2] = 1.0 / (2.0 * d)
-        D2[i, i] = 1.0 / d**2
-        D2[i, i + 1] = -2.0 / d**2
-        D2[i, i + 2] = 1.0 / d**2
-        P[i, i + 1] = 1.0
-    return D1.tocsr(), D2.tocsr(), P.tocsr()
-
-
-def _psi_matrices(geom: CapGeometry):
-    Npsi = geom.Npsi
-    d = geom.dpsi
-    idx = np.arange(Npsi)
-    D1 = sp.csr_matrix(
-        (
-            np.concatenate([np.full(Npsi, 1.0 / (2 * d)), np.full(Npsi, -1.0 / (2 * d))]),
-            (
-                np.concatenate([idx, idx]),
-                np.concatenate([(idx + 1) % Npsi, (idx - 1) % Npsi]),
-            ),
-        ),
-        shape=(Npsi, Npsi),
-    )
-    D2 = sp.csr_matrix(
-        (
-            np.concatenate(
-                [
-                    np.full(Npsi, 1.0 / d**2),
-                    np.full(Npsi, -2.0 / d**2),
-                    np.full(Npsi, 1.0 / d**2),
-                ]
-            ),
-            (
-                np.concatenate([idx, idx, idx]),
-                np.concatenate([(idx + 1) % Npsi, idx, (idx - 1) % Npsi]),
-            ),
-        ),
-        shape=(Npsi, Npsi),
-    )
-    return D1, D2
 
 
 def _row_diag(geom: CapGeometry, values_per_row: np.ndarray) -> sp.csr_matrix:
@@ -99,9 +42,19 @@ def _row_diag(geom: CapGeometry, values_per_row: np.ndarray) -> sp.csr_matrix:
 
 def _frame_operators(geom: CapGeometry):
     """Maps extended-field -> interior frame quantities (b11, b12, b22, g1, g2)."""
-    D1p, D2p, Pp = _phi_matrices(geom)
-    D1s, D2s = _psi_matrices(geom)
-    Is = sp.identity(geom.Npsi, format="csr")
+    d, e, n = geom.dphi, geom.dpsi, geom.Npsi
+    # 1-D weights: phi differences map extended rows to interior rows; psi
+    # differences are periodic, the corner diagonals closing the period
+    rows = (geom.Nphi, geom.Nphi + 2)
+    D1p = sp.diags([-1.0 / (2.0 * d), 1.0 / (2.0 * d)], [0, 2], shape=rows, format="csr")
+    D2p = sp.diags([1.0 / d**2, -2.0 / d**2, 1.0 / d**2], [0, 1, 2], shape=rows,
+                   format="csr")
+    Pp = sp.diags([1.0], [1], shape=rows, format="csr")
+    wrap = [-1, 1, n - 1, 1 - n]
+    c = 1.0 / (2 * e)
+    D1s = sp.diags([-c, c, -c, c], wrap, shape=(n, n), format="csr")
+    D2s = sp.diags([1.0 / e**2] * 4 + [-2.0 / e**2], wrap + [0], shape=(n, n), format="csr")
+    Is = sp.identity(n, format="csr")
     Dphi = sp.kron(D1p, Is, format="csr")
     Dphiphi = sp.kron(D2p, Is, format="csr")
     P = sp.kron(Pp, Is, format="csr")
@@ -132,27 +85,9 @@ def u_system(geom: CapGeometry) -> dict:
     if key in geom._cache:
         return geom._cache[key]
     E = _extension_matrix(geom, "neumann")
-    ell = ell_field(geom).values
-    phi_ext = np.concatenate(
-        [[-geom.dphi / 2.0], geom.phi_nodes, [geom.theta + geom.dphi / 2.0]]
-    )
-    ell_ext_rows = 1.0 - geom.cos_theta * np.cos(phi_ext)
-    Lext = sp.kron(sp.diags(ell_ext_rows), sp.identity(geom.Npsi), format="csr")
-    base = (Lext @ E).tocsr()
+    base = (_row_diag(geom, _ell_ext_rows(geom)) @ E).tocsr()
     frame = _frame_operators(geom)
     ops = {k: (m @ base).tocsr() for k, m in frame.items()}
-    ops["ell"] = ell.ravel()
-    geom._cache[key] = ops
-    return ops
-
-
-def h_system(geom: CapGeometry, bc: str = "robin") -> dict:
-    """Operators mapping the interior h-vector directly (Robin or Neumann ghosts)."""
-    key = f"h_system:{bc}"
-    if key in geom._cache:
-        return geom._cache[key]
-    E = _extension_matrix(geom, bc)
-    frame = _frame_operators(geom)
-    ops = {k: (m @ E).tocsr() for k, m in frame.items()}
+    ops["ell"] = ell_field(geom).values.ravel()
     geom._cache[key] = ops
     return ops

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapminkError, ConfigError
 from .grid import (
     CapGeometry,
     ScalarField,
@@ -44,28 +43,33 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
     if not isinstance(fcfg, dict) or "kind" not in fcfg:
         raise ConfigError("f must be an object with a 'kind' entry")
     kind = fcfg["kind"]
-    if kind == "constant":
-        value = float(fcfg.get("value", 1.0))
-        if value <= 0.0:
-            raise ConfigError("constant density must be positive")
-        return ScalarField(geom, np.full(geom.shape, value))
-    if kind == "ell_power":
-        c = float(fcfg.get("c", 1.0))
-        alpha = float(fcfg.get("alpha", 0.0))
-        beta = float(fcfg.get("beta", 0.0))
-        if c <= 0.0:
-            raise ConfigError("ell_power coefficient c must be positive")
-        ell = ell_field(geom).values
-        vals = c * ell**alpha * (ell**2 + ell_grad_sq(geom)) ** beta
-        return ScalarField(geom, vals)
-    if kind == "grid":
-        vals = np.asarray(fcfg["values"], dtype=float).reshape(geom.shape)
-        if np.any(vals <= 0.0):
-            raise ConfigError("grid density must be positive everywhere")
-        return ScalarField(geom, vals)
-    if kind == "manufactured":
-        hvals = np.asarray(fcfg["h_star"], dtype=float).reshape(geom.shape)
-        return manufactured_f(geom, ScalarField(geom, hvals), p, q)
+    try:
+        if kind == "constant":
+            value = float(fcfg.get("value", 1.0))
+            if value <= 0.0:
+                raise ConfigError("constant density must be positive")
+            return ScalarField(geom, np.full(geom.shape, value))
+        if kind == "ell_power":
+            c = float(fcfg.get("c", 1.0))
+            alpha = float(fcfg.get("alpha", 0.0))
+            beta = float(fcfg.get("beta", 0.0))
+            if c <= 0.0:
+                raise ConfigError("ell_power coefficient c must be positive")
+            ell = ell_field(geom).values
+            vals = c * ell**alpha * (ell**2 + ell_grad_sq(geom)) ** beta
+            return ScalarField(geom, vals)
+        if kind == "grid":
+            vals = np.asarray(fcfg["values"], dtype=float).reshape(geom.shape)
+            if np.any(vals <= 0.0):
+                raise ConfigError("grid density must be positive everywhere")
+            return ScalarField(geom, vals)
+        if kind == "manufactured":
+            hvals = np.asarray(fcfg["h_star"], dtype=float).reshape(geom.shape)
+            return manufactured_f(geom, ScalarField(geom, hvals), p, q)
+    except CapminkError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind!r} density: {exc}") from exc
     raise ConfigError(f"unknown density kind {kind!r}; expected one of {_F_KINDS}")
 
 
@@ -77,12 +81,10 @@ def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
         q = float(doc["q"])
     except KeyError as exc:
         raise ConfigError(f"problem file missing required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"theta, p and q must be numbers: {exc}") from exc
     even = bool(doc.get("even", False))
-    gcfg = doc.get("grid", {})
-    Nphi = int(gcfg.get("Nphi", 32))
-    Npsi = int(gcfg.get("Npsi", 64))
-    if grid_override is not None:
-        Nphi, Npsi = grid_override
+    Nphi, Npsi = grid_override or grid_size(doc.get("grid", {}), (32, 64))
     geom = build_grid(theta, Nphi, Npsi)
     f = density_from_config(geom, doc.get("f", {"kind": "constant"}), p, q)
     spec = ProblemSpec(
@@ -93,26 +95,39 @@ def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
         even=even,
         allow_unsupported=bool(doc.get("allow_unsupported", False)),
     )
-    scfg = doc.get("solver", {})
-    known = set(SolverConfig.__dataclass_fields__)
-    unknown = set(scfg) - known
+    return geom, spec, solver_config(doc.get("solver", {}))
+
+
+def grid_size(gcfg, default: tuple[int, int]) -> tuple[int, int]:
+    """(Nphi, Npsi) of a "grid" object, each falling back to its default."""
+    try:
+        return int(gcfg.get("Nphi", default[0])), int(gcfg.get("Npsi", default[1]))
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"grid must be an object with integer Nphi, Npsi: {exc}") from exc
+
+
+def solver_config(scfg) -> SolverConfig:
+    """SolverConfig of a "solver" object; each value is cast to its field's type."""
+    if not isinstance(scfg, dict):
+        raise ConfigError("solver must be an object")
+    defaults = SolverConfig()
+    unknown = set(scfg) - set(SolverConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown solver options {sorted(unknown)}")
-    cfg = SolverConfig(**{k: type(getattr(SolverConfig(), k))(v) for k, v in scfg.items()})
-    return geom, spec, cfg
-
-
-def load_problem_file(path, grid_override=None):
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"problem file {path} is not valid JSON: {exc}") from exc
+        values = {k: type(getattr(defaults, k))(v) for k, v in scfg.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed solver option: {exc}") from exc
+    return SolverConfig(**values)
+
+
+def read_config(path) -> dict:
+    """The JSON object in a config file; OSError and JSONDecodeError propagate."""
+    with open(path) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ConfigError("problem file must contain a JSON object")
-    return load_problem(doc, grid_override)
+        raise ConfigError(f"config file {path} must contain a JSON object")
+    return doc
 
 
 def resolved_config(doc: dict, geom: CapGeometry, cfg: SolverConfig) -> dict:
@@ -159,10 +174,6 @@ def write_json_report(path, payload: dict, config: dict):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if math.isinf(obj) if isinstance(obj, float) else False:
-        return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")

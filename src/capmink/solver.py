@@ -25,20 +25,22 @@ import scipy.sparse.linalg as spla
 
 from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError
 from .grid import (
+    EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _ell_ext_rows,
+    _frame,
     bump_profile,
     curvature_tensor,
     ell_field,
     eigen_range,
     evenness_defect,
+    extend,
     hessian_frame,
     robin_residual,
     symmetrize_even,
 )
 from .operators import u_system
-
-EVEN_TOL = 1e-10
 
 
 @dataclass
@@ -141,22 +143,27 @@ class SolveResult:
 # residuals
 
 
-def _rhs_exponents(spec: ProblemSpec, s: float | None):
-    """Homotopy data (f_s values, p, q_s) at parameter s (None = target).
+def _density(spec: ProblemSpec, s: float | None) -> np.ndarray:
+    """Homotopy density f_s at parameter s (None = target).
 
-    The exponent is held at the target q along the whole path; the density is
-    blended from f_0 = ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2), which makes
-    h = ell the exact solution at s = 0 for every q.  (Moving the exponent
-    q_s = 3 + s(q-3) instead crosses the scale-degenerate manifold q_s = p
-    whenever q < p < 3, where the intermediate problem is generically
+    The exponents are held at the target (p, q) along the whole path; the
+    density is blended from f_0 = ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2),
+    which makes h = ell the exact solution at s = 0 for every q.  (Moving the
+    exponent q_s = 3 + s(q-3) instead crosses the scale-degenerate manifold
+    q_s = p whenever q < p < 3, where the intermediate problem is generically
     unsolvable; at q = 3 the two paths coincide.)
     """
-    geom = spec.f.geometry
     if s is None or s == 1.0:
-        return spec.f.values, spec.p, spec.q
-    f0 = _base_density(geom, spec.p, spec.q)
-    fs = (1.0 - s) * f0 + s * spec.f.values
-    return fs, spec.p, spec.q
+        return spec.f.values
+    f0 = _base_density(spec.f.geometry, spec.p, spec.q)
+    return (1.0 - s) * f0 + s * spec.f.values
+
+
+def _equation(fvals, p, q, frame, h):
+    """(det b, rhs, w) of det b = f h^(p-1) w^((3-q)/2), w = h^2 + |grad h|^2."""
+    b11, b12, b22, g1, g2 = frame
+    w = h**2 + g1**2 + g2**2
+    return b11 * b22 - b12**2, fvals * h ** (p - 1.0) * w ** ((3.0 - q) / 2.0), w
 
 
 def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
@@ -169,24 +176,17 @@ def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
     """
     key = ("base_density", p, q)
     if key not in geom._cache:
-        b11, b12, b22, g1, g2, hvec = _u_frame(geom, np.ones(geom.size))
-        det = b11 * b22 - b12**2
-        w = hvec**2 + g1**2 + g2**2
-        geom._cache[key] = (
-            det / (hvec ** (p - 1.0) * w ** ((3.0 - q) / 2.0))
-        ).reshape(geom.shape)
+        *frame, hvec = _u_frame(geom, np.ones(geom.size))
+        det, weight, _ = _equation(1.0, p, q, frame, hvec)
+        geom._cache[key] = (det / weight).reshape(geom.shape)
     return geom._cache[key]
 
 
 def _residual_h_raw(geom: CapGeometry, fvals, p, q, h: ScalarField) -> ScalarField:
     if np.any(h.values <= 0.0):
         raise DomainError("h must be positive")
-    b11, b12, b22, g1, g2 = hessian_frame(geom, h.values, "robin")
-    det_b = b11 * b22 - b12**2
-    hv = h.values
-    w = hv**2 + g1**2 + g2**2
-    rhs = fvals * hv ** (p - 1.0) * w ** ((3.0 - q) / 2.0)
-    return ScalarField(geom, det_b - rhs)
+    det, rhs, _ = _equation(fvals, p, q, hessian_frame(geom, h.values, "robin"), h.values)
+    return ScalarField(geom, det - rhs)
 
 
 def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarField:
@@ -195,48 +195,20 @@ def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarFi
 
 
 def _u_frame(geom: CapGeometry, uvec):
-    """Frame quantities of h = ell * u via the Neumann ghost stencils.
+    """Flattened (b11, b12, b22, g1, g2, h) of h = ell * u with Neumann ghosts.
 
     Matches the sparse operators of :func:`capmink.operators.u_system` up to
-    rounding, but evaluates the psi differences on mean-free rows so the
-    1/sin(phi)^2 pole factor does not amplify cancellation noise; this sets
-    the attainable Newton residual floor well below the default tolerance.
+    rounding (see :func:`capmink.grid._frame`).
     """
-    from .grid import _psi_d1, _psi_d2, extend
-
-    u = uvec.reshape(geom.shape)
-    u_ext = extend(geom, u, "neumann")
-    phi_ext = np.concatenate(
-        [[-geom.dphi / 2.0], geom.phi_nodes, [geom.theta + geom.dphi / 2.0]]
-    )
-    h_ext = (1.0 - geom.cos_theta * np.cos(phi_ext))[:, None] * u_ext
-    d = geom.dphi
-    sin = geom.sin_phi[:, None]
-    cos = geom.cos_phi[:, None]
-    hv = h_ext[1:-1]
-    h_phi = (h_ext[2:] - h_ext[:-2]) / (2.0 * d)
-    h_phiphi = (h_ext[2:] - 2.0 * hv + h_ext[:-2]) / d**2
-    dev = h_ext - np.mean(h_ext, axis=1, keepdims=True)
-    h_psi = _psi_d1(dev[1:-1], geom.dpsi)
-    h_psipsi = _psi_d2(dev[1:-1], geom.dpsi)
-    h_phipsi = (_psi_d1(dev[2:], geom.dpsi) - _psi_d1(dev[:-2], geom.dpsi)) / (2.0 * d)
-    b11 = h_phiphi + hv
-    b12 = h_phipsi / sin - cos / sin**2 * h_psi
-    b22 = h_psipsi / sin**2 + cos / sin * h_phi + hv
-    g1 = h_phi
-    g2 = h_psi / sin
-    return (
-        b11.ravel(), b12.ravel(), b22.ravel(),
-        g1.ravel(), g2.ravel(), hv.ravel(),
-    )
+    ext = _ell_ext_rows(geom)[:, None] * extend(geom, uvec.reshape(geom.shape), "neumann")
+    return tuple(a.ravel() for a in _frame(geom, ext)) + (ext[1:-1].ravel(),)
 
 
 def _residual_u_vec(geom: CapGeometry, fvals, p, q, uvec):
     """Residual of the quotient formulation on the flattened u-vector."""
-    b11, b12, b22, g1, g2, hvec = _u_frame(geom, uvec)
-    w = hvec**2 + g1**2 + g2**2
-    rhs = fvals.ravel() * hvec ** (p - 1.0) * w ** ((3.0 - q) / 2.0)
-    return b11 * b22 - b12**2 - rhs, (b11, b12, b22, g1, g2, hvec, w, rhs)
+    *frame, hvec = _u_frame(geom, uvec)
+    det, rhs, w = _equation(fvals.ravel(), p, q, frame, hvec)
+    return det - rhs, (*frame, hvec, w, rhs)
 
 
 def residual_u(spec: ProblemSpec, geom: CapGeometry, u: ScalarField) -> ScalarField:
@@ -362,24 +334,24 @@ def _rot_invariant(fvals) -> bool:
     return bool(np.max(span) <= 1e-13 * max(1.0, float(np.max(np.abs(fvals)))))
 
 
-def _finalize(spec: ProblemSpec, geom: CapGeometry, uvec, trace, converged,
-              s_reached=1.0) -> SolveResult:
+def _finalize(geom: CapGeometry, uvec, trace, converged, s_reached,
+              residual_sup, residual_floor) -> SolveResult:
+    """SolveResult of the iterate uvec; the residual figures are the solver's own."""
     u = ScalarField(geom, uvec.reshape(geom.shape))
     ell = ell_field(geom).values
     h = ScalarField(geom, ell * u.values)
-    res = residual_u(spec, geom, u) if s_reached == 1.0 else None
-    res_sup = float(np.max(np.abs(res.values))) if res is not None else math.inf
     cd = curvature_tensor(geom, h)
     robin = float(np.max(np.abs(robin_residual(geom, h))))
     return SolveResult(
         h=h,
         u=u,
-        residual_sup=res_sup,
+        residual_sup=residual_sup,
         robin_defect_sup=robin,
         b_eigen_range=(cd.lambda_min, cd.lambda_max),
         newton_trace=trace,
         converged=converged,
         s_reached=s_reached,
+        residual_floor=residual_floor,
     )
 
 
@@ -400,7 +372,7 @@ def newton_solve(
         )
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
-    fvals, p, q = _rhs_exponents(spec, s)
+    fvals, p, q = _density(spec, s), spec.p, spec.q
     rot = _rot_invariant(fvals)
 
     def project(vec):
@@ -460,19 +432,15 @@ def newton_solve(
             step *= 0.5
             trace.halvings += 1
             if step < cfg.min_step:
-                out = _finalize(spec, geom, uvec, [trace], False, s_reached=s)
-                out.residual_sup = res_sup
-                out.residual_floor = 8.0 * float(np.max(noise))
-                return out
+                return _finalize(geom, uvec, [trace], False, s, res_sup,
+                                 8.0 * float(np.max(noise)))
         uvec, res, parts, res_sup, noise = cand, cres, cparts, csup, cnoise
         trace.iterations += 1
         trace.residuals.append(res_sup)
     else:
         trace.converged = _within_floor(res, noise, cfg.newton_tol, parts)
-    result = _finalize(spec, geom, uvec, [trace], trace.converged, s_reached=s)
-    result.residual_sup = res_sup
-    result.residual_floor = 8.0 * float(np.max(noise))
-    return result
+    return _finalize(geom, uvec, [trace], trace.converged, s, res_sup,
+                     8.0 * float(np.max(noise)))
 
 
 def continuation_solve(
@@ -493,7 +461,7 @@ def continuation_solve(
     base = newton_solve(spec, geom, 0.0, u, cfg)
     traces.extend(base.newton_trace)
     if not base.converged:
-        return _finalize(spec, geom, uvec, traces, False, s_reached=0.0)
+        return _finalize(geom, uvec, traces, False, 0.0, math.inf, 0.0)
     u = base.u
     successes = 0
     last = base
@@ -513,14 +481,10 @@ def continuation_solve(
             ds *= 0.5
             successes = 0
             if ds < cfg.ds_min:
-                out = _finalize(spec, geom, u.values.ravel(), traces, False,
-                                s_reached=s)
-                out.residual_floor = last.residual_floor
-                return out
-    out = _finalize(spec, geom, u.values.ravel(), traces, True, s_reached=1.0)
-    out.residual_sup = last.residual_sup
-    out.residual_floor = last.residual_floor
-    return out
+                return _finalize(geom, u.values.ravel(), traces, False, s,
+                                 math.inf, last.residual_floor)
+    return _finalize(geom, u.values.ravel(), traces, True, 1.0,
+                     last.residual_sup, last.residual_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +503,11 @@ def manufactured_f(
         raise ApplicabilityError(
             f"h_star violates the Robin condition (defect {rob:.3g})"
         )
-    b11, b12, b22, g1, g2 = hessian_frame(geom, h_star.values, "robin")
-    det_b = b11 * b22 - b12**2
-    lam_min, _ = eigen_range(b11, b12, b22)
-    if lam_min <= 0.0:
+    frame = hessian_frame(geom, h_star.values, "robin")
+    if eigen_range(*frame[:3])[0] <= 0.0:
         raise ApplicabilityError("h_star is not strictly convex")
-    hv = h_star.values
-    w = hv**2 + g1**2 + g2**2
-    f = det_b / (hv ** (p - 1.0) * w ** ((3.0 - q) / 2.0))
-    return ScalarField(geom, f)
+    det, weight, _ = _equation(1.0, p, q, frame, h_star.values)
+    return ScalarField(geom, det / weight)
 
 
 def ell_bump_field(geom: CapGeometry, eps: float, k: int = 2) -> ScalarField:
@@ -615,6 +575,7 @@ def _pq_polish(geom: CapGeometry, fvals, p: float, u0vec, c0: float,
 
     Unknowns are (u, log C); the extra row pins h at the anchor cell to 1,
     removing the dilation direction that makes the plain Jacobian singular.
+    Returns (u, C, sup of the bordered residual, residual floor).
     """
     N = geom.size
     ops = u_system(geom)
@@ -626,7 +587,7 @@ def _pq_polish(geom: CapGeometry, fvals, p: float, u0vec, c0: float,
         sup = max(float(np.max(np.abs(res))), abs(pin))
         noise = _residual_floor(geom, uvec, parts)
         if _within_floor(res, noise, cfg.newton_tol, parts) and abs(pin) <= cfg.newton_tol:
-            return uvec, math.exp(logc), sup
+            return uvec, math.exp(logc), sup, 8.0 * float(np.max(noise))
         J = _jacobian(geom, fvals * math.exp(logc), p, p, uvec, parts)
         rhs_col = sp.csc_matrix(-parts[7][:, None])  # d(res)/d(logC) = -rhs
         row = sp.csr_matrix(
@@ -655,6 +616,7 @@ class PqLimitResult:
     C_eps: list
     residual_sup: float
     diffs: list
+    solution: SolveResult  # h = h_bar, with the residual and floor of the polish
 
 
 def pq_limit_solve(
@@ -703,20 +665,21 @@ def pq_limit_solve(
     m = float(np.min(h_last.values))
     anchor = int(np.argmin(h_last.values.ravel()))
     u_bar0 = u_last.values.ravel() / m
-    uvec, C_star, res_sup = _pq_polish(
+    uvec, C_star, res_sup, floor = _pq_polish(
         geom, spec.f.values.ravel(), spec.p, u_bar0, C_eps[-1], anchor, cfg
     )
-    u_bar = ScalarField(geom, uvec.reshape(geom.shape))
     if spec.even:
-        u_bar = symmetrize_even(geom, u_bar)
-    h_bar = ScalarField(geom, ell_field(geom).values * u_bar.values)
+        uvec = symmetrize_even(geom, ScalarField(geom, uvec.reshape(geom.shape))).values
+    # the polish returns only once its floor test holds
+    solution = _finalize(geom, uvec, [], True, 1.0, res_sup, floor)
     return PqLimitResult(
-        h_bar=h_bar,
+        h_bar=solution.h,
         C_star=C_star,
         eps_schedule=eps_schedule,
         C_eps=C_eps,
         residual_sup=res_sup,
         diffs=diffs,
+        solution=solution,
     )
 
 

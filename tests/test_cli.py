@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from capmink import build_grid, ell_field
 from capmink.cli import main
+from capmink.grid import field_to_csv
 
 
 def write_config(path, doc):
@@ -86,11 +88,21 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--config", str(bad)]) == 3
 
-    def test_unknown_solver_option_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"solver": {"bogus": 1}},
+            {"solver": {"max_newton": "abc"}},
+            {"grid": {"Nphi": "x"}},
+            {"f": {"kind": "grid", "values": [1.0] * 5}},
+        ],
+        ids=["unknown_solver_option", "non_numeric_solver_option",
+             "non_numeric_grid", "wrong_length_grid_density"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, extra):
         cfg = write_config(
             tmp_path / "p.json",
-            {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True,
-             "solver": {"bogus": 1}},
+            {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, **extra},
         )
         assert main(["solve", "--config", cfg]) == 3
 
@@ -121,6 +133,16 @@ class TestSandwich:
         cfg2 = write_config(tmp / "with_h.json", doc)
         out2 = tmp / "sw_out"
         assert main(["sandwich", "--config", cfg2, "--out", str(out2)]) == 0
+
+    def test_sandwich_rejects_truncated_h_csv(self, base_problem):
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        path = tmp / "h.csv"
+        field_to_csv(ell_field(build_grid(doc["theta"], 16, 32)), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:-20]) + "\n")
+        doc["h_csv"] = str(path)
+        cfg2 = write_config(tmp / "with_h.json", doc)
+        assert main(["sandwich", "--config", cfg2, "--out", str(tmp / "o")]) == 3
 
 
 class TestMonitors:
@@ -155,6 +177,14 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r["converged"] == "1" for r in rows)
         assert all(float(r["lambda_min"]) > 0.0 for r in rows)
+
+    def test_sweep_malformed_solver_option(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "sweep.json",
+            {"p_values": [2.5], "q_values": [1.5], "theta_values": [1.0],
+             "solver": {"max_newton": "abc"}},
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_sweep_missing_keys(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {"p_values": [2.0]})

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -25,15 +24,12 @@ from capmink.grid import (
     bump_profile,
     extend,
     field_from_csv,
-    field_from_json,
-    field_norms,
     field_to_csv,
-    field_to_json,
     hessian_frame,
     top_ghost_coeffs,
 )
 
-from conftest import neumann_bump, robin_bump
+from conftest import robin_bump
 
 
 class TestGeometry:
@@ -190,12 +186,6 @@ class TestEmbedding:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, geom_pi3):
-        s = neumann_bump(geom_pi3)
-        back = field_from_json(json.loads(json.dumps(field_to_json(s))))
-        assert back.geometry.shape == geom_pi3.shape
-        assert np.array_equal(back.values, s.values)
-
     def test_csv_round_trip(self, geom_pi3, tmp_path):
         s = robin_bump(geom_pi3)
         path = tmp_path / "field.csv"
@@ -209,11 +199,31 @@ class TestSerialization:
         field_to_csv(ell_field(geom_pi3), path, "provenance line")
         assert open(path).readline() == "# provenance line\n"
 
-    def test_field_norms(self, geom_pi3):
-        sup, l2, lo, hi = field_norms(geom_pi3, ell_field(geom_pi3))
-        assert lo > 0.0
-        assert hi == sup
-        assert 0.0 < l2 < sup * math.sqrt(4.0 * math.pi)
+    @pytest.mark.parametrize(
+        "edit", ["drop_20_rows", "drop_last_ring", "duplicate_cell", "negative_j",
+                 "other_theta", "bad_value"]
+    )
+    def test_csv_malformed_rejected(self, tmp_path, edit):
+        g = build_grid(math.pi / 3, 8, 16)
+        path = tmp_path / "field.csv"
+        field_to_csv(ell_field(g), path)
+        header, *rows = path.read_text().splitlines()
+        theta = g.theta
+        if edit == "drop_20_rows":
+            rows = rows[:50] + rows[70:]
+        elif edit == "drop_last_ring":
+            rows = rows[: -g.Npsi]
+        elif edit == "duplicate_cell":
+            rows[5] = rows[4]
+        elif edit == "negative_j":
+            rows[3] = ",".join(["1", "-1"] + rows[3].split(",")[2:])
+        elif edit == "other_theta":
+            theta = math.pi / 4
+        else:
+            rows[7] = ",".join(rows[7].split(",")[:4] + ["nan?"])
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ConfigError):
+            field_from_csv(path, theta)
 
 
 def test_bump_profile_neumann_at_theta():
