@@ -188,7 +188,11 @@ def cmd_monitors(args) -> int:
 
 
 def _sweep_entry(task):
-    """One sweep cell; returns a plain row dict (runs in a worker)."""
+    """One sweep cell (runs in a worker): (plain row dict, config error flag).
+
+    Every error is written to the row; the flag marks a cell whose own
+    configuration is invalid, which makes the sweep exit with EXIT_CONFIG.
+    """
     (p, q, theta, fcfg, Nphi, Npsi, cfg) = task
     row = {"p": p, "q": q, "theta": theta, "converged": 0,
            "ratio": "", "lambda_min": "", "sigma1_max": "", "error": ""}
@@ -207,7 +211,8 @@ def _sweep_entry(task):
         )
     except CapminkError as exc:
         row["error"] = str(exc)
-    return row
+        return row, isinstance(exc, ConfigError)
+    return row, False
 
 
 def cmd_sweep(args) -> int:
@@ -234,9 +239,10 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_entry, tasks))
+            cells = list(pool.map(_sweep_entry, tasks))
     else:
-        rows = [_sweep_entry(t) for t in tasks]
+        cells = [_sweep_entry(t) for t in tasks]
+    rows = [row for row, _ in cells]
     os.makedirs(args.out, exist_ok=True)
     config = dict(doc)
     config["grid"] = {"Nphi": Nphi, "Npsi": Npsi}
@@ -251,8 +257,9 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    all_ok = all(r["converged"] for r in rows)
-    return EXIT_OK if all_ok else EXIT_NONCONVERGED
+    if any(config_error for _, config_error in cells):
+        return EXIT_CONFIG
+    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_NONCONVERGED
 
 
 def cmd_selftest(args) -> int:

@@ -9,6 +9,10 @@ the kernel's differences.  Flattening is row-major over ``(phi, psi)``; the
 extended layout prepends the pole ghost row and appends the top ghost row.
 The dense kernel subtracts the row mean before its psi differences, so the
 two agree up to rounding, not bit for bit.
+
+For even data the Newton system is restricted to the even fields by a fold
+pair (see :func:`_even_fold`) built on these operators, so the pole ghost and
+the periodic psi wrap carry over to the half domain unchanged.
 """
 
 from __future__ import annotations
@@ -91,3 +95,27 @@ def u_system(geom: CapGeometry) -> dict:
     ops["ell"] = ell_field(geom).values.ravel()
     geom._cache[key] = ops
     return ops
+
+
+def _even_fold(geom: CapGeometry, even: bool):
+    """(S, E) restricting the Newton system to psi -> psi + pi invariant fields.
+
+    E (N x N/2) copies a pi-periodic half field onto both halves of each psi
+    row; S (N/2 x N) picks out the first half of each row.  A Jacobian J that
+    commutes with the half-turn psi -> psi + pi maps even fields to even
+    fields, so for even data the Newton direction is
+    ``E solve(S J E, -S res)``.  For data that is not even the pair is the
+    identity.
+    """
+    key = ("even_fold", bool(even))
+    if key not in geom._cache:
+        if even:
+            n = geom.Npsi // 2
+            half = sp.identity(n, format="csr")
+            rows = sp.identity(geom.Nphi, format="csr")
+            S = sp.kron(rows, sp.hstack([half, sp.csr_matrix((n, n))]), format="csr")
+            E = sp.kron(rows, sp.vstack([half, half]), format="csr")
+        else:
+            S = E = sp.identity(geom.size, format="csr")
+        geom._cache[key] = (S, E)
+    return geom._cache[key]

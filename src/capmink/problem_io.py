@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -45,14 +46,14 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
     kind = fcfg["kind"]
     try:
         if kind == "constant":
-            value = float(fcfg.get("value", 1.0))
+            value = _finite(fcfg, "value", 1.0)
             if value <= 0.0:
                 raise ConfigError("constant density must be positive")
             return ScalarField(geom, np.full(geom.shape, value))
         if kind == "ell_power":
-            c = float(fcfg.get("c", 1.0))
-            alpha = float(fcfg.get("alpha", 0.0))
-            beta = float(fcfg.get("beta", 0.0))
+            c = _finite(fcfg, "c", 1.0)
+            alpha = _finite(fcfg, "alpha", 0.0)
+            beta = _finite(fcfg, "beta", 0.0)
             if c <= 0.0:
                 raise ConfigError("ell_power coefficient c must be positive")
             ell = ell_field(geom).values
@@ -60,6 +61,8 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
             return ScalarField(geom, vals)
         if kind == "grid":
             vals = np.asarray(fcfg["values"], dtype=float).reshape(geom.shape)
+            if not np.all(np.isfinite(vals)):
+                raise ConfigError("grid density must be finite everywhere")
             if np.any(vals <= 0.0):
                 raise ConfigError("grid density must be positive everywhere")
             return ScalarField(geom, vals)
@@ -71,6 +74,14 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind!r} density: {exc}") from exc
     raise ConfigError(f"unknown density kind {kind!r}; expected one of {_F_KINDS}")
+
+
+def _finite(fcfg: dict, key: str, default: float) -> float:
+    """The density parameter fcfg[key] as a finite float (1e400 parses to inf)."""
+    value = float(fcfg.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"density parameter {key!r} must be finite, got {value}")
+    return value
 
 
 def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):

@@ -12,6 +12,9 @@ exactly solvable data at ``s = 0`` (solution ``u = 1``) and
 continues to the target problem at ``s = 1``.  Newton steps use the exact
 sparse Jacobian of the discrete residual: the determinant is linearized as
 ``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
+For even data the step is solved on the even fields only, which halves the
+linear system; every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
+fill-reducing column ordering.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .grid import (
     robin_residual,
     symmetrize_even,
 )
-from .operators import u_system
+from .operators import _even_fold, u_system
 
 
 @dataclass
@@ -93,8 +96,9 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("newton_tol", "max_newton", "min_step", "convexity_floor",
                      "ds_init", "ds_min"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -240,6 +244,28 @@ def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts) -> sp.csr_matrix:
     return J.tocsr()
 
 
+def _lu_solve(A, b, what: str) -> np.ndarray:
+    """Solution of A x = b by SuperLU under a fill-reducing ordering."""
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise ApplicabilityError(f"{what} is singular") from exc
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise ApplicabilityError(f"{what} is singular")
+    return x
+
+
+def _newton_direction(J, res, fold) -> np.ndarray:
+    """Newton direction -J^-1 res on the range of the fold pair (S, E).
+
+    With the even fold this factors the half-size matrix S J E; with the
+    identity fold it is the plain full solve.
+    """
+    S, E = fold
+    return E @ _lu_solve(S @ J @ E, -(S @ res), "Newton linear system")
+
+
 def _lambda_min_u(geom: CapGeometry, uvec) -> float:
     b11, b12, b22, _, _, _ = _u_frame(geom, uvec)
     return eigen_range(b11, b12, b22)[0]
@@ -374,6 +400,7 @@ def newton_solve(
         raise DomainError("u0 must be positive")
     fvals, p, q = _density(spec, s), spec.p, spec.q
     rot = _rot_invariant(fvals)
+    fold = _even_fold(geom, spec.even)
 
     def project(vec):
         if rot:
@@ -413,9 +440,7 @@ def newton_solve(
             trace.converged = True
             break
         J = _jacobian(geom, fvals, p, q, uvec, parts)
-        delta = spla.spsolve(J.tocsc(), -res)
-        if not np.all(np.isfinite(delta)):
-            raise ApplicabilityError("Newton linear system is singular")
+        delta = _newton_direction(J, res, fold)
         step = 1.0
         while True:
             cand = project(uvec + step * delta)
@@ -594,9 +619,7 @@ def _pq_polish(geom: CapGeometry, fvals, p: float, u0vec, c0: float,
             ([ops["ell"][anchor]], ([0], [anchor])), shape=(1, N)
         )
         A = sp.bmat([[J, rhs_col], [row, None]], format="csc")
-        sol = spla.spsolve(A, -np.concatenate([res, [pin]]))
-        if not np.all(np.isfinite(sol)):
-            raise ApplicabilityError("augmented Newton system is singular")
+        sol = _lu_solve(A, -np.concatenate([res, [pin]]), "augmented Newton system")
         step = 1.0
         while step >= cfg.min_step:
             cand = uvec + step * sol[:N]

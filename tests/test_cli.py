@@ -95,9 +95,12 @@ class TestSolve:
             {"solver": {"max_newton": "abc"}},
             {"grid": {"Nphi": "x"}},
             {"f": {"kind": "grid", "values": [1.0] * 5}},
+            {"solver": {"newton_tol": math.nan}},
+            {"solver": {"newton_tol": math.inf}},
         ],
         ids=["unknown_solver_option", "non_numeric_solver_option",
-             "non_numeric_grid", "wrong_length_grid_density"],
+             "non_numeric_grid", "wrong_length_grid_density",
+             "nan_solver_option", "inf_solver_option"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, extra):
         cfg = write_config(
@@ -105,6 +108,19 @@ class TestSolve:
             {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, **extra},
         )
         assert main(["solve", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize(
+        "density",
+        ['{"kind": "constant", "value": 1e400}',
+         '{"kind": "ell_power", "c": 1.0, "alpha": -1e400}',
+         '{"kind": "ell_power", "beta": NaN}'],
+        ids=["constant_overflow", "ell_power_overflow", "ell_power_nan"],
+    )
+    def test_non_finite_density_is_config_error(self, tmp_path, density):
+        path = tmp_path / "p.json"
+        path.write_text('{"theta": 1.0, "p": 2.0, "q": 1.5, "even": true, '
+                        '"grid": {"Nphi": 8, "Npsi": 16}, "f": ' + density + "}")
+        assert main(["solve", "--config", str(path)]) == 3
 
     def test_unsupported_exponents_is_config_error(self, tmp_path):
         cfg = write_config(
@@ -185,6 +201,21 @@ class TestSweep:
              "solver": {"max_newton": "abc"}},
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_cell_config_error_exits_3(self, tmp_path, jobs):
+        cfg = write_config(
+            tmp_path / "sweep.json",
+            {"p_values": [2.5], "q_values": [1.5, 2.0], "theta_values": [1.0],
+             "f": {"kind": "bogus"}, "grid": {"Nphi": 8, "Npsi": 16}},
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--jobs", jobs]) == 3
+        lines = (out / "sweep.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert len(rows) == 2
+        assert all("bogus" in r["error"] for r in rows)
 
     def test_sweep_missing_keys(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {"p_values": [2.0]})

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from capmink import (
     ApplicabilityError,
@@ -25,9 +27,11 @@ from capmink import (
     residual_u,
     uniqueness_probe,
 )
-from capmink.solver import _jacobian, _residual_u_vec
+from capmink.grid import evenness_defect, symmetrize_even
+from capmink.operators import _even_fold
+from capmink.solver import _jacobian, _lu_solve, _newton_direction, _residual_u_vec
 
-from conftest import neumann_bump
+from conftest import neumann_bump, robin_bump
 
 
 def ell_power_density(geom, c=1.0, alpha=0.0, beta=0.0):
@@ -166,6 +170,38 @@ class TestNewton:
     def test_solver_config_validation(self):
         with pytest.raises(ConfigError):
             SolverConfig(newton_tol=-1.0)
+
+
+class TestEvenFold:
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
+    def test_reduced_direction_matches_full_solve(self, Nphi, Npsi):
+        """The half-domain step equals the full step made even."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        f = manufactured_f(g, robin_bump(g, eps=0.1), 2.0, 1.5)
+        uvec = symmetrize_even(g, neumann_bump(g, eps=0.05)).values.ravel()
+        res, parts = _residual_u_vec(g, f.values, 2.0, 1.5, uvec)
+        J = _jacobian(g, f.values, 2.0, 1.5, uvec, parts)
+        full = spla.spsolve(J.tocsc(), -res)
+        full = symmetrize_even(g, ScalarField(g, full.reshape(g.shape))).values.ravel()
+        reduced = _newton_direction(J, res, _even_fold(g, True))
+        assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+
+    def test_singular_system_is_applicability_error(self):
+        with pytest.raises(ApplicabilityError, match="singular"):
+            _lu_solve(sp.csc_matrix((3, 3)), np.ones(3), "Newton linear system")
+
+    def test_identity_fold_on_data_that_is_not_even(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        f = ScalarField.from_function(
+            g, lambda phi, psi: 1.0 + 0.2 * np.cos(psi) * np.sin(phi) ** 2
+        )
+        spec = ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=False)
+        S, E = _even_fold(g, False)
+        assert S.shape == E.shape == (g.size, g.size)
+        result = continuation_solve(spec, g)
+        assert result.converged
+        assert evenness_defect(g, result.h.values) > 1e-4
+        assert np.max(np.abs(residual_u(spec, g, result.u).values)) < 1e-8
 
 
 class TestContinuation:
