@@ -20,7 +20,8 @@ fill-reducing column ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,16 +131,7 @@ class SolveResult:
             "residual_floor": self.residual_floor,
             "robin_defect_sup": self.robin_defect_sup,
             "b_eigen_range": list(self.b_eigen_range),
-            "newton_trace": [
-                {
-                    "s": t.s,
-                    "iterations": t.iterations,
-                    "residuals": t.residuals,
-                    "halvings": t.halvings,
-                    "converged": t.converged,
-                }
-                for t in self.newton_trace
-            ],
+            "newton_trace": [asdict(t) for t in self.newton_trace],
         }
 
 
@@ -381,6 +373,49 @@ def _finalize(geom: CapGeometry, uvec, trace, converged, s_reached,
     )
 
 
+def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
+                   trace: NewtonTrace, project=lambda vec: vec):
+    """Damped Newton with a sufficient-decrease line search; fills ``trace``.
+
+    ``residual(x)`` gives ``(x, res, parts, pin)``, where x may be adjusted and
+    pin is the border residual (0.0 without a border); ``direction`` takes the
+    same four.  A step is halved until the u field (the first ``geom.size``
+    entries) stays positive and convex and the sup falls by ``1 - step/4`` or
+    the floor test holds.  Returns the last iterate, its sup and its floor.
+    """
+    def evaluate(x):
+        x, res, parts, pin = residual(x)
+        noise = _residual_floor(geom, x[: geom.size], parts)
+        tol = cfg.newton_tol
+        done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
+        sup = max(float(np.max(np.abs(res))), abs(pin))
+        return x, sup, done, (res, parts, pin, noise)
+
+    x, sup, done, data = evaluate(x)
+    trace.residuals.append(sup)
+    for _it in range(cfg.max_newton):
+        if done:
+            break
+        dx = direction(x, *data[:3])
+        step = 1.0
+        while True:
+            cand = project(x + step * dx)
+            u = cand[: geom.size]
+            if np.all(u > 0.0) and _lambda_min_u(geom, u) >= cfg.convexity_floor:
+                cand, csup, cdone, cdata = evaluate(cand)
+                if csup <= (1.0 - 0.25 * step) * sup or cdone:
+                    break
+            step *= 0.5
+            trace.halvings += 1
+            if step < cfg.min_step:
+                return x, sup, data[3]
+        x, sup, done, data = cand, csup, cdone, cdata
+        trace.iterations += 1
+        trace.residuals.append(sup)
+    trace.converged = done
+    return x, sup, data[3]
+
+
 def newton_solve(
     spec: ProblemSpec,
     geom: CapGeometry,
@@ -407,17 +442,16 @@ def newton_solve(
             vec = np.broadcast_to(
                 vec.reshape(geom.shape).mean(axis=1, keepdims=True), geom.shape
             ).ravel().copy()
-        if spec.even:
-            vec = symmetrize_even(
-                geom, ScalarField(geom, vec.reshape(geom.shape))
-            ).values.ravel()
         return vec
 
     uvec = project(u0.values.ravel().copy())
+    if spec.even:  # later iterates stay exactly even: the step is E x
+        uvec = symmetrize_even(geom, ScalarField(geom, uvec.reshape(geom.shape)))
+        uvec = uvec.values.ravel()
     if _lambda_min_u(geom, uvec) < cfg.convexity_floor:
         raise ConvexityError("u0 is not uniformly convex (b below the floor)")
 
-    def evaluate(vec):
+    def residual(vec):
         res, parts = _residual_u_vec(geom, fvals, p, q, vec)
         # the scale dependence of the residual is known in closed form, so
         # the dilation factor is set by an exact 1-D solve; for p near q this
@@ -429,41 +463,14 @@ def newton_solve(
             # (small absolute residual, O(1) relative defect) is never taken
             if _rel_sup(dres, dparts) < _rel_sup(res, parts):
                 vec, res, parts = lam * vec, dres, dparts
-        return vec, res, parts, float(np.max(np.abs(res)))
+        return vec, res, parts, 0.0
+
+    def direction(vec, res, parts, _pin):
+        return _newton_direction(_jacobian(geom, fvals, p, q, vec, parts), res, fold)
 
     trace = NewtonTrace(s=s, iterations=0)
-    uvec, res, parts, res_sup = evaluate(uvec)
-    noise = _residual_floor(geom, uvec, parts)
-    trace.residuals.append(res_sup)
-    for _it in range(cfg.max_newton):
-        if _within_floor(res, noise, cfg.newton_tol, parts):
-            trace.converged = True
-            break
-        J = _jacobian(geom, fvals, p, q, uvec, parts)
-        delta = _newton_direction(J, res, fold)
-        step = 1.0
-        while True:
-            cand = project(uvec + step * delta)
-            ok = np.all(cand > 0.0) and _lambda_min_u(geom, cand) >= cfg.convexity_floor
-            if ok:
-                cand, cres, cparts, csup = evaluate(cand)
-                cnoise = _residual_floor(geom, cand, cparts)
-                # accept on sufficient decrease, or on reaching the target
-                if (
-                    csup <= (1.0 - 0.25 * step) * res_sup
-                    or _within_floor(cres, cnoise, cfg.newton_tol, cparts)
-                ):
-                    break
-            step *= 0.5
-            trace.halvings += 1
-            if step < cfg.min_step:
-                return _finalize(geom, uvec, [trace], False, s, res_sup,
-                                 8.0 * float(np.max(noise)))
-        uvec, res, parts, res_sup, noise = cand, cres, cparts, csup, cnoise
-        trace.iterations += 1
-        trace.residuals.append(res_sup)
-    else:
-        trace.converged = _within_floor(res, noise, cfg.newton_tol, parts)
+    uvec, res_sup, noise = _damped_newton(geom, uvec, residual, direction, cfg, trace,
+                                          project)
     return _finalize(geom, uvec, [trace], trace.converged, s, res_sup,
                      8.0 * float(np.max(noise)))
 
@@ -594,41 +601,34 @@ def ell_bump_f_exact(
 # p = q limit scheme
 
 
-def _pq_polish(geom: CapGeometry, fvals, p: float, u0vec, c0: float,
-               anchor: int, cfg: SolverConfig):
-    """Newton on the dilation-fixed system det b = C f h^(p-1) w^((3-p)/2).
+def _bordered_newton(geom: CapGeometry, spec: ProblemSpec, eps: float, x,
+                     anchor: int, cfg: SolverConfig, trace: NewtonTrace):
+    """Newton on x = (u_bar, log C) for det b = C f h^(p+eps-1) w^((3-p)/2).
 
-    Unknowns are (u, log C); the extra row pins h at the anchor cell to 1,
-    removing the dilation direction that makes the plain Jacobian singular.
-    Returns (u, C, sup of the bordered residual, residual floor).
+    The border row pins h_bar = ell u_bar to 1 at the anchor cell, which
+    removes the dilation direction that makes the plain p = q Jacobian
+    singular.  Writing h = m h_bar turns the exponent-(p+eps) problem into
+    this one with C = m^eps, so the same system serves every eps >= 0.  Even
+    data is solved on the half domain through the fold pair (S, E).
     """
-    N = geom.size
-    ops = u_system(geom)
-    uvec = u0vec.copy()
-    logc = math.log(c0)
-    for _ in range(cfg.max_newton):
-        res, parts = _residual_u_vec(geom, fvals * math.exp(logc), p, p, uvec)
-        pin = ops["ell"][anchor] * uvec[anchor] - 1.0
-        sup = max(float(np.max(np.abs(res))), abs(pin))
-        noise = _residual_floor(geom, uvec, parts)
-        if _within_floor(res, noise, cfg.newton_tol, parts) and abs(pin) <= cfg.newton_tol:
-            return uvec, math.exp(logc), sup, 8.0 * float(np.max(noise))
-        J = _jacobian(geom, fvals * math.exp(logc), p, p, uvec, parts)
-        rhs_col = sp.csc_matrix(-parts[7][:, None])  # d(res)/d(logC) = -rhs
-        row = sp.csr_matrix(
-            ([ops["ell"][anchor]], ([0], [anchor])), shape=(1, N)
-        )
-        A = sp.bmat([[J, rhs_col], [row, None]], format="csc")
-        sol = _lu_solve(A, -np.concatenate([res, [pin]]), "augmented Newton system")
-        step = 1.0
-        while step >= cfg.min_step:
-            cand = uvec + step * sol[:N]
-            if np.all(cand > 0.0) and _lambda_min_u(geom, cand) > 0.0:
-                break
-            step *= 0.5
-        uvec = uvec + step * sol[:N]
-        logc = logc + step * sol[N]
-    raise ApplicabilityError("p = q polish did not converge")
+    N, p = geom.size, spec.p
+    ell_a = u_system(geom)["ell"][anchor]
+    S, E = _even_fold(geom, spec.even)
+    fold = (sp.block_diag((S, [[1.0]])), sp.block_diag((E, [[1.0]])))
+    row = sp.csr_matrix(([ell_a], ([0], [anchor])), shape=(1, N))
+
+    def residual(x):
+        fC = spec.f.values * math.exp(x[N])
+        res, parts = _residual_u_vec(geom, fC, p + eps, p, x[:N])
+        return x, res, parts, float(ell_a * x[anchor] - 1.0)
+
+    def direction(x, res, parts, pin):
+        J = _jacobian(geom, spec.f.values * math.exp(x[N]), p + eps, p, x[:N], parts)
+        col = sp.csr_matrix(-parts[7][:, None])  # d(res)/d(log C) = -rhs
+        A = sp.bmat([[J, col], [row, None]])
+        return _newton_direction(A, np.append(res, pin), fold)
+
+    return _damped_newton(geom, x, residual, direction, cfg, trace)
 
 
 @dataclass
@@ -639,7 +639,7 @@ class PqLimitResult:
     C_eps: list
     residual_sup: float
     diffs: list
-    solution: SolveResult  # h = h_bar, with the residual and floor of the polish
+    solution: SolveResult  # h = h_bar, with the residual and floor of the eps = 0 solve
 
 
 def pq_limit_solve(
@@ -650,58 +650,56 @@ def pq_limit_solve(
 ) -> PqLimitResult:
     """Dilation-normalized solution of the degenerate case p = q.
 
-    Solves the approximating problems with exponent p - 1 + eps along the
-    decreasing schedule, tracks C*_eps = (min h_eps)^eps, then polishes the
-    normalized limit pair (h_bar, C*) on the p = q equation directly.
+    Solves the approximating problem with exponent p + eps_0 by continuation,
+    then continues the bordered (u_bar, log C) system of
+    :func:`_bordered_newton` in eps along the rest of the schedule and on to
+    eps = 0, the p = q problem itself, warm-starting each solve from the last.
+    C*_eps = (min h_eps)^eps is recorded at every eps > 0; h_bar equals 1 at
+    the cell where h_eps_0 is smallest.
     """
     if cfg is None:
         cfg = SolverConfig()
     if spec.p != spec.q:
         raise ApplicabilityError("pq_limit_solve applies only at p == q")
     eps_schedule = list(eps_schedule)
-    if any(e <= 0 for e in eps_schedule) or any(
-        b <= a for a, b in zip(eps_schedule[1:], eps_schedule[:-1])
-    ):
-        raise ConfigError("eps schedule must be positive and strictly decreasing")
+    finite = all(isinstance(e, Real) and 0 < e < math.inf for e in eps_schedule)
+    if not (eps_schedule and finite
+            and all(b < a for a, b in zip(eps_schedule, eps_schedule[1:]))):
+        raise ConfigError("eps schedule must be non-empty, finite, positive and strictly "
+                          f"decreasing, got {eps_schedule!r}")
 
-    C_eps = []
-    u_last = None
-    for i, e in enumerate(eps_schedule):
-        sub = ProblemSpec(
-            p=spec.p + e, q=spec.q, theta=spec.theta, f=spec.f, even=spec.even
-        )
-        if u_last is None:
-            r = continuation_solve(sub, geom, cfg)
-        else:
-            r = newton_solve(sub, geom, 1.0, u_last, cfg)
-            if not r.converged:
-                r = continuation_solve(sub, geom, cfg)
-        if not r.converged:
-            raise ApplicabilityError(f"epsilon = {e} sub-problem did not converge")
-        m = float(np.min(r.h.values))
-        C_eps.append(m**e)
-        u_last = r.u
-        h_last = r.h
-
-    diffs = [abs(b - a) for a, b in zip(C_eps[:-1], C_eps[1:])]
-
-    m = float(np.min(h_last.values))
-    anchor = int(np.argmin(h_last.values.ravel()))
-    u_bar0 = u_last.values.ravel() / m
-    uvec, C_star, res_sup, floor = _pq_polish(
-        geom, spec.f.values.ravel(), spec.p, u_bar0, C_eps[-1], anchor, cfg
+    e0 = eps_schedule[0]
+    first = continuation_solve(
+        ProblemSpec(p=spec.p + e0, q=spec.q, theta=spec.theta, f=spec.f, even=spec.even),
+        geom, cfg,
     )
-    if spec.even:
-        uvec = symmetrize_even(geom, ScalarField(geom, uvec.reshape(geom.shape))).values
-    # the polish returns only once its floor test holds
-    solution = _finalize(geom, uvec, [], True, 1.0, res_sup, floor)
+    if not first.converged:
+        raise ApplicabilityError(f"epsilon = {e0} sub-problem did not converge")
+    hvec = first.h.values.ravel()
+    anchor = int(np.argmin(hvec))
+    m = float(hvec[anchor])
+    C_eps = [m**e0]
+    x = np.append(first.u.values.ravel() / m, e0 * math.log(m))
+    ell = u_system(geom)["ell"]
+    traces = list(first.newton_trace)
+    for e in eps_schedule[1:] + [0.0]:
+        traces.append(NewtonTrace(s=1.0, iterations=0))
+        x, res_sup, noise = _bordered_newton(geom, spec, e, x, anchor, cfg, traces[-1])
+        if not traces[-1].converged:
+            raise ApplicabilityError(f"epsilon = {e} bordered Newton did not converge")
+        if e > 0.0:
+            # (min h_eps)^eps = C (min h_bar)^eps, since h_eps = C^(1/eps) h_bar
+            C_eps.append(math.exp(x[-1]) * float(np.min(ell * x[:-1])) ** e)
+
+    solution = _finalize(geom, x[:-1], traces, True, 1.0, res_sup,
+                         8.0 * float(np.max(noise)))
     return PqLimitResult(
         h_bar=solution.h,
-        C_star=C_star,
+        C_star=math.exp(x[-1]),
         eps_schedule=eps_schedule,
         C_eps=C_eps,
         residual_sup=res_sup,
-        diffs=diffs,
+        diffs=[abs(b - a) for a, b in zip(C_eps[:-1], C_eps[1:])],
         solution=solution,
     )
 

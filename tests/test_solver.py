@@ -319,11 +319,40 @@ class TestPqLimit:
         with pytest.raises(ApplicabilityError):
             pq_limit_solve(spec, geom_pi3)
 
-    def test_bad_schedule_rejected(self, geom_pi2):
+    @pytest.mark.parametrize(
+        "schedule",
+        [(0.05, 0.1), (), (math.inf, 0.1), (math.nan,), (0.1, math.nan), (0.1, 0.0),
+         (0.1, 0.1), ("0.1",)],
+        ids=["increasing", "empty", "infinite", "nan", "trailing_nan", "zero",
+             "repeated", "non_numeric"],
+    )
+    def test_bad_schedule_rejected(self, geom_pi2, schedule):
         f = ScalarField(geom_pi2, np.ones(geom_pi2.shape))
         spec = ProblemSpec(p=2.0, q=2.0, theta=geom_pi2.theta, f=f, even=True)
         with pytest.raises(ConfigError):
-            pq_limit_solve(spec, geom_pi2, eps_schedule=(0.05, 0.1))
+            pq_limit_solve(spec, geom_pi2, eps_schedule=schedule)
+
+    def test_solution_carries_newton_trace(self):
+        g = build_grid(1.0, 16, 32)
+        f = ell_power_density(g, alpha=-0.5)
+        spec = ProblemSpec(p=2.0, q=2.0, theta=g.theta, f=f, even=True)
+        out = pq_limit_solve(spec, g)
+        trace = out.solution.newton_trace
+        assert trace and trace[-1].converged
+        # one bordered solve per eps after the first, and one at eps = 0
+        steps = trace[-len(out.eps_schedule):]
+        assert all(t.s == 1.0 and t.converged and t.halvings == 0 for t in steps)
+
+    def test_eps_continuation_matches_independent_solves(self):
+        g = build_grid(1.5, 16, 32)
+        f = ell_power_density(g, alpha=-1.0, beta=-0.25)
+        spec = ProblemSpec(p=2.0, q=2.0, theta=g.theta, f=f, even=True)
+        out = pq_limit_solve(spec, g)
+        for e, c in zip(out.eps_schedule, out.C_eps):
+            sub = ProblemSpec(p=2.0 + e, q=2.0, theta=g.theta, f=f, even=True)
+            r = continuation_solve(sub, g)
+            assert r.converged
+            assert c == pytest.approx(float(np.min(r.h.values)) ** e, rel=1e-8)
 
 
 class TestUniqueness:
