@@ -126,14 +126,25 @@ def cmd_sandwich(args) -> int:
     return EXIT_OK if report.passed else EXIT_NONCONVERGED
 
 
+def _gamma(doc) -> float:
+    """The monitors' exponent gamma: a finite number in (0, 2), default 1."""
+    try:
+        gamma = float(doc.get("gamma", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gamma must be a number: {exc}") from exc
+    if not 0.0 < gamma < 2.0:
+        raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
+    return gamma
+
+
 def cmd_monitors(args) -> int:
     doc, geom, spec, cfg = _load(args)
+    gamma = _gamma(doc)
     config = resolved_config(doc, geom, cfg)
     result, _ = _solve(geom, spec, cfg)
     if not result.converged:
         return EXIT_NONCONVERGED
     h = result.h
-    gamma = float(doc.get("gamma", 1.0))
     gq = gradient_quotient(geom, h, gamma)
     body = embed_body(geom, h)
     payload = {

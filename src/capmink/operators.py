@@ -10,9 +10,13 @@ extended layout prepends the pole ghost row and appends the top ghost row.
 The dense kernel subtracts the row mean before its psi differences, so the
 two agree up to rounding, not bit for bit.
 
-For even data the Newton system is restricted to the even fields by a fold
-pair (see :func:`_even_fold`) built on these operators, so the pole ghost and
-the periodic psi wrap carry over to the half domain unchanged.
+The Newton system is restricted to the fields of the data's symmetry by a
+fold pair (see :func:`_fold`): none, evenness (the half domain) or rotation
+(one value per phi row, Nphi unknowns).  The pair is applied to these
+operators once per geometry, and :func:`_folded_terms` keeps the result on a
+fixed CSC pattern, so a Newton step only weights fixed values by the
+per-cell Jacobian coefficients.  The pole ghost and the periodic psi wrap
+carry over to the reduced system unchanged.
 """
 
 from __future__ import annotations
@@ -97,25 +101,70 @@ def u_system(geom: CapGeometry) -> dict:
     return ops
 
 
-def _even_fold(geom: CapGeometry, even: bool):
-    """(S, E) restricting the Newton system to psi -> psi + pi invariant fields.
+# the stencil operators that enter the Newton Jacobian, each weighted per cell
+JACOBIAN_TERMS = ("b11", "b22", "b12", "g1", "g2")
 
-    E (N x N/2) copies a pi-periodic half field onto both halves of each psi
-    row; S (N/2 x N) picks out the first half of each row.  A Jacobian J that
-    commutes with the half-turn psi -> psi + pi maps even fields to even
-    fields, so for even data the Newton direction is
-    ``E solve(S J E, -S res)``.  For data that is not even the pair is the
-    identity.
+
+def _fold(geom: CapGeometry, symmetry: str):
+    """(S, E) restricting the Newton system to fields with the given symmetry.
+
+    Per phi row, E copies m values onto all Npsi psi nodes and S keeps the
+    first m: m = Npsi for ``"none"`` (the identity pair), Npsi/2 for
+    ``"even"`` (psi -> psi + pi invariant fields) and 1 for ``"rot"``
+    (psi-independent fields).  A Jacobian J that commutes with the symmetry
+    maps invariant fields to invariant fields, so the Newton direction is
+    ``E solve(S J E, -S res)``.
     """
-    key = ("even_fold", bool(even))
+    key = ("fold", symmetry)
     if key not in geom._cache:
-        if even:
-            n = geom.Npsi // 2
-            half = sp.identity(n, format="csr")
-            rows = sp.identity(geom.Nphi, format="csr")
-            S = sp.kron(rows, sp.hstack([half, sp.csr_matrix((n, n))]), format="csr")
-            E = sp.kron(rows, sp.vstack([half, half]), format="csr")
-        else:
-            S = E = sp.identity(geom.size, format="csr")
+        n, N = geom.Npsi, geom.size
+        m = {"none": n, "even": n // 2, "rot": 1}[symmetry]
+        cells = np.arange(N)
+        row, psi = np.divmod(cells, n)
+        reduced = row * m + psi % m  # the reduced unknown each cell copies
+        first = psi < m
+        k = geom.Nphi * m
+        S = sp.csr_matrix((np.ones(k), (reduced[first], cells[first])), shape=(k, N))
+        E = sp.csr_matrix((np.ones(N), (cells, reduced)), shape=(N, k))
         geom._cache[key] = (S, E)
+    return geom._cache[key]
+
+
+def _folded_terms(geom: CapGeometry, symmetry: str):
+    """Fixed CSC pattern of every folded Jacobian ``S J E``, and its assembly map.
+
+    A Jacobian of the form ``J = sum_k diag(c_k) O_k + diag(d)``, with O_k the
+    :data:`JACOBIAN_TERMS` of :func:`u_system`, folds to
+    ``sum_k diag(S c_k) (S O_k E) + diag(S d)``, because S only selects rows
+    and S E is the identity.  Its entries are therefore a fixed linear map of
+    the reduced coefficients.  Returns ``(indptr, indices, T)``: the union
+    CSC pattern of the ``S O_k E`` and the diagonal, and the sparse map T
+    with ``data = T @ C.ravel()``, where C (reduced cells x terms) holds
+    ``S c_k`` for each term in order and ``S d`` last.  Built once per
+    geometry and symmetry, on the first Newton step.
+    """
+    key = ("folded_terms", symmetry)
+    if key not in geom._cache:
+        ops = u_system(geom)
+        S, E = _fold(geom, symmetry)
+        n = S.shape[0]
+        terms = [(S @ ops[k] @ E).tocsc() for k in JACOBIAN_TERMS]
+        terms.append(sp.identity(n, format="csc"))
+        for t in terms:
+            t.eliminate_zeros()
+        union = sum(abs(t) for t in terms).tocsc()
+        union.sort_indices()
+
+        def keys(m):  # column-major position keys, increasing along a sorted CSC
+            cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
+            return cols * n + m.indices
+
+        ukeys = keys(union)
+        # term k's entry at reduced row r lands at its pattern position and is
+        # weighted by C[r, k]
+        entry = np.concatenate([np.searchsorted(ukeys, keys(t)) for t in terms])
+        coeff = np.concatenate([t.indices * len(terms) + k for k, t in enumerate(terms)])
+        T = sp.csr_matrix((np.concatenate([t.data for t in terms]), (entry, coeff)),
+                          shape=(union.nnz, n * len(terms)))
+        geom._cache[key] = (union.indptr, union.indices, T)
     return geom._cache[key]

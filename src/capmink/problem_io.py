@@ -94,7 +94,8 @@ def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
         raise ConfigError(f"problem file missing required key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"theta, p and q must be numbers: {exc}") from exc
-    even = bool(doc.get("even", False))
+    even = _flag(doc, "even")
+    allow_unsupported = _flag(doc, "allow_unsupported")
     Nphi, Npsi = grid_override or grid_size(doc.get("grid", {}), (32, 64))
     geom = build_grid(theta, Nphi, Npsi)
     f = density_from_config(geom, doc.get("f", {"kind": "constant"}), p, q)
@@ -104,9 +105,17 @@ def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
         theta=theta,
         f=f,
         even=even,
-        allow_unsupported=bool(doc.get("allow_unsupported", False)),
+        allow_unsupported=allow_unsupported,
     )
     return geom, spec, solver_config(doc.get("solver", {}))
+
+
+def _flag(doc: dict, key: str) -> bool:
+    """The JSON boolean doc[key] (default false); a string such as "false" is refused."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def grid_size(gcfg, default: tuple[int, int]) -> tuple[int, int]:

@@ -12,9 +12,13 @@ exactly solvable data at ``s = 0`` (solution ``u = 1``) and
 continues to the target problem at ``s = 1``.  Newton steps use the exact
 sparse Jacobian of the discrete residual: the determinant is linearized as
 ``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
-For even data the step is solved on the even fields only, which halves the
-linear system; every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
-fill-reducing column ordering.
+The step is solved on the fields of the data's symmetry only: Nphi unknowns
+for psi-independent data, the half domain for even data, the full grid
+otherwise.  The folded Jacobian is assembled straight on a fixed sparsity
+pattern cached on the geometry (:func:`capmink.operators._folded_terms`),
+and every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
+fill-reducing column ordering.  Only the starting field is projected onto
+the symmetric fields; each later iterate stays there exactly.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ from .grid import (
     extend,
     hessian_frame,
     robin_residual,
-    symmetrize_even,
 )
-from .operators import _even_fold, u_system
+from .operators import JACOBIAN_TERMS, _fold, _folded_terms, u_system
 
 
 @dataclass
@@ -215,25 +218,29 @@ def residual_u(spec: ProblemSpec, geom: CapGeometry, u: ScalarField) -> ScalarFi
     return ScalarField(geom, res.reshape(geom.shape))
 
 
-def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts) -> sp.csr_matrix:
-    """Exact Jacobian of the quotient residual at uvec."""
-    ops = u_system(geom)
+def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts,
+              symmetry: str = "none") -> sp.csc_matrix:
+    """Exact Jacobian of the quotient residual at uvec, folded: S J E.
+
+    ``symmetry`` names the fold pair of :func:`capmink.operators._fold`; the
+    default ``"none"`` gives the full-grid Jacobian.
+    """
     b11, b12, b22, g1, g2, hvec, w, rhs = parts
     e = (3.0 - q) / 2.0
-    J = (
-        sp.diags(b22) @ ops["b11"]
-        + sp.diags(b11) @ ops["b22"]
-        - 2.0 * sp.diags(b12) @ ops["b12"]
-    )
     fr = fvals.ravel()
     # d(rhs)/dh through both the power and the h^2 inside w; dh/du = ell
     we = w**e
     c_h = fr * ((p - 1.0) * hvec ** (p - 2.0) * we
                 + hvec ** (p - 1.0) * e * w ** (e - 1.0) * 2.0 * hvec)
     c_g = fr * hvec ** (p - 1.0) * e * w ** (e - 1.0) * 2.0
-    J = J - sp.diags(c_h * ops["ell"])
-    J = J - sp.diags(c_g * g1) @ ops["g1"] - sp.diags(c_g * g2) @ ops["g2"]
-    return J.tocsr()
+    # cof(b) : db for the determinant, minus d(rhs) through grad h and h
+    weight = {"b11": b22, "b22": b11, "b12": -2.0 * b12, "g1": -c_g * g1, "g2": -c_g * g2}
+    coeffs = np.stack([weight[k] for k in JACOBIAN_TERMS] + [-c_h * u_system(geom)["ell"]],
+                      axis=1)
+    S, _ = _fold(geom, symmetry)
+    indptr, indices, T = _folded_terms(geom, symmetry)
+    n = S.shape[0]
+    return sp.csc_matrix((T @ (S @ coeffs).ravel(), indices, indptr), shape=(n, n))
 
 
 def _lu_solve(A, b, what: str) -> np.ndarray:
@@ -248,14 +255,10 @@ def _lu_solve(A, b, what: str) -> np.ndarray:
     return x
 
 
-def _newton_direction(J, res, fold) -> np.ndarray:
-    """Newton direction -J^-1 res on the range of the fold pair (S, E).
-
-    With the even fold this factors the half-size matrix S J E; with the
-    identity fold it is the plain full solve.
-    """
+def _newton_direction(A, res, fold) -> np.ndarray:
+    """Newton direction ``E solve(A, -S res)`` of the folded Jacobian A = S J E."""
     S, E = fold
-    return E @ _lu_solve(S @ J @ E, -(S @ res), "Newton linear system")
+    return E @ _lu_solve(A, -(S @ res), "Newton linear system")
 
 
 def _lambda_min_u(geom: CapGeometry, uvec) -> float:
@@ -352,6 +355,19 @@ def _rot_invariant(fvals) -> bool:
     return bool(np.max(span) <= 1e-13 * max(1.0, float(np.max(np.abs(fvals)))))
 
 
+def _symmetry(fvals, even: bool) -> str:
+    """The largest symmetry of the data: "rot", else "even", else "none"."""
+    if _rot_invariant(fvals):
+        return "rot"
+    return "even" if even else "none"
+
+
+def _project(fold, vec) -> np.ndarray:
+    """Mean of vec over the orbit of the fold's symmetry (psi mean for "rot")."""
+    _, E = fold
+    return E @ ((E.T @ vec) / (E.shape[0] // E.shape[1]))
+
+
 def _finalize(geom: CapGeometry, uvec, trace, converged, s_reached,
               residual_sup, residual_floor) -> SolveResult:
     """SolveResult of the iterate uvec; the residual figures are the solver's own."""
@@ -374,7 +390,7 @@ def _finalize(geom: CapGeometry, uvec, trace, converged, s_reached,
 
 
 def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
-                   trace: NewtonTrace, project=lambda vec: vec):
+                   trace: NewtonTrace):
     """Damped Newton with a sufficient-decrease line search; fills ``trace``.
 
     ``residual(x)`` gives ``(x, res, parts, pin)``, where x may be adjusted and
@@ -399,7 +415,7 @@ def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
         dx = direction(x, *data[:3])
         step = 1.0
         while True:
-            cand = project(x + step * dx)
+            cand = x + step * dx
             u = cand[: geom.size]
             if np.all(u > 0.0) and _lambda_min_u(geom, u) >= cfg.convexity_floor:
                 cand, csup, cdone, cdata = evaluate(cand)
@@ -434,20 +450,10 @@ def newton_solve(
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
     fvals, p, q = _density(spec, s), spec.p, spec.q
-    rot = _rot_invariant(fvals)
-    fold = _even_fold(geom, spec.even)
-
-    def project(vec):
-        if rot:
-            vec = np.broadcast_to(
-                vec.reshape(geom.shape).mean(axis=1, keepdims=True), geom.shape
-            ).ravel().copy()
-        return vec
-
-    uvec = project(u0.values.ravel().copy())
-    if spec.even:  # later iterates stay exactly even: the step is E x
-        uvec = symmetrize_even(geom, ScalarField(geom, uvec.reshape(geom.shape)))
-        uvec = uvec.values.ravel()
+    symmetry = _symmetry(fvals, spec.even)
+    fold = _fold(geom, symmetry)
+    # later iterates stay exactly symmetric: every step is E x
+    uvec = _project(fold, u0.values.ravel())
     if _lambda_min_u(geom, uvec) < cfg.convexity_floor:
         raise ConvexityError("u0 is not uniformly convex (b below the floor)")
 
@@ -466,11 +472,11 @@ def newton_solve(
         return vec, res, parts, 0.0
 
     def direction(vec, res, parts, _pin):
-        return _newton_direction(_jacobian(geom, fvals, p, q, vec, parts), res, fold)
+        A = _jacobian(geom, fvals, p, q, vec, parts, symmetry)
+        return _newton_direction(A, res, fold)
 
     trace = NewtonTrace(s=s, iterations=0)
-    uvec, res_sup, noise = _damped_newton(geom, uvec, residual, direction, cfg, trace,
-                                          project)
+    uvec, res_sup, noise = _damped_newton(geom, uvec, residual, direction, cfg, trace)
     return _finalize(geom, uvec, [trace], trace.converged, s, res_sup,
                      8.0 * float(np.max(noise)))
 
@@ -608,14 +614,15 @@ def _bordered_newton(geom: CapGeometry, spec: ProblemSpec, eps: float, x,
     The border row pins h_bar = ell u_bar to 1 at the anchor cell, which
     removes the dilation direction that makes the plain p = q Jacobian
     singular.  Writing h = m h_bar turns the exponent-(p+eps) problem into
-    this one with C = m^eps, so the same system serves every eps >= 0.  Even
-    data is solved on the half domain through the fold pair (S, E).
+    this one with C = m^eps, so the same system serves every eps >= 0.  The
+    folded Jacobian S J E of :func:`newton_solve` is bordered by S (-rhs) and
+    the pin row times E; x must already have the data's symmetry.
     """
     N, p = geom.size, spec.p
     ell_a = u_system(geom)["ell"][anchor]
-    S, E = _even_fold(geom, spec.even)
-    fold = (sp.block_diag((S, [[1.0]])), sp.block_diag((E, [[1.0]])))
-    row = sp.csr_matrix(([ell_a], ([0], [anchor])), shape=(1, N))
+    symmetry = _symmetry(spec.f.values, spec.even)
+    S, E = _fold(geom, symmetry)
+    row = sp.csr_matrix(([ell_a], ([0], [anchor])), shape=(1, N)) @ E
 
     def residual(x):
         fC = spec.f.values * math.exp(x[N])
@@ -623,10 +630,12 @@ def _bordered_newton(geom: CapGeometry, spec: ProblemSpec, eps: float, x,
         return x, res, parts, float(ell_a * x[anchor] - 1.0)
 
     def direction(x, res, parts, pin):
-        J = _jacobian(geom, spec.f.values * math.exp(x[N]), p + eps, p, x[:N], parts)
-        col = sp.csr_matrix(-parts[7][:, None])  # d(res)/d(log C) = -rhs
-        A = sp.bmat([[J, col], [row, None]])
-        return _newton_direction(A, np.append(res, pin), fold)
+        J = _jacobian(geom, spec.f.values * math.exp(x[N]), p + eps, p, x[:N], parts,
+                      symmetry)
+        col = sp.csc_matrix(-(S @ parts[7])[:, None])  # d(res)/d(log C) = -rhs
+        A = sp.bmat([[J, col], [row, None]], format="csc")
+        d = _lu_solve(A, -np.append(S @ res, pin), "Newton linear system")
+        return np.append(E @ d[:-1], d[-1])
 
     return _damped_newton(geom, x, residual, direction, cfg, trace)
 

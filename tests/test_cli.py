@@ -97,10 +97,14 @@ class TestSolve:
             {"f": {"kind": "grid", "values": [1.0] * 5}},
             {"solver": {"newton_tol": math.nan}},
             {"solver": {"newton_tol": math.inf}},
+            {"p": 0.5, "q": 2.0, "allow_unsupported": "no"},
+            {"even": "false"},
+            {"even": 1},
         ],
         ids=["unknown_solver_option", "non_numeric_solver_option",
              "non_numeric_grid", "wrong_length_grid_density",
-             "nan_solver_option", "inf_solver_option"],
+             "nan_solver_option", "inf_solver_option",
+             "string_allow_unsupported", "string_even", "integer_even"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, extra):
         cfg = write_config(
@@ -171,6 +175,21 @@ class TestMonitors:
         assert doc["noncollapse"]["pass"] is True
         assert doc["c0_bound"]["lower_pass"] and doc["c0_bound"]["upper_pass"]
         assert doc["q_monitor"]["B"] >= 1.0
+
+    @pytest.mark.parametrize("gamma", ["abc", math.nan, 0.0, 2.0, None],
+                             ids=["non_numeric", "nan", "zero", "two", "null"])
+    def test_bad_gamma_is_config_error_before_solving(self, base_problem, monkeypatch,
+                                                      gamma):
+        import capmink.cli as cli
+
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        doc["gamma"] = gamma
+        solves = []
+        monkeypatch.setattr(cli, "continuation_solve", lambda *a: solves.append(a))
+        path = write_config(tmp / "gamma.json", doc)
+        assert main(["monitors", "--config", path, "--out", str(tmp / "o")]) == 3
+        assert solves == []
 
 
 class TestSweep:

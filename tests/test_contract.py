@@ -11,8 +11,9 @@ from pathlib import Path
 
 import capmink.cli as cli
 import capmink.solver as solver
-from capmink import build_grid
+from capmink import ProblemSpec, build_grid, ell_bump_f_exact
 from capmink.operators import u_system
+from capmink.problem_io import density_from_config
 
 
 def write_config(path, doc):
@@ -71,3 +72,30 @@ def test_pq_result_reports_polish(tmp_path):
     assert result["converged"] is True
     assert result["residual_sup"] == polish["residual_sup"]
     assert result["residual_sup"] <= 1e-9
+
+
+def test_every_factorization_is_one_splu_per_newton_iteration(monkeypatch):
+    """The benchmark's lu layer sees each Newton step's factorization."""
+    factorizations = []
+    real = solver.spla.splu
+
+    def counted(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    g = build_grid(math.pi / 3, 8, 16)
+    bump = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                       f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+    g1 = build_grid(1.0, 8, 16)
+    f = density_from_config(g1, {"kind": "ell_power", "alpha": -0.5}, 2.0, 2.0)
+    pq = ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True)
+    traces = (solver.continuation_solve(bump, g).newton_trace
+              + solver.pq_limit_solve(pq, g1).solution.newton_trace)
+    # one factorization per Newton direction: each accepted iteration, plus the
+    # last direction of a solve whose line search gave up before max_newton
+    max_newton = solver.SolverConfig().max_newton
+    given_up = sum(not t.converged and t.iterations < max_newton for t in traces)
+    iterations = sum(t.iterations for t in traces)
+    assert iterations > 0
+    assert len(factorizations) == iterations + given_up

@@ -27,8 +27,8 @@ from capmink import (
     residual_u,
     uniqueness_probe,
 )
-from capmink.grid import evenness_defect, symmetrize_even
-from capmink.operators import _even_fold
+from capmink.grid import bump_profile, evenness_defect, symmetrize_even
+from capmink.operators import _fold, u_system
 from capmink.solver import _jacobian, _lu_solve, _newton_direction, _residual_u_vec
 
 from conftest import neumann_bump, robin_bump
@@ -183,7 +183,8 @@ class TestEvenFold:
         J = _jacobian(g, f.values, 2.0, 1.5, uvec, parts)
         full = spla.spsolve(J.tocsc(), -res)
         full = symmetrize_even(g, ScalarField(g, full.reshape(g.shape))).values.ravel()
-        reduced = _newton_direction(J, res, _even_fold(g, True))
+        A = _jacobian(g, f.values, 2.0, 1.5, uvec, parts, "even")
+        reduced = _newton_direction(A, res, _fold(g, "even"))
         assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
 
     def test_singular_system_is_applicability_error(self):
@@ -196,12 +197,115 @@ class TestEvenFold:
             g, lambda phi, psi: 1.0 + 0.2 * np.cos(psi) * np.sin(phi) ** 2
         )
         spec = ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=False)
-        S, E = _even_fold(g, False)
+        S, E = _fold(g, "none")
         assert S.shape == E.shape == (g.size, g.size)
         result = continuation_solve(spec, g)
         assert result.converged
         assert evenness_defect(g, result.h.values) > 1e-4
         assert np.max(np.abs(residual_u(spec, g, result.u).values)) < 1e-8
+
+
+def reference_jacobian(g, fvals, p, q, parts):
+    """The Jacobian as a sum of sparse products, and the same sum over |terms|."""
+    ops = u_system(g)
+    b11, b12, b22, g1, g2, h, w, _rhs = parts
+    e = (3.0 - q) / 2.0
+    c_h = fvals * ((p - 1.0) * h ** (p - 2.0) * w**e
+                   + h ** (p - 1.0) * e * w ** (e - 1.0) * 2.0 * h)
+    c_g = fvals * h ** (p - 1.0) * e * w ** (e - 1.0) * 2.0
+    terms = [(b22, ops["b11"]), (b11, ops["b22"]), (-2.0 * b12, ops["b12"]),
+             (-c_g * g1, ops["g1"]), (-c_g * g2, ops["g2"]),
+             (-c_h * ops["ell"], sp.identity(g.size))]
+    J = sum(sp.diags(c) @ op for c, op in terms)
+    J_abs = sum(sp.diags(np.abs(c)) @ abs(op) for c, op in terms)
+    return J, J_abs
+
+
+class TestFoldedJacobian:
+    @pytest.mark.parametrize("symmetry", ["none", "even", "rot"])
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
+    def test_assembly_matches_sparse_products(self, Nphi, Npsi, symmetry):
+        """The fixed-pattern assembly equals S J E of the product-built Jacobian."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        rng = np.random.default_rng(Nphi + Npsi)
+        fvals = ell_power_density(g, alpha=-0.5).values.ravel()
+        uvec = 1.0 + 0.05 * rng.standard_normal(g.size)
+        _, parts = _residual_u_vec(g, fvals, 2.2, 1.7, uvec)
+        J, J_abs = reference_jacobian(g, fvals, 2.2, 1.7, parts)
+        S, E = _fold(g, symmetry)
+        A = _jacobian(g, fvals, 2.2, 1.7, uvec, parts, symmetry)
+        assert A.shape == (S.shape[0], S.shape[0])
+        gap = abs(A - S @ J @ E).toarray()
+        bound = 16.0 * np.finfo(float).eps * (S @ J_abs @ E).toarray()
+        assert np.all(gap <= bound)
+
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
+    def test_rot_direction_matches_full_solve(self, Nphi, Npsi):
+        """The Nphi-unknown step equals the full step averaged over psi."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        f = ell_power_density(g, alpha=-1.2, beta=-0.1).values
+        profile = 1.0 + 0.05 * bump_profile(g.phi_nodes, g.theta)
+        uvec = np.repeat(profile, Npsi)
+        res, parts = _residual_u_vec(g, f, 2.0, 1.5, uvec)
+        full = spla.spsolve(_jacobian(g, f, 2.0, 1.5, uvec, parts), -res)
+        full = np.repeat(full.reshape(g.shape).mean(axis=1), Npsi)
+        A = _jacobian(g, f, 2.0, 1.5, uvec, parts, "rot")
+        assert A.shape == (Nphi, Nphi)
+        reduced = _newton_direction(A, res, _fold(g, "rot"))
+        assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+
+
+def _even_problem(g, scale=1.0, roll=0, reflect=False):
+    """p > q data, even in psi but not invariant under a one-cell roll or psi -> -psi."""
+    phi = g.phi_nodes[:, None]
+    psi = g.psi_nodes[None, :]
+    vals = scale * ell_power_density(g, alpha=-1.2).values * (
+        1.0 + 0.1 * bump_profile(phi, g.theta) * (np.cos(2 * psi) + 0.5 * np.sin(2 * psi)))
+    if reflect:  # psi_j -> psi_{-j}
+        vals = np.roll(vals[:, ::-1], 1, axis=1)
+    vals = np.roll(vals, roll, axis=1)
+    return ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=ScalarField(g, vals), even=True)
+
+
+def _rot_problem(g, scale=1.0):
+    f = ell_power_density(g, c=scale, alpha=-0.8, beta=-0.3)
+    return ProblemSpec(p=2.2, q=1.6, theta=g.theta, f=f, even=True)
+
+
+def _solved_h(spec, g):
+    result = continuation_solve(spec, g)
+    assert result.converged
+    return result.h.values
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestMetamorphic:
+    """Exact discrete symmetries of the equation commute with solving."""
+
+    def test_psi_roll_commutes_with_solving(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        base = _solved_h(_even_problem(g), g)
+        for k in (1, 5):
+            rolled = _solved_h(_even_problem(g, roll=k), g)
+            assert _rel_gap(rolled, np.roll(base, k, axis=1)) <= 1e-9
+
+    def test_reflection_commutes_with_solving(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        base = _solved_h(_even_problem(g), g)
+        reflected = _solved_h(_even_problem(g, reflect=True), g)
+        assert _rel_gap(reflected, np.roll(base[:, ::-1], 1, axis=1)) <= 1e-9
+
+    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    def test_density_scaling_dilates_solution(self, problem):
+        g = build_grid(math.pi / 3, 16, 32)
+        c = 1.7
+        spec = problem(g)
+        base = _solved_h(spec, g)
+        scaled = _solved_h(problem(g, scale=c), g)
+        assert _rel_gap(scaled, c ** (1.0 / (spec.q - spec.p)) * base) <= 1e-9
 
 
 class TestContinuation:
