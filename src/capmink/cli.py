@@ -41,6 +41,7 @@ from .problem_io import (
     density_from_config,
     grid_size,
     load_problem,
+    provenance_comment,
     read_config,
     resolved_config,
     solver_config,
@@ -259,7 +260,7 @@ def cmd_sweep(args) -> int:
     config["grid"] = {"Nphi": Nphi, "Npsi": Npsi}
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
-        fh.write("# config=" + json.dumps(config, sort_keys=True) + "\n")
+        fh.write(f"# {provenance_comment(config)}\n")
         writer = csv.DictWriter(
             fh,
             fieldnames=["p", "q", "theta", "converged", "ratio",

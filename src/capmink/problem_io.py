@@ -159,7 +159,30 @@ def resolved_config(doc: dict, geom: CapGeometry, cfg: SolverConfig) -> dict:
 
 
 def provenance_comment(config: dict) -> str:
-    return "config=" + json.dumps(config, sort_keys=True)
+    return "config=" + json.dumps(_json_safe(config), sort_keys=True, allow_nan=False)
+
+
+def _json_safe(obj):
+    """obj with numpy values as Python ones and every non-finite float as None.
+
+    JSON has no Infinity or NaN; a non-converged solve reports an infinite
+    residual, which is written as null.
+    """
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _write_json(path, doc: dict):
+    with open(path, "w") as fh:
+        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def write_solve_artifacts(outdir, result: SolveResult, config: dict):
@@ -169,9 +192,7 @@ def write_solve_artifacts(outdir, result: SolveResult, config: dict):
     os.makedirs(outdir, exist_ok=True)
     doc = result.to_json_dict()
     doc["config"] = config
-    with open(os.path.join(outdir, "result.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "result.json"), doc)
     field_to_csv(
         result.h, os.path.join(outdir, "solution.csv"), provenance_comment(config)
     )
@@ -186,14 +207,4 @@ def write_solve_artifacts(outdir, result: SolveResult, config: dict):
 
 
 def write_json_report(path, payload: dict, config: dict):
-    doc = dict(payload)
-    doc["config"] = config
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    _write_json(path, {**payload, "config": config})

@@ -19,6 +19,18 @@ pattern cached on the geometry (:func:`capmink.operators._folded_terms`),
 and every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
 fill-reducing column ordering.  Only the starting field is projected onto
 the symmetric fields; each later iterate stays there exactly.
+
+The continuation is steered by the observed Newton contraction
+``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
+(Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).  After
+the exact ``s = 0`` solve it tries ``ds = ds_init`` (1.0: the whole path in
+one step).  A trial step is given up as soon as ``Theta > 1/2`` or its line
+search wants a step below 1/4, and is retried at half the length; after an
+accepted step ``ds`` is scaled by ``sqrt(Theta_bar / Theta_max)``, with
+``Theta_bar = 1/4``, clamped to [1/2, 2].  Each step starts from the secant
+predictor ``u_k + (ds / ds_prev)(u_k - u_(k-1))`` (Allgower-Georg,
+*Introduction to Numerical Continuation Methods*, 1990) when that field is
+positive and convex, else from ``u_k``.
 """
 
 from __future__ import annotations
@@ -94,7 +106,7 @@ class SolverConfig:
     max_newton: int = 50
     min_step: float = 2.0**-20
     convexity_floor: float = 1e-8
-    ds_init: float = 0.1
+    ds_init: float = 1.0
     ds_min: float = 1e-4
 
     def __post_init__(self):
@@ -112,6 +124,9 @@ class NewtonTrace:
     residuals: list = field(default_factory=list)
     halvings: int = 0
     converged: bool = False
+    # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
+    # 0.0 when fewer than two directions were taken
+    contraction: float = 0.0
 
 
 @dataclass
@@ -304,8 +319,11 @@ def _within_floor(res, noise, tol, parts) -> bool:
     The scale max(|det b|, |rhs|) equals ~1 for well-normalized solutions,
     reproducing the plain sup-norm criterion, but it rejects the spurious
     collapse branch h -> 0 of the p > q equation, where the absolute
-    residual vanishes even though the relative defect stays O(1).
+    residual vanishes even though the relative defect stays O(1).  A
+    non-finite residual or floor (an overflowed scale) never passes.
     """
+    if not (np.all(np.isfinite(res)) and np.all(np.isfinite(noise))):
+        return False
     rhs = parts[7]
     det = res + rhs
     scale = np.maximum(np.abs(det), np.abs(rhs))
@@ -389,43 +407,70 @@ def _finalize(geom: CapGeometry, uvec, trace, converged, s_reached,
     )
 
 
+# Continuation step control from the observed Newton contraction Theta
+THETA_BAR = 0.25        # contraction the next step length aims at
+THETA_REJECT = 0.5      # a trial step is given up above this contraction
+TRIAL_MIN_STEP = 0.25   # ... or when its line search wants a shorter step
+
+
 def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
-                   trace: NewtonTrace):
+                   trace: NewtonTrace, rescale=None, trial: bool = False):
     """Damped Newton with a sufficient-decrease line search; fills ``trace``.
 
-    ``residual(x)`` gives ``(x, res, parts, pin)``, where x may be adjusted and
-    pin is the border residual (0.0 without a border); ``direction`` takes the
-    same four.  A step is halved until the u field (the first ``geom.size``
-    entries) stays positive and convex and the sup falls by ``1 - step/4`` or
-    the floor test holds.  Returns the last iterate, its sup and its floor.
+    ``residual(x)`` gives ``(res, parts, pin)``, where pin is the border
+    residual (0.0 without a border); ``direction`` takes x and the same three.
+    The u field (the first ``geom.size`` entries) must stay positive and
+    convex; convexity is read off the residual's own frame, before the
+    optional ``rescale(x, res, parts) -> (x, res, parts)`` adjusts x.  A step
+    is halved until that holds and the sup falls by ``1 - step/4`` or the
+    floor test holds.  The largest contraction of successive directions goes
+    to ``trace.contraction``; with ``trial`` the solve is given up once it
+    exceeds THETA_REJECT or the step falls below TRIAL_MIN_STEP, instead of
+    below ``cfg.min_step``.  Returns the last iterate, its sup and its floor.
     """
+    tol = cfg.newton_tol
+    min_step = TRIAL_MIN_STEP if trial else cfg.min_step
+
     def evaluate(x):
-        x, res, parts, pin = residual(x)
+        """(x, sup, done, data) of a positive candidate, or None if not convex."""
+        res, parts, pin = residual(x)
+        if eigen_range(*parts[:3])[0] < cfg.convexity_floor:
+            return None
+        if rescale is not None:
+            x, res, parts = rescale(x, res, parts)
         noise = _residual_floor(geom, x[: geom.size], parts)
-        tol = cfg.newton_tol
         done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise)
 
-    x, sup, done, data = evaluate(x)
+    start = evaluate(x)
+    if start is None:
+        raise ConvexityError("u0 is not uniformly convex (b below the floor)")
+    x, sup, done, data = start
     trace.residuals.append(sup)
+    last_size = None
     for _it in range(cfg.max_newton):
         if done:
             break
         dx = direction(x, *data[:3])
+        size = float(np.max(np.abs(dx)))
+        if last_size:
+            theta = size / last_size
+            trace.contraction = max(trace.contraction, theta)
+            if trial and theta > THETA_REJECT:
+                return x, sup, data[3]
+        last_size = size
         step = 1.0
         while True:
             cand = x + step * dx
-            u = cand[: geom.size]
-            if np.all(u > 0.0) and _lambda_min_u(geom, u) >= cfg.convexity_floor:
-                cand, csup, cdone, cdata = evaluate(cand)
-                if csup <= (1.0 - 0.25 * step) * sup or cdone:
-                    break
+            out = evaluate(cand) if np.all(cand[: geom.size] > 0.0) else None
+            if out is not None and (out[1] <= (1.0 - 0.25 * step) * sup or out[2]):
+                break
             step *= 0.5
             trace.halvings += 1
-            if step < cfg.min_step:
+            if step < min_step:
                 return x, sup, data[3]
-        x, sup, done, data = cand, csup, cdone, cdata
+        x, sup, done, data = out
         trace.iterations += 1
         trace.residuals.append(sup)
     trace.converged = done
@@ -438,8 +483,14 @@ def newton_solve(
     s: float,
     u0: ScalarField,
     cfg: SolverConfig | None = None,
+    *,
+    trial: bool = False,
 ) -> SolveResult:
-    """Damped Newton on the quotient residual at homotopy parameter s."""
+    """Damped Newton on the quotient residual at homotopy parameter s.
+
+    ``trial=True`` marks a continuation step that the caller retries shorter:
+    it is given up early on a poor contraction (see :func:`_damped_newton`).
+    """
     if cfg is None:
         cfg = SolverConfig()
     if spec.p == spec.q:
@@ -454,11 +505,12 @@ def newton_solve(
     fold = _fold(geom, symmetry)
     # later iterates stay exactly symmetric: every step is E x
     uvec = _project(fold, u0.values.ravel())
-    if _lambda_min_u(geom, uvec) < cfg.convexity_floor:
-        raise ConvexityError("u0 is not uniformly convex (b below the floor)")
 
     def residual(vec):
         res, parts = _residual_u_vec(geom, fvals, p, q, vec)
+        return res, parts, 0.0
+
+    def rescale(vec, res, parts):
         # the scale dependence of the residual is known in closed form, so
         # the dilation factor is set by an exact 1-D solve; for p near q this
         # direction is a near-null Newton mode that damping alone crawls along
@@ -468,15 +520,16 @@ def newton_solve(
             # accept on the scale-normalized sup so a collapse-ward rescale
             # (small absolute residual, O(1) relative defect) is never taken
             if _rel_sup(dres, dparts) < _rel_sup(res, parts):
-                vec, res, parts = lam * vec, dres, dparts
-        return vec, res, parts, 0.0
+                return lam * vec, dres, dparts
+        return vec, res, parts
 
     def direction(vec, res, parts, _pin):
         A = _jacobian(geom, fvals, p, q, vec, parts, symmetry)
         return _newton_direction(A, res, fold)
 
     trace = NewtonTrace(s=s, iterations=0)
-    uvec, res_sup, noise = _damped_newton(geom, uvec, residual, direction, cfg, trace)
+    uvec, res_sup, noise = _damped_newton(geom, uvec, residual, direction, cfg, trace,
+                                          rescale, trial)
     return _finalize(geom, uvec, [trace], trace.converged, s, res_sup,
                      8.0 * float(np.max(noise)))
 
@@ -486,42 +539,43 @@ def continuation_solve(
     geom: CapGeometry,
     cfg: SolverConfig | None = None,
 ) -> SolveResult:
-    """Homotopy continuation from (f_0, q_0) to the target data at s = 1."""
+    """Homotopy continuation from the exact s = 0 problem to the target at s = 1.
+
+    The step length follows the Newton contraction of the last accepted step,
+    and each step starts from the secant predictor (see the module docstring).
+    """
     if cfg is None:
         cfg = SolverConfig()
     if spec.p == spec.q:
         raise ApplicabilityError("p == q is routed through pq_limit_solve")
     uvec = np.ones(geom.size)
-    traces = []
-    s = 0.0
-    ds = cfg.ds_init
-    u = ScalarField(geom, uvec.reshape(geom.shape))
-    base = newton_solve(spec, geom, 0.0, u, cfg)
-    traces.extend(base.newton_trace)
-    if not base.converged:
+    last = newton_solve(spec, geom, 0.0, ScalarField(geom, uvec.reshape(geom.shape)), cfg)
+    traces = list(last.newton_trace)
+    if not last.converged:
         return _finalize(geom, uvec, traces, False, 0.0, math.inf, 0.0)
-    u = base.u
-    successes = 0
-    last = base
+    s, ds = 0.0, cfg.ds_init
+    prev = None  # (u_(k-1), s_k - s_(k-1)) for the secant predictor
     while s < 1.0:
         s_next = min(1.0, s + ds)
-        step = newton_solve(spec, geom, s_next, u, cfg)
+        u = last.u.values.ravel()
+        start = u
+        if prev is not None:
+            pred = u + (s_next - s) / prev[1] * (u - prev[0])
+            if np.all(pred > 0.0) and _lambda_min_u(geom, pred) >= cfg.convexity_floor:
+                start = pred
+        step = newton_solve(spec, geom, s_next, ScalarField(geom, start.reshape(geom.shape)),
+                            cfg, trial=True)
         traces.extend(step.newton_trace)
         if step.converged:
-            s = s_next
-            u = step.u
-            last = step
-            successes += 1
-            if successes >= 2:
-                ds = min(2.0 * ds, 1.0)
-                successes = 0
+            theta = step.newton_trace[0].contraction
+            factor = math.sqrt(THETA_BAR / theta) if theta > 0.0 else 2.0
+            prev, s, last = (u, s_next - s), s_next, step
+            ds *= min(2.0, max(0.5, factor))
         else:
             ds *= 0.5
-            successes = 0
             if ds < cfg.ds_min:
-                return _finalize(geom, u.values.ravel(), traces, False, s,
-                                 math.inf, last.residual_floor)
-    return _finalize(geom, u.values.ravel(), traces, True, 1.0,
+                return _finalize(geom, u, traces, False, s, math.inf, last.residual_floor)
+    return _finalize(geom, last.u.values.ravel(), traces, True, 1.0,
                      last.residual_sup, last.residual_floor)
 
 
@@ -627,7 +681,7 @@ def _bordered_newton(geom: CapGeometry, spec: ProblemSpec, eps: float, x,
     def residual(x):
         fC = spec.f.values * math.exp(x[N])
         res, parts = _residual_u_vec(geom, fC, p + eps, p, x[:N])
-        return x, res, parts, float(ell_a * x[anchor] - 1.0)
+        return res, parts, float(ell_a * x[anchor] - 1.0)
 
     def direction(x, res, parts, pin):
         J = _jacobian(geom, spec.f.values * math.exp(x[N]), p + eps, p, x[:N], parts,

@@ -36,7 +36,9 @@ class TestSolve:
         assert doc["converged"] is True
         assert doc["config"]["grid"] == {"Nphi": 16, "Npsi": 32}
         assert (out / "solution.csv").exists()
-        assert (out / "newton_trace.csv").exists()
+        assert all("contraction" in t for t in doc["newton_trace"])
+        header = (out / "newton_trace.csv").read_text().splitlines()[1]
+        assert header == "s,iter,residual"
 
     def test_provenance_header_embedded(self, base_problem):
         cfg, tmp = base_problem
@@ -61,6 +63,22 @@ class TestSolve:
         assert (tmp / "a" / "solution.csv").read_bytes() == (
             tmp / "b" / "solution.csv"
         ).read_bytes()
+
+    def test_nonconverged_result_is_strict_json(self, base_problem):
+        """An infinite residual is written as null, never as a bare Infinity."""
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        doc.update(grid={"Nphi": 8, "Npsi": 16}, solver={"max_newton": 1})
+        out = tmp / "out"
+        cfg = write_config(tmp / "one_step.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+
+        def reject(token):
+            raise ValueError(f"bare {token} in result.json")
+
+        result = json.loads((out / "result.json").read_text(), parse_constant=reject)
+        assert result["converged"] is False
+        assert result["residual_sup"] is None
 
     def test_pq_problem_writes_limit_report(self, tmp_path):
         cfg = write_config(

@@ -93,7 +93,8 @@ def test_every_factorization_is_one_splu_per_newton_iteration(monkeypatch):
     traces = (solver.continuation_solve(bump, g).newton_trace
               + solver.pq_limit_solve(pq, g1).solution.newton_trace)
     # one factorization per Newton direction: each accepted iteration, plus the
-    # last direction of a solve whose line search gave up before max_newton
+    # last direction of a solve given up before max_newton (a line search that
+    # ran out of halvings, or a rejected continuation trial step)
     max_newton = solver.SolverConfig().max_newton
     given_up = sum(not t.converged and t.iterations < max_newton for t in traces)
     iterations = sum(t.iterations for t in traces)

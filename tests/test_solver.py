@@ -29,7 +29,13 @@ from capmink import (
 )
 from capmink.grid import bump_profile, evenness_defect, symmetrize_even
 from capmink.operators import _fold, u_system
-from capmink.solver import _jacobian, _lu_solve, _newton_direction, _residual_u_vec
+from capmink.solver import (
+    _jacobian,
+    _lu_solve,
+    _newton_direction,
+    _residual_u_vec,
+    _within_floor,
+)
 
 from conftest import neumann_bump, robin_bump
 
@@ -353,6 +359,37 @@ class TestContinuation:
         assert doc["converged"] is True
         assert doc["s_reached"] == 1.0
         assert doc["newton_trace"][0]["s"] == 0.0
+
+
+class TestStepControl:
+    """Continuation steered by the observed Newton contraction."""
+
+    def test_easy_problem_takes_one_step(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+        result = continuation_solve(spec, g)
+        assert result.converged
+        assert [t.s for t in result.newton_trace] == [0.0, 1.0]
+        direct = newton_solve(spec, g, 1.0, ScalarField(g, np.ones(g.shape)))
+        assert _rel_gap(result.h.values, direct.h.values) <= 1e-9
+
+    def test_hard_problem_rejects_early(self):
+        """p = 2.1, q = 2, f = ell^-0.5: a plain s = 1 attempt spends 21 halvings."""
+        g = build_grid(1.0, 16, 32)
+        f = ell_power_density(g, alpha=-0.5)
+        result = continuation_solve(ProblemSpec(p=2.1, q=2.0, theta=1.0, f=f, even=True), g)
+        assert result.converged
+        assert sum(t.halvings for t in result.newton_trace) < 21
+        assert sum(t.iterations for t in result.newton_trace) <= 25
+        assert all(t.contraction <= 0.5 for t in result.newton_trace if t.converged)
+
+    def test_non_finite_floor_never_converges(self):
+        parts = (None,) * 7 + (np.ones(3),)
+        zero = np.zeros(3)
+        assert _within_floor(zero, zero, 1e-10, parts)
+        assert not _within_floor(zero, np.full(3, math.inf), 1e-10, parts)
+        assert not _within_floor(np.array([0.0, math.nan, 0.0]), zero, 1e-10, parts)
 
 
 class TestManufactured:
