@@ -3,13 +3,26 @@
 The equation ``det(hess h + h I) = f h^(p-1) (h^2 + |grad h|^2)^((3-q)/2)``
 with the Robin condition ``h_mu = cot(theta) h`` is solved in the quotient
 variable ``u = h / ell``, which turns the boundary condition into a
-homogeneous Neumann one.  The homotopy
+homogeneous Neumann one.  Writing ``h = m h_bar`` with ``mean(u_bar) = 1``
+and ``C = m^(p-q)`` turns it into
 
-    f_s = (1 - s) ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2) + s f
+    det b_bar = C f h_bar^(p-1) w_bar^((3-q)/2),   w_bar = h_bar^2 + |grad h_bar|^2,
+
+whose fields are O(1) whatever the scale m of the solution.  Every (p, q),
+``p = q`` included, is solved by one damped Newton on ``x = (u_bar, log C)``:
+the dilation direction that makes the plain Jacobian singular at ``p = q``
+(and nearly so for p near q) is removed by the border row of the pin, and
+``h = C^(1/(p-q)) ell u_bar`` for ``p != q``, ``h = ell u_bar`` for ``p = q``.
+The homotopy
+
+    f_s = (1 - s) f_0 + s f / kappa,   f_0 = ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2),
 
 holds the exponents fixed and blends only the density; it starts from the
-exactly solvable data at ``s = 0`` (solution ``u = 1``) and
-continues to the target problem at ``s = 1``.  Newton steps use the exact
+exactly solvable data at ``s = 0`` (solution ``u_bar = 1``, ``C = 1``) and
+continues to the target problem at ``s = 1``.  ``kappa`` is the geometric
+mean of ``f / f_0``: the equation sees C and f only as the product ``C f``,
+so ``f / kappa`` is the target with ``log C`` shifted by ``log kappa``, and
+the path does not depend on the scale of f.  Newton steps use the exact
 sparse Jacobian of the discrete residual: the determinant is linearized as
 ``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
 The step is solved on the fields of the data's symmetry only: Nphi unknowns
@@ -17,8 +30,12 @@ for psi-independent data, the half domain for even data, the full grid
 otherwise.  The folded Jacobian is assembled straight on a fixed sparsity
 pattern cached on the geometry (:func:`capmink.operators._folded_terms`),
 and every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
-fill-reducing column ordering.  Only the starting field is projected onto
-the symmetric fields; each later iterate stays there exactly.
+fill-reducing column ordering.  The border is never factored: the bordered
+step is found by block elimination on the factor of the folded Jacobian,
+plus one refinement step with the same factor (Govaerts-Pryce, *BIT* 30,
+1990), which keeps it accurate as that Jacobian turns singular at ``p = q``.
+Only the starting field is projected onto the symmetric fields; each later
+iterate stays there exactly.
 
 The continuation is steered by the observed Newton contraction
 ``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
@@ -28,15 +45,15 @@ one step).  A trial step is given up as soon as ``Theta > 1/2`` or its line
 search wants a step below 1/4, and is retried at half the length; after an
 accepted step ``ds`` is scaled by ``sqrt(Theta_bar / Theta_max)``, with
 ``Theta_bar = 1/4``, clamped to [1/2, 2].  Each step starts from the secant
-predictor ``u_k + (ds / ds_prev)(u_k - u_(k-1))`` (Allgower-Georg,
-*Introduction to Numerical Continuation Methods*, 1990) when that field is
-positive and convex, else from ``u_k``.
+predictor ``x_k + (ds / ds_prev)(x_k - x_(k-1))`` of the normalized unknowns
+(Allgower-Georg, *Introduction to Numerical Continuation Methods*, 1990)
+when its field is positive and convex, else from ``x_k``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from numbers import Real
 
 import numpy as np
@@ -140,6 +157,8 @@ class SolveResult:
     converged: bool
     s_reached: float = 1.0
     residual_floor: float = 0.0
+    # log C of the normalized equation; h = exp(log_C / (p - q)) ell u_bar if p != q
+    log_C: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,6 +166,7 @@ class SolveResult:
             "s_reached": self.s_reached,
             "residual_sup": self.residual_sup,
             "residual_floor": self.residual_floor,
+            "log_C": self.log_C,
             "robin_defect_sup": self.robin_defect_sup,
             "b_eigen_range": list(self.b_eigen_range),
             "newton_trace": [asdict(t) for t in self.newton_trace],
@@ -258,22 +278,40 @@ def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts,
     return sp.csc_matrix((T @ (S @ coeffs).ravel(), indices, indptr), shape=(n, n))
 
 
-def _lu_solve(A, b, what: str) -> np.ndarray:
-    """Solution of A x = b by SuperLU under a fill-reducing ordering."""
+def _lu_factor(A):
+    """SuperLU factor of A under a fill-reducing ordering."""
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise ApplicabilityError(f"{what} is singular") from exc
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise ApplicabilityError(f"{what} is singular")
-    return x
+        raise ApplicabilityError("Newton linear system is singular") from exc
 
 
-def _newton_direction(A, res, fold) -> np.ndarray:
-    """Newton direction ``E solve(A, -S res)`` of the folded Jacobian A = S J E."""
+def _bordered_direction(A, res, rhs, pin, fold) -> np.ndarray:
+    """Newton direction ``(E d, dl)`` of the normalized equation.
+
+    Solves ``[[A, -S rhs], [r, 0]] (d, dl) = -(S res, pin)``, where A = S J E is
+    the folded Jacobian, ``-rhs`` the derivative of the residual in log C and
+    ``r`` the folded gradient of the pin ``mean(u_bar) - 1``.  Block elimination
+    needs only the factor of A: it solves for ``-S res`` and ``-S rhs`` at once,
+    and one refinement step on the bordered residual reuses the factor.
+    """
     S, E = fold
-    return E @ _lu_solve(A, -(S @ res), "Newton linear system")
+    row = np.asarray(E.sum(axis=0)).ravel() / E.shape[0]
+    col = -(S @ rhs)
+    top = -(S @ res)
+    lu = _lu_factor(A)
+    y, z = lu.solve(np.column_stack([top, col])).T
+
+    def eliminate(y, bottom):
+        dl = (row @ y - bottom) / (row @ z)
+        return y - dl * z, dl
+
+    d, dl = eliminate(y, -pin)
+    dd, ddl = eliminate(lu.solve(top - A @ d - dl * col), -pin - row @ d)
+    dx = np.append(E @ (d + dd), dl + ddl)
+    if not np.all(np.isfinite(dx)):
+        raise ApplicabilityError("Newton linear system is singular")
+    return dx
 
 
 def _lambda_min_u(geom: CapGeometry, uvec) -> float:
@@ -316,11 +354,9 @@ def _residual_floor(geom: CapGeometry, uvec, parts) -> np.ndarray:
 def _within_floor(res, noise, tol, parts) -> bool:
     """Convergence test: componentwise, against the local equation scale.
 
-    The scale max(|det b|, |rhs|) equals ~1 for well-normalized solutions,
-    reproducing the plain sup-norm criterion, but it rejects the spurious
-    collapse branch h -> 0 of the p > q equation, where the absolute
-    residual vanishes even though the relative defect stays O(1).  A
-    non-finite residual or floor (an overflowed scale) never passes.
+    The scale max(|det b|, |rhs|) is O(1) on the normalized equation, so the
+    test is the plain sup-norm criterion up to a per-cell factor.  A
+    non-finite residual or floor never passes.
     """
     if not (np.all(np.isfinite(res)) and np.all(np.isfinite(noise))):
         return False
@@ -328,43 +364,6 @@ def _within_floor(res, noise, tol, parts) -> bool:
     det = res + rhs
     scale = np.maximum(np.abs(det), np.abs(rhs))
     return bool(np.all(np.abs(res) <= tol * scale + 8.0 * noise))
-
-
-def _rel_sup(res, parts) -> float:
-    """Sup of the residual measured against the local equation scale."""
-    rhs = parts[7]
-    det = res + rhs
-    scale = np.maximum(np.maximum(np.abs(det), np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(res) / scale))
-
-
-def _rescale_dilation(p, q, res, parts):
-    """Optimal dilation factor for the current iterate.
-
-    Along lambda * u the residual is exactly lambda^2 det - lambda^(2+p-q) rhs
-    per cell; for p near q this direction is a near-null mode of the Jacobian
-    that damped Newton traverses very slowly, so it is eliminated by a scalar
-    least-squares solve first.  The cost is normalized by the dilated equation
-    scale: the raw residual vanishes as lambda -> 0 whenever p > q (the
-    spurious collapse branch), whereas the relative defect tends to 1 there,
-    so the normalized cost has no collapse attractor.
-    """
-    from scipy.optimize import minimize_scalar
-
-    rhs = parts[7]
-    det = res + rhs
-    expo = 2.0 + p - q
-
-    def cost(t):
-        a = np.exp(2.0 * t) * det
-        b = np.exp(expo * t) * rhs
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-        return float(np.sum(((a - b) / scale) ** 2))
-
-    opt = minimize_scalar(cost, bounds=(-3.0, 3.0), method="bounded",
-                          options={"xatol": 1e-14})
-    lam = math.exp(opt.x)
-    return lam if cost(opt.x) < cost(0.0) else 1.0
 
 
 def _rot_invariant(fvals) -> bool:
@@ -386,24 +385,40 @@ def _project(fold, vec) -> np.ndarray:
     return E @ ((E.T @ vec) / (E.shape[0] // E.shape[1]))
 
 
-def _finalize(geom: CapGeometry, uvec, trace, converged, s_reached,
+def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
               residual_sup, residual_floor) -> SolveResult:
-    """SolveResult of the iterate uvec; the residual figures are the solver's own."""
-    u = ScalarField(geom, uvec.reshape(geom.shape))
+    """SolveResult of the normalized iterate x = (u_bar, log C).
+
+    h = m ell u_bar with m = C^(1/(p-q)), and m = 1 for p = q.  The residual
+    figures are the solver's own, those of the normalized equation; b and the
+    Robin defect are evaluated on h_bar = ell u_bar and scaled by m.
+    """
+    log_C = float(x[-1])
+    log_m = log_C / (p - q) if p != q else 0.0
     ell = ell_field(geom).values
-    h = ScalarField(geom, ell * u.values)
-    cd = curvature_tensor(geom, h)
-    robin = float(np.max(np.abs(robin_residual(geom, h))))
+    u_bar = x[:-1].reshape(geom.shape)
+    h_bar = ScalarField(geom, ell * u_bar)
+    with np.errstate(over="ignore"):
+        m = float(np.exp(log_m))
+        u = m * u_bar
+        h = ell * u
+    # an overflowed h is not finite; an underflowed one has lost its digits or is 0
+    if not np.all(np.isfinite(h) & (h >= np.finfo(float).tiny)):
+        raise DomainError(f"h = m h_bar is not representable in double precision "
+                          f"(log10 m = {log_m / math.log(10.0):.6g})")
+    u, h = ScalarField(geom, u), ScalarField(geom, h)
+    cd = curvature_tensor(geom, h_bar)
     return SolveResult(
         h=h,
         u=u,
         residual_sup=residual_sup,
-        robin_defect_sup=robin,
-        b_eigen_range=(cd.lambda_min, cd.lambda_max),
+        robin_defect_sup=m * float(np.max(np.abs(robin_residual(geom, h_bar)))),
+        b_eigen_range=(m * cd.lambda_min, m * cd.lambda_max),
         newton_trace=trace,
         converged=converged,
         s_reached=s_reached,
         residual_floor=residual_floor,
+        log_C=log_C,
     )
 
 
@@ -414,19 +429,18 @@ TRIAL_MIN_STEP = 0.25   # ... or when its line search wants a shorter step
 
 
 def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
-                   trace: NewtonTrace, rescale=None, trial: bool = False):
+                   trace: NewtonTrace, trial: bool = False):
     """Damped Newton with a sufficient-decrease line search; fills ``trace``.
 
     ``residual(x)`` gives ``(res, parts, pin)``, where pin is the border
-    residual (0.0 without a border); ``direction`` takes x and the same three.
-    The u field (the first ``geom.size`` entries) must stay positive and
-    convex; convexity is read off the residual's own frame, before the
-    optional ``rescale(x, res, parts) -> (x, res, parts)`` adjusts x.  A step
-    is halved until that holds and the sup falls by ``1 - step/4`` or the
-    floor test holds.  The largest contraction of successive directions goes
-    to ``trace.contraction``; with ``trial`` the solve is given up once it
-    exceeds THETA_REJECT or the step falls below TRIAL_MIN_STEP, instead of
-    below ``cfg.min_step``.  Returns the last iterate, its sup and its floor.
+    residual; ``direction`` takes x and the same three.  The u field (the
+    first ``geom.size`` entries) must stay positive and convex; convexity is
+    read off the residual's own frame.  A step is halved until that holds and
+    the sup falls by ``1 - step/4`` or the floor test holds.  The largest
+    contraction of successive directions goes to ``trace.contraction``; with
+    ``trial`` the solve is given up once it exceeds THETA_REJECT or the step
+    falls below TRIAL_MIN_STEP, instead of below ``cfg.min_step``.  Returns
+    the last iterate, its sup and its floor.
     """
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else cfg.min_step
@@ -436,8 +450,6 @@ def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
         res, parts, pin = residual(x)
         if eigen_range(*parts[:3])[0] < cfg.convexity_floor:
             return None
-        if rescale is not None:
-            x, res, parts = rescale(x, res, parts)
         noise = _residual_floor(geom, x[: geom.size], parts)
         done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
@@ -485,52 +497,41 @@ def newton_solve(
     cfg: SolverConfig | None = None,
     *,
     trial: bool = False,
+    log_C: float | None = None,
 ) -> SolveResult:
-    """Damped Newton on the quotient residual at homotopy parameter s.
+    """Damped Newton on the normalized equation at homotopy parameter s.
 
-    ``trial=True`` marks a continuation step that the caller retries shorter:
-    it is given up early on a poor contraction (see :func:`_damped_newton`).
+    The start is ``u_bar = u0 / mean(u0)`` and ``log C = log_C``, by default
+    ``(p - q) log mean(u0)``, which makes ``h = m ell u_bar`` equal ``ell u0``
+    for ``p != q``; at ``p = q`` log C cannot be read off u0.  ``trial=True``
+    marks a continuation step that the caller retries shorter: it is given up
+    early on a poor contraction (see :func:`_damped_newton`).
     """
     if cfg is None:
         cfg = SolverConfig()
-    if spec.p == spec.q:
-        raise ApplicabilityError(
-            "direct Newton at p == q is refused (dilation-invariant Jacobian); "
-            "use pq_limit_solve"
-        )
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
-    fvals, p, q = _density(spec, s), spec.p, spec.q
+    fvals, p, q, N = _density(spec, s), spec.p, spec.q, geom.size
     symmetry = _symmetry(fvals, spec.even)
     fold = _fold(geom, symmetry)
     # later iterates stay exactly symmetric: every step is E x
     uvec = _project(fold, u0.values.ravel())
+    mean = float(np.mean(uvec))
+    if log_C is None:
+        log_C = (p - q) * math.log(mean)
+    x = np.append(uvec / mean, log_C)
 
-    def residual(vec):
-        res, parts = _residual_u_vec(geom, fvals, p, q, vec)
-        return res, parts, 0.0
+    def residual(x):
+        res, parts = _residual_u_vec(geom, fvals * np.exp(x[N]), p, q, x[:N])
+        return res, parts, float(np.mean(x[:N]) - 1.0)
 
-    def rescale(vec, res, parts):
-        # the scale dependence of the residual is known in closed form, so
-        # the dilation factor is set by an exact 1-D solve; for p near q this
-        # direction is a near-null Newton mode that damping alone crawls along
-        lam = _rescale_dilation(p, q, res, parts)
-        if abs(lam - 1.0) > 1e-14:
-            dres, dparts = _residual_u_vec(geom, fvals, p, q, lam * vec)
-            # accept on the scale-normalized sup so a collapse-ward rescale
-            # (small absolute residual, O(1) relative defect) is never taken
-            if _rel_sup(dres, dparts) < _rel_sup(res, parts):
-                return lam * vec, dres, dparts
-        return vec, res, parts
-
-    def direction(vec, res, parts, _pin):
-        A = _jacobian(geom, fvals, p, q, vec, parts, symmetry)
-        return _newton_direction(A, res, fold)
+    def direction(x, res, parts, pin):
+        A = _jacobian(geom, fvals * np.exp(x[N]), p, q, x[:N], parts, symmetry)
+        return _bordered_direction(A, res, parts[7], pin, fold)
 
     trace = NewtonTrace(s=s, iterations=0)
-    uvec, res_sup, noise = _damped_newton(geom, uvec, residual, direction, cfg, trace,
-                                          rescale, trial)
-    return _finalize(geom, uvec, [trace], trace.converged, s, res_sup,
+    x, res_sup, noise = _damped_newton(geom, x, residual, direction, cfg, trace, trial)
+    return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup,
                      8.0 * float(np.max(noise)))
 
 
@@ -543,40 +544,47 @@ def continuation_solve(
 
     The step length follows the Newton contraction of the last accepted step,
     and each step starts from the secant predictor (see the module docstring).
+    For p = q the result is the normalized pair: h = ell u_bar and C = exp(log_C).
     """
     if cfg is None:
         cfg = SolverConfig()
-    if spec.p == spec.q:
-        raise ApplicabilityError("p == q is routed through pq_limit_solve")
-    uvec = np.ones(geom.size)
-    last = newton_solve(spec, geom, 0.0, ScalarField(geom, uvec.reshape(geom.shape)), cfg)
+    # the normalized equation sees C and f only as the product C f, so the path
+    # runs to f / kappa, kappa the geometric mean of f / f_0, and does not depend
+    # on the scale of f; the step to s = 1 solves for f itself, from log C - log kappa
+    log_kappa = float(np.mean(np.log(spec.f.values / _base_density(geom, spec.p, spec.q))))
+    scaled = replace(spec, f=ScalarField(geom, spec.f.values / math.exp(log_kappa)))
+    last = newton_solve(scaled, geom, 0.0, ScalarField(geom, np.ones(geom.shape)), cfg)
     traces = list(last.newton_trace)
     if not last.converged:
-        return _finalize(geom, uvec, traces, False, 0.0, math.inf, 0.0)
+        return replace(last, residual_sup=math.inf)
     s, ds = 0.0, cfg.ds_init
-    prev = None  # (u_(k-1), s_k - s_(k-1)) for the secant predictor
+    prev = None  # (x_(k-1), s_k - s_(k-1)) for the secant predictor
     while s < 1.0:
         s_next = min(1.0, s + ds)
         u = last.u.values.ravel()
-        start = u
+        x = np.append(u / np.mean(u), last.log_C)  # (u_bar, log C)
+        start = x
         if prev is not None:
-            pred = u + (s_next - s) / prev[1] * (u - prev[0])
-            if np.all(pred > 0.0) and _lambda_min_u(geom, pred) >= cfg.convexity_floor:
+            pred = x + (s_next - s) / prev[1] * (x - prev[0])
+            u_pred = pred[:-1]
+            if np.all(u_pred > 0.0) and _lambda_min_u(geom, u_pred) >= cfg.convexity_floor:
                 start = pred
-        step = newton_solve(spec, geom, s_next, ScalarField(geom, start.reshape(geom.shape)),
-                            cfg, trial=True)
+        target = s_next == 1.0
+        step = newton_solve(spec if target else scaled, geom, s_next,
+                            ScalarField(geom, start[:-1].reshape(geom.shape)), cfg, trial=True,
+                            log_C=start[-1] - log_kappa if target else start[-1])
         traces.extend(step.newton_trace)
         if step.converged:
             theta = step.newton_trace[0].contraction
             factor = math.sqrt(THETA_BAR / theta) if theta > 0.0 else 2.0
-            prev, s, last = (u, s_next - s), s_next, step
+            prev, s, last = (x, s_next - s), s_next, step
             ds *= min(2.0, max(0.5, factor))
         else:
             ds *= 0.5
             if ds < cfg.ds_min:
-                return _finalize(geom, u, traces, False, s, math.inf, last.residual_floor)
-    return _finalize(geom, last.u.values.ravel(), traces, True, 1.0,
-                     last.residual_sup, last.residual_floor)
+                return replace(last, newton_trace=traces, converged=False,
+                               residual_sup=math.inf)
+    return replace(last, newton_trace=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -661,39 +669,6 @@ def ell_bump_f_exact(
 # p = q limit scheme
 
 
-def _bordered_newton(geom: CapGeometry, spec: ProblemSpec, eps: float, x,
-                     anchor: int, cfg: SolverConfig, trace: NewtonTrace):
-    """Newton on x = (u_bar, log C) for det b = C f h^(p+eps-1) w^((3-p)/2).
-
-    The border row pins h_bar = ell u_bar to 1 at the anchor cell, which
-    removes the dilation direction that makes the plain p = q Jacobian
-    singular.  Writing h = m h_bar turns the exponent-(p+eps) problem into
-    this one with C = m^eps, so the same system serves every eps >= 0.  The
-    folded Jacobian S J E of :func:`newton_solve` is bordered by S (-rhs) and
-    the pin row times E; x must already have the data's symmetry.
-    """
-    N, p = geom.size, spec.p
-    ell_a = u_system(geom)["ell"][anchor]
-    symmetry = _symmetry(spec.f.values, spec.even)
-    S, E = _fold(geom, symmetry)
-    row = sp.csr_matrix(([ell_a], ([0], [anchor])), shape=(1, N)) @ E
-
-    def residual(x):
-        fC = spec.f.values * math.exp(x[N])
-        res, parts = _residual_u_vec(geom, fC, p + eps, p, x[:N])
-        return res, parts, float(ell_a * x[anchor] - 1.0)
-
-    def direction(x, res, parts, pin):
-        J = _jacobian(geom, spec.f.values * math.exp(x[N]), p + eps, p, x[:N], parts,
-                      symmetry)
-        col = sp.csc_matrix(-(S @ parts[7])[:, None])  # d(res)/d(log C) = -rhs
-        A = sp.bmat([[J, col], [row, None]], format="csc")
-        d = _lu_solve(A, -np.append(S @ res, pin), "Newton linear system")
-        return np.append(E @ d[:-1], d[-1])
-
-    return _damped_newton(geom, x, residual, direction, cfg, trace)
-
-
 @dataclass
 class PqLimitResult:
     h_bar: ScalarField
@@ -702,7 +677,7 @@ class PqLimitResult:
     C_eps: list
     residual_sup: float
     diffs: list
-    solution: SolveResult  # h = h_bar, with the residual and floor of the eps = 0 solve
+    solution: SolveResult  # h = h_bar, with the residual and floor of the p = q solve
 
 
 def pq_limit_solve(
@@ -711,14 +686,16 @@ def pq_limit_solve(
     cfg: SolverConfig | None = None,
     eps_schedule=(0.1, 0.05, 0.025, 0.0125),
 ) -> PqLimitResult:
-    """Dilation-normalized solution of the degenerate case p = q.
+    """Dilation-normalized solution (h_bar, C*) of the degenerate case p = q.
 
-    Solves the approximating problem with exponent p + eps_0 by continuation,
-    then continues the bordered (u_bar, log C) system of
-    :func:`_bordered_newton` in eps along the rest of the schedule and on to
-    eps = 0, the p = q problem itself, warm-starting each solve from the last.
-    C*_eps = (min h_eps)^eps is recorded at every eps > 0; h_bar equals 1 at
-    the cell where h_eps_0 is smallest.
+    :func:`continuation_solve` solves the p = q problem itself; h_bar is its
+    solution scaled to min h_bar = 1 (at p = q the residual scales by the
+    square of that factor, and so do the reported residual and floor).  The
+    eps schedule only records C*_eps = (min h_eps)^eps of the problems with
+    exponent p + eps, each one Newton solve warm-started from the p = q
+    solution.  They are solved for the density C* f, from log C = 0, so their
+    solutions h' have a moderate scale for every eps; since f -> c f maps h
+    to c^(-1/eps) h, (min h_eps)^eps = C* (min h')^eps.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -731,37 +708,31 @@ def pq_limit_solve(
         raise ConfigError("eps schedule must be non-empty, finite, positive and strictly "
                           f"decreasing, got {eps_schedule!r}")
 
-    e0 = eps_schedule[0]
-    first = continuation_solve(
-        ProblemSpec(p=spec.p + e0, q=spec.q, theta=spec.theta, f=spec.f, even=spec.even),
-        geom, cfg,
-    )
-    if not first.converged:
-        raise ApplicabilityError(f"epsilon = {e0} sub-problem did not converge")
-    hvec = first.h.values.ravel()
-    anchor = int(np.argmin(hvec))
-    m = float(hvec[anchor])
-    C_eps = [m**e0]
-    x = np.append(first.u.values.ravel() / m, e0 * math.log(m))
-    ell = u_system(geom)["ell"]
-    traces = list(first.newton_trace)
-    for e in eps_schedule[1:] + [0.0]:
-        traces.append(NewtonTrace(s=1.0, iterations=0))
-        x, res_sup, noise = _bordered_newton(geom, spec, e, x, anchor, cfg, traces[-1])
-        if not traces[-1].converged:
-            raise ApplicabilityError(f"epsilon = {e} bordered Newton did not converge")
-        if e > 0.0:
-            # (min h_eps)^eps = C (min h_bar)^eps, since h_eps = C^(1/eps) h_bar
-            C_eps.append(math.exp(x[-1]) * float(np.min(ell * x[:-1])) ** e)
+    limit = continuation_solve(spec, geom, cfg)
+    if not limit.converged:
+        raise ApplicabilityError("the p = q problem did not converge")
+    traces = list(limit.newton_trace)
+    C_star = math.exp(limit.log_C)
+    f_star = ScalarField(geom, C_star * spec.f.values)
+    C_eps = []
+    for e in eps_schedule:
+        sub = ProblemSpec(p=spec.p + e, q=spec.q, theta=spec.theta, f=f_star, even=spec.even)
+        r = newton_solve(sub, geom, 1.0, limit.u, cfg)
+        traces.extend(r.newton_trace)
+        if not r.converged:
+            raise ApplicabilityError(f"epsilon = {e} problem did not converge")
+        C_eps.append(C_star * float(np.min(r.h.values)) ** e)
 
-    solution = _finalize(geom, x[:-1], traces, True, 1.0, res_sup,
-                         8.0 * float(np.max(noise)))
+    lam = 1.0 / float(np.min(limit.h.values))
+    x = np.append(lam * limit.u.values.ravel(), limit.log_C)  # u = u_bar at p = q
+    solution = _finalize(geom, x, spec.p, spec.q, traces, True, 1.0,
+                         lam**2 * limit.residual_sup, lam**2 * limit.residual_floor)
     return PqLimitResult(
         h_bar=solution.h,
-        C_star=math.exp(x[-1]),
+        C_star=C_star,
         eps_schedule=eps_schedule,
         C_eps=C_eps,
-        residual_sup=res_sup,
+        residual_sup=solution.residual_sup,
         diffs=[abs(b - a) for a, b in zip(C_eps[:-1], C_eps[1:])],
         solution=solution,
     )

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from capmink import ScalarField, build_grid, ell_field
 from capmink.grid import bump_profile
+
+# the same examples on every run, and no per-example deadline on a loaded host
+settings.register_profile("tier1", deadline=None, derandomize=True, max_examples=10)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

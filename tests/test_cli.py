@@ -2,16 +2,26 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from capmink import build_grid, ell_field
+from capmink import ProblemSpec, build_grid, ell_field, pq_limit_solve
 from capmink.cli import main
-from capmink.grid import field_to_csv
+from capmink.grid import field_from_csv, field_to_csv
+from capmink.problem_io import density_from_config
 
 
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def strict_json(path):
+    """The JSON document at path; a bare NaN or Infinity raises."""
+    def reject(token):
+        raise ValueError(f"bare {token} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture()
@@ -72,11 +82,7 @@ class TestSolve:
         out = tmp / "out"
         cfg = write_config(tmp / "one_step.json", doc)
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
-
-        def reject(token):
-            raise ValueError(f"bare {token} in result.json")
-
-        result = json.loads((out / "result.json").read_text(), parse_constant=reject)
+        result = strict_json(out / "result.json")
         assert result["converged"] is False
         assert result["residual_sup"] is None
 
@@ -150,6 +156,48 @@ class TestSolve:
             {"theta": 1.0, "p": 0.5, "q": 2.0, "even": True},
         )
         assert main(["solve", "--config", cfg]) == 3
+
+
+NEAR_PQ = {"theta": 1.0, "q": 2.0, "even": True, "f": {"kind": "ell_power", "alpha": -0.5},
+           "grid": {"Nphi": 32, "Npsi": 64}}
+NEAR_PQ_EPS = (0.01, 0.001)
+
+
+@pytest.fixture(scope="module")
+def pq_log_min_h():
+    """log min h_eps = log(C*_eps) / eps of the p = q = 2 data, one per NEAR_PQ_EPS."""
+    g = build_grid(1.0, 32, 64)
+    f = density_from_config(g, NEAR_PQ["f"], 2.0, 2.0)
+    out = pq_limit_solve(ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True), g,
+                         eps_schedule=NEAR_PQ_EPS)
+    return [math.log(c) / e for e, c in zip(out.eps_schedule, out.C_eps)]
+
+
+class TestNearPq:
+    """p near q = 2: min h ranges from 1e-295 to 1e295, yet the solve is routine."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p,k", [(1.99, None), (1.999, None), (2.001, 1), (2.01, 0)])
+    def test_solve_converges_to_the_eps_limit_scale(self, tmp_path, pq_log_min_h, p, k):
+        cfg = write_config(tmp_path / "p.json", {**NEAR_PQ, "p": p})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        result = strict_json(out / "result.json")
+        assert result["converged"] is True
+        assert sum(t["iterations"] for t in result["newton_trace"]) <= 10
+        if k is not None:
+            h = field_from_csv(str(out / "solution.csv"), 1.0)
+            assert math.log(float(np.min(h.values))) == pytest.approx(pq_log_min_h[k],
+                                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.9999, 2.0001])
+    def test_unrepresentable_scale_is_never_written(self, tmp_path, p):
+        """min h near 1e-2947 (p = 1.9999) or 1e2947 (p = 2.0001) leaves double range."""
+        cfg = write_config(tmp_path / "p.json",
+                           {**NEAR_PQ, "p": p, "grid": {"Nphi": 16, "Npsi": 32}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "solution.csv").exists()
 
 
 class TestSandwich:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capmink import (
     ApplicabilityError,
@@ -30,9 +32,9 @@ from capmink import (
 from capmink.grid import bump_profile, evenness_defect, symmetrize_even
 from capmink.operators import _fold, u_system
 from capmink.solver import (
+    _bordered_direction,
     _jacobian,
-    _lu_solve,
-    _newton_direction,
+    _lu_factor,
     _residual_u_vec,
     _within_floor,
 )
@@ -44,6 +46,24 @@ def ell_power_density(geom, c=1.0, alpha=0.0, beta=0.0):
     ell = ell_field(geom).values
     w0 = ell**2 + ell_grad_sq(geom)
     return ScalarField(geom, c * ell**alpha * w0**beta)
+
+
+def full_bordered_direction(g, J, res, rhs, pin):
+    """(du, d log C) of the full-grid bordered system, by spsolve."""
+    mean_row = sp.csr_matrix(np.full((1, g.size), 1.0 / g.size))
+    B = sp.bmat([[J, sp.csc_matrix(-rhs[:, None])], [mean_row, None]], format="csc")
+    return spla.spsolve(B, -np.append(res, pin))
+
+
+def bordered_gap(g, fvals, p, q, uvec, symmetry):
+    """Relative gap between the folded bordered direction and the full one."""
+    res, parts = _residual_u_vec(g, fvals, p, q, uvec)
+    pin = float(np.mean(uvec) - 1.0)
+    full = full_bordered_direction(g, _jacobian(g, fvals, p, q, uvec, parts), res,
+                                   parts[7], pin)
+    A = _jacobian(g, fvals, p, q, uvec, parts, symmetry)
+    reduced = _bordered_direction(A, res, parts[7], pin, _fold(g, symmetry))
+    return np.max(np.abs(reduced - full)) / np.max(np.abs(full))
 
 
 class TestProblemSpec:
@@ -166,12 +186,29 @@ class TestNewton:
                 geom_pi3, np.where(np.arange(geom_pi3.size).reshape(geom_pi3.shape) == 0,
                                    -1.0, 1.0)))
 
-    def test_p_equals_q_refused(self, geom_pi3):
+    def test_p_equals_q_solved_normalized(self, geom_pi3):
+        """p = q is one more case of the normalized equation, not a refusal."""
         f = ell_power_density(geom_pi3)
         spec = ProblemSpec(p=2.0, q=2.0, theta=geom_pi3.theta, f=f, even=True)
-        with pytest.raises(ApplicabilityError):
-            newton_solve(spec, geom_pi3, 0.0,
-                         ScalarField(geom_pi3, np.ones(geom_pi3.shape)))
+        result = newton_solve(spec, geom_pi3, 0.0,
+                              ScalarField(geom_pi3, np.ones(geom_pi3.shape)))
+        assert result.converged
+        assert result.newton_trace[0].iterations == 0
+        assert result.log_C == 0.0
+
+    # C* of the TestCriterion7PqLimit inputs, as found by the solver this one
+    # replaced (continuation at p + 0.1, then a bordered Newton continued in eps)
+    @pytest.mark.parametrize("theta,alpha,beta,C_star", [
+        (math.pi / 2, 0.0, 0.0, 1.0),
+        (1.5, -1.0, -0.25, 1.0186825726717244),
+        (math.pi / 3, -1.0, -0.25, 1.203559131526921),
+    ])
+    def test_p_equals_q_continuation_gives_C_star(self, theta, alpha, beta, C_star):
+        g = build_grid(theta, 32, 64)
+        f = ell_power_density(g, alpha=alpha, beta=beta)
+        result = continuation_solve(ProblemSpec(p=2.0, q=2.0, theta=theta, f=f, even=True), g)
+        assert result.converged
+        assert math.exp(result.log_C) == pytest.approx(C_star, rel=1e-9)
 
     def test_solver_config_validation(self):
         with pytest.raises(ConfigError):
@@ -181,21 +218,26 @@ class TestNewton:
 class TestEvenFold:
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
     def test_reduced_direction_matches_full_solve(self, Nphi, Npsi):
-        """The half-domain step equals the full step made even."""
+        """The half-domain bordered step equals the full-grid bordered step."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         f = manufactured_f(g, robin_bump(g, eps=0.1), 2.0, 1.5)
         uvec = symmetrize_even(g, neumann_bump(g, eps=0.05)).values.ravel()
-        res, parts = _residual_u_vec(g, f.values, 2.0, 1.5, uvec)
-        J = _jacobian(g, f.values, 2.0, 1.5, uvec, parts)
-        full = spla.spsolve(J.tocsc(), -res)
-        full = symmetrize_even(g, ScalarField(g, full.reshape(g.shape))).values.ravel()
-        A = _jacobian(g, f.values, 2.0, 1.5, uvec, parts, "even")
-        reduced = _newton_direction(A, res, _fold(g, "even"))
-        assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+        assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even") <= 1e-10
+
+    def test_direction_near_p_equals_q_solution(self):
+        """1e-6 off a p = q solution S J E is nearly singular; the refinement step
+        keeps the bordered step accurate (without it the gap is about 5e-10)."""
+        g = build_grid(1.0, 16, 32)
+        f = ell_power_density(g, alpha=-0.5)
+        limit = continuation_solve(ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True), g)
+        assert limit.converged
+        uvec = limit.u.values.ravel() * (1.0 + 1e-6 * neumann_bump(g, eps=1.0).values.ravel())
+        fC = f.values * math.exp(limit.log_C)
+        assert bordered_gap(g, fC, 2.0, 2.0, uvec, "even") <= 1e-10
 
     def test_singular_system_is_applicability_error(self):
         with pytest.raises(ApplicabilityError, match="singular"):
-            _lu_solve(sp.csc_matrix((3, 3)), np.ones(3), "Newton linear system")
+            _lu_factor(sp.csc_matrix((3, 3)))
 
     def test_identity_fold_on_data_that_is_not_even(self):
         g = build_grid(math.pi / 3, 16, 32)
@@ -247,18 +289,14 @@ class TestFoldedJacobian:
 
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
     def test_rot_direction_matches_full_solve(self, Nphi, Npsi):
-        """The Nphi-unknown step equals the full step averaged over psi."""
+        """The Nphi-unknown bordered step equals the full-grid bordered step."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         f = ell_power_density(g, alpha=-1.2, beta=-0.1).values
         profile = 1.0 + 0.05 * bump_profile(g.phi_nodes, g.theta)
         uvec = np.repeat(profile, Npsi)
-        res, parts = _residual_u_vec(g, f, 2.0, 1.5, uvec)
-        full = spla.spsolve(_jacobian(g, f, 2.0, 1.5, uvec, parts), -res)
-        full = np.repeat(full.reshape(g.shape).mean(axis=1), Npsi)
-        A = _jacobian(g, f, 2.0, 1.5, uvec, parts, "rot")
-        assert A.shape == (Nphi, Nphi)
-        reduced = _newton_direction(A, res, _fold(g, "rot"))
-        assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+        _, parts = _residual_u_vec(g, f, 2.0, 1.5, uvec)
+        assert _jacobian(g, f, 2.0, 1.5, uvec, parts, "rot").shape == (Nphi, Nphi)
+        assert bordered_gap(g, f, 2.0, 1.5, uvec, "rot") <= 1e-10
 
 
 def _even_problem(g, scale=1.0, roll=0, reflect=False):
@@ -278,10 +316,14 @@ def _rot_problem(g, scale=1.0):
     return ProblemSpec(p=2.2, q=1.6, theta=g.theta, f=f, even=True)
 
 
-def _solved_h(spec, g):
+def _solved(spec, g):
     result = continuation_solve(spec, g)
     assert result.converged
-    return result.h.values
+    return result
+
+
+def _solved_h(spec, g):
+    return _solved(spec, g).h.values
 
 
 def _rel_gap(a, b):
@@ -305,13 +347,15 @@ class TestMetamorphic:
         assert _rel_gap(reflected, np.roll(base[:, ::-1], 1, axis=1)) <= 1e-9
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
-    def test_density_scaling_dilates_solution(self, problem):
+    @given(c=st.floats(0.2, 5.0))
+    def test_density_scaling_dilates_solution(self, problem, c):
         g = build_grid(math.pi / 3, 16, 32)
-        c = 1.7
         spec = problem(g)
-        base = _solved_h(spec, g)
-        scaled = _solved_h(problem(g, scale=c), g)
-        assert _rel_gap(scaled, c ** (1.0 / (spec.q - spec.p)) * base) <= 1e-9
+        base = _solved(spec, g)
+        scaled = _solved(problem(g, scale=c), g)
+        dilated = c ** (1.0 / (spec.q - spec.p)) * base.h.values
+        assert _rel_gap(scaled.h.values, dilated) <= 1e-9
+        assert scaled.log_C - base.log_C == pytest.approx(-math.log(c), abs=1e-9)
 
 
 class TestContinuation:
@@ -333,10 +377,10 @@ class TestContinuation:
         assert result.b_eigen_range[0] > 0.0
         assert result.robin_defect_sup < 50.0 * g.grid_eps()
         assert result.residual_floor > 0.0
-        res = residual_u(spec, g, result.u)
-        assert np.max(np.abs(res.values)) == pytest.approx(
-            result.residual_sup, rel=1e-6
-        )
+        # the solver reports the residual of the normalized equation, res(h) / m^2
+        res = residual_u(spec, g, result.u).values * math.exp(
+            -2.0 * result.log_C / (spec.p - spec.q))
+        assert np.max(np.abs(res)) == pytest.approx(result.residual_sup, rel=1e-6)
 
     def test_solution_is_even(self, geom_pi3):
         from capmink import evenness_defect
@@ -454,6 +498,17 @@ class TestPqLimit:
         res = pq_residual(g, f, 2.0, out.h_bar, out.C_star)
         assert np.max(np.abs(res.values)) < 100.0 * g.grid_eps()
 
+    @pytest.mark.parametrize("c", [1e-4, 1e4])
+    def test_scaled_density_scales_C(self, c):
+        """f -> c f gives C -> C / c, although h_eps ~ c^(-1/eps) of the eps problems
+        leaves the double range at eps = 0.0125."""
+        g = build_grid(math.pi / 2, 16, 32)
+        spec = ProblemSpec(p=2.0, q=2.0, theta=g.theta, f=ScalarField(g, np.full(g.shape, c)),
+                           even=True)
+        out = pq_limit_solve(spec, g)
+        assert out.C_star == pytest.approx(1.0 / c, rel=1e-9)
+        assert out.C_eps == pytest.approx([1.0 / c] * len(out.eps_schedule), rel=1e-9)
+
     def test_p_not_equal_q_rejected(self, geom_pi3):
         f = ell_power_density(geom_pi3)
         spec = ProblemSpec(p=2.5, q=2.0, theta=geom_pi3.theta, f=f, even=True)
@@ -480,7 +535,7 @@ class TestPqLimit:
         out = pq_limit_solve(spec, g)
         trace = out.solution.newton_trace
         assert trace and trace[-1].converged
-        # one bordered solve per eps after the first, and one at eps = 0
+        # the p = q continuation, then one warm-started solve per eps
         steps = trace[-len(out.eps_schedule):]
         assert all(t.s == 1.0 and t.converged and t.halvings == 0 for t in steps)
 
