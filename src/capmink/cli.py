@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -199,6 +200,19 @@ def cmd_monitors(args) -> int:
     return EXIT_OK if ok else EXIT_NONCONVERGED
 
 
+@functools.lru_cache(maxsize=None)
+def _sweep_grid(theta: float, Nphi: int, Npsi: int):
+    """The sweep's grid for one theta, built once per sweep.
+
+    Every sweep cell with this theta shares the geometry and with it the
+    operators cached on it, all of which depend on the geometry alone (or on
+    (p, q), in their key).  ``cmd_sweep`` clears the memo when it starts and
+    when it ends, so one ``capmink sweep`` builds one grid per distinct theta
+    and nothing outlives it; each ``--jobs`` worker keeps its own memo.
+    """
+    return build_grid(theta, Nphi, Npsi)
+
+
 def _sweep_entry(task):
     """One sweep cell (runs in a worker): (plain row dict, config error flag).
 
@@ -209,7 +223,7 @@ def _sweep_entry(task):
     row = {"p": p, "q": q, "theta": theta, "converged": 0,
            "ratio": "", "lambda_min": "", "sigma1_max": "", "error": ""}
     try:
-        geom = build_grid(theta, Nphi, Npsi)
+        geom = _sweep_grid(theta, Nphi, Npsi)
         f = density_from_config(geom, fcfg, p, q)
         spec = ProblemSpec(p=p, q=q, theta=theta, f=f, even=True)
         result, _ = _solve(geom, spec, cfg)
@@ -247,13 +261,17 @@ def cmd_sweep(args) -> int:
         (p, q, th, fcfg, Nphi, Npsi, cfg)
         for p, q, th in itertools.product(ps, qs, thetas)
     ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    _sweep_grid.cache_clear()
+    try:
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cells = list(pool.map(_sweep_entry, tasks))
-    else:
-        cells = [_sweep_entry(t) for t in tasks]
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                cells = list(pool.map(_sweep_entry, tasks))
+        else:
+            cells = [_sweep_entry(t) for t in tasks]
+    finally:
+        _sweep_grid.cache_clear()
     rows = [row for row, _ in cells]
     os.makedirs(args.out, exist_ok=True)
     config = dict(doc)

@@ -367,23 +367,24 @@ def bump_profile(phi, theta: float):
 
 
 def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
+    """Write the field as CSV rows (i, j, phi, psi, value), one line per cell.
+
+    The text is what ``csv.writer`` gives for these rows: ``%.17g`` numbers,
+    none of which needs quoting, and ``\\r\\n`` line ends.  Each phi row of
+    Npsi lines is formatted and written at once.
+    """
     g = s.geometry
+    psi = [f"{v:.17g}" for v in g.psi_nodes.tolist()]
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "phi", "psi", "value"])
-        for i in range(g.Nphi):
-            for j in range(g.Npsi):
-                writer.writerow(
-                    [
-                        i + 1,
-                        j,
-                        f"{g.phi_nodes[i]:.17g}",
-                        f"{g.psi_nodes[j]:.17g}",
-                        f"{s.values[i, j]:.17g}",
-                    ]
-                )
+        fh.write("i,j,phi,psi,value\r\n")
+        for i, phi in enumerate(g.phi_nodes.tolist()):
+            mid = f",{phi:.17g},"
+            fh.write("".join(
+                f"{i + 1},{j}{mid}{psi[j]},{v:.17g}\r\n"
+                for j, v in enumerate(s.values[i].tolist())
+            ))
 
 
 def field_from_csv(path, theta: float) -> ScalarField:

@@ -296,7 +296,10 @@ def _bordered_direction(A, res, rhs, pin, fold) -> np.ndarray:
     and one refinement step on the bordered residual reuses the factor.
     """
     S, E = fold
-    row = np.asarray(E.sum(axis=0)).ravel() / E.shape[0]
+    # E copies every reduced unknown onto the same number of cells, so the
+    # gradient of the mean is the same 1/k for each of the k unknowns
+    k = S.shape[0]
+    row = np.full(k, 1.0 / k)
     col = -(S @ rhs)
     top = -(S @ res)
     lu = _lu_factor(A)
@@ -619,47 +622,38 @@ def ell_bump_field(geom: CapGeometry, eps: float, k: int = 2) -> ScalarField:
     return ScalarField(geom, np.broadcast_to(vals, geom.shape).copy())
 
 
-_BUMP_F_CACHE: dict = {}
-
-
-def _bump_f_lambdified():
-    """Continuum density of the ell-bump family, derived symbolically once."""
-    if "fn" in _BUMP_F_CACHE:
-        return _BUMP_F_CACHE["fn"]
-    import sympy as sy
-
-    phi, psi, th, ep, pp, qq, kk = sy.symbols(
-        "phi psi theta epsilon p q k", positive=False
-    )
-    s2 = sy.sin(phi) ** 2
-    rho = s2 * (2 - s2 / sy.sin(th) ** 2)
-    ell = 1 - sy.cos(th) * sy.cos(phi)
-    h = ell * (1 + ep * sy.cos(kk * psi) * rho)
-    h_phi = sy.diff(h, phi)
-    h_psi = sy.diff(h, psi)
-    b11 = sy.diff(h, phi, 2) + h
-    b12 = sy.diff(h_phi, psi) / sy.sin(phi) - sy.cos(phi) / sy.sin(phi) ** 2 * h_psi
-    b22 = (
-        sy.diff(h, psi, 2) / sy.sin(phi) ** 2
-        + sy.cos(phi) / sy.sin(phi) * h_phi
-        + h
-    )
-    w = h**2 + h_phi**2 + h_psi**2 / sy.sin(phi) ** 2
-    f = (b11 * b22 - b12**2) / (h ** (pp - 1) * w ** ((3 - qq) / 2))
-    fn = sy.lambdify((phi, psi, th, ep, pp, qq, kk), f, modules="numpy")
-    _BUMP_F_CACHE["fn"] = fn
-    return fn
-
-
 def ell_bump_f_exact(
     geom: CapGeometry, p: float, q: float, eps: float, k: int = 2
 ) -> ScalarField:
-    """Continuum (not grid-differenced) density for the ell-bump solution."""
-    fn = _bump_f_lambdified()
+    """Continuum (not grid-differenced) density for the ell-bump solution.
+
+    With ``h = A + eps cos(k psi) B``, ``A = ell`` and ``B = ell rho`` (rho the
+    bump profile), ``b = hess(h) + h I`` and ``w = h^2 + |grad h|^2`` are
+    written with cos(k psi), sin(k psi) and the exact phi-derivatives of A
+    and B, so the density is evaluated in closed form.
+    """
     phi = geom.phi_nodes[:, None]
     psi = geom.psi_nodes[None, :]
-    vals = fn(phi, psi, geom.theta, eps, p, q, k)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), geom.shape).copy()
+    sin, cos = np.sin(phi), np.cos(phi)
+    ct, st2 = geom.cos_theta, geom.sin_theta**2
+    # A = ell = 1 - cos(theta) cos(phi) and rho = S (2 - S / sin(theta)^2)
+    # with S = sin(phi)^2, each with its first two phi-derivatives
+    A, A1, A2 = 1.0 - ct * cos, ct * sin, ct * cos
+    S, S1, S2 = sin**2, 2.0 * sin * cos, 2.0 * (cos**2 - sin**2)
+    rho = bump_profile(phi, geom.theta)
+    rho1 = S1 * (2.0 - 2.0 * S / st2)
+    rho2 = S2 * (2.0 - 2.0 * S / st2) - 2.0 * S1**2 / st2
+    B, B1, B2 = A * rho, A1 * rho + A * rho1, A2 * rho + 2.0 * A1 * rho1 + A * rho2
+    c, s = eps * np.cos(k * psi), eps * np.sin(k * psi)
+    h = A + c * B
+    h_phi = A1 + c * B1
+    h_psi = -k * s * B
+    b11 = A2 + c * B2 + h
+    b12 = -k * s * (B1 / sin - cos / sin**2 * B)
+    b22 = -k * k * c * B / sin**2 + cos / sin * h_phi + h
+    w = h**2 + h_phi**2 + (h_psi / sin) ** 2
+    vals = (b11 * b22 - b12**2) / (h ** (p - 1.0) * w ** ((3.0 - q) / 2.0))
+    vals = np.broadcast_to(vals, geom.shape).copy()
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         raise ApplicabilityError("bump amplitude too large: density not positive")
     return ScalarField(geom, vals)

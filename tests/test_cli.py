@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import capmink.cli as cli
 from capmink import ProblemSpec, build_grid, ell_field, pq_limit_solve
 from capmink.cli import main
 from capmink.grid import field_from_csv, field_to_csv
@@ -302,9 +307,64 @@ class TestSweep:
         assert len(rows) == 2
         assert all("bogus" in r["error"] for r in rows)
 
+    def test_sweep_builds_one_grid_per_theta(self, tmp_path, monkeypatch):
+        """Cells share the grid of their theta, for one sweep and no longer."""
+        builds = []
+        real = cli.build_grid
+
+        def counted(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "build_grid", counted)
+        cfg = write_config(
+            tmp_path / "sweep.json",
+            {"p_values": [1.2, 1.5], "q_values": [2.0, 2.5],
+             "theta_values": [math.pi / 4, math.pi / 3, 1.3],
+             "f": {"kind": "ell_power", "c": 0.8, "alpha": -0.8, "beta": -0.3},
+             "grid": {"Nphi": 8, "Npsi": 16}},
+        )
+        for run in ("a", "b"):
+            builds.clear()
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+            assert sorted(builds) == sorted((th, 8, 16) for th in (math.pi / 4, math.pi / 3, 1.3))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "j2"),
+                     "--jobs", "2"]) == 0
+        sweep = (tmp_path / "a" / "sweep.csv").read_bytes()
+        assert len(sweep.splitlines()) == 14
+        assert (tmp_path / "b" / "sweep.csv").read_bytes() == sweep
+        assert (tmp_path / "j2" / "sweep.csv").read_bytes() == sweep
+
     def test_sweep_missing_keys(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {"p_values": [2.0]})
         assert main(["sweep", "--config", cfg]) == 3
+
+
+# sweep-config pieces: mostly plausible values, mixed with every JSON kind
+_number = st.floats(1.05, 1.6)
+_value = st.one_of(_number, st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1.0, 0.0, "2.0", "abc", None, True, [], {}]))
+_values = st.one_of(st.lists(_number, min_size=1, max_size=2), st.lists(_value, max_size=2),
+                    st.sampled_from([None, 1.5, "1.5", {"p": 2.0}]))
+_density = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("ell_power"), "alpha": st.floats(-1.0, 0.0)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["constant", "ell_power"])},
+                          optional={"value": _value, "c": _value, "alpha": _value,
+                                    "beta": _value}),
+    st.sampled_from([{"kind": "bogus"}, {"kind": "grid", "values": [1.0]}, {},
+                     {"kind": None}, "ell_power", [], None]),
+)
+
+
+@given(ps=_values, qs=_values, thetas=_values, f=_density,
+       max_newton=st.integers(1, 5))
+def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, max_newton):
+    """Any sweep config ends in exit 0, 2 or 3; nothing escapes main."""
+    doc = {"p_values": ps, "q_values": qs, "theta_values": thetas, "f": f,
+           "grid": {"Nphi": 8, "Npsi": 16}, "solver": {"max_newton": max_newton}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp) / "sweep.json", doc)
+        assert main(["sweep", "--config", path, "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
 
 
 class TestPlotdata:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -185,7 +186,48 @@ class TestEmbedding:
             embed_body(geom_pi3, ScalarField(geom_pi3, np.full(geom_pi3.shape, 0.0) - 1.0))
 
 
+def csv_writer_reference(s, path, header_comment=None):
+    """field_to_csv as one csv.writer row per cell: the text it must reproduce."""
+    g = s.geometry
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "phi", "psi", "value"])
+        for i in range(g.Nphi):
+            for j in range(g.Npsi):
+                writer.writerow([i + 1, j, f"{g.phi_nodes[i]:.17g}",
+                                 f"{g.psi_nodes[j]:.17g}", f"{s.values[i, j]:.17g}"])
+
+
+def special_field(Nphi, Npsi):
+    """A field with tiny, round, signed-zero and random values."""
+    g = build_grid(math.pi / 3, Nphi, Npsi)
+    vals = np.random.default_rng(Nphi).uniform(-2.0, 2.0, g.shape)
+    vals[0, :4] = [1e-300, 1.0, -0.0, 1e300]
+    vals[-1, -1] = -1.0 / 3.0
+    return ScalarField(g, vals)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("header", [None, 'config={"theta": 1.0}'])
+    @pytest.mark.parametrize("Nphi, Npsi", [(8, 16), (16, 32)])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, Nphi, Npsi, header):
+        s = special_field(Nphi, Npsi)
+        s.values[2, 3] = math.nan  # the writer formats what it is given
+        field_to_csv(s, tmp_path / "fast.csv", header)
+        csv_writer_reference(s, tmp_path / "ref.csv", header)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("Nphi, Npsi", [(8, 16), (16, 32)])
+    def test_csv_round_trip_is_exact(self, tmp_path, Nphi, Npsi):
+        s = special_field(Nphi, Npsi)
+        field_to_csv(s, tmp_path / "field.csv", "round trip")
+        back = field_from_csv(tmp_path / "field.csv", s.geometry.theta)
+        assert back.geometry.shape == s.geometry.shape
+        assert np.array_equal(back.values, s.values)
+        assert np.signbit(back.values[0, 2])
+
     def test_csv_round_trip(self, geom_pi3, tmp_path):
         s = robin_bump(geom_pi3)
         path = tmp_path / "field.csv"

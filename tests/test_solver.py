@@ -436,6 +436,27 @@ class TestStepControl:
         assert not _within_floor(np.array([0.0, math.nan, 0.0]), zero, 1e-10, parts)
 
 
+def sympy_bump_density(geom, p, q, eps, k):
+    """The ell-bump density derived symbolically: the reference for the closed form."""
+    sy = pytest.importorskip("sympy")
+    phi, psi = sy.symbols("phi psi")
+    th = geom.theta
+    s2 = sy.sin(phi) ** 2
+    rho = s2 * (2 - s2 / sy.sin(th) ** 2)
+    ell = 1 - sy.cos(th) * sy.cos(phi)
+    h = ell * (1 + eps * sy.cos(k * psi) * rho)
+    h_phi = sy.diff(h, phi)
+    h_psi = sy.diff(h, psi)
+    b11 = sy.diff(h, phi, 2) + h
+    b12 = sy.diff(h_phi, psi) / sy.sin(phi) - sy.cos(phi) / sy.sin(phi) ** 2 * h_psi
+    b22 = sy.diff(h, psi, 2) / sy.sin(phi) ** 2 + sy.cos(phi) / sy.sin(phi) * h_phi + h
+    w = h**2 + h_phi**2 + h_psi**2 / sy.sin(phi) ** 2
+    f = (b11 * b22 - b12**2) / (h ** (p - 1) * w ** ((3 - q) / 2))
+    fn = sy.lambdify((phi, psi), f, modules="numpy")
+    vals = fn(geom.phi_nodes[:, None], geom.psi_nodes[None, :])
+    return np.broadcast_to(np.asarray(vals, dtype=float), geom.shape)
+
+
 class TestManufactured:
     def test_density_of_ell_is_base_density(self, geom_pi3):
         g = geom_pi3
@@ -450,6 +471,15 @@ class TestManufactured:
         fd = manufactured_f(g, h, 2.0, 1.5)
         fx = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05, k=2)
         assert np.max(np.abs(fd.values - fx.values)) < 100.0 * g.grid_eps()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("theta, Nphi, Npsi",
+                             [(math.pi / 3, 128, 256), (1.3, 16, 32), (0.5, 32, 64)])
+    def test_exact_bump_density_matches_symbolic(self, theta, Nphi, Npsi, k):
+        g = build_grid(theta, Nphi, Npsi)
+        ref = sympy_bump_density(g, 2.0, 1.5, 0.05, k)
+        fx = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05, k=k)
+        assert np.max(np.abs(fx.values - ref) / np.abs(ref)) <= 1e-13
 
     def test_recovery_is_second_order(self):
         theta = math.pi / 3
