@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from numbers import Real
 
 import numpy as np
 
@@ -189,14 +190,13 @@ def cmd_monitors(args) -> int:
         "max": float(np.max(qfield.values)),
         "argmax": list(qloc),
     }
+    ok = payload["noncollapse"].get("pass", True)
     if spec.p != spec.q:
         lo, hi, det = c0_bound_check(geom, h, spec)
         payload["c0_bound"] = {"lower_pass": lo, "upper_pass": hi, **det}
+        ok = ok and lo and hi
     os.makedirs(args.out, exist_ok=True)
     write_json_report(os.path.join(args.out, "monitors.json"), payload, config)
-    ok = payload.get("noncollapse", {}).get("pass", True)
-    if spec.p != spec.q:
-        ok = ok and payload["c0_bound"]["lower_pass"] and payload["c0_bound"]["upper_pass"]
     return EXIT_OK if ok else EXIT_NONCONVERGED
 
 
@@ -241,18 +241,30 @@ def _sweep_entry(task):
     return row, False
 
 
+def _sweep_values(doc, key) -> list[float]:
+    """doc[key] as floats: it must be a JSON list of finite real numbers.
+
+    A string or a bool is refused, not read character by character or as 0/1.
+    """
+    if key not in doc:
+        raise ConfigError(f"sweep config missing {key!r}")
+    values = doc[key]
+    if isinstance(values, list) and all(
+            isinstance(v, Real) and not isinstance(v, bool) for v in values):
+        try:
+            floats = [float(v) for v in values]
+        except OverflowError:  # an integer literal beyond the double range
+            floats = [math.inf]
+        if all(math.isfinite(v) for v in floats):
+            return floats
+    raise ConfigError(f"{key} must be a list of finite numbers, got {values!r}")
+
+
 def cmd_sweep(args) -> int:
     if args.config is None:
         raise ConfigError("--config is required for sweep")
     doc = read_config(args.config)
-    try:
-        ps = [float(v) for v in doc["p_values"]]
-        qs = [float(v) for v in doc["q_values"]]
-        thetas = [float(v) for v in doc["theta_values"]]
-    except KeyError as exc:
-        raise ConfigError(f"sweep config missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep values must be lists of numbers: {exc}") from exc
+    ps, qs, thetas = (_sweep_values(doc, k) for k in ("p_values", "q_values", "theta_values"))
     fcfg = doc.get("f", {"kind": "constant"})
     Nphi, Npsi = _parse_grid(args.grid) if args.grid else grid_size(
         doc.get("grid", {}), (24, 48))

@@ -8,9 +8,13 @@ cell centers ``phi_i = (i - 1/2) * theta / Nphi``, ``psi_j = j * 2*pi / Npsi``.
 The pole is excluded from the grid; values at the ghost row across the pole are
 obtained from the antipodal azimuth, ``g(-dphi/2, psi) = g(dphi/2, psi + pi)``,
 which is exact for functions smooth on the sphere.  The ghost row beyond
-``phi = theta`` enforces either the Robin condition ``h_phi = cot(theta) * h``
-or a homogeneous Neumann condition, collocated at ``phi = theta`` with a cubic
-one-sided stencil so the boundary row keeps second-order accuracy.
+``phi = theta`` enforces the homogeneous Neumann condition, collocated at
+``phi = theta`` with a cubic one-sided stencil so the boundary row keeps
+second-order accuracy.  A support function h is differentiated only through
+its quotient ``u = h / ell``: since ``ell'/ell = cot(theta)`` at the boundary,
+the Neumann condition on u is the Robin condition ``h_phi = cot(theta) * h``,
+so ``b = hess(h) + h I`` and ``grad h`` are those of ``h = ell * u`` on the
+Neumann-padded u (:func:`_u_frame`).
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, UsageError
 
-# cubic one-sided weights at offsets (-5/2, -3/2, -1/2, +1/2) * dphi from theta
-_W_VALUE = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
+# cubic one-sided derivative weights at offsets (-5/2, -3/2, -1/2, +1/2) * dphi
+# from theta, and the top ghost (on rows Nphi-3, Nphi-2, Nphi-1) they zero
 _W_DERIV = np.array([1.0, -3.0, -21.0, 23.0]) / 24.0
+_NEUMANN_GHOST = -_W_DERIV[:3] / _W_DERIV[3]
 # quadratic one-sided weights at offsets (-5/2, -3/2, -1/2) * dphi from theta
 _W3_VALUE = np.array([3.0, -10.0, 15.0]) / 8.0
 _W3_DERIV = np.array([1.0, -3.0, 2.0])
@@ -159,31 +164,12 @@ def ell_grad_sq(geom: CapGeometry) -> np.ndarray:
     return np.repeat(vals[:, None], geom.Npsi, axis=1)
 
 
-def top_ghost_coeffs(geom: CapGeometry, bc: str) -> np.ndarray:
-    """Weights (on rows Nphi-3, Nphi-2, Nphi-1) defining the top ghost row.
-
-    The ghost value g satisfies the collocated boundary condition at
-    phi = theta using a cubic through the last three cells and the ghost:
-    ``p'(theta) = ct * p(theta)`` with ct = cot(theta) (Robin) or ct = 0
-    (Neumann).
-    """
-    if bc == "robin":
-        ct = geom.cot_theta
-    elif bc == "neumann":
-        ct = 0.0
-    else:
-        raise ConfigError(f"unknown boundary kind {bc!r}")
-    d = geom.dphi
-    denom = _W_DERIV[3] / d - ct * _W_VALUE[3]
-    return (ct * _W_VALUE[:3] - _W_DERIV[:3] / d) / denom
-
-
-def extend(geom: CapGeometry, values: np.ndarray, bc: str) -> np.ndarray:
-    """Pad a field with the pole ghost row and the top (Robin/Neumann) ghost."""
+def extend(geom: CapGeometry, values: np.ndarray) -> np.ndarray:
+    """Pad a field with the pole ghost row and the top (Neumann) ghost."""
     ext = np.empty((geom.Nphi + 2, geom.Npsi))
     ext[1:-1] = values
     ext[0] = np.roll(values[0], geom.Npsi // 2)
-    a = top_ghost_coeffs(geom, bc)
+    a = _NEUMANN_GHOST
     ext[-1] = a[0] * values[-3] + a[1] * values[-2] + a[2] * values[-1]
     return ext
 
@@ -256,9 +242,17 @@ def _frame(geom: CapGeometry, ext: np.ndarray):
     return b11, b12, b22, h_phi, h_psi / sin
 
 
-def hessian_frame(geom: CapGeometry, values: np.ndarray, bc: str):
-    """Frame components (b11, b12, b22, g1, g2) of a field with ``bc`` ghosts."""
-    return _frame(geom, extend(geom, values, bc))
+def _u_frame(geom: CapGeometry, u: np.ndarray):
+    """(b11, b12, b22, g1, g2, h) of h = ell * u, shaped like u.
+
+    u holds the Nphi x Npsi cell values, as a grid or flattened; h and its
+    ghosts are ell times the Neumann-padded u (see :func:`extend`).  This is
+    the one discretization of ``b = hess(h) + h I`` and ``grad h``; the sparse
+    operators of :func:`capmink.operators.u_system` match it up to rounding.
+    """
+    shape = np.shape(u)
+    ext = _ell_ext_rows(geom)[:, None] * extend(geom, np.reshape(u, geom.shape))
+    return tuple(a.reshape(shape) for a in (*_frame(geom, ext), ext[1:-1]))
 
 
 def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
@@ -268,10 +262,10 @@ def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
 
 
 def curvature_tensor(geom: CapGeometry, h: ScalarField) -> CurvatureData:
-    """Second-order discretization of ``b = hess(h) + h I`` (Robin ghosts)."""
+    """Second-order discretization of ``b = hess(h) + h I``, through u = h / ell."""
     if np.any(h.values <= 0.0):
         raise DomainError("support function must be positive")
-    b11, b12, b22, _, _ = hessian_frame(geom, h.values, "robin")
+    b11, b12, b22, _, _, _ = _u_frame(geom, h.values / ell_field(geom).values)
     det_b = b11 * b22 - b12**2
     lam_min, lam_max = eigen_range(b11, b12, b22)
     return CurvatureData(b11, b12, b22, det_b, b11 + b22, lam_min, lam_max)

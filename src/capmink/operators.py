@@ -1,7 +1,7 @@
 """Sparse matrix form of the frame stencil of :mod:`capmink.grid`.
 
-The Newton residual evaluates ``b = hess(h) + h I`` and the covariant
-gradient with one dense kernel, ``grid._frame``, over a ghost-padded field.
+Every ``b = hess(h) + h I`` and covariant gradient is evaluated by one dense
+kernel, ``grid._u_frame``, on the Neumann-padded quotient ``u = h / ell``.
 This module assembles the same stencil as linear maps on flattened fields, so
 the solver can build an exact Jacobian: an extension matrix inserts the ghost
 rows, and Kronecker products of the 1-D phi and psi difference weights apply
@@ -24,16 +24,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import CapGeometry, _ell_ext_rows, ell_field, top_ghost_coeffs
+from .grid import _NEUMANN_GHOST, CapGeometry, _ell_ext_rows, ell_field
 
 
-def _extension_matrix(geom: CapGeometry, bc: str) -> sp.csr_matrix:
+def _extension_matrix(geom: CapGeometry) -> sp.csr_matrix:
     """Map interior (N) -> extended (N + 2*Npsi) values, inserting ghost rows."""
     Nphi, Npsi, half = geom.Nphi, geom.Npsi, geom.Npsi // 2
     # pole ghost: value at (phi_1, psi + pi)
     antipode = sp.diags([1.0, 1.0], [half, -half], shape=(Npsi, Npsi))
     top = np.zeros((1, Nphi))
-    top[0, -3:] = top_ghost_coeffs(geom, bc)
+    top[0, -3:] = _NEUMANN_GHOST
     return sp.vstack(
         [
             sp.kron(sp.eye(1, Nphi), antipode),
@@ -92,7 +92,7 @@ def u_system(geom: CapGeometry) -> dict:
     key = "u_system"
     if key in geom._cache:
         return geom._cache[key]
-    E = _extension_matrix(geom, "neumann")
+    E = _extension_matrix(geom)
     base = (_row_diag(geom, _ell_ext_rows(geom)) @ E).tocsr()
     frame = _frame_operators(geom)
     ops = {k: (m @ base).tocsr() for k, m in frame.items()}

@@ -65,15 +65,11 @@ from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
-    _ell_ext_rows,
-    _frame,
+    _u_frame,
     bump_profile,
-    curvature_tensor,
     ell_field,
     eigen_range,
     evenness_defect,
-    extend,
-    hessian_frame,
     robin_residual,
 )
 from .operators import JACOBIAN_TERMS, _fold, _folded_terms, u_system
@@ -203,39 +199,15 @@ def _equation(fvals, p, q, frame, h):
 def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
     """Density for which u = 1 solves the discrete equation exactly.
 
-    This is the manufactured density of h = ell evaluated with the same
-    quotient-frame stencils as the Newton residual, so the homotopy base
-    point has an exactly representable solution; it equals the continuum
+    This is :func:`manufactured_f` of h = ell (whose quotient ell / ell is
+    exactly 1), so the homotopy base point has an exactly representable
+    solution; it equals the continuum
     ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2) up to O(grid^2).
     """
     key = ("base_density", p, q)
     if key not in geom._cache:
-        *frame, hvec = _u_frame(geom, np.ones(geom.size))
-        det, weight, _ = _equation(1.0, p, q, frame, hvec)
-        geom._cache[key] = (det / weight).reshape(geom.shape)
+        geom._cache[key] = manufactured_f(geom, ell_field(geom), p, q).values
     return geom._cache[key]
-
-
-def _residual_h_raw(geom: CapGeometry, fvals, p, q, h: ScalarField) -> ScalarField:
-    if np.any(h.values <= 0.0):
-        raise DomainError("h must be positive")
-    det, rhs, _ = _equation(fvals, p, q, hessian_frame(geom, h.values, "robin"), h.values)
-    return ScalarField(geom, det - rhs)
-
-
-def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarField:
-    """det(b) - f h^(p-1) (h^2 + |grad h|^2)^((3-q)/2), Robin ghosts."""
-    return _residual_h_raw(geom, spec.f.values, spec.p, spec.q, h)
-
-
-def _u_frame(geom: CapGeometry, uvec):
-    """Flattened (b11, b12, b22, g1, g2, h) of h = ell * u with Neumann ghosts.
-
-    Matches the sparse operators of :func:`capmink.operators.u_system` up to
-    rounding (see :func:`capmink.grid._frame`).
-    """
-    ext = _ell_ext_rows(geom)[:, None] * extend(geom, uvec.reshape(geom.shape), "neumann")
-    return tuple(a.ravel() for a in _frame(geom, ext)) + (ext[1:-1].ravel(),)
 
 
 def _residual_u_vec(geom: CapGeometry, fvals, p, q, uvec):
@@ -245,12 +217,28 @@ def _residual_u_vec(geom: CapGeometry, fvals, p, q, uvec):
     return det - rhs, (*frame, hvec, w, rhs)
 
 
+def _residual_field(geom: CapGeometry, fvals, p, q, u: np.ndarray) -> ScalarField:
+    """The residual of the quotient formulation at the grid values u > 0."""
+    if np.any(u <= 0.0):
+        raise DomainError("u = h / ell must be positive")
+    res, _ = _residual_u_vec(geom, fvals, p, q, u.ravel())
+    return ScalarField(geom, res.reshape(geom.shape))
+
+
 def residual_u(spec: ProblemSpec, geom: CapGeometry, u: ScalarField) -> ScalarField:
     """Residual in u = h/ell with the Neumann ghost at phi = theta."""
-    if np.any(u.values <= 0.0):
-        raise DomainError("u must be positive")
-    res, _ = _residual_u_vec(geom, spec.f.values, spec.p, spec.q, u.values.ravel())
-    return ScalarField(geom, res.reshape(geom.shape))
+    return _residual_field(geom, spec.f.values, spec.p, spec.q, u.values)
+
+
+def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarField:
+    """det(b) - f h^(p-1) (h^2 + |grad h|^2)^((3-q)/2), the solver's residual.
+
+    It is evaluated on u = h / ell, so it equals :func:`residual_u` of that u
+    up to the rounding of the quotient: the Neumann ghost of u imposes the
+    Robin condition of h.
+    """
+    return _residual_field(geom, spec.f.values, spec.p, spec.q,
+                           h.values / ell_field(geom).values)
 
 
 def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts,
@@ -315,11 +303,6 @@ def _bordered_direction(A, res, rhs, pin, fold) -> np.ndarray:
     if not np.all(np.isfinite(dx)):
         raise ApplicabilityError("Newton linear system is singular")
     return dx
-
-
-def _lambda_min_u(geom: CapGeometry, uvec) -> float:
-    b11, b12, b22, _, _, _ = _u_frame(geom, uvec)
-    return eigen_range(b11, b12, b22)[0]
 
 
 def _abs_ops(geom: CapGeometry) -> dict:
@@ -410,13 +393,13 @@ def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
         raise DomainError(f"h = m h_bar is not representable in double precision "
                           f"(log10 m = {log_m / math.log(10.0):.6g})")
     u, h = ScalarField(geom, u), ScalarField(geom, h)
-    cd = curvature_tensor(geom, h_bar)
+    lam_min, lam_max = eigen_range(*_u_frame(geom, u_bar)[:3])
     return SolveResult(
         h=h,
         u=u,
         residual_sup=residual_sup,
         robin_defect_sup=m * float(np.max(np.abs(robin_residual(geom, h_bar)))),
-        b_eigen_range=(m * cd.lambda_min, m * cd.lambda_max),
+        b_eigen_range=(m * lam_min, m * lam_max),
         newton_trace=trace,
         converged=converged,
         s_reached=s_reached,
@@ -570,7 +553,8 @@ def continuation_solve(
         if prev is not None:
             pred = x + (s_next - s) / prev[1] * (x - prev[0])
             u_pred = pred[:-1]
-            if np.all(u_pred > 0.0) and _lambda_min_u(geom, u_pred) >= cfg.convexity_floor:
+            if (np.all(u_pred > 0.0)
+                    and eigen_range(*_u_frame(geom, u_pred)[:3])[0] >= cfg.convexity_floor):
                 start = pred
         target = s_next == 1.0
         step = newton_solve(spec if target else scaled, geom, s_next,
@@ -597,7 +581,14 @@ def continuation_solve(
 def manufactured_f(
     geom: CapGeometry, h_star: ScalarField, p: float, q: float
 ) -> ScalarField:
-    """Density making h_star an (exactly discrete) solution of the equation."""
+    """Density making h_star an exactly discrete solution of the equation.
+
+    The density is det b / (h^(p-1) w^((3-q)/2)) on the quotient frame of
+    u = h_star / ell, the discretization :func:`continuation_solve` solves,
+    so h_star is recovered to rounding.  The one-sided Robin defect of h_star
+    is measured first: a field that violates the boundary condition by more
+    than O(grid^2) is refused.
+    """
     if np.any(h_star.values <= 0.0):
         raise DomainError("h_star must be positive")
     rob = float(np.max(np.abs(robin_residual(geom, h_star))))
@@ -606,10 +597,10 @@ def manufactured_f(
         raise ApplicabilityError(
             f"h_star violates the Robin condition (defect {rob:.3g})"
         )
-    frame = hessian_frame(geom, h_star.values, "robin")
+    *frame, h = _u_frame(geom, h_star.values / ell_field(geom).values)
     if eigen_range(*frame[:3])[0] <= 0.0:
         raise ApplicabilityError("h_star is not strictly convex")
-    det, weight, _ = _equation(1.0, p, q, frame, h_star.values)
+    det, weight, _ = _equation(1.0, p, q, frame, h)
     return ScalarField(geom, det / weight)
 
 
@@ -734,8 +725,8 @@ def pq_limit_solve(
 
 def pq_residual(geom: CapGeometry, f: ScalarField, p: float,
                 h: ScalarField, C: float) -> ScalarField:
-    """Residual of det b = C f h^(p-1) (h^2 + |grad h|^2)^((3-p)/2)."""
-    return _residual_h_raw(geom, C * f.values, p, p, h)
+    """Residual of det b = C f h^(p-1) (h^2 + |grad h|^2)^((3-p)/2), as residual_h."""
+    return _residual_field(geom, C * f.values, p, p, h.values / ell_field(geom).values)
 
 
 # ---------------------------------------------------------------------------

@@ -339,13 +339,31 @@ class TestSweep:
         cfg = write_config(tmp_path / "sweep.json", {"p_values": [2.0]})
         assert main(["sweep", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("values", ["12", [True], [1.5, False], [1.5, "2.0"],
+                                        [1.5, None], [[1.5]], [math.nan], [math.inf],
+                                        10**400, {"p": 1.5}, 1.5],
+                             ids=["string", "true", "false", "string_item", "null_item",
+                                  "nested", "nan", "inf", "huge_int", "object", "scalar"])
+    @pytest.mark.parametrize("key", ["p_values", "q_values", "theta_values"])
+    def test_sweep_values_must_be_lists_of_finite_numbers(self, tmp_path, monkeypatch,
+                                                          key, values):
+        """A malformed value list exits 3 before any cell runs."""
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_entry", lambda task: cells.append(task))
+        doc = {"p_values": [2.5], "q_values": [1.5], "theta_values": [1.0],
+               "grid": {"Nphi": 8, "Npsi": 16}, key: values}
+        path = write_config(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert cells == []
+        assert not (tmp_path / "o").exists()
+
 
 # sweep-config pieces: mostly plausible values, mixed with every JSON kind
 _number = st.floats(1.05, 1.6)
 _value = st.one_of(_number, st.sampled_from(
     [math.nan, math.inf, -math.inf, -1.0, 0.0, "2.0", "abc", None, True, [], {}]))
 _values = st.one_of(st.lists(_number, min_size=1, max_size=2), st.lists(_value, max_size=2),
-                    st.sampled_from([None, 1.5, "1.5", {"p": 2.0}]))
+                    st.sampled_from([None, 1.5, "1.5", "12", [True], {"p": 2.0}]))
 _density = st.one_of(
     st.fixed_dictionaries({"kind": st.just("ell_power"), "alpha": st.floats(-1.0, 0.0)}),
     st.fixed_dictionaries({"kind": st.sampled_from(["constant", "ell_power"])},
@@ -365,6 +383,28 @@ def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, max_n
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp) / "sweep.json", doc)
         assert main(["sweep", "--config", path, "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+
+
+# solve and monitors configs: a plausible problem with up to two keys overwritten
+# by any JSON kind
+_problem = st.fixed_dictionaries(
+    {"theta": st.floats(0.3, 1.5), "p": st.floats(1.05, 3.0), "q": st.floats(1.05, 3.0),
+     "even": st.just(True), "gamma": st.floats(0.1, 1.9),
+     "f": st.fixed_dictionaries({"kind": st.just("ell_power"), "alpha": st.floats(-1.0, 0.0)}),
+     "grid": st.just({"Nphi": 8, "Npsi": 16}),
+     "solver": st.fixed_dictionaries({"max_newton": st.integers(1, 5)})})
+_overwrite = st.dictionaries(
+    st.sampled_from(["theta", "p", "q", "even", "gamma", "f", "allow_unsupported"]),
+    st.one_of(_value, _density), max_size=2)
+
+
+@pytest.mark.parametrize("command", ["solve", "monitors"])
+@given(doc=_problem, overwrite=_overwrite)
+def test_problem_config_fuzz_exits_with_a_documented_code(command, doc, overwrite):
+    """Any solve or monitors config ends in exit 0, 2 or 3; nothing escapes main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp) / "problem.json", {**doc, **overwrite})
+        assert main([command, "--config", path, "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
 
 
 class TestPlotdata:

@@ -21,13 +21,12 @@ from capmink import (
     symmetrize_even,
 )
 from capmink.grid import (
+    _W_DERIV,
     boundary_values,
     bump_profile,
     extend,
     field_from_csv,
     field_to_csv,
-    hessian_frame,
-    top_ghost_coeffs,
 )
 
 from conftest import robin_bump
@@ -96,7 +95,7 @@ class TestOperators:
 
     def test_constant_is_neumann_exact(self, geom_pi3):
         one = np.ones(geom_pi3.shape)
-        ext = extend(geom_pi3, one, "neumann")
+        ext = extend(geom_pi3, one)
         assert np.max(np.abs(ext - 1.0)) < 1e-14
 
     def test_hessian_second_order(self):
@@ -105,32 +104,24 @@ class TestOperators:
         sups = []
         for N in (16, 32, 64):
             g = build_grid(theta, N, 2 * N)
-            b11, b12, b22, _, _ = hessian_frame(g, ell_field(g).values, "robin")
+            cd = curvature_tensor(g, ell_field(g))
             sups.append(
                 max(
-                    np.max(np.abs(b11 - 1.0)),
-                    np.max(np.abs(b22 - 1.0)),
-                    np.max(np.abs(b12)),
+                    np.max(np.abs(cd.b11 - 1.0)),
+                    np.max(np.abs(cd.b22 - 1.0)),
+                    np.max(np.abs(cd.b12)),
                 )
             )
         assert sups[0] / sups[1] > 3.0
         assert sups[1] / sups[2] > 3.0
 
-    def test_top_ghost_enforces_robin(self, geom_pi3):
+    def test_top_ghost_enforces_neumann(self, geom_pi3):
         g = geom_pi3
-        h = robin_bump(g)
-        ext = extend(g, h.values, "robin")
-        # cubic through the four values collocated at phi = theta
-        from capmink.grid import _W_DERIV, _W_VALUE
-
-        stack = np.stack([ext[-4], ext[-3], ext[-2], ext[-1]])
-        val = np.einsum("i,ij->j", _W_VALUE, stack)
-        der = np.einsum("i,ij->j", _W_DERIV, stack) / g.dphi
-        assert np.max(np.abs(der - g.cot_theta * val)) < 1e-12
-
-    def test_top_ghost_unknown_bc(self, geom_pi3):
-        with pytest.raises(ConfigError):
-            top_ghost_coeffs(geom_pi3, "dirichlet")
+        v = np.random.default_rng(2).uniform(0.5, 1.5, g.shape)
+        ext = extend(g, v)
+        # the cubic through the last three rows and the ghost is flat at phi = theta
+        der = np.einsum("i,ij->j", _W_DERIV, ext[-4:])
+        assert np.max(np.abs(der)) <= 8.0 * np.finfo(float).eps
 
     def test_boundary_values_exact_on_quadratic(self, geom_pi3):
         g = geom_pi3

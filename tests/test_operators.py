@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from capmink import build_grid
-from capmink.grid import extend
+from capmink.grid import _u_frame, extend
 from capmink.operators import _extension_matrix, u_system
-from capmink.solver import _u_frame
 
 
 @pytest.mark.parametrize("Nphi,Npsi", [(8, 16), (16, 32)])
@@ -24,8 +23,7 @@ def test_u_system_matches_dense_kernel(Nphi, Npsi):
         assert np.all(np.abs(ops[k] @ u - d) <= bound), k
 
 
-@pytest.mark.parametrize("bc", ["neumann", "robin"])
-def test_extension_matrix_matches_extend(bc):
+def test_extension_matrix_matches_extend():
     g = build_grid(math.pi / 3, 8, 16)
     v = np.random.default_rng(1).standard_normal(g.shape)
-    assert np.array_equal(_extension_matrix(g, bc) @ v.ravel(), extend(g, v, bc).ravel())
+    assert np.array_equal(_extension_matrix(g) @ v.ravel(), extend(g, v).ravel())

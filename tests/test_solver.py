@@ -32,9 +32,11 @@ from capmink import (
 from capmink.grid import bump_profile, evenness_defect, symmetrize_even
 from capmink.operators import _fold, u_system
 from capmink.solver import (
+    _base_density,
     _bordered_direction,
     _jacobian,
     _lu_factor,
+    _residual_floor,
     _residual_u_vec,
     _within_floor,
 )
@@ -115,6 +117,7 @@ class TestResiduals:
         assert np.max(np.abs(res.values)) < 20.0 * g.grid_eps()
 
     def test_u_and_h_residuals_agree_at_truncation(self, geom_pi3):
+        """residual_h(ell u) is residual_u(u) up to the rounding of h / ell."""
         g = geom_pi3
         p, q = 2.0, 1.5
         f = ell_power_density(g, alpha=1.0 - p, beta=(q - 3.0) / 2.0)
@@ -123,7 +126,9 @@ class TestResiduals:
         h = ScalarField(g, ell_field(g).values * u.values)
         ru = residual_u(spec, g, u)
         rh = residual_h(spec, g, h)
-        assert np.max(np.abs(ru.values - rh.values)) < 50.0 * g.grid_eps()
+        _, parts = _residual_u_vec(g, f.values, p, q, u.values.ravel())
+        floor = _residual_floor(g, u.values.ravel(), parts).reshape(g.shape)
+        assert np.all(np.abs(ru.values - rh.values) <= floor)
 
     def test_u_one_is_exact_base_solution(self, geom_pi3):
         """At s = 0 the homotopy base density makes u = 1 exact: 0 iterations."""
@@ -299,12 +304,19 @@ class TestFoldedJacobian:
         assert bordered_gap(g, f, 2.0, 1.5, uvec, "rot") <= 1e-10
 
 
-def _even_problem(g, scale=1.0, roll=0, reflect=False):
-    """p > q data, even in psi but not invariant under a one-cell roll or psi -> -psi."""
+def _even_problem(g, scale=1.0, roll=0, reflect=False, harmonics=(1.0, 0.5, 0.0, 0.0)):
+    """p > q data, even in psi but not invariant under a one-cell roll or psi -> -psi.
+
+    The psi profile is a2 cos(2 psi) + b2 sin(2 psi) + a4 cos(4 psi) + b4 sin(4 psi)
+    with (a2, b2, a4, b4) = ``harmonics``.
+    """
     phi = g.phi_nodes[:, None]
     psi = g.psi_nodes[None, :]
+    a2, b2, a4, b4 = harmonics
+    profile = (a2 * np.cos(2 * psi) + b2 * np.sin(2 * psi)
+               + a4 * np.cos(4 * psi) + b4 * np.sin(4 * psi))
     vals = scale * ell_power_density(g, alpha=-1.2).values * (
-        1.0 + 0.1 * bump_profile(phi, g.theta) * (np.cos(2 * psi) + 0.5 * np.sin(2 * psi)))
+        1.0 + 0.1 * bump_profile(phi, g.theta) * profile)
     if reflect:  # psi_j -> psi_{-j}
         vals = np.roll(vals[:, ::-1], 1, axis=1)
     vals = np.roll(vals, roll, axis=1)
@@ -330,6 +342,10 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+# (a2, b2, a4, b4) of random even psi profiles; |0.1 profile| <= 0.4 keeps f > 0
+_harmonics = st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+
+
 class TestMetamorphic:
     """Exact discrete symmetries of the equation commute with solving."""
 
@@ -344,6 +360,20 @@ class TestMetamorphic:
         g = build_grid(math.pi / 3, 16, 32)
         base = _solved_h(_even_problem(g), g)
         reflected = _solved_h(_even_problem(g, reflect=True), g)
+        assert _rel_gap(reflected, np.roll(base[:, ::-1], 1, axis=1)) <= 1e-9
+
+    @given(harmonics=_harmonics, k=st.integers(1, 31))
+    def test_psi_roll_commutes_with_solving_on_random_even_data(self, harmonics, k):
+        g = build_grid(math.pi / 3, 16, 32)
+        base = _solved_h(_even_problem(g, harmonics=harmonics), g)
+        rolled = _solved_h(_even_problem(g, roll=k, harmonics=harmonics), g)
+        assert _rel_gap(rolled, np.roll(base, k, axis=1)) <= 1e-9
+
+    @given(harmonics=_harmonics)
+    def test_reflection_commutes_with_solving_on_random_even_data(self, harmonics):
+        g = build_grid(math.pi / 3, 16, 32)
+        base = _solved_h(_even_problem(g, harmonics=harmonics), g)
+        reflected = _solved_h(_even_problem(g, reflect=True, harmonics=harmonics), g)
         assert _rel_gap(reflected, np.roll(base[:, ::-1], 1, axis=1)) <= 1e-9
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
@@ -464,6 +494,16 @@ class TestManufactured:
         f = manufactured_f(g, ell_field(g), p, q)
         base = ell_power_density(g, alpha=1.0 - p, beta=(q - 3.0) / 2.0)
         assert np.max(np.abs(f.values - base.values)) < 30.0 * g.grid_eps()
+        assert np.array_equal(f.values, _base_density(g, p, q))
+
+    def test_manufactured_solution_is_recovered_to_rounding(self):
+        """The density of h* has h* as its discrete solution, boundary row included."""
+        g = build_grid(math.pi / 3, 16, 32)
+        hstar = robin_bump(g, eps=0.1)
+        f = manufactured_f(g, hstar, 2.0, 1.5)
+        result = continuation_solve(ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=f, even=True), g)
+        assert result.converged
+        assert _rel_gap(result.h.values, hstar.values) <= 1e-12
 
     def test_exact_bump_density_matches_discrete(self):
         g = build_grid(math.pi / 3, 64, 128)
