@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: solve, sandwich, monitors, sweep, selftest, plotdata.
-Exit codes: 0 success, 2 nonconvergence / failed check, 3 invalid config.
+Exit codes: 0 success, 2 nonconvergence / failed check, 3 invalid config/usage.
 Outputs are deterministic for identical configs and seeds.
 """
 
@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from numbers import Real
 
 import numpy as np
 
@@ -24,13 +23,14 @@ from .errors import CapminkError, ConfigError, UsageError
 from .grid import (
     ScalarField,
     build_grid,
+    bump_profile,
     curvature_tensor,
     ell_field,
     embed_body,
     field_from_csv,
     field_to_csv,
 )
-from .ellipsoid import cap_from_RH, make_cap
+from .ellipsoid import cap_from_RH, cap_support, make_cap
 from .john import john_construct, verify_sandwich
 from .monitors import (
     c0_bound_check,
@@ -40,6 +40,9 @@ from .monitors import (
     q_monitor,
 )
 from .problem_io import (
+    _flag,
+    _number,
+    _numbers,
     density_from_config,
     grid_size,
     load_problem,
@@ -57,20 +60,18 @@ EXIT_NONCONVERGED = 2
 EXIT_CONFIG = 3
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _grid_arg(text: str) -> tuple[int, int]:
+    """The --grid value NxM as (Nphi, Npsi)."""
     try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
-    except ValueError as exc:
-        raise ConfigError(f"--grid expects NxM, got {text!r}") from exc
+        Nphi, Npsi = text.lower().split("x")
+        return int(Nphi), int(Npsi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects NxM, got {text!r}") from None
 
 
 def _load(args):
-    if args.config is None:
-        raise ConfigError("--config is required for this command")
-    override = _parse_grid(args.grid) if args.grid else None
     doc = read_config(args.config)
-    return (doc, *load_problem(doc, override))
+    return (doc, *load_problem(doc, args.grid))
 
 
 def _solve(geom, spec, cfg):
@@ -107,8 +108,12 @@ def cmd_solve(args) -> int:
 def cmd_sandwich(args) -> int:
     doc, geom, spec, cfg = _load(args)
     config = resolved_config(doc, geom, cfg)
-    if doc.get("h_csv"):
-        h = field_from_csv(doc["h_csv"], geom.theta)
+    if "h_csv" in doc:
+        path = doc["h_csv"]
+        # open() would read an integer as a file descriptor, and close it
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"h_csv must be a non-empty path string, got {path!r}")
+        h = field_from_csv(path, geom.theta)
         geom = h.geometry
     else:
         result, _ = _solve(geom, spec, cfg)
@@ -122,27 +127,16 @@ def cmd_sandwich(args) -> int:
     write_json_report(
         os.path.join(args.out, "sandwich.json"), report.to_json_dict(), config
     )
-    from .ellipsoid import cap_support
-
     ratio = ScalarField(geom, h.values / cap_support(geom, cap).values)
     field_to_csv(ratio, os.path.join(args.out, "sandwich_ratio.csv"))
     return EXIT_OK if report.passed else EXIT_NONCONVERGED
 
 
-def _gamma(doc) -> float:
-    """The monitors' exponent gamma: a finite number in (0, 2), default 1."""
-    try:
-        gamma = float(doc.get("gamma", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gamma must be a number: {exc}") from exc
-    if not 0.0 < gamma < 2.0:
-        raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
-    return gamma
-
-
 def cmd_monitors(args) -> int:
     doc, geom, spec, cfg = _load(args)
-    gamma = _gamma(doc)
+    gamma = _number(doc, "gamma", 1.0)
+    if not 0.0 < gamma < 2.0:  # checked before the solve, not after it
+        raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
     config = resolved_config(doc, geom, cfg)
     result, _ = _solve(geom, spec, cfg)
     if not result.converged:
@@ -216,16 +210,19 @@ def _sweep_grid(theta: float, Nphi: int, Npsi: int):
 def _sweep_entry(task):
     """One sweep cell (runs in a worker): (plain row dict, config error flag).
 
-    Every error is written to the row; the flag marks a cell whose own
-    configuration is invalid, which makes the sweep exit with EXIT_CONFIG.
+    Every error is written to the row; the flag marks a cell whose problem
+    could not be built from its configuration, which makes the sweep exit
+    with EXIT_CONFIG.
     """
     (p, q, theta, fcfg, Nphi, Npsi, cfg) = task
     row = {"p": p, "q": q, "theta": theta, "converged": 0,
            "ratio": "", "lambda_min": "", "sigma1_max": "", "error": ""}
+    config_error = True
     try:
         geom = _sweep_grid(theta, Nphi, Npsi)
         f = density_from_config(geom, fcfg, p, q)
         spec = ProblemSpec(p=p, q=q, theta=theta, f=f, even=True)
+        config_error = False
         result, _ = _solve(geom, spec, cfg)
         h = result.h
         cd = curvature_tensor(geom, h)
@@ -237,48 +234,32 @@ def _sweep_entry(task):
         )
     except CapminkError as exc:
         row["error"] = str(exc)
-        return row, isinstance(exc, ConfigError)
+        return row, config_error
     return row, False
 
 
-def _sweep_values(doc, key) -> list[float]:
-    """doc[key] as floats: it must be a JSON list of finite real numbers.
-
-    A string or a bool is refused, not read character by character or as 0/1.
-    """
-    if key not in doc:
-        raise ConfigError(f"sweep config missing {key!r}")
-    values = doc[key]
-    if isinstance(values, list) and all(
-            isinstance(v, Real) and not isinstance(v, bool) for v in values):
-        try:
-            floats = [float(v) for v in values]
-        except OverflowError:  # an integer literal beyond the double range
-            floats = [math.inf]
-        if all(math.isfinite(v) for v in floats):
-            return floats
-    raise ConfigError(f"{key} must be a list of finite numbers, got {values!r}")
-
-
 def cmd_sweep(args) -> int:
-    if args.config is None:
-        raise ConfigError("--config is required for sweep")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     doc = read_config(args.config)
-    ps, qs, thetas = (_sweep_values(doc, k) for k in ("p_values", "q_values", "theta_values"))
+    ps, qs, thetas = (_numbers(doc, k) for k in ("p_values", "q_values", "theta_values"))
+    if not _flag(doc, "even", True) or _flag(doc, "allow_unsupported"):  # as _sweep_entry
+        raise ConfigError("sweep takes only even: true, allow_unsupported: false")
     fcfg = doc.get("f", {"kind": "constant"})
-    Nphi, Npsi = _parse_grid(args.grid) if args.grid else grid_size(
-        doc.get("grid", {}), (24, 48))
+    Nphi, Npsi = args.grid or grid_size(doc.get("grid", {}), (24, 48))
     cfg = solver_config(doc.get("solver", {}))
     tasks = [
         (p, q, th, fcfg, Nphi, Npsi, cfg)
         for p, q, th in itertools.product(ps, qs, thetas)
     ]
+    # the pool forks all of its workers up front: no more than there are cells
+    workers = min(args.jobs, len(tasks))
     _sweep_grid.cache_clear()
     try:
-        if args.jobs > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 cells = list(pool.map(_sweep_entry, tasks))
         else:
             cells = [_sweep_entry(t) for t in tasks]
@@ -307,7 +288,7 @@ def cmd_sweep(args) -> int:
 def cmd_selftest(args) -> int:
     """Identity, round-trip, and boundary suites on a small grid."""
     t0 = time.time()
-    Nphi, Npsi = _parse_grid(args.grid) if args.grid else (32, 64)
+    Nphi, Npsi = args.grid or (32, 64)
     rng = np.random.default_rng(args.seed)
     failures = []
 
@@ -338,8 +319,6 @@ def cmd_selftest(args) -> int:
     # boundary identity of the log-gradient monitor on Neumann fields
     for theta in (math.pi / 4, math.pi / 3):
         geom = build_grid(theta, Nphi, Npsi)
-        from .grid import bump_profile
-
         phi = geom.phi_nodes[:, None]
         psi = geom.psi_nodes[None, :]
         u = ScalarField(
@@ -368,16 +347,14 @@ def cmd_selftest(args) -> int:
 def cmd_plotdata(args) -> int:
     """Convert result artifacts into plot-ready long-format CSV tables."""
     src = args.artifacts
-    if src is None or not os.path.isdir(src):
+    if not os.path.isdir(src):
         raise ConfigError(f"artifact directory {src!r} does not exist")
     os.makedirs(args.out, exist_ok=True)
     wrote = []
     result_path = os.path.join(src, "result.json")
     solution_path = os.path.join(src, "solution.csv")
     if os.path.exists(result_path) and os.path.exists(solution_path):
-        with open(result_path) as fh:
-            doc = json.load(fh)
-        theta = float(doc["config"]["theta"])
+        theta = _number(read_config(result_path)["config"], "theta")
         h = field_from_csv(solution_path, theta)
         path = os.path.join(args.out, "h_profile.csv")
         with open(path, "w", newline="") as fh:
@@ -414,36 +391,48 @@ def cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 3 (EXIT_CONFIG), not 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+_FLAGS = {
+    "--config": dict(required=True, help="problem JSON file"),
+    "--out": dict(default="out", help="output directory"),
+    "--grid": dict(type=_grid_arg, help="grid override, NxM"),
+    "--jobs": dict(type=int, default=1, help="worker processes, at least 1"),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--artifacts": dict(required=True, help="directory with solve/sandwich artifacts"),
+}
+_PROBLEM_FLAGS = ("--config", "--out", "--grid")
+# each subcommand registers only the flags it reads
+_COMMANDS = (
+    ("solve", cmd_solve, "solve a problem file and write artifacts", _PROBLEM_FLAGS),
+    ("sandwich", cmd_sandwich, "solve and verify the John-type sandwich", _PROBLEM_FLAGS),
+    ("monitors", cmd_monitors, "solve and evaluate all estimate monitors", _PROBLEM_FLAGS),
+    ("sweep", cmd_sweep, "run a (p, q, theta) sweep to CSV", _PROBLEM_FLAGS + ("--jobs",)),
+    ("selftest", cmd_selftest, "run identity/round-trip/boundary suites", ("--grid", "--seed")),
+    ("plotdata", cmd_plotdata, "emit plot-ready tables from artifacts", ("--artifacts", "--out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capmink",
         description="Capillary L_p dual Minkowski problem: solver and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_ in (
-        ("solve", cmd_solve, "solve a problem file and write artifacts"),
-        ("sandwich", cmd_sandwich, "solve and verify the John-type sandwich"),
-        ("monitors", cmd_monitors, "solve and evaluate all estimate monitors"),
-        ("sweep", cmd_sweep, "run a (p, q, theta) sweep to CSV"),
-        ("selftest", cmd_selftest, "run identity/round-trip/boundary suites"),
-        ("plotdata", cmd_plotdata, "emit plot-ready tables from artifacts"),
-    ):
+    for name, fn, help_, flags in _COMMANDS:
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--config", default=None, help="problem JSON file")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--grid", default=None, help="grid override, NxM")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes")
-        if name == "plotdata":
-            sp.add_argument("--artifacts", default=None,
-                            help="directory with solve/sandwich artifacts")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, UsageError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,12 @@ A problem file is JSON:
     }
 
 Density kinds: "constant" (value), "ell_power" (c * ell^alpha *
-(ell^2+|grad ell|^2)^beta), "grid" (inline row-major values), and
-"manufactured" (density induced by a supplied h* table for the given p, q).
-Artifacts embed the fully resolved configuration as a provenance header.
+(ell^2+|grad ell|^2)^beta), "grid" (values: a flat row-major list of
+Nphi * Npsi numbers), and "manufactured" (density induced by an h_star table
+of the same form, for the given p, q).  Every number is read by ``_number``
+or ``_numbers``: it must be a finite JSON number, integral where an integer
+is needed; anything else is a ConfigError.  Artifacts embed the fully
+resolved configuration as a provenance header.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+import os
+import reprlib
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -44,101 +49,104 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
     if not isinstance(fcfg, dict) or "kind" not in fcfg:
         raise ConfigError("f must be an object with a 'kind' entry")
     kind = fcfg["kind"]
-    try:
-        if kind == "constant":
-            value = _finite(fcfg, "value", 1.0)
-            if value <= 0.0:
-                raise ConfigError("constant density must be positive")
-            return ScalarField(geom, np.full(geom.shape, value))
-        if kind == "ell_power":
-            c = _finite(fcfg, "c", 1.0)
-            alpha = _finite(fcfg, "alpha", 0.0)
-            beta = _finite(fcfg, "beta", 0.0)
-            if c <= 0.0:
-                raise ConfigError("ell_power coefficient c must be positive")
-            ell = ell_field(geom).values
-            vals = c * ell**alpha * (ell**2 + ell_grad_sq(geom)) ** beta
-            return ScalarField(geom, vals)
-        if kind == "grid":
-            vals = np.asarray(fcfg["values"], dtype=float).reshape(geom.shape)
-            if not np.all(np.isfinite(vals)):
-                raise ConfigError("grid density must be finite everywhere")
-            if np.any(vals <= 0.0):
-                raise ConfigError("grid density must be positive everywhere")
-            return ScalarField(geom, vals)
-        if kind == "manufactured":
-            hvals = np.asarray(fcfg["h_star"], dtype=float).reshape(geom.shape)
-            return manufactured_f(geom, ScalarField(geom, hvals), p, q)
-    except CapminkError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {kind!r} density: {exc}") from exc
+    if kind == "constant":
+        value = _number(fcfg, "value", 1.0)
+        if value <= 0.0:
+            raise ConfigError("constant density must be positive")
+        return ScalarField(geom, np.full(geom.shape, value))
+    if kind == "ell_power":
+        c = _number(fcfg, "c", 1.0)
+        alpha = _number(fcfg, "alpha", 0.0)
+        beta = _number(fcfg, "beta", 0.0)
+        if c <= 0.0:
+            raise ConfigError("ell_power coefficient c must be positive")
+        ell = ell_field(geom).values
+        vals = c * ell**alpha * (ell**2 + ell_grad_sq(geom)) ** beta
+        return ScalarField(geom, vals)
+    if kind == "grid":
+        vals = np.reshape(_numbers(fcfg, "values", geom.size), geom.shape)
+        if np.any(vals <= 0.0):
+            raise ConfigError("grid density must be positive everywhere")
+        return ScalarField(geom, vals)
+    if kind == "manufactured":
+        hvals = np.reshape(_numbers(fcfg, "h_star", geom.size), geom.shape)
+        return manufactured_f(geom, ScalarField(geom, hvals), p, q)
     raise ConfigError(f"unknown density kind {kind!r}; expected one of {_F_KINDS}")
-
-
-def _finite(fcfg: dict, key: str, default: float) -> float:
-    """The density parameter fcfg[key] as a finite float (1e400 parses to inf)."""
-    value = float(fcfg.get(key, default))
-    if not math.isfinite(value):
-        raise ConfigError(f"density parameter {key!r} must be finite, got {value}")
-    return value
 
 
 def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
     """Parse a problem document into (geom, ProblemSpec, SolverConfig)."""
-    try:
-        theta = float(doc["theta"])
-        p = float(doc["p"])
-        q = float(doc["q"])
-    except KeyError as exc:
-        raise ConfigError(f"problem file missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theta, p and q must be numbers: {exc}") from exc
+    theta, p, q = (_number(doc, key) for key in ("theta", "p", "q"))
     even = _flag(doc, "even")
     allow_unsupported = _flag(doc, "allow_unsupported")
     Nphi, Npsi = grid_override or grid_size(doc.get("grid", {}), (32, 64))
-    geom = build_grid(theta, Nphi, Npsi)
-    f = density_from_config(geom, doc.get("f", {"kind": "constant"}), p, q)
-    spec = ProblemSpec(
-        p=p,
-        q=q,
-        theta=theta,
-        f=f,
-        even=even,
-        allow_unsupported=allow_unsupported,
-    )
+    try:
+        geom = build_grid(theta, Nphi, Npsi)
+        f = density_from_config(geom, doc.get("f", {"kind": "constant"}), p, q)
+        spec = ProblemSpec(p=p, q=q, theta=theta, f=f, even=even,
+                           allow_unsupported=allow_unsupported)
+    except CapminkError as exc:  # theta outside (0, pi/2], a density that is not positive
+        raise ConfigError(str(exc)) from exc
     return geom, spec, solver_config(doc.get("solver", {}))
 
 
-def _flag(doc: dict, key: str) -> bool:
-    """The JSON boolean doc[key] (default false); a string such as "false" is refused."""
-    value = doc.get(key, False)
+def _flag(doc: dict, key: str, default: bool = False) -> bool:
+    """The JSON boolean doc[key]; a string such as "false" is refused."""
+    value = doc.get(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
 
 
+def _number(doc: dict, key: str, default=None, kind=float):
+    """The finite JSON number doc[key] as a kind (required when default is None)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected an object holding {key!r}, got {reprlib.repr(doc)}")
+    if key not in doc:
+        if default is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    return _as_number(doc[key], key, kind)
+
+
+def _as_number(value, name: str, kind=float):
+    """value as a kind if it is a finite JSON number; a bool, string, null, list,
+    object or (with kind=int) a fraction such as 8.9 is refused, never cast."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the double range
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ConfigError(f"{name} must be a finite {'integer' if kind is int else 'number'}, "
+                      f"got {reprlib.repr(value)}")
+
+
+def _numbers(doc: dict, key: str, size: int | None = None) -> list[float]:
+    """The required doc[key] as floats: a non-empty JSON list of finite numbers,
+    with exactly size entries when size is given; each entry is read by _as_number."""
+    values = doc.get(key)
+    if not isinstance(values, list) or not values or size not in (None, len(values)):
+        raise ConfigError(f"{key} must be a list of {size or 'one or more'} finite "
+                          f"numbers, got {reprlib.repr(values)}")
+    return [_as_number(value, f"{key}[{i}]") for i, value in enumerate(values)]
+
+
 def grid_size(gcfg, default: tuple[int, int]) -> tuple[int, int]:
     """(Nphi, Npsi) of a "grid" object, each falling back to its default."""
-    try:
-        return int(gcfg.get("Nphi", default[0])), int(gcfg.get("Npsi", default[1]))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid must be an object with integer Nphi, Npsi: {exc}") from exc
+    return _number(gcfg, "Nphi", default[0], int), _number(gcfg, "Npsi", default[1], int)
 
 
 def solver_config(scfg) -> SolverConfig:
-    """SolverConfig of a "solver" object; each value is cast to its field's type."""
+    """SolverConfig of a "solver" object; each value is read as its field's type."""
     if not isinstance(scfg, dict):
         raise ConfigError("solver must be an object")
-    defaults = SolverConfig()
-    unknown = set(scfg) - set(SolverConfig.__dataclass_fields__)
+    kinds = {f.name: type(f.default) for f in fields(SolverConfig)}
+    unknown = set(scfg) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown solver options {sorted(unknown)}")
-    try:
-        values = {k: type(getattr(defaults, k))(v) for k, v in scfg.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed solver option: {exc}") from exc
-    return SolverConfig(**values)
+    return SolverConfig(**{key: _number(scfg, key, kind=kinds[key]) for key in scfg})
 
 
 def read_config(path) -> dict:
@@ -187,8 +195,6 @@ def _write_json(path, doc: dict):
 
 def write_solve_artifacts(outdir, result: SolveResult, config: dict):
     """SolveResult JSON + solution CSV + Newton trace CSV under outdir."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     doc = result.to_json_dict()
     doc["config"] = config

@@ -40,7 +40,7 @@ iterate stays there exactly.
 The continuation is steered by the observed Newton contraction
 ``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
 (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).  After
-the exact ``s = 0`` solve it tries ``ds = ds_init`` (1.0: the whole path in
+the exact ``s = 0`` solve it tries ``ds = DS_INIT`` (1.0: the whole path in
 one step).  A trial step is given up as soon as ``Theta > 1/2`` or its line
 search wants a step below 1/4, and is retried at half the length; after an
 accepted step ``ds`` is scaled by ``sqrt(Theta_bar / Theta_max)``, with
@@ -113,18 +113,19 @@ class ProblemSpec:
             )
 
 
+MIN_STEP = 2.0**-20      # a line search gives up below this step length
+CONVEXITY_FLOOR = 1e-8   # smallest eigenvalue of b an iterate may have
+DS_INIT = 1.0            # first continuation step after s = 0: the whole path
+DS_MIN = 1e-4            # the continuation gives up below this step length
+
+
 @dataclass
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
-    min_step: float = 2.0**-20
-    convexity_floor: float = 1e-8
-    ds_init: float = 1.0
-    ds_min: float = 1e-4
 
     def __post_init__(self):
-        for name in ("newton_tol", "max_newton", "min_step", "convexity_floor",
-                     "ds_init", "ds_min"):
+        for name in ("newton_tol", "max_newton"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -425,16 +426,16 @@ def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
     the sup falls by ``1 - step/4`` or the floor test holds.  The largest
     contraction of successive directions goes to ``trace.contraction``; with
     ``trial`` the solve is given up once it exceeds THETA_REJECT or the step
-    falls below TRIAL_MIN_STEP, instead of below ``cfg.min_step``.  Returns
+    falls below TRIAL_MIN_STEP, instead of below MIN_STEP.  Returns
     the last iterate, its sup and its floor.
     """
     tol = cfg.newton_tol
-    min_step = TRIAL_MIN_STEP if trial else cfg.min_step
+    min_step = TRIAL_MIN_STEP if trial else MIN_STEP
 
     def evaluate(x):
         """(x, sup, done, data) of a positive candidate, or None if not convex."""
         res, parts, pin = residual(x)
-        if eigen_range(*parts[:3])[0] < cfg.convexity_floor:
+        if eigen_range(*parts[:3])[0] < CONVEXITY_FLOOR:
             return None
         noise = _residual_floor(geom, x[: geom.size], parts)
         done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
@@ -543,7 +544,7 @@ def continuation_solve(
     traces = list(last.newton_trace)
     if not last.converged:
         return replace(last, residual_sup=math.inf)
-    s, ds = 0.0, cfg.ds_init
+    s, ds = 0.0, DS_INIT
     prev = None  # (x_(k-1), s_k - s_(k-1)) for the secant predictor
     while s < 1.0:
         s_next = min(1.0, s + ds)
@@ -554,7 +555,7 @@ def continuation_solve(
             pred = x + (s_next - s) / prev[1] * (x - prev[0])
             u_pred = pred[:-1]
             if (np.all(u_pred > 0.0)
-                    and eigen_range(*_u_frame(geom, u_pred)[:3])[0] >= cfg.convexity_floor):
+                    and eigen_range(*_u_frame(geom, u_pred)[:3])[0] >= CONVEXITY_FLOOR):
                 start = pred
         target = s_next == 1.0
         step = newton_solve(spec if target else scaled, geom, s_next,
@@ -568,7 +569,7 @@ def continuation_solve(
             ds *= min(2.0, max(0.5, factor))
         else:
             ds *= 0.5
-            if ds < cfg.ds_min:
+            if ds < DS_MIN:
                 return replace(last, newton_trace=traces, converged=False,
                                residual_sup=math.inf)
     return replace(last, newton_trace=traces)

@@ -1,12 +1,14 @@
+import concurrent.futures
 import csv
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import capmink.cli as cli
@@ -129,11 +131,27 @@ class TestSolve:
             {"p": 0.5, "q": 2.0, "allow_unsupported": "no"},
             {"even": "false"},
             {"even": 1},
+            {"theta": True},
+            {"p": "2.5"},
+            {"theta": math.nan},
+            {"theta": 2.0},
+            {"grid": {"Nphi": 8.9, "Npsi": 16}},
+            {"solver": {"max_newton": 2.7}},
+            {"solver": {"newton_tol": True}},
+            {"f": {"kind": "constant", "value": True}},
+            {"grid": {"Nphi": 8, "Npsi": 16},
+             "f": {"kind": "grid", "values": [1.0] * 127 + ["1.0"]}},
+            {"grid": {"Nphi": 8, "Npsi": 16}, "f": {"kind": "grid", "values": [True] * 128}},
+            {"solver": {"ds_init": 0.5}},
         ],
         ids=["unknown_solver_option", "non_numeric_solver_option",
              "non_numeric_grid", "wrong_length_grid_density",
              "nan_solver_option", "inf_solver_option",
-             "string_allow_unsupported", "string_even", "integer_even"],
+             "string_allow_unsupported", "string_even", "integer_even",
+             "bool_theta", "string_p", "nan_theta", "theta_above_half_pi",
+             "fractional_grid", "fractional_max_newton", "bool_newton_tol",
+             "bool_constant_density", "string_in_grid_density", "bool_grid_density",
+             "deleted_solver_option"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, extra):
         cfg = write_config(
@@ -155,12 +173,46 @@ class TestSolve:
                         '"grid": {"Nphi": 8, "Npsi": 16}, "f": ' + density + "}")
         assert main(["solve", "--config", str(path)]) == 3
 
+    def test_grid_density_table_is_read_row_major(self, tmp_path):
+        g = build_grid(1.0, 8, 16)
+        values = 1.0 + np.arange(g.size) / g.size
+        f = density_from_config(g, {"kind": "grid", "values": values.tolist()}, 2.0, 1.5)
+        assert np.array_equal(f.values.ravel(), values)
+
     def test_unsupported_exponents_is_config_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.json",
             {"theta": 1.0, "p": 0.5, "q": 2.0, "even": True},
         )
         assert main(["solve", "--config", cfg]) == 3
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "CFG", "--jobs", "2"],
+        ["solve", "--config", "CFG", "--seed", "1"],
+        ["solve", "--config", "CFG", "--grid", "8.5x16"],
+        ["solve"],
+        ["sweep", "--config", "CFG", "--jobs", "two"],
+        ["selftest", "--config", "CFG"],
+        ["plotdata", "--artifacts", "OUT", "--grid", "8x16"],
+        ["plotdata"],
+        ["bogus"],
+        [],
+    ], ids=["solve_jobs", "solve_seed", "fractional_grid", "solve_no_config",
+            "non_integer_jobs", "selftest_config", "plotdata_grid", "plotdata_no_artifacts",
+            "unknown_subcommand", "no_subcommand"])
+    def test_usage_error_exits_3(self, base_problem, argv):
+        cfg, tmp = base_problem
+        argv = [{"CFG": cfg, "OUT": str(tmp)}.get(a, a) for a in argv]
+        assert main(argv) == 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: capmink" in capsys.readouterr().out
 
 
 NEAR_PQ = {"theta": 1.0, "q": 2.0, "even": True, "f": {"kind": "ell_power", "alpha": -0.5},
@@ -225,6 +277,22 @@ class TestSandwich:
         out2 = tmp / "sw_out"
         assert main(["sandwich", "--config", cfg2, "--out", str(out2)]) == 0
 
+    def test_sandwich_h_csv_must_be_a_path_string(self, base_problem):
+        """An integer h_csv is refused, not opened as a file descriptor (and closed)."""
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"i,j,phi,psi,value\n")
+        os.close(write_fd)
+        try:
+            for h_csv in (read_fd, "", None, True, ["h.csv"]):
+                doc["h_csv"] = h_csv
+                path = write_config(tmp / "with_h.json", doc)
+                assert main(["sandwich", "--config", path, "--out", str(tmp / "o")]) == 3
+            os.fstat(read_fd)  # raises if the descriptor was closed
+        finally:
+            os.close(read_fd)
+
     def test_sandwich_rejects_truncated_h_csv(self, base_problem):
         cfg, tmp = base_problem
         doc = json.loads((tmp / "problem.json").read_text())
@@ -247,8 +315,9 @@ class TestMonitors:
         assert doc["c0_bound"]["lower_pass"] and doc["c0_bound"]["upper_pass"]
         assert doc["q_monitor"]["B"] >= 1.0
 
-    @pytest.mark.parametrize("gamma", ["abc", math.nan, 0.0, 2.0, None],
-                             ids=["non_numeric", "nan", "zero", "two", "null"])
+    @pytest.mark.parametrize("gamma", ["abc", math.nan, 0.0, 2.0, None, "1", True],
+                             ids=["non_numeric", "nan", "zero", "two", "null",
+                                  "numeric_string", "true"])
     def test_bad_gamma_is_config_error_before_solving(self, base_problem, monkeypatch,
                                                       gamma):
         import capmink.cli as cli
@@ -335,6 +404,72 @@ class TestSweep:
         assert (tmp_path / "b" / "sweep.csv").read_bytes() == sweep
         assert (tmp_path / "j2" / "sweep.csv").read_bytes() == sweep
 
+    @pytest.mark.parametrize("extra", [{"p_values": [0.5]}, {"theta_values": [2.0]}],
+                             ids=["p_below_one", "theta_above_half_pi"])
+    def test_sweep_cell_that_cannot_be_built_exits_3(self, tmp_path, extra):
+        cfg = write_config(
+            tmp_path / "sweep.json",
+            {"p_values": [1.5], "q_values": [2.0], "theta_values": [1.0],
+             "f": {"kind": "ell_power", "alpha": -0.5}, "grid": {"Nphi": 8, "Npsi": 16},
+             **extra},
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+        assert len(rows) == 1 and rows[0]["error"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"even": False}, {"allow_unsupported": True}, {"even": "no"}, {"allow_unsupported": 1}],
+        ids=["odd_data", "allow_unsupported", "string_even", "integer_allow_unsupported"])
+    def test_sweep_solves_even_supported_data_only(self, tmp_path, monkeypatch, extra):
+        """Every cell is even and supported; a sweep file asking otherwise exits 3."""
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_entry", lambda task: cells.append(task))
+        cfg = write_config(tmp_path / "sweep.json",
+                           {"p_values": [1.5], "q_values": [2.0], "theta_values": [1.0],
+                            "grid": {"Nphi": 8, "Npsi": 16}, **extra})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert cells == []
+
+    @pytest.mark.parametrize("jobs,workers", [("8", [2]), ("2", [2]), ("1", [])])
+    def test_sweep_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch,
+                                                       jobs, workers):
+        """A fork pool starts all of its workers up front: ask for at most one per cell."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path / "sweep.json",
+                           {"p_values": [2.5], "q_values": [1.5, 2.0], "theta_values": [1.0],
+                            "f": {"kind": "ell_power", "alpha": -1.2},
+                            "grid": {"Nphi": 8, "Npsi": 16}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--jobs", jobs]) == 0
+        assert pools == workers
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exits_3(self, tmp_path, monkeypatch, jobs):
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_entry", lambda task: cells.append(task))
+        cfg = write_config(tmp_path / "sweep.json",
+                           {"p_values": [2.5], "q_values": [1.5], "theta_values": [1.0]})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--jobs", jobs]) == 3
+        assert cells == []
+
     def test_sweep_missing_keys(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {"p_values": [2.0]})
         assert main(["sweep", "--config", cfg]) == 3
@@ -374,15 +509,44 @@ _density = st.one_of(
 )
 
 
+# the numbers each well-formed density kind reads
+_DENSITY_NUMBERS = {"constant": ("value",), "ell_power": ("c", "alpha", "beta")}
+
+
+def _not_a_number(value):
+    """What no numeric key may hold: a non-number (bools included) or a non-finite one."""
+    return (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value))
+
+
+def _malformed_density(f):
+    """A density refused for its form alone: no known kind, or a non-number it reads."""
+    if not isinstance(f, dict) or f.get("kind") not in _DENSITY_NUMBERS:
+        return True
+    return any(_not_a_number(f[k]) for k in _DENSITY_NUMBERS[f["kind"]] if k in f)
+
+
+def assert_documented_exit(code, malformed):
+    """A malformed config exits 3, never 0 or 2; any other ends in 0, 2 or 3."""
+    if malformed:
+        assert code == 3
+    else:
+        assert code in (0, 2, 3)
+
+
 @given(ps=_values, qs=_values, thetas=_values, f=_density,
        max_newton=st.integers(1, 5))
 def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, max_newton):
-    """Any sweep config ends in exit 0, 2 or 3; nothing escapes main."""
+    """A sweep config with a malformed value list or density exits 3; any other
+    ends in 0, 2 or 3; nothing escapes main."""
     doc = {"p_values": ps, "q_values": qs, "theta_values": thetas, "f": f,
            "grid": {"Nphi": 8, "Npsi": 16}, "solver": {"max_newton": max_newton}}
+    malformed = _malformed_density(f) or any(
+        not isinstance(v, list) or not v or any(map(_not_a_number, v)) for v in (ps, qs, thetas))
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp) / "sweep.json", doc)
-        assert main(["sweep", "--config", path, "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+        assert_documented_exit(
+            main(["sweep", "--config", path, "--out", str(Path(tmp) / "o")]), malformed)
 
 
 # solve and monitors configs: a plausible problem with up to two keys overwritten
@@ -398,13 +562,28 @@ _overwrite = st.dictionaries(
     st.one_of(_value, _density), max_size=2)
 
 
+_PLAIN_PROBLEM = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, "gamma": 1.0,
+                  "f": {"kind": "ell_power", "alpha": -0.5},
+                  "grid": {"Nphi": 8, "Npsi": 16}, "solver": {"max_newton": 5}}
+
+
 @pytest.mark.parametrize("command", ["solve", "monitors"])
 @given(doc=_problem, overwrite=_overwrite)
+@example(doc=_PLAIN_PROBLEM, overwrite={"theta": True, "p": "2.5"})
+@example(doc=_PLAIN_PROBLEM, overwrite={"q": None})
 def test_problem_config_fuzz_exits_with_a_documented_code(command, doc, overwrite):
-    """Any solve or monitors config ends in exit 0, 2 or 3; nothing escapes main."""
+    """A solve or monitors config with a malformed number, flag or density exits
+    3; any other ends in 0, 2 or 3; nothing escapes main."""
+    doc = {**doc, **overwrite}
+    numbers = ("theta", "p", "q") + (("gamma",) if command == "monitors" else ())
+    malformed = (any(_not_a_number(doc[k]) for k in numbers)
+                 or any(not isinstance(doc.get(k, False), bool)
+                        for k in ("even", "allow_unsupported"))
+                 or _malformed_density(doc["f"]))
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp) / "problem.json", {**doc, **overwrite})
-        assert main([command, "--config", path, "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+        path = write_config(Path(tmp) / "problem.json", doc)
+        assert_documented_exit(
+            main([command, "--config", path, "--out", str(Path(tmp) / "o")]), malformed)
 
 
 class TestPlotdata:
@@ -419,6 +598,16 @@ class TestPlotdata:
         assert lines[0] == "phi,h"
         assert len(lines) == 17
         assert (plot_out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("result", [{"config": 5}, [1], {"config": {"theta": "1"}}, {}],
+                             ids=["config_not_object", "not_object", "string_theta",
+                                  "no_config"])
+    def test_plotdata_malformed_result_is_config_error(self, base_problem, result):
+        cfg, tmp = base_problem
+        src = tmp / "solve_out"
+        assert main(["solve", "--config", cfg, "--out", str(src), "--grid", "8x16"]) == 0
+        (src / "result.json").write_text(json.dumps(result))
+        assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp / "p")]) == 3
 
     def test_plotdata_missing_dir(self, tmp_path):
         assert main(["plotdata", "--artifacts", str(tmp_path / "nope"),

@@ -4,6 +4,7 @@ The benchmark times `capmink sweep` by patching ``capmink.cli.continuation_solve
 and traces the solver entry points by name, so these must not move.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -46,6 +47,23 @@ def test_sweep_solves_through_cli_binding(tmp_path, monkeypatch):
     )
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls == [1.5, 2.0]
+
+
+def test_benchmark_command_line_and_solver_config(tmp_path):
+    """perfbench/workloads.py runs `sweep --config C --out D --jobs 1` and builds
+    SolverConfig() or SolverConfig(max_newton=n)."""
+    cfg = write_config(
+        tmp_path / "sweep.json",
+        {"p_values": [2.5], "q_values": [1.5], "theta_values": [math.pi / 3],
+         "f": {"kind": "ell_power", "c": 1.0, "alpha": -1.2}, "grid": {"Nphi": 8, "Npsi": 16}},
+    )
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    assert (out / "sweep.csv").exists()
+    assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == ["newton_tol",
+                                                                         "max_newton"]
+    assert solver.SolverConfig() == solver.SolverConfig(newton_tol=1e-10, max_newton=50)
+    assert solver.SolverConfig(max_newton=3).max_newton == 3
 
 
 def test_solver_entries_resolve():
