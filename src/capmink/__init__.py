@@ -30,13 +30,11 @@ from .grid import (
     grad_field,
     grad_sq,
     robin_residual,
-    symmetrize_even,
 )
 from .ellipsoid import (
     EllipsoidCap,
     cap_from_RH,
     cap_support,
-    cone_cylinder_factor,
     make_cap,
 )
 from .john import SandwichReport, height_ratio_check, john_construct, verify_sandwich

@@ -91,12 +91,3 @@ def cap_support(geom: CapGeometry, cap: EllipsoidCap) -> ScalarField:
     cos_ = geom.cos_phi
     vals = np.sqrt(sin2 / cap.a**2 + cos_**2 / cap.b**2) - cap.tau_star * cos_
     return ScalarField(geom, np.repeat(vals[:, None], geom.Npsi, axis=1))
-
-
-def cone_cylinder_factor(R1: float, H1: float, R2: float, H2: float) -> float:
-    """Scale at which the cone over radius R1, height H1 swallows the cylinder
-    of radius R2, height H2: the factor is R2/R1 + H2/H1."""
-    for name, v in (("R1", R1), ("H1", H1), ("R2", R2), ("H2", H2)):
-        if v <= 0.0:
-            raise DomainError(f"{name} must be positive, got {v}")
-    return R2 / R1 + H2 / H1

@@ -285,12 +285,6 @@ def robin_residual(geom: CapGeometry, h: ScalarField) -> np.ndarray:
     return der - geom.cot_theta * val
 
 
-def symmetrize_even(geom: CapGeometry, s: ScalarField) -> ScalarField:
-    """Project onto fields invariant under psi -> psi + pi (evenness)."""
-    v = s.values
-    return ScalarField(geom, 0.5 * (v + np.roll(v, geom.Npsi // 2, axis=1)))
-
-
 def evenness_defect(geom: CapGeometry, values: np.ndarray) -> float:
     """Relative sup-distance from the even subspace."""
     scale = float(np.max(np.abs(values)))
@@ -385,8 +379,8 @@ def field_from_csv(path, theta: float) -> ScalarField:
     """Read a field written by :func:`field_to_csv` on the cap of half-angle theta.
 
     The rows must list every cell once, in the order and at the (phi, psi)
-    that field_to_csv writes; anything else is a ConfigError, never a field
-    with holes.
+    that field_to_csv writes, with finite numbers; anything else is a
+    ConfigError, never a field with holes.
     """
     with open(path) as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
@@ -398,6 +392,8 @@ def field_from_csv(path, theta: float) -> ScalarField:
     if not rows:
         raise ConfigError(f"field CSV {path} has no rows")
     i, j, phi, psi, vals = (np.array(col) for col in zip(*rows))
+    if not np.all(np.isfinite(np.concatenate([phi, psi, vals]))):
+        raise ConfigError(f"field CSV {path} holds a non-finite number")
     geom = build_grid(theta, int(i.max()), int(j.max()) + 1)
     ii, jj = np.indices(geom.shape).reshape(2, -1)
     if (len(rows) != geom.size or np.any(i - 1 != ii) or np.any(j != jj)

@@ -15,8 +15,10 @@ Density kinds: "constant" (value), "ell_power" (c * ell^alpha *
 Nphi * Npsi numbers), and "manufactured" (density induced by an h_star table
 of the same form, for the given p, q).  Every number is read by ``_number``
 or ``_numbers``: it must be a finite JSON number, integral where an integer
-is needed; anything else is a ConfigError.  Artifacts embed the fully
-resolved configuration as a provenance header.
+is needed; anything else is a ConfigError.  The grid, f and solver objects
+hold only the keys they read: a misspelled key is a ConfigError, never a
+default.  Artifacts embed the fully resolved configuration as a provenance
+header.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .grid import (
 )
 from .solver import ProblemSpec, SolverConfig, SolveResult, manufactured_f
 
-_F_KINDS = ("constant", "ell_power", "grid", "manufactured")
+# the keys each density kind reads, besides "kind"
+_F_KEYS = {"constant": ("value",), "ell_power": ("c", "alpha", "beta"), "grid": ("values",),
+           "manufactured": ("h_star",)}
 
 
 def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> ScalarField:
@@ -49,6 +53,9 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
     if not isinstance(fcfg, dict) or "kind" not in fcfg:
         raise ConfigError("f must be an object with a 'kind' entry")
     kind = fcfg["kind"]
+    if not isinstance(kind, str) or kind not in _F_KEYS:  # a list kind is unhashable
+        raise ConfigError(f"unknown density kind {kind!r}; expected one of {tuple(_F_KEYS)}")
+    _known_keys(fcfg, ("kind",) + _F_KEYS[kind], f"{kind} density")
     if kind == "constant":
         value = _number(fcfg, "value", 1.0)
         if value <= 0.0:
@@ -68,10 +75,8 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
         if np.any(vals <= 0.0):
             raise ConfigError("grid density must be positive everywhere")
         return ScalarField(geom, vals)
-    if kind == "manufactured":
-        hvals = np.reshape(_numbers(fcfg, "h_star", geom.size), geom.shape)
-        return manufactured_f(geom, ScalarField(geom, hvals), p, q)
-    raise ConfigError(f"unknown density kind {kind!r}; expected one of {_F_KINDS}")
+    hvals = np.reshape(_numbers(fcfg, "h_star", geom.size), geom.shape)
+    return manufactured_f(geom, ScalarField(geom, hvals), p, q)
 
 
 def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
@@ -133,19 +138,25 @@ def _numbers(doc: dict, key: str, size: int | None = None) -> list[float]:
     return [_as_number(value, f"{key}[{i}]") for i, value in enumerate(values)]
 
 
+def _known_keys(obj, allowed, name: str):
+    """Refuse a config object that is not an object or holds a key outside allowed."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object, got {reprlib.repr(obj)}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {name} options {sorted(unknown)}")
+
+
 def grid_size(gcfg, default: tuple[int, int]) -> tuple[int, int]:
     """(Nphi, Npsi) of a "grid" object, each falling back to its default."""
+    _known_keys(gcfg, ("Nphi", "Npsi"), "grid")
     return _number(gcfg, "Nphi", default[0], int), _number(gcfg, "Npsi", default[1], int)
 
 
 def solver_config(scfg) -> SolverConfig:
     """SolverConfig of a "solver" object; each value is read as its field's type."""
-    if not isinstance(scfg, dict):
-        raise ConfigError("solver must be an object")
     kinds = {f.name: type(f.default) for f in fields(SolverConfig)}
-    unknown = set(scfg) - set(kinds)
-    if unknown:
-        raise ConfigError(f"unknown solver options {sorted(unknown)}")
+    _known_keys(scfg, kinds, "solver")
     return SolverConfig(**{key: _number(scfg, key, kind=kinds[key]) for key in scfg})
 
 

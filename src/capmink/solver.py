@@ -30,12 +30,23 @@ for psi-independent data, the half domain for even data, the full grid
 otherwise.  The folded Jacobian is assembled straight on a fixed sparsity
 pattern cached on the geometry (:func:`capmink.operators._folded_terms`),
 and every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
-fill-reducing column ordering.  The border is never factored: the bordered
-step is found by block elimination on the factor of the folded Jacobian,
-plus one refinement step with the same factor (Govaerts-Pryce, *BIT* 30,
-1990), which keeps it accurate as that Jacobian turns singular at ``p = q``.
-Only the starting field is projected onto the symmetric fields; each later
-iterate stays there exactly.
+fill-reducing column ordering.  The border is never factored: the first
+direction of a Newton solve is found by block elimination on the factor of
+the folded Jacobian, plus one refinement step with the same factor
+(Govaerts-Pryce, *BIT* 30, 1990), which keeps it accurate as that Jacobian
+turns singular at ``p = q``.  The solve keeps that factor, an inexact Newton
+on a lagged factor (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996): each
+later direction is GMRES on the bordered system with the current Jacobian,
+right-preconditioned by the same block elimination on the kept factor, to
+the forcing term ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)``.  The
+one refactor rule: if GMRES misses eta_k within two restart cycles of
+GMRES_RESTART iterations, the current Jacobian is factored and the exact step
+taken.  The contraction Theta is no reason to refactor, because GMRES solves
+the current Jacobian: Theta measures the nonlinearity, not the age of the
+factor.  Psi-independent data factors at every direction, since its banded
+Nphi-unknown factor costs less than the GMRES calls.  Convergence is decided
+by the residual floor test alone.  Only the starting field is projected onto
+the symmetric fields; each later iterate stays there exactly.
 
 The continuation is steered by the observed Newton contraction
 ``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
@@ -141,6 +152,9 @@ class NewtonTrace:
     # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
     # 0.0 when fewer than two directions were taken
     contraction: float = 0.0
+    # SuperLU factorizations, and GMRES iterations on the kept factor
+    factorizations: int = 0
+    krylov_iterations: int = 0
 
 
 @dataclass
@@ -275,35 +289,89 @@ def _lu_factor(A):
         raise ApplicabilityError("Newton linear system is singular") from exc
 
 
-def _bordered_direction(A, res, rhs, pin, fold) -> np.ndarray:
-    """Newton direction ``(E d, dl)`` of the normalized equation.
+# Inexact Newton on the factor of the last refactor (Eisenstat-Walker)
+ETA_MAX = 1e-3       # largest forcing term of a GMRES direction
+GMRES_RESTART = 10   # GMRES gets two restart cycles of this length, else a refactor
 
-    Solves ``[[A, -S rhs], [r, 0]] (d, dl) = -(S res, pin)``, where A = S J E is
-    the folded Jacobian, ``-rhs`` the derivative of the residual in log C and
-    ``r`` the folded gradient of the pin ``mean(u_bar) - 1``.  Block elimination
-    needs only the factor of A: it solves for ``-S res`` and ``-S rhs`` at once,
-    and one refinement step on the bordered residual reuses the factor.
+
+def _block_elimination(lu, row, col):
+    """Solver of ``[[A0, col], [row, 0]] (d, dl) = (t, b)`` on the factor lu of A0.
+
+    Block elimination needs only the factor: with ``z = A0^-1 col``,
+    ``dl = (row A0^-1 t - b) / (row z)`` and ``d = A0^-1 t - dl z``.
+    """
+    z = lu.solve(col)
+    rz = row @ z
+
+    def solve(t, b):
+        y = lu.solve(t)
+        dl = (row @ y - b) / rz
+        return y - dl * z, dl
+
+    return solve
+
+
+def _bordered_directions(fold, lag: bool, trace: NewtonTrace):
+    """Newton directions ``(E d, dl)`` of one newton_solve of the normalized equation.
+
+    Each call ``direction(A, res, rhs, pin)`` solves
+    ``[[A, -S rhs], [r, 0]] (d, dl) = -(S res, pin)``, where A = S J E is the
+    folded Jacobian, ``-rhs`` the derivative of the residual in log C and
+    ``r`` the folded gradient of the pin ``mean(u_bar) - 1``.  The first
+    direction factors A and takes the exact step: block elimination plus one
+    refinement step with the same factor.  With ``lag``, a later direction
+    runs GMRES on the bordered system with the current A, right-preconditioned
+    by block elimination on the kept factor, to the forcing term
+    ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)``; if GMRES misses it
+    within two restart cycles, A is refactored and the exact step is taken.
     """
     S, E = fold
     # E copies every reduced unknown onto the same number of cells, so the
     # gradient of the mean is the same 1/k for each of the k unknowns
     k = S.shape[0]
     row = np.full(k, 1.0 / k)
-    col = -(S @ rhs)
-    top = -(S @ res)
-    lu = _lu_factor(A)
-    y, z = lu.solve(np.column_stack([top, col])).T
+    lu = norm = None  # the kept factor, and |F| at the last direction
 
-    def eliminate(y, bottom):
-        dl = (row @ y - bottom) / (row @ z)
-        return y - dl * z, dl
+    def exact(A, col, top, bottom):
+        nonlocal lu
+        lu = None  # release the kept factor before its replacement is built
+        lu = _lu_factor(A)
+        trace.factorizations += 1
+        solve = _block_elimination(lu, row, col)
+        d, dl = solve(top, bottom)
+        dd, ddl = solve(top - A @ d - dl * col, bottom - row @ d)
+        return d + dd, dl + ddl
 
-    d, dl = eliminate(y, -pin)
-    dd, ddl = eliminate(lu.solve(top - A @ d - dl * col), -pin - row @ d)
-    dx = np.append(E @ (d + dd), dl + ddl)
-    if not np.all(np.isfinite(dx)):
-        raise ApplicabilityError("Newton linear system is singular")
-    return dx
+    def krylov(A, col, top, bottom, eta):
+        """The GMRES step, or None if GMRES misses eta within its budget."""
+        precond = _block_elimination(lu, row, col)
+
+        def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
+            d, dl = precond(v[:k], v[k])
+            return np.append(A @ d + dl * col, row @ d)
+
+        op = spla.LinearOperator((k + 1, k + 1), matvec=bordered, dtype=float)
+        inner = []
+        v, info = spla.gmres(op, np.append(top, bottom), rtol=eta, atol=0.0,
+                             restart=GMRES_RESTART, maxiter=2,
+                             callback=inner.append, callback_type="pr_norm")
+        trace.krylov_iterations += len(inner)
+        return precond(v[:k], v[k]) if info == 0 else None
+
+    def direction(A, res, rhs, pin):
+        nonlocal norm
+        col, top, bottom = -(S @ rhs), -(S @ res), -pin
+        norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
+        step = None
+        if lag and lu is not None and GMRES_RESTART > 0:
+            step = krylov(A, col, top, bottom, min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2))
+        d, dl = step if step is not None else exact(A, col, top, bottom)
+        dx = np.append(E @ d, dl)
+        if not np.all(np.isfinite(dx)):
+            raise ApplicabilityError("Newton linear system is singular")
+        return dx
+
+    return direction
 
 
 def _abs_ops(geom: CapGeometry) -> dict:
@@ -512,11 +580,15 @@ def newton_solve(
         res, parts = _residual_u_vec(geom, fvals * np.exp(x[N]), p, q, x[:N])
         return res, parts, float(np.mean(x[:N]) - 1.0)
 
+    trace = NewtonTrace(s=s, iterations=0)
+    # psi-independent data folds to a banded system of Nphi unknowns, whose
+    # fresh factor costs less than the GMRES iterations on a kept one
+    bordered = _bordered_directions(fold, symmetry != "rot", trace)
+
     def direction(x, res, parts, pin):
         A = _jacobian(geom, fvals * np.exp(x[N]), p, q, x[:N], parts, symmetry)
-        return _bordered_direction(A, res, parts[7], pin, fold)
+        return bordered(A, res, parts[7], pin)
 
-    trace = NewtonTrace(s=s, iterations=0)
     x, res_sup, noise = _damped_newton(geom, x, residual, direction, cfg, trace, trial)
     return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup,
                      8.0 * float(np.max(noise)))

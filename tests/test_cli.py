@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import capmink.cli as cli
-from capmink import ProblemSpec, build_grid, ell_field, pq_limit_solve
+from capmink import ProblemSpec, build_grid, ell_bump_field, ell_field, pq_limit_solve
 from capmink.cli import main
 from capmink.grid import field_from_csv, field_to_csv
 from capmink.problem_io import density_from_config
@@ -81,6 +81,24 @@ class TestSolve:
             tmp / "b" / "solution.csv"
         ).read_bytes()
 
+    def test_telemetry_stays_out_of_the_csvs(self, tmp_path):
+        """Even psi-dependent data takes GMRES steps on a kept factor; the counts
+        reach result.json only, and both CSVs are byte-identical across runs."""
+        g = build_grid(math.pi / 3, 16, 32)
+        cfg = write_config(tmp_path / "bump.json", {
+            "theta": g.theta, "p": 2.0, "q": 1.5, "even": True, "grid": {"Nphi": 16, "Npsi": 32},
+            "f": {"kind": "manufactured",
+                  "h_star": ell_bump_field(g, eps=0.05).values.ravel().tolist()}})
+        for run in ("a", "b"):
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        for name in ("solution.csv", "newton_trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        traces = json.loads((tmp_path / "a" / "result.json").read_text())["newton_trace"]
+        assert sum(t["factorizations"] for t in traces) >= 1
+        assert sum(t["krylov_iterations"] for t in traces) >= 1
+        header = (tmp_path / "a" / "newton_trace.csv").read_text().splitlines()[1]
+        assert header == "s,iter,residual"
+
     def test_nonconverged_result_is_strict_json(self, base_problem):
         """An infinite residual is written as null, never as a bare Infinity."""
         cfg, tmp = base_problem
@@ -143,6 +161,12 @@ class TestSolve:
              "f": {"kind": "grid", "values": [1.0] * 127 + ["1.0"]}},
             {"grid": {"Nphi": 8, "Npsi": 16}, "f": {"kind": "grid", "values": [True] * 128}},
             {"solver": {"ds_init": 0.5}},
+            {"grid": {"nphi": 8, "npsi": 16}},
+            {"grid": {"Nphi": 8, "Npsi": 16, "Nr": 4}},
+            {"grid": [8, 16]},
+            {"f": {"kind": "constant", "valeu": 5}},
+            {"f": {"kind": "ell_power", "alpha": -1.0, "gamma": 0.5}},
+            {"f": {"kind": ["constant"]}},
         ],
         ids=["unknown_solver_option", "non_numeric_solver_option",
              "non_numeric_grid", "wrong_length_grid_density",
@@ -151,7 +175,9 @@ class TestSolve:
              "bool_theta", "string_p", "nan_theta", "theta_above_half_pi",
              "fractional_grid", "fractional_max_newton", "bool_newton_tol",
              "bool_constant_density", "string_in_grid_density", "bool_grid_density",
-             "deleted_solver_option"],
+             "deleted_solver_option", "misspelled_grid_keys", "unknown_grid_key",
+             "grid_list", "misspelled_constant_key", "unknown_ell_power_key",
+             "list_density_kind"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, extra):
         cfg = write_config(
@@ -292,6 +318,24 @@ class TestSandwich:
             os.fstat(read_fd)  # raises if the descriptor was closed
         finally:
             os.close(read_fd)
+
+    @pytest.mark.parametrize("column,value", [("value", "nan"), ("value", "inf"),
+                                              ("phi", "nan")])
+    def test_sandwich_rejects_non_finite_h_csv(self, base_problem, column, value):
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        path = tmp / "h.csv"
+        field_to_csv(ell_field(build_grid(doc["theta"], 16, 32)), path)
+        with open(path) as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        rows[40][column] = value
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        doc["h_csv"] = str(path)
+        cfg2 = write_config(tmp / "with_h.json", doc)
+        assert main(["sandwich", "--config", cfg2, "--out", str(tmp / "o")]) == 3
 
     def test_sandwich_rejects_truncated_h_csv(self, base_problem):
         cfg, tmp = base_problem
@@ -503,7 +547,7 @@ _density = st.one_of(
     st.fixed_dictionaries({"kind": st.just("ell_power"), "alpha": st.floats(-1.0, 0.0)}),
     st.fixed_dictionaries({"kind": st.sampled_from(["constant", "ell_power"])},
                           optional={"value": _value, "c": _value, "alpha": _value,
-                                    "beta": _value}),
+                                    "beta": _value, "valeu": _value, "alpah": _value}),
     st.sampled_from([{"kind": "bogus"}, {"kind": "grid", "values": [1.0]}, {},
                      {"kind": None}, "ell_power", [], None]),
 )
@@ -520,10 +564,22 @@ def _not_a_number(value):
 
 
 def _malformed_density(f):
-    """A density refused for its form alone: no known kind, or a non-number it reads."""
+    """A density refused for its form alone: no known kind, a key its kind does
+    not read, or a non-number it reads."""
     if not isinstance(f, dict) or f.get("kind") not in _DENSITY_NUMBERS:
         return True
-    return any(_not_a_number(f[k]) for k in _DENSITY_NUMBERS[f["kind"]] if k in f)
+    keys = _DENSITY_NUMBERS[f["kind"]]
+    return (bool(set(f) - {"kind", *keys})
+            or any(_not_a_number(f[k]) for k in keys if k in f))
+
+
+# an 8x16 grid object, or one with a misspelled or unknown key
+_grid = st.sampled_from([{"Nphi": 8, "Npsi": 16}, {"nphi": 8, "Npsi": 16},
+                         {"Nphi": 8, "npsi": 16, "Npsi": 16}])
+
+
+def _malformed_grid(grid):
+    return bool(set(grid) - {"Nphi", "Npsi"})
 
 
 def assert_documented_exit(code, malformed):
@@ -534,14 +590,14 @@ def assert_documented_exit(code, malformed):
         assert code in (0, 2, 3)
 
 
-@given(ps=_values, qs=_values, thetas=_values, f=_density,
+@given(ps=_values, qs=_values, thetas=_values, f=_density, grid=_grid,
        max_newton=st.integers(1, 5))
-def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, max_newton):
-    """A sweep config with a malformed value list or density exits 3; any other
-    ends in 0, 2 or 3; nothing escapes main."""
+def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, grid, max_newton):
+    """A sweep config with a malformed value list, density or grid exits 3; any
+    other ends in 0, 2 or 3; nothing escapes main."""
     doc = {"p_values": ps, "q_values": qs, "theta_values": thetas, "f": f,
-           "grid": {"Nphi": 8, "Npsi": 16}, "solver": {"max_newton": max_newton}}
-    malformed = _malformed_density(f) or any(
+           "grid": grid, "solver": {"max_newton": max_newton}}
+    malformed = _malformed_density(f) or _malformed_grid(grid) or any(
         not isinstance(v, list) or not v or any(map(_not_a_number, v)) for v in (ps, qs, thetas))
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp) / "sweep.json", doc)
@@ -557,9 +613,11 @@ _problem = st.fixed_dictionaries(
      "f": st.fixed_dictionaries({"kind": st.just("ell_power"), "alpha": st.floats(-1.0, 0.0)}),
      "grid": st.just({"Nphi": 8, "Npsi": 16}),
      "solver": st.fixed_dictionaries({"max_newton": st.integers(1, 5)})})
-_overwrite = st.dictionaries(
-    st.sampled_from(["theta", "p", "q", "even", "gamma", "f", "allow_unsupported"]),
-    st.one_of(_value, _density), max_size=2)
+_overwrite = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["theta", "p", "q", "even", "gamma", "f", "allow_unsupported"]),
+        st.one_of(_value, _density), max_size=2),
+    st.fixed_dictionaries({"grid": _grid}))
 
 
 _PLAIN_PROBLEM = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, "gamma": 1.0,
@@ -572,14 +630,14 @@ _PLAIN_PROBLEM = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, "gamma": 1.0,
 @example(doc=_PLAIN_PROBLEM, overwrite={"theta": True, "p": "2.5"})
 @example(doc=_PLAIN_PROBLEM, overwrite={"q": None})
 def test_problem_config_fuzz_exits_with_a_documented_code(command, doc, overwrite):
-    """A solve or monitors config with a malformed number, flag or density exits
-    3; any other ends in 0, 2 or 3; nothing escapes main."""
+    """A solve or monitors config with a malformed number, flag, density or grid
+    exits 3; any other ends in 0, 2 or 3; nothing escapes main."""
     doc = {**doc, **overwrite}
     numbers = ("theta", "p", "q") + (("gamma",) if command == "monitors" else ())
     malformed = (any(_not_a_number(doc[k]) for k in numbers)
                  or any(not isinstance(doc.get(k, False), bool)
                         for k in ("even", "allow_unsupported"))
-                 or _malformed_density(doc["f"]))
+                 or _malformed_density(doc["f"]) or _malformed_grid(doc["grid"]))
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp) / "problem.json", doc)
         assert_documented_exit(

@@ -95,29 +95,49 @@ def test_pq_result_reports_polish(tmp_path):
     assert result["residual_sup"] <= 1e-9
 
 
-def test_every_factorization_is_one_splu_per_newton_iteration(monkeypatch):
-    """The benchmark's lu layer sees each Newton step's factorization."""
-    factorizations = []
-    real = solver.spla.splu
+def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
+    """The benchmark's lu layer sees every factorization.
+
+    Even or unsymmetric data takes one splu per newton_solve that takes a
+    direction, plus one refactor per GMRES solve that misses its forcing term;
+    psi-independent data takes one splu per direction.
+    """
+    factorizations, gmres_missed = [], []
+    real_splu, real_gmres = solver.spla.splu, solver.spla.gmres
 
     def counted(*args, **kwargs):
         factorizations.append(args[0].shape)
-        return real(*args, **kwargs)
+        return real_splu(*args, **kwargs)
+
+    def gmres(*args, **kwargs):
+        out = real_gmres(*args, **kwargs)
+        gmres_missed.append(out[1] != 0)
+        return out
 
     monkeypatch.setattr(solver.spla, "splu", counted)
-    g = build_grid(math.pi / 3, 8, 16)
+    monkeypatch.setattr(solver.spla, "gmres", gmres)
+    # a Newton direction for each accepted iteration, plus the last direction of
+    # a solve given up before max_newton (a line search that ran out of halvings,
+    # or a rejected continuation trial step)
+    max_newton = solver.SolverConfig().max_newton
+
+    def directions(t):
+        return t.iterations + (not t.converged and t.iterations < max_newton)
+
+    g = build_grid(math.pi / 3, 16, 32)
     bump = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                        f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+    traces = solver.continuation_solve(bump, g).newton_trace
+    assert gmres_missed  # GMRES ran
+    assert len(factorizations) == (sum(directions(t) > 0 for t in traces)
+                                   + sum(gmres_missed))
+    assert len(factorizations) == sum(t.factorizations for t in traces)
+
+    factorizations.clear()
     g1 = build_grid(1.0, 8, 16)
     f = density_from_config(g1, {"kind": "ell_power", "alpha": -0.5}, 2.0, 2.0)
     pq = ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True)
-    traces = (solver.continuation_solve(bump, g).newton_trace
-              + solver.pq_limit_solve(pq, g1).solution.newton_trace)
-    # one factorization per Newton direction: each accepted iteration, plus the
-    # last direction of a solve given up before max_newton (a line search that
-    # ran out of halvings, or a rejected continuation trial step)
-    max_newton = solver.SolverConfig().max_newton
-    given_up = sum(not t.converged and t.iterations < max_newton for t in traces)
-    iterations = sum(t.iterations for t in traces)
-    assert iterations > 0
-    assert len(factorizations) == iterations + given_up
+    traces = solver.pq_limit_solve(pq, g1).solution.newton_trace
+    assert sum(t.iterations for t in traces) > 0
+    assert len(factorizations) == sum(directions(t) for t in traces)
+    assert [t.factorizations for t in traces] == [directions(t) for t in traces]

@@ -12,7 +12,6 @@ from capmink import (
     build_grid,
     cap_from_RH,
     cap_support,
-    cone_cylinder_factor,
     curvature_tensor,
     make_cap,
     robin_residual,
@@ -119,12 +118,3 @@ class TestSupport:
         cap = make_cap(1.0, 1.0, 1.2)
         with pytest.raises(UsageError):
             cap_support(geom, cap)
-
-
-class TestConeCylinder:
-    def test_factor_value(self):
-        assert cone_cylinder_factor(2.0, 1.0, 3.0, 0.5) == pytest.approx(2.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            cone_cylinder_factor(1.0, 0.0, 1.0, 1.0)

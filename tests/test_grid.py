@@ -18,7 +18,6 @@ from capmink import (
     grad_field,
     grad_sq,
     robin_residual,
-    symmetrize_even,
 )
 from capmink.grid import (
     _W_DERIV,
@@ -132,14 +131,6 @@ class TestOperators:
 
 
 class TestSymmetry:
-    def test_symmetrize_even_is_projection(self, geom_pi3):
-        rng = np.random.default_rng(7)
-        s = ScalarField(geom_pi3, rng.uniform(1.0, 2.0, geom_pi3.shape))
-        e = symmetrize_even(geom_pi3, s)
-        assert evenness_defect(geom_pi3, e.values) < 1e-15
-        e2 = symmetrize_even(geom_pi3, e)
-        assert np.max(np.abs(e2.values - e.values)) < 1e-15
-
     def test_evenness_defect_detects_odd_mode(self, geom_pi3):
         g = geom_pi3
         s = ScalarField.from_function(g, lambda phi, psi: 1.0 + 0.1 * np.cos(psi))

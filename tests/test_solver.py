@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import capmink.solver as solver
 from capmink import (
     ApplicabilityError,
     ConfigError,
@@ -29,11 +30,13 @@ from capmink import (
     residual_u,
     uniqueness_probe,
 )
-from capmink.grid import bump_profile, evenness_defect, symmetrize_even
+from capmink.grid import bump_profile, evenness_defect
 from capmink.operators import _fold, u_system
 from capmink.solver import (
+    GMRES_RESTART,
+    NewtonTrace,
     _base_density,
-    _bordered_direction,
+    _bordered_directions,
     _jacobian,
     _lu_factor,
     _residual_floor,
@@ -64,7 +67,9 @@ def bordered_gap(g, fvals, p, q, uvec, symmetry):
     full = full_bordered_direction(g, _jacobian(g, fvals, p, q, uvec, parts), res,
                                    parts[7], pin)
     A = _jacobian(g, fvals, p, q, uvec, parts, symmetry)
-    reduced = _bordered_direction(A, res, parts[7], pin, _fold(g, symmetry))
+    # the first direction of a solve: a fresh factor and the exact step
+    direction = _bordered_directions(_fold(g, symmetry), True, NewtonTrace(s=1.0, iterations=0))
+    reduced = direction(A, res, parts[7], pin)
     return np.max(np.abs(reduced - full)) / np.max(np.abs(full))
 
 
@@ -226,7 +231,8 @@ class TestEvenFold:
         """The half-domain bordered step equals the full-grid bordered step."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         f = manufactured_f(g, robin_bump(g, eps=0.1), 2.0, 1.5)
-        uvec = symmetrize_even(g, neumann_bump(g, eps=0.05)).values.ravel()
+        u = neumann_bump(g, eps=0.05).values
+        uvec = (0.5 * (u + np.roll(u, Npsi // 2, axis=1))).ravel()  # the even part
         assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even") <= 1e-10
 
     def test_direction_near_p_equals_q_solution(self):
@@ -433,6 +439,32 @@ class TestContinuation:
         assert doc["converged"] is True
         assert doc["s_reached"] == 1.0
         assert doc["newton_trace"][0]["s"] == 0.0
+
+
+class TestLaggedFactor:
+    """Later directions of a solve run GMRES on the factor of its first one."""
+
+    @pytest.mark.parametrize("budget", [1, GMRES_RESTART])
+    def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
+        """A GMRES budget of 0 refactors at every direction: exact Newton."""
+        g = build_grid(math.pi / 3, 32, 64)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+        monkeypatch.setattr(solver, "GMRES_RESTART", 0)
+        exact = _solved(spec, g)
+        monkeypatch.setattr(solver, "GMRES_RESTART", budget)
+        lagged = _solved(spec, g)
+        iterations = [t.iterations for t in exact.newton_trace]
+        assert [t.iterations for t in lagged.newton_trace] == iterations
+        assert _rel_gap(lagged.h.values, exact.h.values) <= SolverConfig().newton_tol
+        # every trace converged, so each iteration took one direction
+        assert [t.factorizations for t in exact.newton_trace] == iterations
+        assert all(t.krylov_iterations == 0 for t in exact.newton_trace)
+        refactors = [t.factorizations - 1 for t in lagged.newton_trace if t.factorizations]
+        assert sum(t.krylov_iterations for t in lagged.newton_trace) > 0
+        # two GMRES(1) iterations miss the forcing term at some step; two
+        # restart cycles of the full budget never do on this problem
+        assert (sum(refactors) > 0) == (budget == 1)
 
 
 class TestStepControl:
