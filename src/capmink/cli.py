@@ -40,7 +40,9 @@ from .monitors import (
     q_monitor,
 )
 from .problem_io import (
+    PROBLEM_KEYS,
     _flag,
+    _known_keys,
     _number,
     _numbers,
     density_from_config,
@@ -69,8 +71,19 @@ def _grid_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expects NxM, got {text!r}") from None
 
 
+# the top-level config keys each subcommand reads; any other one exits 3
+_CONFIG_KEYS = {
+    "solve": PROBLEM_KEYS,
+    "sandwich": PROBLEM_KEYS + ("h_csv",),
+    "monitors": PROBLEM_KEYS + ("gamma",),
+    "sweep": ("p_values", "q_values", "theta_values")
+             + tuple(k for k in PROBLEM_KEYS if k not in ("theta", "p", "q")),
+}
+
+
 def _load(args):
     doc = read_config(args.config)
+    _known_keys(doc, _CONFIG_KEYS[args.command], "top-level config")
     return (doc, *load_problem(doc, args.grid))
 
 
@@ -242,6 +255,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     doc = read_config(args.config)
+    _known_keys(doc, _CONFIG_KEYS["sweep"], "top-level sweep config")
     ps, qs, thetas = (_numbers(doc, k) for k in ("p_values", "q_values", "theta_values"))
     if not _flag(doc, "even", True) or _flag(doc, "allow_unsupported"):  # as _sweep_entry
         raise ConfigError("sweep takes only even: true, allow_unsupported: false")

@@ -359,20 +359,20 @@ def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
 
     The text is what ``csv.writer`` gives for these rows: ``%.17g`` numbers,
     none of which needs quoting, and ``\\r\\n`` line ends.  Each phi row of
-    Npsi lines is formatted and written at once.
+    Npsi lines is written at once, from one line pattern shared by all rows:
+    the row's i and phi replace its ``{i}`` and ``{phi}`` marks, then its
+    values fill its ``%.17g`` slots.
     """
     g = s.geometry
-    psi = [f"{v:.17g}" for v in g.psi_nodes.tolist()]
+    pattern = "".join(f"{{i}},{j},{{phi}},{psi:.17g},%.17g\r\n"
+                      for j, psi in enumerate(g.psi_nodes.tolist()))
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("i,j,phi,psi,value\r\n")
-        for i, phi in enumerate(g.phi_nodes.tolist()):
-            mid = f",{phi:.17g},"
-            fh.write("".join(
-                f"{i + 1},{j}{mid}{psi[j]},{v:.17g}\r\n"
-                for j, v in enumerate(s.values[i].tolist())
-            ))
+        for i, (phi, values) in enumerate(zip(g.phi_nodes.tolist(), s.values.tolist())):
+            row = pattern.replace("{i}", str(i + 1)).replace("{phi}", f"{phi:.17g}")
+            fh.write(row % tuple(values))
 
 
 def field_from_csv(path, theta: float) -> ScalarField:

@@ -16,7 +16,9 @@ fold pair (see :func:`_fold`): none, evenness (the half domain) or rotation
 operators once per geometry, and :func:`_folded_terms` keeps the result on a
 fixed CSC pattern, so a Newton step only weights fixed values by the
 per-cell Jacobian coefficients.  The pole ghost and the periodic psi wrap
-carry over to the reduced system unchanged.
+carry over to the reduced system unchanged.  For the none and even folds,
+:func:`_mode_terms` keeps the psi-Fourier symbols of the same terms, from
+which the solver factors its preconditioner one psi mode at a time.
 """
 
 from __future__ import annotations
@@ -167,4 +169,46 @@ def _folded_terms(geom: CapGeometry, symmetry: str):
         T = sp.csr_matrix((np.concatenate([t.data for t in terms]), (entry, coeff)),
                           shape=(union.nnz, n * len(terms)))
         geom._cache[key] = (union.indptr, union.indices, T)
+    return geom._cache[key]
+
+
+def _mode_terms(geom: CapGeometry, symmetry: str):
+    """psi-Fourier symbols of the folded terms, for ``"even"`` and ``"none"``.
+
+    The reduced unknowns ``row * m + j`` of these folds form a periodic psi
+    ring of m cells per phi row, and every ``S O_k E`` maps it circulantly:
+    its coefficients depend on phi alone, and the pole antipode is a shift by
+    ``Npsi/2 mod m`` cells.  A Jacobian whose coefficients are constant along
+    each phi row therefore maps psi mode k of row i' to the same mode of row
+    i, with the weight ``sum_t cbar[i, t] sigma_t[i, i'](k)``, where
+    ``sigma_t[i, i'](k) = sum_l a_t[i, i', l] exp(2 pi i k l / m)`` and
+    ``a_t[i, i', l]`` is term t's entry in row ``(i, 0)``, column ``(i', l)``
+    of :func:`_folded_terms` (for ``"none"`` the antipode's ``l = m/2`` gives
+    the factor ``(-1)^k``).  Returns ``(rows, cols, G, omega)``: the phi-row
+    pairs ``(i, i')`` that carry an entry, in column-major order; the real
+    map G with ``a = G @ cbar.ravel()``, ``a`` the (pair, offset) weights
+    flattened and cbar (Nphi x terms) as the reduced coefficients of
+    :func:`_folded_terms`; and ``omega[l, k] = exp(2 pi i k l / m)`` over the
+    psi offsets that occur and the modes ``k = 0 .. m // 2``.  Built once per
+    geometry and symmetry, on the first Newton direction that needs it.
+    """
+    key = ("mode_terms", symmetry)
+    if key not in geom._cache:
+        indptr, indices, T = _folded_terms(geom, symmetry)
+        Nphi = geom.Nphi
+        m = _fold(geom, symmetry)[0].shape[0] // Nphi
+        nterms = T.shape[1] // (Nphi * m)
+        cols = np.repeat(np.arange(Nphi * m), np.diff(indptr))
+        first = np.flatnonzero(indices % m == 0)  # the entries in the j = 0 rows
+        i, (i2, shift) = indices[first] // m, np.divmod(cols[first], m)
+        offsets, offset = np.unique(shift, return_inverse=True)
+        pairs, pair = np.unique(i2 * Nphi + i, return_inverse=True)
+        entries = T[first].tocoo()
+        r, t = np.divmod(entries.col, nterms)  # r = i m: term t weighted by cbar[i, t]
+        G = sp.csr_matrix(
+            (entries.data, (pair[entries.row] * len(offsets) + offset[entries.row],
+                            (r // m) * nterms + t)),
+            shape=(len(pairs) * len(offsets), Nphi * nterms))
+        omega = np.exp(2j * np.pi / m * np.outer(offsets, np.arange(m // 2 + 1)))
+        geom._cache[key] = (pairs % Nphi, pairs // Nphi, G, omega)
     return geom._cache[key]

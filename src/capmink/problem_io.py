@@ -16,9 +16,10 @@ Nphi * Npsi numbers), and "manufactured" (density induced by an h_star table
 of the same form, for the given p, q).  Every number is read by ``_number``
 or ``_numbers``: it must be a finite JSON number, integral where an integer
 is needed; anything else is a ConfigError.  The grid, f and solver objects
-hold only the keys they read: a misspelled key is a ConfigError, never a
-default.  Artifacts embed the fully resolved configuration as a provenance
-header.
+hold only the keys they read, and the CLI holds the document to
+``PROBLEM_KEYS`` plus its subcommand's own keys: a misspelled key is a
+ConfigError, never a default.  Artifacts embed the fully resolved
+configuration as a provenance header.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
         return ScalarField(geom, vals)
     hvals = np.reshape(_numbers(fcfg, "h_star", geom.size), geom.shape)
     return manufactured_f(geom, ScalarField(geom, hvals), p, q)
+
+
+# the top-level keys of a problem document that load_problem reads
+PROBLEM_KEYS = ("theta", "p", "q", "even", "allow_unsupported", "f", "grid", "solver")
 
 
 def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):

@@ -28,25 +28,31 @@ sparse Jacobian of the discrete residual: the determinant is linearized as
 The step is solved on the fields of the data's symmetry only: Nphi unknowns
 for psi-independent data, the half domain for even data, the full grid
 otherwise.  The folded Jacobian is assembled straight on a fixed sparsity
-pattern cached on the geometry (:func:`capmink.operators._folded_terms`),
-and every factorization uses SuperLU with the ``MMD_AT_PLUS_A``
-fill-reducing column ordering.  The border is never factored: the first
-direction of a Newton solve is found by block elimination on the factor of
-the folded Jacobian, plus one refinement step with the same factor
-(Govaerts-Pryce, *BIT* 30, 1990), which keeps it accurate as that Jacobian
-turns singular at ``p = q``.  The solve keeps that factor, an inexact Newton
-on a lagged factor (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996): each
-later direction is GMRES on the bordered system with the current Jacobian,
-right-preconditioned by the same block elimination on the kept factor, to
-the forcing term ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)``.  The
-one refactor rule: if GMRES misses eta_k within two restart cycles of
-GMRES_RESTART iterations, the current Jacobian is factored and the exact step
-taken.  The contraction Theta is no reason to refactor, because GMRES solves
-the current Jacobian: Theta measures the nonlinearity, not the age of the
-factor.  Psi-independent data factors at every direction, since its banded
-Nphi-unknown factor costs less than the GMRES calls.  Convergence is decided
-by the residual floor test alone.  Only the starting field is projected onto
-the symmetric fields; each later iterate stays there exactly.
+pattern cached on the geometry (:func:`capmink.operators._folded_terms`).
+The border is never factored.  Each direction of psi-dependent data is an
+inexact Newton step (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996):
+GMRES on the bordered system with the current Jacobian, right-preconditioned
+by block elimination on a preconditioner factor, to the forcing term
+``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the first
+direction).  The preconditioner is the mode factor: with its coefficients
+averaged over each phi row, the folded Jacobian is circulant along the psi
+ring of the fold, so a real FFT along psi splits it into one banded Nphi
+system per Fourier mode, all factored by one SuperLU call in their natural
+order, whose fill stays inside each mode's band.  If GMRES misses eta_k
+within two restart cycles of GMRES_RESTART iterations, the Jacobian is
+factored exactly (SuperLU with the ``MMD_AT_PLUS_A`` fill-reducing column
+ordering) and the exact step is taken: block elimination on that factor
+plus one refinement step with it (Govaerts-Pryce, *BIT* 30, 1990), which
+keeps the step accurate as the Jacobian turns singular at ``p = q``.  That
+factor then preconditions the solve's later directions, and each later miss
+refactors: a miss marks data the psi-average fits poorly, on which the mode
+factor tends to miss again.  The contraction Theta is no reason to refactor, because GMRES
+solves the current Jacobian: Theta measures the nonlinearity, not the
+preconditioner.  Psi-independent data takes the exact step at every
+direction: its psi-average is its Jacobian, and its banded Nphi-unknown
+factor costs less than the GMRES calls.  Convergence is decided by the
+residual floor test alone.  Only the starting field is projected onto the
+symmetric fields; each later iterate stays there exactly.
 
 The continuation is steered by the observed Newton contraction
 ``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
@@ -83,7 +89,7 @@ from .grid import (
     evenness_defect,
     robin_residual,
 )
-from .operators import JACOBIAN_TERMS, _fold, _folded_terms, u_system
+from .operators import JACOBIAN_TERMS, _fold, _folded_terms, _mode_terms, u_system
 
 
 @dataclass
@@ -152,8 +158,10 @@ class NewtonTrace:
     # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
     # 0.0 when fewer than two directions were taken
     contraction: float = 0.0
-    # SuperLU factorizations, and GMRES iterations on the kept factor
+    # exact SuperLU factors of the folded Jacobian, SuperLU factors of its
+    # psi-average in Fourier modes, and GMRES iterations
     factorizations: int = 0
+    mode_factorizations: int = 0
     krylov_iterations: int = 0
 
 
@@ -256,12 +264,13 @@ def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarFi
                            h.values / ell_field(geom).values)
 
 
-def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts,
-              symmetry: str = "none") -> sp.csc_matrix:
-    """Exact Jacobian of the quotient residual at uvec, folded: S J E.
+def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts, symmetry: str) -> np.ndarray:
+    """Reduced coefficients C of the folded Jacobian at the frame ``parts``.
 
-    ``symmetry`` names the fold pair of :func:`capmink.operators._fold`; the
-    default ``"none"`` gives the full-grid Jacobian.
+    Row r of C holds, at the r-th reduced cell, the weight of each
+    :data:`JACOBIAN_TERMS` operator in the Jacobian of the quotient residual
+    and last its diagonal term, as :func:`capmink.operators._folded_terms`
+    reads them.
     """
     b11, b12, b22, g1, g2, hvec, w, rhs = parts
     e = (3.0 - q) / 2.0
@@ -276,9 +285,14 @@ def _jacobian(geom: CapGeometry, fvals, p, q, uvec, parts,
     coeffs = np.stack([weight[k] for k in JACOBIAN_TERMS] + [-c_h * u_system(geom)["ell"]],
                       axis=1)
     S, _ = _fold(geom, symmetry)
+    return S @ coeffs
+
+
+def _assemble(geom: CapGeometry, C, symmetry: str) -> sp.csc_matrix:
+    """The folded Jacobian S J E of the reduced coefficients C."""
     indptr, indices, T = _folded_terms(geom, symmetry)
-    n = S.shape[0]
-    return sp.csc_matrix((T @ (S @ coeffs).ravel(), indices, indptr), shape=(n, n))
+    n = C.shape[0]
+    return sp.csc_matrix((T @ C.ravel(), indices, indptr), shape=(n, n))
 
 
 def _lu_factor(A):
@@ -289,9 +303,44 @@ def _lu_factor(A):
         raise ApplicabilityError("Newton linear system is singular") from exc
 
 
-# Inexact Newton on the factor of the last refactor (Eisenstat-Walker)
+class _ModeFactor:
+    """Solver of the psi-average of a folded Jacobian, one psi-Fourier mode at a time.
+
+    Averaging the reduced coefficients C over each phi row makes the folded
+    Jacobian circulant along the psi ring of m cells (see
+    :func:`capmink.operators._mode_terms`), so a real FFT along psi splits it
+    into one banded Nphi x Nphi system per mode k = 0 .. m // 2.  These are
+    stacked mode after mode into one block-diagonal complex matrix and
+    factored by one SuperLU call in its natural order, which keeps the fill
+    inside each mode's band.  ``solve`` is rfft, that factor's solve, irfft.
+    """
+
+    def __init__(self, geom: CapGeometry, symmetry: str, C):
+        rows, cols, G, omega = _mode_terms(geom, symmetry)
+        Nphi, K = geom.Nphi, omega.shape[1]
+        self.shape = (Nphi, C.shape[0] // Nphi)
+        cbar = C.reshape(*self.shape, -1).mean(axis=1)
+        # per mode, the symbols of the phi-row pairs, in the pairs' column-major order
+        data = ((G @ cbar.ravel()).reshape(len(rows), -1) @ omega).T
+        counts = np.bincount(cols, minlength=Nphi)
+        indptr = np.concatenate([[0], np.cumsum(np.tile(counts, K))])
+        indices = (rows + Nphi * np.arange(K)[:, None]).ravel()
+        M = sp.csc_matrix((data.ravel(), indices, indptr), shape=(K * Nphi, K * Nphi))
+        try:
+            self.lu = spla.splu(M, permc_spec="NATURAL")
+        except RuntimeError as exc:  # an exactly singular mode
+            raise ApplicabilityError("psi-averaged Newton system is singular") from exc
+
+    def solve(self, v):
+        Nphi, m = self.shape
+        modes = np.fft.rfft(v.reshape(Nphi, m), axis=1)
+        x = self.lu.solve(modes.T.ravel())
+        return np.fft.irfft(x.reshape(-1, Nphi).T, n=m, axis=1).ravel()
+
+
+# Inexact Newton (Eisenstat-Walker): GMRES to a forcing term, else an exact step
 ETA_MAX = 1e-3       # largest forcing term of a GMRES direction
-GMRES_RESTART = 10   # GMRES gets two restart cycles of this length, else a refactor
+GMRES_RESTART = 10   # GMRES gets two restart cycles of this length, else an exact step
 
 
 def _block_elimination(lu, row, col):
@@ -311,26 +360,29 @@ def _block_elimination(lu, row, col):
     return solve
 
 
-def _bordered_directions(fold, lag: bool, trace: NewtonTrace):
+def _bordered_directions(geom: CapGeometry, symmetry: str, trace: NewtonTrace):
     """Newton directions ``(E d, dl)`` of one newton_solve of the normalized equation.
 
-    Each call ``direction(A, res, rhs, pin)`` solves
+    Each call ``direction(A, C, res, rhs, pin)`` solves
     ``[[A, -S rhs], [r, 0]] (d, dl) = -(S res, pin)``, where A = S J E is the
-    folded Jacobian, ``-rhs`` the derivative of the residual in log C and
-    ``r`` the folded gradient of the pin ``mean(u_bar) - 1``.  The first
-    direction factors A and takes the exact step: block elimination plus one
-    refinement step with the same factor.  With ``lag``, a later direction
-    runs GMRES on the bordered system with the current A, right-preconditioned
-    by block elimination on the kept factor, to the forcing term
-    ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)``; if GMRES misses it
-    within two restart cycles, A is refactored and the exact step is taken.
+    folded Jacobian of the reduced coefficients C, ``-rhs`` the derivative of
+    the residual in log C and ``r`` the folded gradient of the pin
+    ``mean(u_bar) - 1``.  A direction runs GMRES on the bordered system,
+    right-preconditioned by block elimination on a preconditioner factor, to
+    the forcing term ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)``
+    (ETA_MAX for the first direction).  That factor is the mode factor of the
+    direction's own C (:class:`_ModeFactor`) until GMRES first misses eta_k
+    within two restart cycles; then A is factored exactly and the exact step
+    taken (block elimination plus one refinement step with the same factor),
+    and that factor is kept as the preconditioner, refactored at each later
+    miss.  ``"rot"`` data takes the exact step at every direction.
     """
-    S, E = fold
+    S, E = _fold(geom, symmetry)
     # E copies every reduced unknown onto the same number of cells, so the
     # gradient of the mean is the same 1/k for each of the k unknowns
     k = S.shape[0]
     row = np.full(k, 1.0 / k)
-    lu = norm = None  # the kept factor, and |F| at the last direction
+    lu = norm = None  # the kept exact factor, and |F| at the last direction
 
     def exact(A, col, top, bottom):
         nonlocal lu
@@ -342,9 +394,9 @@ def _bordered_directions(fold, lag: bool, trace: NewtonTrace):
         dd, ddl = solve(top - A @ d - dl * col, bottom - row @ d)
         return d + dd, dl + ddl
 
-    def krylov(A, col, top, bottom, eta):
+    def krylov(A, factor, col, top, bottom, eta):
         """The GMRES step, or None if GMRES misses eta within its budget."""
-        precond = _block_elimination(lu, row, col)
+        precond = _block_elimination(factor, row, col)
 
         def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
             d, dl = precond(v[:k], v[k])
@@ -358,13 +410,18 @@ def _bordered_directions(fold, lag: bool, trace: NewtonTrace):
         trace.krylov_iterations += len(inner)
         return precond(v[:k], v[k]) if info == 0 else None
 
-    def direction(A, res, rhs, pin):
+    def direction(A, C, res, rhs, pin):
         nonlocal norm
         col, top, bottom = -(S @ rhs), -(S @ res), -pin
         norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
         step = None
-        if lag and lu is not None and GMRES_RESTART > 0:
-            step = krylov(A, col, top, bottom, min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2))
+        if symmetry != "rot" and GMRES_RESTART > 0:
+            factor = lu
+            if factor is None:
+                trace.mode_factorizations += 1
+                factor = _ModeFactor(geom, symmetry, C)
+            eta = ETA_MAX if norm_prev is None else min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2)
+            step = krylov(A, factor, col, top, bottom, eta)
         d, dl = step if step is not None else exact(A, col, top, bottom)
         dx = np.append(E @ d, dl)
         if not np.all(np.isfinite(dx)):
@@ -581,13 +638,11 @@ def newton_solve(
         return res, parts, float(np.mean(x[:N]) - 1.0)
 
     trace = NewtonTrace(s=s, iterations=0)
-    # psi-independent data folds to a banded system of Nphi unknowns, whose
-    # fresh factor costs less than the GMRES iterations on a kept one
-    bordered = _bordered_directions(fold, symmetry != "rot", trace)
+    bordered = _bordered_directions(geom, symmetry, trace)
 
     def direction(x, res, parts, pin):
-        A = _jacobian(geom, fvals * np.exp(x[N]), p, q, x[:N], parts, symmetry)
-        return bordered(A, res, parts[7], pin)
+        C = _folded_coeffs(geom, fvals * np.exp(x[N]), p, q, parts, symmetry)
+        return bordered(_assemble(geom, C, symmetry), C, res, parts[7], pin)
 
     x, res_sup, noise = _damped_newton(geom, x, residual, direction, cfg, trace, trial)
     return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup,
@@ -812,7 +867,19 @@ def uniqueness_probe(
     cfg: SolverConfig | None = None,
     starts: list | None = None,
 ):
-    """Solve from several starts and measure sup |log(h_a / h_b)| over pairs."""
+    """Solve from several starts and measure sup |log(h_a / h_b)| over pairs.
+
+    Returns that spread and whether it is within the heuristic scale the
+    solves allow: the sum of their relative residuals over p - q.  Each
+    converged solve has a relative residual of at most newton_tol plus its
+    residual floor (the normalized equation has an O(1) scale).  In
+    ``v = d log h`` the linearized equation has the zero-order term
+    ``-(p - q) v`` (the dilation ``h -> t h`` shifts the log residual by
+    ``-(p - q) log t``), so were the discrete operator monotone, a comparison
+    principle would bound the spread by that scale.  It is not shown to be:
+    the mixed-derivative stencil of b12 is not monotone, and the argument is
+    linearized, so the scale is an estimate, not a proven bound.
+    """
     if cfg is None:
         cfg = SolverConfig()
     if not spec.p > spec.q:
@@ -826,12 +893,11 @@ def uniqueness_probe(
             r = continuation_solve(spec, geom, cfg)
         if not r.converged:
             raise ApplicabilityError("a probe branch did not converge")
-        solutions.append(r.h.values)
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            worst = max(
-                worst,
-                float(np.max(np.abs(np.log(solutions[i] / solutions[j])))),
-            )
-    return worst, worst <= 1e-8
+        solutions.append(r)
+    worst, ok = 0.0, True
+    for i, a in enumerate(solutions):
+        for b in solutions[i + 1:]:
+            spread = float(np.max(np.abs(np.log(a.h.values / b.h.values))))
+            residuals = 2.0 * cfg.newton_tol + a.residual_floor + b.residual_floor
+            worst, ok = max(worst, spread), ok and spread <= residuals / (spec.p - spec.q)
+    return worst, ok

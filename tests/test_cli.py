@@ -82,7 +82,7 @@ class TestSolve:
         ).read_bytes()
 
     def test_telemetry_stays_out_of_the_csvs(self, tmp_path):
-        """Even psi-dependent data takes GMRES steps on a kept factor; the counts
+        """Even psi-dependent data takes GMRES steps on mode factors; the counts
         reach result.json only, and both CSVs are byte-identical across runs."""
         g = build_grid(math.pi / 3, 16, 32)
         cfg = write_config(tmp_path / "bump.json", {
@@ -94,7 +94,8 @@ class TestSolve:
         for name in ("solution.csv", "newton_trace.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         traces = json.loads((tmp_path / "a" / "result.json").read_text())["newton_trace"]
-        assert sum(t["factorizations"] for t in traces) >= 1
+        assert sum(t["factorizations"] for t in traces) == 0
+        assert sum(t["mode_factorizations"] for t in traces) >= 1
         assert sum(t["krylov_iterations"] for t in traces) >= 1
         header = (tmp_path / "a" / "newton_trace.csv").read_text().splitlines()[1]
         assert header == "s,iter,residual"
@@ -185,6 +186,24 @@ class TestSolve:
             {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, **extra},
         )
         assert main(["solve", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("command,key", [
+        ("solve", "solvr"), ("solve", "gamma"), ("solve", "h_csv"), ("monitors", "gama"),
+        ("sandwich", "gamma"), ("sweep", "solvr"), ("sweep", "theta"),
+    ])
+    def test_unknown_top_level_key_is_config_error(self, tmp_path, command, key):
+        """A top-level key the subcommand does not read exits 3 before any solve,
+        even a key another subcommand reads."""
+        if command == "sweep":
+            doc = {"p_values": [2.5], "q_values": [1.5], "theta_values": [1.0]}
+        else:
+            doc = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True}
+        doc.update(grid={"Nphi": 8, "Npsi": 16}, solver={"max_newton": 1})
+        doc[key] = {"max_newton": 50} if key == "solvr" else 0.5
+        cfg = write_config(tmp_path / "p.json", doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "density",
@@ -582,6 +601,13 @@ def _malformed_grid(grid):
     return bool(set(grid) - {"Nphi", "Npsi"})
 
 
+# top-level keys no subcommand reads, or a key of another subcommand
+_stray_keys = st.dictionaries(st.sampled_from(["solvr", "gama", "p_value", "theta", "h_csv"]),
+                              _value, max_size=1)
+_SWEEP_KEYS = {"p_values", "q_values", "theta_values", "even", "allow_unsupported", "f",
+               "grid", "solver"}
+
+
 def assert_documented_exit(code, malformed):
     """A malformed config exits 3, never 0 or 2; any other ends in 0, 2 or 3."""
     if malformed:
@@ -591,14 +617,17 @@ def assert_documented_exit(code, malformed):
 
 
 @given(ps=_values, qs=_values, thetas=_values, f=_density, grid=_grid,
-       max_newton=st.integers(1, 5))
-def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, grid, max_newton):
-    """A sweep config with a malformed value list, density or grid exits 3; any
-    other ends in 0, 2 or 3; nothing escapes main."""
+       max_newton=st.integers(1, 5), stray=_stray_keys)
+def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, grid, max_newton,
+                                                        stray):
+    """A sweep config with a malformed value list, density or grid, or a top-level
+    key the sweep does not read, exits 3; any other ends in 0, 2 or 3; nothing
+    escapes main."""
     doc = {"p_values": ps, "q_values": qs, "theta_values": thetas, "f": f,
-           "grid": grid, "solver": {"max_newton": max_newton}}
-    malformed = _malformed_density(f) or _malformed_grid(grid) or any(
-        not isinstance(v, list) or not v or any(map(_not_a_number, v)) for v in (ps, qs, thetas))
+           "grid": grid, "solver": {"max_newton": max_newton}, **stray}
+    malformed = (bool(set(doc) - _SWEEP_KEYS) or _malformed_density(f) or _malformed_grid(grid)
+                 or any(not isinstance(v, list) or not v or any(map(_not_a_number, v))
+                        for v in (ps, qs, thetas)))
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp) / "sweep.json", doc)
         assert_documented_exit(
@@ -609,7 +638,7 @@ def test_sweep_config_fuzz_exits_with_a_documented_code(ps, qs, thetas, f, grid,
 # by any JSON kind
 _problem = st.fixed_dictionaries(
     {"theta": st.floats(0.3, 1.5), "p": st.floats(1.05, 3.0), "q": st.floats(1.05, 3.0),
-     "even": st.just(True), "gamma": st.floats(0.1, 1.9),
+     "even": st.just(True),
      "f": st.fixed_dictionaries({"kind": st.just("ell_power"), "alpha": st.floats(-1.0, 0.0)}),
      "grid": st.just({"Nphi": 8, "Npsi": 16}),
      "solver": st.fixed_dictionaries({"max_newton": st.integers(1, 5)})})
@@ -617,24 +646,31 @@ _overwrite = st.one_of(
     st.dictionaries(
         st.sampled_from(["theta", "p", "q", "even", "gamma", "f", "allow_unsupported"]),
         st.one_of(_value, _density), max_size=2),
-    st.fixed_dictionaries({"grid": _grid}))
+    st.fixed_dictionaries({"grid": _grid}),
+    _stray_keys)
 
 
-_PLAIN_PROBLEM = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True, "gamma": 1.0,
+_PLAIN_PROBLEM = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True,
                   "f": {"kind": "ell_power", "alpha": -0.5},
                   "grid": {"Nphi": 8, "Npsi": 16}, "solver": {"max_newton": 5}}
+_PROBLEM_KEYS = {"theta", "p", "q", "even", "allow_unsupported", "f", "grid", "solver"}
 
 
 @pytest.mark.parametrize("command", ["solve", "monitors"])
 @given(doc=_problem, overwrite=_overwrite)
 @example(doc=_PLAIN_PROBLEM, overwrite={"theta": True, "p": "2.5"})
 @example(doc=_PLAIN_PROBLEM, overwrite={"q": None})
+@example(doc=_PLAIN_PROBLEM, overwrite={"solvr": {"max_newton": 1}})
+@example(doc=_PLAIN_PROBLEM, overwrite={"gama": 0.5})
 def test_problem_config_fuzz_exits_with_a_documented_code(command, doc, overwrite):
-    """A solve or monitors config with a malformed number, flag, density or grid
-    exits 3; any other ends in 0, 2 or 3; nothing escapes main."""
+    """A solve or monitors config with a malformed number, flag, density or grid,
+    or a top-level key the subcommand does not read, exits 3; any other ends in
+    0, 2 or 3; nothing escapes main."""
     doc = {**doc, **overwrite}
     numbers = ("theta", "p", "q") + (("gamma",) if command == "monitors" else ())
-    malformed = (any(_not_a_number(doc[k]) for k in numbers)
+    keys = _PROBLEM_KEYS | ({"gamma"} if command == "monitors" else set())
+    malformed = (bool(set(doc) - keys)
+                 or any(_not_a_number(doc[k]) for k in numbers if k in doc)
                  or any(not isinstance(doc.get(k, False), bool)
                         for k in ("even", "allow_unsupported"))
                  or _malformed_density(doc["f"]) or _malformed_grid(doc["grid"]))

@@ -98,9 +98,11 @@ def test_pq_result_reports_polish(tmp_path):
 def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     """The benchmark's lu layer sees every factorization.
 
-    Even or unsymmetric data takes one splu per newton_solve that takes a
-    direction, plus one refactor per GMRES solve that misses its forcing term;
-    psi-independent data takes one splu per direction.
+    Every direction of even or unsymmetric data runs GMRES.  Until GMRES first
+    misses its forcing term in a newton_solve, each direction factors the
+    psi-averaged Jacobian in Fourier modes; each miss factors the Jacobian
+    exactly.  psi-independent data takes one exact factor per direction.  Each
+    splu call is counted once, as an exact or as a mode factorization.
     """
     factorizations, gmres_missed = [], []
     real_splu, real_gmres = solver.spla.splu, solver.spla.gmres
@@ -128,10 +130,10 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     bump = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                        f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
     traces = solver.continuation_solve(bump, g).newton_trace
-    assert gmres_missed  # GMRES ran
-    assert len(factorizations) == (sum(directions(t) > 0 for t in traces)
-                                   + sum(gmres_missed))
-    assert len(factorizations) == sum(t.factorizations for t in traces)
+    assert len(gmres_missed) == sum(directions(t) for t in traces) > 0
+    assert sum(t.factorizations for t in traces) == sum(gmres_missed)
+    assert 0 < sum(t.mode_factorizations for t in traces) <= len(gmres_missed)
+    assert len(factorizations) == sum(t.factorizations + t.mode_factorizations for t in traces)
 
     factorizations.clear()
     g1 = build_grid(1.0, 8, 16)
@@ -141,3 +143,4 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     assert sum(t.iterations for t in traces) > 0
     assert len(factorizations) == sum(directions(t) for t in traces)
     assert [t.factorizations for t in traces] == [directions(t) for t in traces]
+    assert all(t.mode_factorizations == t.krylov_iterations == 0 for t in traces)

@@ -35,9 +35,11 @@ from capmink.operators import _fold, u_system
 from capmink.solver import (
     GMRES_RESTART,
     NewtonTrace,
+    _assemble,
     _base_density,
     _bordered_directions,
-    _jacobian,
+    _folded_coeffs,
+    _ModeFactor,
     _lu_factor,
     _residual_floor,
     _residual_u_vec,
@@ -53,6 +55,11 @@ def ell_power_density(geom, c=1.0, alpha=0.0, beta=0.0):
     return ScalarField(geom, c * ell**alpha * w0**beta)
 
 
+def folded_jacobian(g, fvals, p, q, parts, symmetry="none"):
+    """The folded Jacobian S J E at the frame parts; "none" is the full grid's."""
+    return _assemble(g, _folded_coeffs(g, fvals, p, q, parts, symmetry), symmetry)
+
+
 def full_bordered_direction(g, J, res, rhs, pin):
     """(du, d log C) of the full-grid bordered system, by spsolve."""
     mean_row = sp.csr_matrix(np.full((1, g.size), 1.0 / g.size))
@@ -64,12 +71,15 @@ def bordered_gap(g, fvals, p, q, uvec, symmetry):
     """Relative gap between the folded bordered direction and the full one."""
     res, parts = _residual_u_vec(g, fvals, p, q, uvec)
     pin = float(np.mean(uvec) - 1.0)
-    full = full_bordered_direction(g, _jacobian(g, fvals, p, q, uvec, parts), res,
+    full = full_bordered_direction(g, folded_jacobian(g, fvals, p, q, parts), res,
                                    parts[7], pin)
-    A = _jacobian(g, fvals, p, q, uvec, parts, symmetry)
-    # the first direction of a solve: a fresh factor and the exact step
-    direction = _bordered_directions(_fold(g, symmetry), True, NewtonTrace(s=1.0, iterations=0))
-    reduced = direction(A, res, parts[7], pin)
+    C = _folded_coeffs(g, fvals, p, q, parts, symmetry)
+    # with no GMRES budget every direction is exact: a fresh factor, block
+    # elimination and one refinement step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "GMRES_RESTART", 0)
+        direction = _bordered_directions(g, symmetry, NewtonTrace(s=1.0, iterations=0))
+        reduced = direction(_assemble(g, C, symmetry), C, res, parts[7], pin)
     return np.max(np.abs(reduced - full)) / np.max(np.abs(full))
 
 
@@ -152,7 +162,7 @@ class TestResiduals:
         rng = np.random.default_rng(3)
         uvec = 1.0 + 0.05 * rng.standard_normal(g.size)
         res0, parts = _residual_u_vec(g, fvals, p, q, uvec)
-        J = _jacobian(g, fvals, p, q, uvec, parts)
+        J = folded_jacobian(g, fvals, p, q, parts)
         eps = 1e-7
         cols = rng.choice(g.size, size=12, replace=False)
         for k in cols:
@@ -292,7 +302,7 @@ class TestFoldedJacobian:
         _, parts = _residual_u_vec(g, fvals, 2.2, 1.7, uvec)
         J, J_abs = reference_jacobian(g, fvals, 2.2, 1.7, parts)
         S, E = _fold(g, symmetry)
-        A = _jacobian(g, fvals, 2.2, 1.7, uvec, parts, symmetry)
+        A = folded_jacobian(g, fvals, 2.2, 1.7, parts, symmetry)
         assert A.shape == (S.shape[0], S.shape[0])
         gap = abs(A - S @ J @ E).toarray()
         bound = 16.0 * np.finfo(float).eps * (S @ J_abs @ E).toarray()
@@ -306,7 +316,7 @@ class TestFoldedJacobian:
         profile = 1.0 + 0.05 * bump_profile(g.phi_nodes, g.theta)
         uvec = np.repeat(profile, Npsi)
         _, parts = _residual_u_vec(g, f, 2.0, 1.5, uvec)
-        assert _jacobian(g, f, 2.0, 1.5, uvec, parts, "rot").shape == (Nphi, Nphi)
+        assert folded_jacobian(g, f, 2.0, 1.5, parts, "rot").shape == (Nphi, Nphi)
         assert bordered_gap(g, f, 2.0, 1.5, uvec, "rot") <= 1e-10
 
 
@@ -442,16 +452,49 @@ class TestContinuation:
 
 
 class TestLaggedFactor:
-    """Later directions of a solve run GMRES on the factor of its first one."""
+    """Directions of psi-dependent data run GMRES on psi-Fourier mode factors."""
+
+    @pytest.mark.parametrize("symmetry", ["even", "none"])
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 16), (16, 32)])
+    def test_mode_factor_solves_the_psi_averaged_jacobian(self, Nphi, Npsi, symmetry):
+        """The mode factor's solve is spsolve of the folded Jacobian whose reduced
+        coefficients are replaced by their phi-row means, the pole antipode of
+        "none" (a shift by half the ring) included."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        rng = np.random.default_rng(Nphi + Npsi)
+        fvals = 1.0 + 0.1 * rng.random(g.size)
+        uvec = 1.0 + 0.05 * rng.standard_normal(g.size)
+        _, parts = _residual_u_vec(g, fvals, 2.2, 1.7, uvec)
+        C = _folded_coeffs(g, fvals, 2.2, 1.7, parts, symmetry)
+        m = C.shape[0] // Nphi
+        mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
+        b = rng.standard_normal(C.shape[0])
+        expected = spla.spsolve(_assemble(g, mean, symmetry), b)
+        assert _rel_gap(_ModeFactor(g, symmetry, C).solve(b), expected) <= 1e-12
 
     @pytest.mark.parametrize("budget", [1, GMRES_RESTART])
     def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
-        """A GMRES budget of 0 refactors at every direction: exact Newton."""
+        """A GMRES budget of 0 factors at every direction: exact Newton.  The full
+        budget takes no exact factor on the even ell-bump; a budget of 1 misses,
+        falls back to an exact factor and keeps it."""
         g = build_grid(math.pi / 3, 32, 64)
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                            f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
         monkeypatch.setattr(solver, "GMRES_RESTART", 0)
         exact = _solved(spec, g)
+        factors = []  # "mode" or "exact", in the order the solves build them
+        real_mode, real_lu = solver._ModeFactor, solver._lu_factor
+
+        def mode(*args):
+            factors.append("mode")
+            return real_mode(*args)
+
+        def lu(A):
+            factors.append("exact")
+            return real_lu(A)
+
+        monkeypatch.setattr(solver, "_ModeFactor", mode)
+        monkeypatch.setattr(solver, "_lu_factor", lu)
         monkeypatch.setattr(solver, "GMRES_RESTART", budget)
         lagged = _solved(spec, g)
         iterations = [t.iterations for t in exact.newton_trace]
@@ -459,12 +502,20 @@ class TestLaggedFactor:
         assert _rel_gap(lagged.h.values, exact.h.values) <= SolverConfig().newton_tol
         # every trace converged, so each iteration took one direction
         assert [t.factorizations for t in exact.newton_trace] == iterations
-        assert all(t.krylov_iterations == 0 for t in exact.newton_trace)
-        refactors = [t.factorizations - 1 for t in lagged.newton_trace if t.factorizations]
+        assert all(t.krylov_iterations == t.mode_factorizations == 0
+                   for t in exact.newton_trace)
         assert sum(t.krylov_iterations for t in lagged.newton_trace) > 0
-        # two GMRES(1) iterations miss the forcing term at some step; two
-        # restart cycles of the full budget never do on this problem
-        assert (sum(refactors) > 0) == (budget == 1)
+        assert len(factors) == sum(t.factorizations + t.mode_factorizations
+                                   for t in lagged.newton_trace)
+        if budget == GMRES_RESTART:
+            assert factors == ["mode"] * sum(iterations)
+            return
+        # one newton_solve (the s = 0 solve takes no direction): mode factors
+        # until the first miss, then the exact factor preconditions the rest
+        assert [t.iterations > 0 for t in lagged.newton_trace] == [False, True]
+        first = factors.index("exact")
+        assert first >= 1 and "mode" not in factors[first:]
+        assert lagged.newton_trace[1].mode_factorizations == first
 
 
 class TestStepControl:
@@ -679,3 +730,28 @@ class TestUniqueness:
         spread, ok = uniqueness_probe(spec, g, starts=starts)
         assert ok
         assert spread <= 1e-8
+
+    @pytest.mark.parametrize("Nphi,passes", [(8, False), (64, True)])
+    def test_probe_threshold_follows_the_floor(self, monkeypatch, Nphi, passes):
+        """One branch moved by 3e-9 in log h.  At 8x16 the solves certify log h to
+        about 3e-10 (2 newton_tol over p - q, the floor 5e-12), so the probe
+        rejects it; at 64x128 their floor of 2e-8 certifies only about 6e-8, so
+        the move is within what the solves resolve.  A fixed 1e-8 passes both."""
+        g = build_grid(math.pi / 3, Nphi, 2 * Nphi)
+        f = ell_power_density(g, c=1.3, alpha=-1.3, beta=-0.2)
+        spec = ProblemSpec(p=2.3, q=1.6, theta=g.theta, f=f, even=True)
+        starts = [ScalarField(g, c * np.ones(g.shape)) for c in (0.5, 1.0, 2.0)]
+        spread, ok = uniqueness_probe(spec, g, starts=starts)
+        assert ok and spread <= 1e-10
+        real = solver.newton_solve
+
+        def moved(spec, geom, s, u0, cfg=None, **kwargs):
+            r = real(spec, geom, s, u0, cfg, **kwargs)
+            if u0 is starts[1]:
+                r.h = ScalarField(geom, r.h.values * math.exp(3e-9))
+            return r
+
+        monkeypatch.setattr(solver, "newton_solve", moved)
+        spread, ok = uniqueness_probe(spec, g, starts=starts)
+        assert spread == pytest.approx(3e-9, rel=0.1)
+        assert ok == passes
