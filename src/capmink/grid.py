@@ -19,6 +19,7 @@ Neumann-padded u (:func:`_u_frame`).
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -59,6 +60,7 @@ class CapGeometry:
         self.dpsi = 2.0 * math.pi / self.Npsi
         self.phi_nodes = (np.arange(self.Nphi) + 0.5) * self.dphi
         self.psi_nodes = np.arange(self.Npsi) * self.dpsi
+        self.antipode = self.Npsi // 2  # psi shift, in cells, of the pole ghost
         self.sin_phi = np.sin(self.phi_nodes)
         self.cos_phi = np.cos(self.phi_nodes)
         self.cos_theta = math.cos(self.theta)
@@ -91,6 +93,25 @@ class CapGeometry:
 def build_grid(theta: float, Nphi: int, Npsi: int) -> CapGeometry:
     """Construct the cell-centered cap grid (see CapGeometry)."""
     return CapGeometry(theta, Nphi, Npsi)
+
+
+def _ring(geom: CapGeometry, m: int) -> CapGeometry:
+    """The periodic psi ring of m cells (m = Npsi, Npsi/2 or 1) of geom, cached on it.
+
+    A field invariant under the psi shift by m cells is its first m columns on
+    the ring: same dpsi, pole ghost shifted by ``(Npsi/2) mod m`` cells.  The
+    ring keeps no reference back to geom, so the cache makes no cycle.
+    """
+    if m == geom.Npsi:
+        return geom
+    key = ("ring", m)
+    if key not in geom._cache:
+        ring = copy.copy(geom)  # shares the phi arrays
+        ring.Npsi, ring.antipode, ring._cache = m, geom.antipode % m, {}
+        ring.psi_nodes = geom.psi_nodes[:m]
+        ring.area_weights = geom.area_weights[:, :m]
+        geom._cache[key] = ring
+    return geom._cache[key]
 
 
 @dataclass
@@ -168,7 +189,7 @@ def extend(geom: CapGeometry, values: np.ndarray) -> np.ndarray:
     """Pad a field with the pole ghost row and the top (Neumann) ghost."""
     ext = np.empty((geom.Nphi + 2, geom.Npsi))
     ext[1:-1] = values
-    ext[0] = np.roll(values[0], geom.Npsi // 2)
+    ext[0] = np.roll(values[0], geom.antipode)
     a = _NEUMANN_GHOST
     ext[-1] = a[0] * values[-3] + a[1] * values[-2] + a[2] * values[-1]
     return ext
@@ -196,7 +217,7 @@ def grad_field(geom: CapGeometry, s: ScalarField) -> tuple[ScalarField, ScalarFi
     d = geom.dphi
     g1 = np.empty_like(v)
     g1[1:-1] = (v[2:] - v[:-2]) / (2.0 * d)
-    pole_ghost = np.roll(v[0], geom.Npsi // 2)
+    pole_ghost = np.roll(v[0], geom.antipode)
     g1[0] = (v[1] - pole_ghost) / (2.0 * d)
     g1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * d)
     g2 = _psi_d1(v, geom.dpsi) / geom.sin_phi[:, None]

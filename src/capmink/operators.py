@@ -10,14 +10,13 @@ extended layout prepends the pole ghost row and appends the top ghost row.
 The dense kernel subtracts the row mean before its psi differences, so the
 two agree up to rounding, not bit for bit.
 
-The Newton system is restricted to the fields of the data's symmetry by a
-fold pair (see :func:`_fold`): none, evenness (the half domain) or rotation
-(one value per phi row, Nphi unknowns).  The pair is applied to these
-operators once per geometry, and :func:`_folded_terms` keeps the result on a
-fixed CSC pattern, so a Newton step only weights fixed values by the
-per-cell Jacobian coefficients.  The pole ghost and the periodic psi wrap
-carry over to the reduced system unchanged.  For the none and even folds,
-:func:`_mode_terms` keeps the psi-Fourier symbols of the same terms, from
+The solver builds them on the psi ring of the data's symmetry
+(:func:`capmink.grid._ring`): there they are the full grid's restricted to
+symmetric fields, since the periodic psi differences and the pole antipode
+are circulants (:func:`_circulant`), whose wrapped weights add up.
+:func:`_folded_terms` keeps the ring's Jacobian terms on a fixed CSC
+pattern, so a Newton step only weights fixed values by the per-cell Jacobian
+coefficients, and :func:`_mode_terms` keeps their psi-Fourier symbols, from
 which the solver factors its preconditioner one psi mode at a time.
 """
 
@@ -29,11 +28,21 @@ import scipy.sparse as sp
 from .grid import _NEUMANN_GHOST, CapGeometry, _ell_ext_rows, ell_field
 
 
+def _circulant(n: int, offsets, weights) -> sp.csr_matrix:
+    """n x n matrix with weight w at column (j + o) mod n of each row j.
+
+    Weights that wrap onto one column add up (``sp.diags`` refuses them).
+    """
+    rows = np.tile(np.arange(n), len(offsets))
+    cols = (rows + np.repeat(offsets, n)) % n
+    return sp.csr_matrix((np.repeat(weights, n), (rows, cols)), shape=(n, n))
+
+
 def _extension_matrix(geom: CapGeometry) -> sp.csr_matrix:
     """Map interior (N) -> extended (N + 2*Npsi) values, inserting ghost rows."""
-    Nphi, Npsi, half = geom.Nphi, geom.Npsi, geom.Npsi // 2
+    Nphi, Npsi = geom.Nphi, geom.Npsi
     # pole ghost: value at (phi_1, psi + pi)
-    antipode = sp.diags([1.0, 1.0], [half, -half], shape=(Npsi, Npsi))
+    antipode = _circulant(Npsi, [geom.antipode], [1.0])
     top = np.zeros((1, Nphi))
     top[0, -3:] = _NEUMANN_GHOST
     return sp.vstack(
@@ -53,17 +62,15 @@ def _row_diag(geom: CapGeometry, values_per_row: np.ndarray) -> sp.csr_matrix:
 def _frame_operators(geom: CapGeometry):
     """Maps extended-field -> interior frame quantities (b11, b12, b22, g1, g2)."""
     d, e, n = geom.dphi, geom.dpsi, geom.Npsi
-    # 1-D weights: phi differences map extended rows to interior rows; psi
-    # differences are periodic, the corner diagonals closing the period
+    # 1-D weights: phi differences map extended to interior rows, psi ones wrap
     rows = (geom.Nphi, geom.Nphi + 2)
     D1p = sp.diags([-1.0 / (2.0 * d), 1.0 / (2.0 * d)], [0, 2], shape=rows, format="csr")
     D2p = sp.diags([1.0 / d**2, -2.0 / d**2, 1.0 / d**2], [0, 1, 2], shape=rows,
                    format="csr")
     Pp = sp.diags([1.0], [1], shape=rows, format="csr")
-    wrap = [-1, 1, n - 1, 1 - n]
     c = 1.0 / (2 * e)
-    D1s = sp.diags([-c, c, -c, c], wrap, shape=(n, n), format="csr")
-    D2s = sp.diags([1.0 / e**2] * 4 + [-2.0 / e**2], wrap + [0], shape=(n, n), format="csr")
+    D1s = _circulant(n, [-1, 1], [-c, c])
+    D2s = _circulant(n, [-1, 0, 1], [1.0 / e**2, -2.0 / e**2, 1.0 / e**2])
     Is = sp.identity(n, format="csr")
     Dphi = sp.kron(D1p, Is, format="csr")
     Dphiphi = sp.kron(D2p, Is, format="csr")
@@ -107,50 +114,21 @@ def u_system(geom: CapGeometry) -> dict:
 JACOBIAN_TERMS = ("b11", "b22", "b12", "g1", "g2")
 
 
-def _fold(geom: CapGeometry, symmetry: str):
-    """(S, E) restricting the Newton system to fields with the given symmetry.
-
-    Per phi row, E copies m values onto all Npsi psi nodes and S keeps the
-    first m: m = Npsi for ``"none"`` (the identity pair), Npsi/2 for
-    ``"even"`` (psi -> psi + pi invariant fields) and 1 for ``"rot"``
-    (psi-independent fields).  A Jacobian J that commutes with the symmetry
-    maps invariant fields to invariant fields, so the Newton direction is
-    ``E solve(S J E, -S res)``.
-    """
-    key = ("fold", symmetry)
-    if key not in geom._cache:
-        n, N = geom.Npsi, geom.size
-        m = {"none": n, "even": n // 2, "rot": 1}[symmetry]
-        cells = np.arange(N)
-        row, psi = np.divmod(cells, n)
-        reduced = row * m + psi % m  # the reduced unknown each cell copies
-        first = psi < m
-        k = geom.Nphi * m
-        S = sp.csr_matrix((np.ones(k), (reduced[first], cells[first])), shape=(k, N))
-        E = sp.csr_matrix((np.ones(N), (cells, reduced)), shape=(N, k))
-        geom._cache[key] = (S, E)
-    return geom._cache[key]
-
-
-def _folded_terms(geom: CapGeometry, symmetry: str):
-    """Fixed CSC pattern of every folded Jacobian ``S J E``, and its assembly map.
+def _folded_terms(geom: CapGeometry):
+    """Fixed CSC pattern of every Jacobian on the ring geom, and its assembly map.
 
     A Jacobian of the form ``J = sum_k diag(c_k) O_k + diag(d)``, with O_k the
-    :data:`JACOBIAN_TERMS` of :func:`u_system`, folds to
-    ``sum_k diag(S c_k) (S O_k E) + diag(S d)``, because S only selects rows
-    and S E is the identity.  Its entries are therefore a fixed linear map of
-    the reduced coefficients.  Returns ``(indptr, indices, T)``: the union
-    CSC pattern of the ``S O_k E`` and the diagonal, and the sparse map T
-    with ``data = T @ C.ravel()``, where C (reduced cells x terms) holds
-    ``S c_k`` for each term in order and ``S d`` last.  Built once per
-    geometry and symmetry, on the first Newton step.
+    :data:`JACOBIAN_TERMS` of :func:`u_system`, has entries that are a fixed
+    linear map of the coefficients.  Returns ``(indptr, indices, T)``: the
+    union CSC pattern of the O_k and the diagonal, and the sparse map T with
+    ``data = T @ C.ravel()``, where C (cells x terms) holds c_k for each term
+    in order and d last.  Built once per ring, on the first Newton step.
     """
-    key = ("folded_terms", symmetry)
+    key = "folded_terms"
     if key not in geom._cache:
         ops = u_system(geom)
-        S, E = _fold(geom, symmetry)
-        n = S.shape[0]
-        terms = [(S @ ops[k] @ E).tocsc() for k in JACOBIAN_TERMS]
+        n = geom.size
+        terms = [ops[k].tocsc() for k in JACOBIAN_TERMS]
         terms.append(sp.identity(n, format="csc"))
         for t in terms:
             t.eliminate_zeros()
@@ -162,7 +140,7 @@ def _folded_terms(geom: CapGeometry, symmetry: str):
             return cols * n + m.indices
 
         ukeys = keys(union)
-        # term k's entry at reduced row r lands at its pattern position and is
+        # term k's entry at row r lands at its pattern position and is
         # weighted by C[r, k]
         entry = np.concatenate([np.searchsorted(ukeys, keys(t)) for t in terms])
         coeff = np.concatenate([t.indices * len(terms) + k for k, t in enumerate(terms)])
@@ -172,32 +150,31 @@ def _folded_terms(geom: CapGeometry, symmetry: str):
     return geom._cache[key]
 
 
-def _mode_terms(geom: CapGeometry, symmetry: str):
-    """psi-Fourier symbols of the folded terms, for ``"even"`` and ``"none"``.
+def _mode_terms(geom: CapGeometry):
+    """psi-Fourier symbols of the Jacobian terms on a ring of m > 1 cells.
 
-    The reduced unknowns ``row * m + j`` of these folds form a periodic psi
-    ring of m cells per phi row, and every ``S O_k E`` maps it circulantly:
-    its coefficients depend on phi alone, and the pole antipode is a shift by
-    ``Npsi/2 mod m`` cells.  A Jacobian whose coefficients are constant along
-    each phi row therefore maps psi mode k of row i' to the same mode of row
-    i, with the weight ``sum_t cbar[i, t] sigma_t[i, i'](k)``, where
+    The unknowns ``row * m + j`` of the ring geom are periodic in j, and every
+    term maps them circulantly: its coefficients depend on phi alone, and the
+    pole antipode is a shift by ``geom.antipode`` cells.  A Jacobian whose
+    coefficients are constant along each phi row therefore maps psi mode k of
+    row i' to the same mode of row i, with the weight
+    ``sum_t cbar[i, t] sigma_t[i, i'](k)``, where
     ``sigma_t[i, i'](k) = sum_l a_t[i, i', l] exp(2 pi i k l / m)`` and
     ``a_t[i, i', l]`` is term t's entry in row ``(i, 0)``, column ``(i', l)``
-    of :func:`_folded_terms` (for ``"none"`` the antipode's ``l = m/2`` gives
-    the factor ``(-1)^k``).  Returns ``(rows, cols, G, omega)``: the phi-row
-    pairs ``(i, i')`` that carry an entry, in column-major order; the real
-    map G with ``a = G @ cbar.ravel()``, ``a`` the (pair, offset) weights
-    flattened and cbar (Nphi x terms) as the reduced coefficients of
+    of :func:`_folded_terms` (on the full grid the antipode's ``l = m/2``
+    gives the factor ``(-1)^k``).  Returns ``(rows, cols, G, omega)``: the
+    phi-row pairs ``(i, i')`` that carry an entry, in column-major order; the
+    real map G with ``a = G @ cbar.ravel()``, ``a`` the (pair, offset) weights
+    flattened and cbar (Nphi x terms) as the coefficients of
     :func:`_folded_terms`; and ``omega[l, k] = exp(2 pi i k l / m)`` over the
     psi offsets that occur and the modes ``k = 0 .. m // 2``.  Built once per
-    geometry and symmetry, on the first Newton direction that needs it.
+    ring, on the first Newton direction that needs it.
     """
-    key = ("mode_terms", symmetry)
+    key = "mode_terms"
     if key not in geom._cache:
-        indptr, indices, T = _folded_terms(geom, symmetry)
-        Nphi = geom.Nphi
-        m = _fold(geom, symmetry)[0].shape[0] // Nphi
-        nterms = T.shape[1] // (Nphi * m)
+        indptr, indices, T = _folded_terms(geom)
+        Nphi, m = geom.Nphi, geom.Npsi
+        nterms = T.shape[1] // geom.size
         cols = np.repeat(np.arange(Nphi * m), np.diff(indptr))
         first = np.flatnonzero(indices % m == 0)  # the entries in the j = 0 rows
         i, (i2, shift) = indices[first] // m, np.divmod(cols[first], m)

@@ -25,20 +25,23 @@ so ``f / kappa`` is the target with ``log C`` shifted by ``log kappa``, and
 the path does not depend on the scale of f.  Newton steps use the exact
 sparse Jacobian of the discrete residual: the determinant is linearized as
 ``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
-The step is solved on the fields of the data's symmetry only: Nphi unknowns
-for psi-independent data, the half domain for even data, the full grid
-otherwise.  The folded Jacobian is assembled straight on a fixed sparsity
-pattern cached on the geometry (:func:`capmink.operators._folded_terms`).
-The border is never factored.  Each direction of psi-dependent data is an
+Each solve runs on the psi ring of the data's symmetry
+(:func:`capmink.grid._ring`): one cell per phi row for psi-independent data,
+Npsi/2 for even data, all Npsi otherwise.  The start is averaged onto the
+ring, the solution tiled back onto the grid.  The residual, the convexity
+check and the Jacobian (on a fixed sparsity pattern,
+:func:`capmink.operators._folded_terms`) are the ring's; the rounding floor
+is the full grid's on the ring cells (:func:`_abs_ops`).  The border is
+never factored.  Each direction of psi-dependent data is an
 inexact Newton step (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996):
 GMRES on the bordered system with the current Jacobian, right-preconditioned
 by block elimination on a preconditioner factor, to the forcing term
 ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the first
 direction).  The preconditioner is the mode factor: with its coefficients
-averaged over each phi row, the folded Jacobian is circulant along the psi
-ring of the fold, so a real FFT along psi splits it into one banded Nphi
-system per Fourier mode, all factored by one SuperLU call in their natural
-order, whose fill stays inside each mode's band.  If GMRES misses eta_k
+averaged over each phi row, the Jacobian is circulant along the psi ring,
+so a real FFT along psi splits it into one banded Nphi system per Fourier
+mode, all factored by one SuperLU call in their natural order, whose fill
+stays inside each mode's band.  If GMRES misses eta_k
 within two restart cycles of GMRES_RESTART iterations, the Jacobian is
 factored exactly (SuperLU with the ``MMD_AT_PLUS_A`` fill-reducing column
 ordering) and the exact step is taken: block elimination on that factor
@@ -46,13 +49,12 @@ plus one refinement step with it (Govaerts-Pryce, *BIT* 30, 1990), which
 keeps the step accurate as the Jacobian turns singular at ``p = q``.  That
 factor then preconditions the solve's later directions, and each later miss
 refactors: a miss marks data the psi-average fits poorly, on which the mode
-factor tends to miss again.  The contraction Theta is no reason to refactor, because GMRES
-solves the current Jacobian: Theta measures the nonlinearity, not the
-preconditioner.  Psi-independent data takes the exact step at every
-direction: its psi-average is its Jacobian, and its banded Nphi-unknown
-factor costs less than the GMRES calls.  Convergence is decided by the
-residual floor test alone.  Only the starting field is projected onto the
-symmetric fields; each later iterate stays there exactly.
+factor tends to miss again.  The contraction Theta is no reason to refactor,
+because GMRES solves the current Jacobian: Theta measures the nonlinearity,
+not the preconditioner.  On the one-cell ring of psi-independent data every
+direction takes the exact step: the psi-average is the Jacobian itself, and
+its banded Nphi-unknown factor costs less than the GMRES calls.  Convergence
+is decided by the residual floor test alone.
 
 The continuation is steered by the observed Newton contraction
 ``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
@@ -82,6 +84,7 @@ from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _ring,
     _u_frame,
     bump_profile,
     ell_field,
@@ -89,7 +92,7 @@ from .grid import (
     evenness_defect,
     robin_residual,
 )
-from .operators import JACOBIAN_TERMS, _fold, _folded_terms, _mode_terms, u_system
+from .operators import JACOBIAN_TERMS, _folded_terms, _mode_terms, u_system
 
 
 @dataclass
@@ -158,7 +161,7 @@ class NewtonTrace:
     # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
     # 0.0 when fewer than two directions were taken
     contraction: float = 0.0
-    # exact SuperLU factors of the folded Jacobian, SuperLU factors of its
+    # exact SuperLU factors of the ring Jacobian, SuperLU factors of its
     # psi-average in Fourier modes, and GMRES iterations
     factorizations: int = 0
     mode_factorizations: int = 0
@@ -264,10 +267,10 @@ def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarFi
                            h.values / ell_field(geom).values)
 
 
-def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts, symmetry: str) -> np.ndarray:
-    """Reduced coefficients C of the folded Jacobian at the frame ``parts``.
+def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
+    """Coefficients C of the Jacobian on the ring geom at the frame ``parts``.
 
-    Row r of C holds, at the r-th reduced cell, the weight of each
+    Row r of C holds, at the r-th cell, the weight of each
     :data:`JACOBIAN_TERMS` operator in the Jacobian of the quotient residual
     and last its diagonal term, as :func:`capmink.operators._folded_terms`
     reads them.
@@ -282,15 +285,13 @@ def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts, symmetry: str) -> np.n
     c_g = fr * hvec ** (p - 1.0) * e * w ** (e - 1.0) * 2.0
     # cof(b) : db for the determinant, minus d(rhs) through grad h and h
     weight = {"b11": b22, "b22": b11, "b12": -2.0 * b12, "g1": -c_g * g1, "g2": -c_g * g2}
-    coeffs = np.stack([weight[k] for k in JACOBIAN_TERMS] + [-c_h * u_system(geom)["ell"]],
-                      axis=1)
-    S, _ = _fold(geom, symmetry)
-    return S @ coeffs
+    return np.stack([weight[k] for k in JACOBIAN_TERMS] + [-c_h * u_system(geom)["ell"]],
+                    axis=1)
 
 
-def _assemble(geom: CapGeometry, C, symmetry: str) -> sp.csc_matrix:
-    """The folded Jacobian S J E of the reduced coefficients C."""
-    indptr, indices, T = _folded_terms(geom, symmetry)
+def _assemble(geom: CapGeometry, C) -> sp.csc_matrix:
+    """The Jacobian on the ring geom of the coefficients C."""
+    indptr, indices, T = _folded_terms(geom)
     n = C.shape[0]
     return sp.csc_matrix((T @ C.ravel(), indices, indptr), shape=(n, n))
 
@@ -304,10 +305,10 @@ def _lu_factor(A):
 
 
 class _ModeFactor:
-    """Solver of the psi-average of a folded Jacobian, one psi-Fourier mode at a time.
+    """Solver of the psi-average of a ring Jacobian, one psi-Fourier mode at a time.
 
-    Averaging the reduced coefficients C over each phi row makes the folded
-    Jacobian circulant along the psi ring of m cells (see
+    Averaging the coefficients C over each phi row makes the Jacobian on a
+    ring of m > 1 cells circulant along psi (see
     :func:`capmink.operators._mode_terms`), so a real FFT along psi splits it
     into one banded Nphi x Nphi system per mode k = 0 .. m // 2.  These are
     stacked mode after mode into one block-diagonal complex matrix and
@@ -315,10 +316,10 @@ class _ModeFactor:
     inside each mode's band.  ``solve`` is rfft, that factor's solve, irfft.
     """
 
-    def __init__(self, geom: CapGeometry, symmetry: str, C):
-        rows, cols, G, omega = _mode_terms(geom, symmetry)
+    def __init__(self, geom: CapGeometry, C):
+        rows, cols, G, omega = _mode_terms(geom)
         Nphi, K = geom.Nphi, omega.shape[1]
-        self.shape = (Nphi, C.shape[0] // Nphi)
+        self.shape = geom.shape
         cbar = C.reshape(*self.shape, -1).mean(axis=1)
         # per mode, the symbols of the phi-row pairs, in the pairs' column-major order
         data = ((G @ cbar.ravel()).reshape(len(rows), -1) @ omega).T
@@ -360,27 +361,24 @@ def _block_elimination(lu, row, col):
     return solve
 
 
-def _bordered_directions(geom: CapGeometry, symmetry: str, trace: NewtonTrace):
-    """Newton directions ``(E d, dl)`` of one newton_solve of the normalized equation.
+def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
+    """Newton directions ``(d, dl)`` of one newton_solve of the normalized equation.
 
     Each call ``direction(A, C, res, rhs, pin)`` solves
-    ``[[A, -S rhs], [r, 0]] (d, dl) = -(S res, pin)``, where A = S J E is the
-    folded Jacobian of the reduced coefficients C, ``-rhs`` the derivative of
-    the residual in log C and ``r`` the folded gradient of the pin
-    ``mean(u_bar) - 1``.  A direction runs GMRES on the bordered system,
-    right-preconditioned by block elimination on a preconditioner factor, to
-    the forcing term ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)``
-    (ETA_MAX for the first direction).  That factor is the mode factor of the
-    direction's own C (:class:`_ModeFactor`) until GMRES first misses eta_k
-    within two restart cycles; then A is factored exactly and the exact step
-    taken (block elimination plus one refinement step with the same factor),
-    and that factor is kept as the preconditioner, refactored at each later
-    miss.  ``"rot"`` data takes the exact step at every direction.
+    ``[[A, -rhs], [r, 0]] (d, dl) = -(res, pin)`` on the ring geom, where A is
+    the Jacobian of the coefficients C, ``-rhs`` the derivative of the
+    residual in log C and ``r`` the gradient of the pin ``mean(u_bar) - 1``.
+    A direction runs GMRES on the bordered system, right-preconditioned by
+    block elimination on a preconditioner factor, to the forcing term
+    ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the
+    first direction).  That factor is the mode factor of the direction's own
+    C (:class:`_ModeFactor`) until GMRES first misses eta_k within two restart
+    cycles; then A is factored exactly and the exact step taken (block
+    elimination plus one refinement step with the same factor), and that
+    factor is kept as the preconditioner, refactored at each later miss.  On
+    a one-cell ring (psi-independent data) every direction is an exact step.
     """
-    S, E = _fold(geom, symmetry)
-    # E copies every reduced unknown onto the same number of cells, so the
-    # gradient of the mean is the same 1/k for each of the k unknowns
-    k = S.shape[0]
+    k = geom.size
     row = np.full(k, 1.0 / k)
     lu = norm = None  # the kept exact factor, and |F| at the last direction
 
@@ -412,18 +410,18 @@ def _bordered_directions(geom: CapGeometry, symmetry: str, trace: NewtonTrace):
 
     def direction(A, C, res, rhs, pin):
         nonlocal norm
-        col, top, bottom = -(S @ rhs), -(S @ res), -pin
+        col, top, bottom = -rhs, -res, -pin
         norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
         step = None
-        if symmetry != "rot" and GMRES_RESTART > 0:
+        if geom.Npsi > 1 and GMRES_RESTART > 0:
             factor = lu
             if factor is None:
                 trace.mode_factorizations += 1
-                factor = _ModeFactor(geom, symmetry, C)
+                factor = _ModeFactor(geom, C)
             eta = ETA_MAX if norm_prev is None else min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2)
             step = krylov(A, factor, col, top, bottom, eta)
         d, dl = step if step is not None else exact(A, col, top, bottom)
-        dx = np.append(E @ d, dl)
+        dx = np.append(d, dl)
         if not np.all(np.isfinite(dx)):
             raise ApplicabilityError("Newton linear system is singular")
         return dx
@@ -431,13 +429,22 @@ def _bordered_directions(geom: CapGeometry, symmetry: str, trace: NewtonTrace):
     return direction
 
 
-def _abs_ops(geom: CapGeometry) -> dict:
-    key = "u_system_abs"
+def _abs_ops(geom: CapGeometry, m: int) -> dict:
+    """``S |A| E`` of the full grid's b11, b12, b22 for the ring of m cells.
+
+    S keeps the ring's cells (the first m of each phi row), E tiles the ring.
+    The ring's own |A| would add the pole ghost to its cell (even data) or the
+    psi stencil to itself (one cell) before the absolute value: a lower floor.
+    """
+    key = ("u_system_abs", m)
     if key not in geom._cache:
-        ops = u_system(geom)
-        geom._cache[key] = {
-            k: abs(ops[k]) for k in ("b11", "b12", "b22")
-        }
+        row, psi = np.divmod(np.arange(geom.size), geom.Npsi)
+        ring_cell, n = row * m + psi % m, geom.Nphi * m
+        ops = {}
+        for k in ("b11", "b12", "b22"):
+            a = abs(u_system(geom)[k][psi < m]).tocoo()
+            ops[k] = sp.csr_matrix((a.data, (a.row, ring_cell[a.col])), shape=(n, n))
+        geom._cache[key] = ops
     return geom._cache[key]
 
 
@@ -448,9 +455,10 @@ def _residual_floor(geom: CapGeometry, uvec, parts) -> np.ndarray:
     1/(sin(phi)^2 dpsi^2); a one-ulp change of u moves that cell's residual
     by roughly that factor, so the residual of the best double-precision
     iterate cannot drop below eps * |A| |u| per cell.  The standard |A||x|
-    backward-error bound over the b-operators gives that floor.
+    backward-error bound over the b-operators gives that floor.  geom is the
+    full grid; uvec and parts may live on a ring of it (see :func:`_abs_ops`).
     """
-    aops = _abs_ops(geom)
+    aops = _abs_ops(geom, len(uvec) // geom.Nphi)
     au = np.abs(uvec)
     b11, b12, b22, _g1, _g2, _h, _w, rhs = parts
     eps = np.finfo(float).eps
@@ -478,29 +486,20 @@ def _within_floor(res, noise, tol, parts) -> bool:
     return bool(np.all(np.abs(res) <= tol * scale + 8.0 * noise))
 
 
-def _rot_invariant(fvals) -> bool:
-    """True when the data is psi-independent (rotationally symmetric)."""
+def _symmetry(fvals, even: bool) -> int:
+    """Cells of the psi ring of the data's symmetry: 1 if the density is
+    psi-independent relative to its scale, else Npsi/2 if even, else Npsi."""
     span = np.max(fvals, axis=1) - np.min(fvals, axis=1)
-    return bool(np.max(span) <= 1e-13 * max(1.0, float(np.max(np.abs(fvals)))))
-
-
-def _symmetry(fvals, even: bool) -> str:
-    """The largest symmetry of the data: "rot", else "even", else "none"."""
-    if _rot_invariant(fvals):
-        return "rot"
-    return "even" if even else "none"
-
-
-def _project(fold, vec) -> np.ndarray:
-    """Mean of vec over the orbit of the fold's symmetry (psi mean for "rot")."""
-    _, E = fold
-    return E @ ((E.T @ vec) / (E.shape[0] // E.shape[1]))
+    if np.max(span) <= 1e-13 * np.max(np.abs(fvals)):
+        return 1
+    return fvals.shape[1] // 2 if even else fvals.shape[1]
 
 
 def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
               residual_sup, residual_floor) -> SolveResult:
-    """SolveResult of the normalized iterate x = (u_bar, log C).
+    """SolveResult on geom of the normalized iterate x = (u_bar, log C).
 
+    u_bar, on geom or a ring of it, is tiled onto geom, and
     h = m ell u_bar with m = C^(1/(p-q)), and m = 1 for p = q.  The residual
     figures are the solver's own, those of the normalized equation; b and the
     Robin defect are evaluated on h_bar = ell u_bar and scaled by m.
@@ -508,7 +507,8 @@ def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
     log_C = float(x[-1])
     log_m = log_C / (p - q) if p != q else 0.0
     ell = ell_field(geom).values
-    u_bar = x[:-1].reshape(geom.shape)
+    u_bar = x[:-1].reshape(geom.Nphi, -1)
+    u_bar = np.tile(u_bar, (1, geom.Npsi // u_bar.shape[1]))
     h_bar = ScalarField(geom, ell * u_bar)
     with np.errstate(over="ignore"):
         m = float(np.exp(log_m))
@@ -545,14 +545,14 @@ def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
     """Damped Newton with a sufficient-decrease line search; fills ``trace``.
 
     ``residual(x)`` gives ``(res, parts, pin)``, where pin is the border
-    residual; ``direction`` takes x and the same three.  The u field (the
-    first ``geom.size`` entries) must stay positive and convex; convexity is
-    read off the residual's own frame.  A step is halved until that holds and
-    the sup falls by ``1 - step/4`` or the floor test holds.  The largest
-    contraction of successive directions goes to ``trace.contraction``; with
-    ``trial`` the solve is given up once it exceeds THETA_REJECT or the step
-    falls below TRIAL_MIN_STEP, instead of below MIN_STEP.  Returns
-    the last iterate, its sup and its floor.
+    residual; ``direction`` takes x and the same three.  The u field (x but
+    its last entry, log C; on geom or a ring of it) must stay positive and
+    convex; convexity is read off the residual's own frame.  A step is halved
+    until that holds and the sup falls by ``1 - step/4`` or the floor test
+    holds.  The largest contraction of successive directions goes to
+    ``trace.contraction``; with ``trial`` the solve is given up once it
+    exceeds THETA_REJECT or the step falls below TRIAL_MIN_STEP, instead of
+    below MIN_STEP.  Returns the last iterate, its sup and its floor.
     """
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else MIN_STEP
@@ -562,7 +562,7 @@ def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
         res, parts, pin = residual(x)
         if eigen_range(*parts[:3])[0] < CONVEXITY_FLOOR:
             return None
-        noise = _residual_floor(geom, x[: geom.size], parts)
+        noise = _residual_floor(geom, x[:-1], parts)
         done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise)
@@ -587,7 +587,7 @@ def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
         step = 1.0
         while True:
             cand = x + step * dx
-            out = evaluate(cand) if np.all(cand[: geom.size] > 0.0) else None
+            out = evaluate(cand) if np.all(cand[:-1] > 0.0) else None
             if out is not None and (out[1] <= (1.0 - 0.25 * step) * sup or out[2]):
                 break
             step *= 0.5
@@ -623,26 +623,28 @@ def newton_solve(
         cfg = SolverConfig()
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
-    fvals, p, q, N = _density(spec, s), spec.p, spec.q, geom.size
-    symmetry = _symmetry(fvals, spec.even)
-    fold = _fold(geom, symmetry)
-    # later iterates stay exactly symmetric: every step is E x
-    uvec = _project(fold, u0.values.ravel())
+    fvals, p, q = _density(spec, s), spec.p, spec.q
+    # the solve runs on the psi ring of the data's symmetry, from the mean of
+    # u0 over each orbit of that symmetry and the density's first m columns
+    m = _symmetry(fvals, spec.even)
+    ring = _ring(geom, m)
+    fvals = fvals[:, :m].ravel()
+    uvec = u0.values.reshape(geom.Nphi, -1, m).mean(axis=1).ravel()
     mean = float(np.mean(uvec))
     if log_C is None:
         log_C = (p - q) * math.log(mean)
     x = np.append(uvec / mean, log_C)
 
     def residual(x):
-        res, parts = _residual_u_vec(geom, fvals * np.exp(x[N]), p, q, x[:N])
-        return res, parts, float(np.mean(x[:N]) - 1.0)
+        res, parts = _residual_u_vec(ring, fvals * np.exp(x[-1]), p, q, x[:-1])
+        return res, parts, float(np.mean(x[:-1]) - 1.0)
 
     trace = NewtonTrace(s=s, iterations=0)
-    bordered = _bordered_directions(geom, symmetry, trace)
+    bordered = _bordered_directions(ring, trace)
 
     def direction(x, res, parts, pin):
-        C = _folded_coeffs(geom, fvals * np.exp(x[N]), p, q, parts, symmetry)
-        return bordered(_assemble(geom, C, symmetry), C, res, parts[7], pin)
+        C = _folded_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
+        return bordered(_assemble(ring, C), C, res, parts[7], pin)
 
     x, res_sup, noise = _damped_newton(geom, x, residual, direction, cfg, trace, trial)
     return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup,

@@ -224,6 +224,17 @@ class TestSolve:
         f = density_from_config(g, {"kind": "grid", "values": values.tolist()}, 2.0, 1.5)
         assert np.array_equal(f.values.ravel(), values)
 
+    def test_tiny_even_density_solves(self, tmp_path):
+        """A psi-dependent density of scale 1e-15 is not psi-independent data."""
+        g = build_grid(1.0, 8, 16)
+        f = 1e-15 * (1.0 + 0.3 * np.cos(2 * g.psi_nodes) * g.sin_phi[:, None] ** 2)
+        cfg = write_config(tmp_path / "p.json", {
+            "theta": 1.0, "p": 2.0, "q": 1.5, "even": True, "grid": {"Nphi": 8, "Npsi": 16},
+            "f": {"kind": "grid", "values": f.ravel().tolist()}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert strict_json(out / "result.json")["converged"] is True
+
     def test_unsupported_exponents_is_config_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.json",

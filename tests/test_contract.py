@@ -73,6 +73,31 @@ def test_solver_entries_resolve():
         assert inspect.isfunction(fn) and fn.__module__ == solver.__name__, name
 
 
+def test_solve_results_live_on_the_callers_grid():
+    """Whatever psi ring a solve runs on, SolveResult.h and .u come back on the
+    caller's grid, and the solver calls of perfbench/workloads.py keep their
+    signatures."""
+    g = build_grid(math.pi / 3, 8, 16)
+    for k, even in [(2, True), (1, False), (0, True)]:  # the half ring, the grid, one cell
+        f = ell_bump_f_exact(g, 2.5, 1.5, 0.05, k)
+        result = solver.continuation_solve(
+            ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=even), g)
+        assert result.converged
+        assert result.h.geometry is g and result.u.geometry is g
+        assert result.h.values.shape == result.u.values.shape == g.shape
+
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(solver.continuation_solve) == ["spec", "geom", "cfg"]
+    assert names(solver.newton_solve) == ["spec", "geom", "s", "u0", "cfg", "trial", "log_C"]
+    assert names(solver.ell_bump_f_exact) == ["geom", "p", "q", "eps", "k"]
+    assert names(solver.ell_bump_field) == ["geom", "eps", "k"]
+    assert names(u_system) == ["geom"]
+    assert [f.name for f in dataclasses.fields(ProblemSpec)][:5] == ["p", "q", "theta", "f",
+                                                                    "even"]
+
+
 def test_u_system_cache_key():
     g = build_grid(1.0, 8, 16)
     ops = u_system(g)

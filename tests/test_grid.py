@@ -21,6 +21,8 @@ from capmink import (
 )
 from capmink.grid import (
     _W_DERIV,
+    _ring,
+    _u_frame,
     boundary_values,
     bump_profile,
     extend,
@@ -28,7 +30,7 @@ from capmink.grid import (
     field_to_csv,
 )
 
-from conftest import robin_bump
+from conftest import neumann_bump, robin_bump
 
 
 class TestGeometry:
@@ -142,6 +144,25 @@ class TestSymmetry:
             g, lambda phi, psi: 1.0 + 0.1 * np.cos(2 * psi) * np.sin(phi)
         )
         assert evenness_defect(g, s.values) < 1e-15
+
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (16, 32), (128, 256)])
+    @pytest.mark.parametrize("kind", ["even", "psi_independent"])
+    def test_u_frame_on_ring_is_the_full_frame_restricted(self, Nphi, Npsi, kind):
+        """A field invariant under the psi shift by m cells is its first m columns
+        on the ring of m cells: the frame there is the full-grid frame's first m
+        columns, bit for bit (its psi differences of the row-mean-subtracted
+        field see the same neighbours, and the pole ghost the same antipode)."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        m = Npsi // 2 if kind == "even" else 1
+        u = neumann_bump(g, eps=0.1).values  # cos(2 psi): even
+        if m == 1:
+            u = u.mean(axis=1, keepdims=True)
+        u = np.tile(u[:, :m], (1, Npsi // m))
+        ring = _ring(g, m)
+        assert (ring.Npsi, ring.dpsi, ring.antipode) == (m, g.dpsi, 0)
+        assert _ring(g, m) is ring and _ring(g, Npsi) is g
+        for full, on_ring in zip(_u_frame(g, u), _u_frame(ring, u[:, :m])):
+            assert np.array_equal(full[:, :m], on_ring)
 
 
 class TestEmbedding:

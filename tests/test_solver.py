@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from capmink import (
     residual_u,
     uniqueness_probe,
 )
-from capmink.grid import bump_profile, evenness_defect
-from capmink.operators import _fold, u_system
+from capmink.grid import _ring, bump_profile, evenness_defect
+from capmink.operators import u_system
 from capmink.solver import (
     GMRES_RESTART,
     NewtonTrace,
@@ -43,6 +45,7 @@ from capmink.solver import (
     _lu_factor,
     _residual_floor,
     _residual_u_vec,
+    _symmetry,
     _within_floor,
 )
 
@@ -55,9 +58,32 @@ def ell_power_density(geom, c=1.0, alpha=0.0, beta=0.0):
     return ScalarField(geom, c * ell**alpha * w0**beta)
 
 
-def folded_jacobian(g, fvals, p, q, parts, symmetry="none"):
-    """The folded Jacobian S J E at the frame parts; "none" is the full grid's."""
-    return _assemble(g, _folded_coeffs(g, fvals, p, q, parts, symmetry), symmetry)
+def ring_of(g, symmetry):
+    """The psi ring of the symmetry: all Npsi cells, Npsi/2 ("even") or one ("rot")."""
+    return _ring(g, {"none": g.Npsi, "even": g.Npsi // 2, "rot": 1}[symmetry])
+
+
+def on_ring(ring, values):
+    """The first ring.Npsi cells of each phi row of a full-grid field, flattened."""
+    return np.reshape(values, (ring.Nphi, -1))[:, :ring.Npsi].ravel()
+
+
+def fold_pair(g, ring):
+    """(S, E): S keeps the ring's cells of the full grid, E tiles the ring onto it."""
+    cells = np.arange(g.size)
+    row, psi = np.divmod(cells, g.Npsi)
+    m = ring.Npsi
+    reduced = row * m + psi % m
+    first = psi < m
+    S = sp.csr_matrix((np.ones(ring.size), (reduced[first], cells[first])),
+                      shape=(ring.size, g.size))
+    E = sp.csr_matrix((np.ones(g.size), (cells, reduced)), shape=(g.size, ring.size))
+    return S, E
+
+
+def folded_jacobian(g, fvals, p, q, parts):
+    """The Jacobian on the ring (or full grid) g at the frame parts."""
+    return _assemble(g, _folded_coeffs(g, fvals, p, q, parts))
 
 
 def full_bordered_direction(g, J, res, rhs, pin):
@@ -68,18 +94,23 @@ def full_bordered_direction(g, J, res, rhs, pin):
 
 
 def bordered_gap(g, fvals, p, q, uvec, symmetry):
-    """Relative gap between the folded bordered direction and the full one."""
+    """Relative gap between the bordered direction on the ring, tiled onto the
+    grid, and the full-grid one."""
     res, parts = _residual_u_vec(g, fvals, p, q, uvec)
     pin = float(np.mean(uvec) - 1.0)
     full = full_bordered_direction(g, folded_jacobian(g, fvals, p, q, parts), res,
                                    parts[7], pin)
-    C = _folded_coeffs(g, fvals, p, q, parts, symmetry)
+    ring = ring_of(g, symmetry)
+    fr, ur = on_ring(ring, fvals), on_ring(ring, uvec)
+    res, parts = _residual_u_vec(ring, fr, p, q, ur)
+    C = _folded_coeffs(ring, fr, p, q, parts)
     # with no GMRES budget every direction is exact: a fresh factor, block
     # elimination and one refinement step
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "GMRES_RESTART", 0)
-        direction = _bordered_directions(g, symmetry, NewtonTrace(s=1.0, iterations=0))
-        reduced = direction(_assemble(g, C, symmetry), C, res, parts[7], pin)
+        direction = _bordered_directions(ring, NewtonTrace(s=1.0, iterations=0))
+        d = direction(_assemble(ring, C), C, res, parts[7], float(np.mean(ur) - 1.0))
+    reduced = np.append(fold_pair(g, ring)[1] @ d[:-1], d[-1])
     return np.max(np.abs(reduced - full)) / np.max(np.abs(full))
 
 
@@ -266,8 +297,7 @@ class TestEvenFold:
             g, lambda phi, psi: 1.0 + 0.2 * np.cos(psi) * np.sin(phi) ** 2
         )
         spec = ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=False)
-        S, E = _fold(g, "none")
-        assert S.shape == E.shape == (g.size, g.size)
+        assert _symmetry(f.values, False) == g.Npsi and _ring(g, g.Npsi) is g
         result = continuation_solve(spec, g)
         assert result.converged
         assert evenness_defect(g, result.h.values) > 1e-4
@@ -294,16 +324,18 @@ class TestFoldedJacobian:
     @pytest.mark.parametrize("symmetry", ["none", "even", "rot"])
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
     def test_assembly_matches_sparse_products(self, Nphi, Npsi, symmetry):
-        """The fixed-pattern assembly equals S J E of the product-built Jacobian."""
+        """The fixed-pattern assembly on the ring, from the full grid's coefficients
+        at the ring's cells, equals S J E of the product-built full Jacobian."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         rng = np.random.default_rng(Nphi + Npsi)
         fvals = ell_power_density(g, alpha=-0.5).values.ravel()
         uvec = 1.0 + 0.05 * rng.standard_normal(g.size)
         _, parts = _residual_u_vec(g, fvals, 2.2, 1.7, uvec)
         J, J_abs = reference_jacobian(g, fvals, 2.2, 1.7, parts)
-        S, E = _fold(g, symmetry)
-        A = folded_jacobian(g, fvals, 2.2, 1.7, parts, symmetry)
-        assert A.shape == (S.shape[0], S.shape[0])
+        ring = ring_of(g, symmetry)
+        S, E = fold_pair(g, ring)
+        A = _assemble(ring, S @ _folded_coeffs(g, fvals, 2.2, 1.7, parts))
+        assert A.shape == (ring.size, ring.size)
         gap = abs(A - S @ J @ E).toarray()
         bound = 16.0 * np.finfo(float).eps * (S @ J_abs @ E).toarray()
         assert np.all(gap <= bound)
@@ -315,8 +347,9 @@ class TestFoldedJacobian:
         f = ell_power_density(g, alpha=-1.2, beta=-0.1).values
         profile = 1.0 + 0.05 * bump_profile(g.phi_nodes, g.theta)
         uvec = np.repeat(profile, Npsi)
-        _, parts = _residual_u_vec(g, f, 2.0, 1.5, uvec)
-        assert folded_jacobian(g, f, 2.0, 1.5, parts, "rot").shape == (Nphi, Nphi)
+        ring = ring_of(g, "rot")
+        _, parts = _residual_u_vec(ring, f[:, :1], 2.0, 1.5, profile)
+        assert folded_jacobian(ring, f[:, :1], 2.0, 1.5, parts).shape == (Nphi, Nphi)
         assert bordered_gap(g, f, 2.0, 1.5, uvec, "rot") <= 1e-10
 
 
@@ -403,6 +436,66 @@ class TestMetamorphic:
         assert _rel_gap(scaled.h.values, dilated) <= 1e-9
         assert scaled.log_C - base.log_C == pytest.approx(-math.log(c), abs=1e-9)
 
+    def test_even_flag_does_not_change_the_solve(self):
+        """Even data solved on the full grid (even=False) and on the half ring."""
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = _even_problem(g)
+        full = _solved(ProblemSpec(p=spec.p, q=spec.q, theta=g.theta, f=spec.f), g)
+        half = _solved(spec, g)
+        assert _symmetry(spec.f.values, False) == 2 * _symmetry(spec.f.values, True)
+        assert ([(t.s, t.iterations) for t in full.newton_trace]
+                == [(t.s, t.iterations) for t in half.newton_trace])
+        assert _rel_gap(full.h.values, half.h.values) <= 1e-12
+
+
+class TestRing:
+    """Each solve runs on the psi ring of the data's symmetry."""
+
+    def test_symmetry_is_relative_to_the_data_scale(self):
+        g = build_grid(1.0, 8, 16)
+        sin2 = g.sin_phi[:, None] ** 2
+        flat = ell_field(g).values
+        even = flat * (1.0 + 0.3 * np.cos(2 * g.psi_nodes) * sin2)
+        odd = flat * (1.0 + 0.3 * np.cos(g.psi_nodes) * sin2)
+        for scale in (1e-15, 1.0, 1e15):
+            assert _symmetry(scale * flat, False) == 1
+            assert _symmetry(scale * even, True) == g.Npsi // 2
+            assert _symmetry(scale * even, False) == g.Npsi
+            assert _symmetry(scale * odd, False) == g.Npsi
+            # a psi variation at the rounding level of the data is no variation
+            assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat)), True) == 1
+
+    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    def test_ring_floor_is_the_full_grid_floor(self, problem):
+        """The ring's floor is the full grid's on the ring cells, although the
+        ring's own stencils merge the pole ghost or the psi stencil with the cell."""
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = problem(g)
+        ring = ring_of(g, "even" if problem is _even_problem else "rot")
+        assert _symmetry(spec.f.values, spec.even) == ring.Npsi
+        u, f = _solved(spec, g).u.values, spec.f.values
+        _, parts = _residual_u_vec(g, f, spec.p, spec.q, u.ravel())
+        full = on_ring(ring, _residual_floor(g, u.ravel(), parts))
+        _, parts = _residual_u_vec(ring, on_ring(ring, f), spec.p, spec.q, on_ring(ring, u))
+        floor = _residual_floor(g, on_ring(ring, u), parts)
+        assert np.max(np.abs(floor - full) / full) <= 1e-14
+
+    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    def test_solve_leaves_no_reference_cycle(self, problem):
+        """Rings and operators cached on the grid hold no reference back to it,
+        so the grid dies with the caller's last reference, without the collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            g = build_grid(math.pi / 3, 16, 32)
+            spec = problem(g)
+            assert continuation_solve(spec, g).converged
+            grid = weakref.ref(g)
+            del g, spec
+            assert grid() is None
+        finally:
+            gc.enable()
+
 
 class TestContinuation:
     def test_hemisphere_constant_density(self, geom_pi2):
@@ -457,20 +550,21 @@ class TestLaggedFactor:
     @pytest.mark.parametrize("symmetry", ["even", "none"])
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 16), (16, 32)])
     def test_mode_factor_solves_the_psi_averaged_jacobian(self, Nphi, Npsi, symmetry):
-        """The mode factor's solve is spsolve of the folded Jacobian whose reduced
+        """The mode factor's solve is spsolve of the ring Jacobian whose
         coefficients are replaced by their phi-row means, the pole antipode of
-        "none" (a shift by half the ring) included."""
+        the full grid (a shift by half the ring) included."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         rng = np.random.default_rng(Nphi + Npsi)
-        fvals = 1.0 + 0.1 * rng.random(g.size)
-        uvec = 1.0 + 0.05 * rng.standard_normal(g.size)
-        _, parts = _residual_u_vec(g, fvals, 2.2, 1.7, uvec)
-        C = _folded_coeffs(g, fvals, 2.2, 1.7, parts, symmetry)
-        m = C.shape[0] // Nphi
+        ring = ring_of(g, symmetry)
+        fvals = on_ring(ring, 1.0 + 0.1 * rng.random(g.size))
+        uvec = on_ring(ring, 1.0 + 0.05 * rng.standard_normal(g.size))
+        _, parts = _residual_u_vec(ring, fvals, 2.2, 1.7, uvec)
+        C = _folded_coeffs(ring, fvals, 2.2, 1.7, parts)
+        m = ring.Npsi
         mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
         b = rng.standard_normal(C.shape[0])
-        expected = spla.spsolve(_assemble(g, mean, symmetry), b)
-        assert _rel_gap(_ModeFactor(g, symmetry, C).solve(b), expected) <= 1e-12
+        expected = spla.spsolve(_assemble(ring, mean), b)
+        assert _rel_gap(_ModeFactor(ring, C).solve(b), expected) <= 1e-12
 
     @pytest.mark.parametrize("budget", [1, GMRES_RESTART])
     def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
