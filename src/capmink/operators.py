@@ -2,190 +2,199 @@
 
 Every ``b = hess(h) + h I`` and covariant gradient is evaluated by one dense
 kernel, ``grid._u_frame``, on the Neumann-padded quotient ``u = h / ell``.
-This module assembles the same stencil as linear maps on flattened fields, so
-the solver can build an exact Jacobian: an extension matrix inserts the ghost
-rows, and Kronecker products of the 1-D phi and psi difference weights apply
-the kernel's differences.  Flattening is row-major over ``(phi, psi)``; the
-extended layout prepends the pole ghost row and appends the top ghost row.
-The dense kernel subtracts the row mean before its psi differences, so the
-two agree up to rounding, not bit for bit.
+This module writes the same stencil as linear maps on flattened fields, so
+the solver can build an exact Jacobian.  Flattening is row-major over
+``(phi, psi)``.  The dense kernel subtracts the row mean before its psi
+differences, so the two agree up to rounding, not bit for bit.
 
-The solver builds them on the psi ring of the data's symmetry
-(:func:`capmink.grid._ring`): there they are the full grid's restricted to
-symmetric fields, since the periodic psi differences and the pole antipode
-are circulants (:func:`_circulant`), whose wrapped weights add up.
-:func:`_folded_terms` keeps the ring's Jacobian terms on a fixed CSC
-pattern, so a Newton step only weights fixed values by the per-cell Jacobian
-coefficients, and :func:`_mode_terms` keeps their psi-Fourier symbols, from
-which the solver factors its preconditioner one psi mode at a time.
+Each frame operator has coefficients that depend on phi alone and reads u
+at psi offsets -1, 0 and 1, and at the same around the antipode for the pole
+ghost.  :func:`_stencil_table` describes it once, as a map from each psi
+offset o (mod the full grid's Npsi) to the Nphi x Nphi matrix R_o of its
+phi-row weights, with ell and the Neumann top ghost folded in.  On the psi
+ring of m cells that the solver works on (:func:`capmink.grid._ring`;
+m = Npsi is the grid itself) the table gives the operators
+``sum_o kron(R_o, shift(o mod m))`` (:func:`u_system`, and the Newton
+Jacobian's fixed pattern, :func:`_folded_terms`), the rounding floor's
+``sum_o kron(|R_o|, shift(o mod m))`` (:func:`_floor_system`) and the
+psi-Fourier symbols ``sum_o R_o exp(2 pi i k o / m)`` (:func:`_mode_terms`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import _NEUMANN_GHOST, CapGeometry, _ell_ext_rows, ell_field
 
+# the stencil operators that enter the Newton Jacobian, each weighted per cell
+JACOBIAN_TERMS = ("b11", "b22", "b12", "g1", "g2")
 
-def _circulant(n: int, offsets, weights) -> sp.csr_matrix:
-    """n x n matrix with weight w at column (j + o) mod n of each row j.
 
-    Weights that wrap onto one column add up (``sp.diags`` refuses them).
+def _stencil_table(geom: CapGeometry):
+    """The Jacobian terms as one psi-offset table, cached on geom.
+
+    Returns ``(rows, cols, offsets, R)``: the phi-row pairs ``(i, i')`` that
+    carry a weight, in column-major order; the psi offsets, mod the full
+    grid's Npsi, in the order -1, 0, 1 and then the pole ghost's around the
+    antipode (an offset met twice, as at Npsi = 4, is one offset); and
+    ``R[pair, offset, t]``, the weight that row ``(i, j)`` of term t (the
+    :data:`JACOBIAN_TERMS`, then the diagonal) gives u at ``(i', j + offset)``.
+    geom may be a ring of the grid: the table depends only on the grid's dpsi.
     """
-    rows = np.tile(np.arange(n), len(offsets))
-    cols = (rows + np.repeat(offsets, n)) % n
-    return sp.csr_matrix((np.repeat(weights, n), (rows, cols)), shape=(n, n))
-
-
-def _extension_matrix(geom: CapGeometry) -> sp.csr_matrix:
-    """Map interior (N) -> extended (N + 2*Npsi) values, inserting ghost rows."""
-    Nphi, Npsi = geom.Nphi, geom.Npsi
-    # pole ghost: value at (phi_1, psi + pi)
-    antipode = _circulant(Npsi, [geom.antipode], [1.0])
-    top = np.zeros((1, Nphi))
+    key = "stencil_table"
+    if key in geom._cache:
+        return geom._cache[key]
+    N, d, e = geom.Nphi, geom.dphi, geom.dpsi
+    npsi = round(2.0 * math.pi / e)  # the full grid's Npsi, also on a ring of it
+    antipode = npsi // 2
+    # phi weights map the extended rows (pole ghost, the N cells, top ghost) to the cells
+    ext = (N, N + 2)
+    D1 = sp.diags([-1.0 / (2.0 * d), 1.0 / (2.0 * d)], [0, 2], shape=ext)
+    D2 = sp.diags([1.0 / d**2, -2.0 / d**2, 1.0 / d**2], [0, 1, 2], shape=ext)
+    P = sp.diags([1.0], [1], shape=ext)
+    sin, cos = geom.sin_phi, geom.cos_phi
+    c = 1.0 / (2.0 * e)
+    d1, d2, same = {-1: -c, 1: c}, {-1: 1.0 / e**2, 0: -2.0 / e**2, 1: 1.0 / e**2}, {0: 1.0}
+    frame = {  # each operator as (phi weights, psi weights by offset) terms
+        "b11": [(D2 + P, same)],
+        "b12": [(sp.diags(1.0 / sin) @ D1 - sp.diags(cos / sin**2) @ P, d1)],
+        "b22": [(sp.diags(1.0 / sin**2) @ P, d2), (sp.diags(cos / sin) @ D1 + P, same)],
+        "g1": [(D1, same)],
+        "g2": [(sp.diags(1.0 / sin) @ P, d1)],
+    }
+    # h = ell u on the extended rows, from u at psi offset 0 (the first N
+    # columns: the cells and the Neumann top ghost) and at the antipode (the
+    # last N: the pole ghost)
+    top = np.zeros((1, N))
     top[0, -3:] = _NEUMANN_GHOST
-    return sp.vstack(
-        [
-            sp.kron(sp.eye(1, Nphi), antipode),
-            sp.identity(geom.size),
-            sp.kron(top, sp.identity(Npsi)),
-        ],
-        format="csr",
-    )
+    X = sp.diags(_ell_ext_rows(geom)) @ sp.bmat(
+        [[None, sp.eye(1, N)], [sp.identity(N), None], [top, None]])
+    offsets = list(dict.fromkeys((s + o) % npsi for s in (0, antipode) for o in (-1, 0, 1)))
+    entries = []  # (pair key, offset, term, weight) arrays
+    for t, k in enumerate(JACOBIAN_TERMS):
+        for phi_weights, psi_weights in frame[k]:
+            a = (phi_weights @ X).tocoo()
+            for o, w in psi_weights.items():
+                at = np.where(a.col < N, offsets.index(o % npsi),
+                              offsets.index((antipode + o) % npsi))
+                entries.append(((a.col % N) * N + a.row, at, np.full(a.nnz, t), w * a.data))
+    keys, offset, term, weight = (np.concatenate(x) for x in zip(*entries))
+    keys, pair = np.unique(keys, return_inverse=True)
+    R = np.zeros((len(keys), len(offsets), len(JACOBIAN_TERMS) + 1))
+    np.add.at(R, (pair, offset, term), weight)
+    cols, rows = np.divmod(keys, N)
+    R[rows == cols, offsets.index(0), -1] = 1.0
+    geom._cache[key] = (rows, cols, offsets, R)
+    return geom._cache[key]
 
 
-def _row_diag(geom: CapGeometry, values_per_row: np.ndarray) -> sp.csr_matrix:
-    return sp.kron(sp.diags(values_per_row), sp.identity(geom.Npsi), format="csr")
+def _wrapped(geom: CapGeometry, R):
+    """``(shifts, W)``: table weights R (pairs x offsets x terms) on the ring geom.
+
+    The weights of the offsets that coincide mod the ring's m cells are
+    summed, in table order, into the column of their shift ``o mod m``.  In
+    that order the opposite psi weights at -1 and 1, and at the antipode -1
+    and +1, are summed before the next offset, so the b12 and g2 weights that
+    cancel on a one-cell ring cancel exactly.
+    """
+    offsets = np.asarray(_stencil_table(geom)[2])
+    shifts, slot = np.unique(offsets % geom.Npsi, return_inverse=True)
+    W = np.zeros((R.shape[0], len(shifts), R.shape[2]))
+    for o, s in enumerate(slot):
+        W[:, s] += R[:, o]
+    return shifts, W
 
 
-def _frame_operators(geom: CapGeometry):
-    """Maps extended-field -> interior frame quantities (b11, b12, b22, g1, g2)."""
-    d, e, n = geom.dphi, geom.dpsi, geom.Npsi
-    # 1-D weights: phi differences map extended to interior rows, psi ones wrap
-    rows = (geom.Nphi, geom.Nphi + 2)
-    D1p = sp.diags([-1.0 / (2.0 * d), 1.0 / (2.0 * d)], [0, 2], shape=rows, format="csr")
-    D2p = sp.diags([1.0 / d**2, -2.0 / d**2, 1.0 / d**2], [0, 1, 2], shape=rows,
-                   format="csr")
-    Pp = sp.diags([1.0], [1], shape=rows, format="csr")
-    c = 1.0 / (2 * e)
-    D1s = _circulant(n, [-1, 1], [-c, c])
-    D2s = _circulant(n, [-1, 0, 1], [1.0 / e**2, -2.0 / e**2, 1.0 / e**2])
-    Is = sp.identity(n, format="csr")
-    Dphi = sp.kron(D1p, Is, format="csr")
-    Dphiphi = sp.kron(D2p, Is, format="csr")
-    P = sp.kron(Pp, Is, format="csr")
-    Dpsi = sp.kron(Pp, D1s, format="csr")
-    Dpsipsi = sp.kron(Pp, D2s, format="csr")
-    Dphipsi = sp.kron(D1p, D1s, format="csr")
-
-    inv_sin = _row_diag(geom, 1.0 / geom.sin_phi)
-    inv_sin2 = _row_diag(geom, 1.0 / geom.sin_phi**2)
-    cos_sin2 = _row_diag(geom, geom.cos_phi / geom.sin_phi**2)
-    cot = _row_diag(geom, geom.cos_phi / geom.sin_phi)
-
-    b11 = Dphiphi + P
-    b12 = inv_sin @ Dphipsi - cos_sin2 @ Dpsi
-    b22 = inv_sin2 @ Dpsipsi + cot @ Dphi + P
-    g1 = Dphi
-    g2 = inv_sin @ Dpsi
-    return {"b11": b11, "b12": b12, "b22": b22, "g1": g1, "g2": g2}
+def _ring_matrix(geom: CapGeometry, shifts, W) -> sp.csr_matrix:
+    """``sum_s kron(W[:, s], shift(s))``: the operator on the ring geom of the
+    wrapped weights W (pairs x shifts) on the pairs of :func:`_stencil_table`."""
+    rows, cols = _stencil_table(geom)[:2]
+    p, s = np.nonzero(W)
+    m, j = geom.Npsi, np.arange(geom.Npsi)
+    r = rows[p, None] * m + j
+    c = cols[p, None] * m + (j + shifts[s, None]) % m
+    return sp.csr_matrix((np.repeat(W[p, s], m), (r.ravel(), c.ravel())),
+                         shape=(geom.size, geom.size))
 
 
 def u_system(geom: CapGeometry) -> dict:
     """Operators for the quotient formulation h = ell * u with Neumann ghosts.
 
     Returns csr matrices mapping the interior u-vector to b11, b12, b22 and
-    the covariant gradient of h, plus the interior samples of ell.
+    the covariant gradient of h, plus the interior samples of ell.  On a
+    ring of the grid they map the ring's cells, and equal the full grid's
+    operators restricted to fields with the ring's symmetry.
     """
     key = "u_system"
-    if key in geom._cache:
-        return geom._cache[key]
-    E = _extension_matrix(geom)
-    base = (_row_diag(geom, _ell_ext_rows(geom)) @ E).tocsr()
-    frame = _frame_operators(geom)
-    ops = {k: (m @ base).tocsr() for k, m in frame.items()}
-    ops["ell"] = ell_field(geom).values.ravel()
-    geom._cache[key] = ops
-    return ops
+    if key not in geom._cache:
+        shifts, W = _wrapped(geom, _stencil_table(geom)[3])
+        ops = {k: _ring_matrix(geom, shifts, W[:, :, t])
+               for t, k in enumerate(JACOBIAN_TERMS)}
+        ops["ell"] = ell_field(geom).values.ravel()
+        geom._cache[key] = ops
+    return geom._cache[key]
 
 
-# the stencil operators that enter the Newton Jacobian, each weighted per cell
-JACOBIAN_TERMS = ("b11", "b22", "b12", "g1", "g2")
+def _floor_system(geom: CapGeometry) -> dict:
+    """``|A|`` of b11, b12 and b22 for the rounding floor, cached on geom.
+
+    Each is ``sum_o kron(|R_o|, shift(o mod m))``, the absolute values taken
+    before the ring wraps the offsets: on a ring, ``S |A| E`` of the full
+    grid's A (S keeps the ring's cells, E tiles the ring onto the grid).  The
+    ring's own ``|A|`` would first add the pole ghost to its cell (even data)
+    or the psi stencil to itself (one cell), and give a lower floor.
+    """
+    key = "floor_system"
+    if key not in geom._cache:
+        shifts, W = _wrapped(geom, np.abs(_stencil_table(geom)[3]))
+        geom._cache[key] = {k: _ring_matrix(geom, shifts, W[:, :, JACOBIAN_TERMS.index(k)])
+                            for k in ("b11", "b12", "b22")}
+    return geom._cache[key]
 
 
 def _folded_terms(geom: CapGeometry):
     """Fixed CSC pattern of every Jacobian on the ring geom, and its assembly map.
 
-    A Jacobian of the form ``J = sum_k diag(c_k) O_k + diag(d)``, with O_k the
-    :data:`JACOBIAN_TERMS` of :func:`u_system`, has entries that are a fixed
-    linear map of the coefficients.  Returns ``(indptr, indices, T)``: the
-    union CSC pattern of the O_k and the diagonal, and the sparse map T with
-    ``data = T @ C.ravel()``, where C (cells x terms) holds c_k for each term
-    in order and d last.  Built once per ring, on the first Newton step.
+    ``J = sum_t diag(c_t) O_t + diag(d)``, O_t the :data:`JACOBIAN_TERMS`,
+    has an entry at each (pair, shift) of the table where a term has a
+    weight, in each of the ring's m cells j, and its values are a fixed
+    linear map of the coefficients.  Returns ``(indptr, indices, T)``: that
+    CSC pattern and the sparse map T with ``data = T @ C.ravel()``, where C
+    (cells x terms) holds c_t for each term in order and d last.  Built once
+    per ring, on the first Newton step.
     """
     key = "folded_terms"
     if key not in geom._cache:
-        ops = u_system(geom)
-        n = geom.size
-        terms = [ops[k].tocsc() for k in JACOBIAN_TERMS]
-        terms.append(sp.identity(n, format="csc"))
-        for t in terms:
-            t.eliminate_zeros()
-        union = sum(abs(t) for t in terms).tocsc()
-        union.sort_indices()
-
-        def keys(m):  # column-major position keys, increasing along a sorted CSC
-            cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr))
-            return cols * n + m.indices
-
-        ukeys = keys(union)
-        # term k's entry at row r lands at its pattern position and is
-        # weighted by C[r, k]
-        entry = np.concatenate([np.searchsorted(ukeys, keys(t)) for t in terms])
-        coeff = np.concatenate([t.indices * len(terms) + k for k, t in enumerate(terms)])
-        T = sp.csr_matrix((np.concatenate([t.data for t in terms]), (entry, coeff)),
-                          shape=(union.nnz, n * len(terms)))
-        geom._cache[key] = (union.indptr, union.indices, T)
+        shifts, W = _wrapped(geom, _stencil_table(geom)[3])
+        p, s = np.nonzero(np.any(W != 0.0, axis=2))
+        # the ring matrix of the entry numbers gives each CSC position its entry
+        ids = np.zeros(W.shape[:2])
+        ids[p, s] = np.arange(1, len(p) + 1)
+        A = _ring_matrix(geom, shifts, ids).tocsc()
+        # the value at a position in row r weights C[r, t] by its entry's weight of term t
+        w = sp.csr_matrix(W[p, s])[A.data.astype(np.int64) - 1]
+        nt = W.shape[2]
+        cols = w.indices + np.repeat(A.indices * nt, np.diff(w.indptr))
+        T = sp.csr_matrix((w.data, cols, w.indptr), shape=(A.nnz, geom.size * nt))
+        geom._cache[key] = (A.indptr, A.indices, T)
     return geom._cache[key]
 
 
 def _mode_terms(geom: CapGeometry):
     """psi-Fourier symbols of the Jacobian terms on a ring of m > 1 cells.
 
-    The unknowns ``row * m + j`` of the ring geom are periodic in j, and every
-    term maps them circulantly: its coefficients depend on phi alone, and the
-    pole antipode is a shift by ``geom.antipode`` cells.  A Jacobian whose
-    coefficients are constant along each phi row therefore maps psi mode k of
-    row i' to the same mode of row i, with the weight
-    ``sum_t cbar[i, t] sigma_t[i, i'](k)``, where
-    ``sigma_t[i, i'](k) = sum_l a_t[i, i', l] exp(2 pi i k l / m)`` and
-    ``a_t[i, i', l]`` is term t's entry in row ``(i, 0)``, column ``(i', l)``
-    of :func:`_folded_terms` (on the full grid the antipode's ``l = m/2``
-    gives the factor ``(-1)^k``).  Returns ``(rows, cols, G, omega)``: the
-    phi-row pairs ``(i, i')`` that carry an entry, in column-major order; the
-    real map G with ``a = G @ cbar.ravel()``, ``a`` the (pair, offset) weights
-    flattened and cbar (Nphi x terms) as the coefficients of
-    :func:`_folded_terms`; and ``omega[l, k] = exp(2 pi i k l / m)`` over the
-    psi offsets that occur and the modes ``k = 0 .. m // 2``.  Built once per
-    ring, on the first Newton direction that needs it.
+    A Jacobian with coefficients cbar constant along each phi row maps psi
+    mode k of row i' to the same mode of row i, with the weight
+    ``sum_t cbar[i, t] sigma_t[i, i'](k)``, ``sigma_t(k) = sum_o R_o
+    exp(2 pi i k o / m)`` (the full grid's antipode ``m/2`` gives ``(-1)^k``).
+    Returns ``(rows, cols, W, omega)``: the phi-row pairs of the table, the
+    ring's weights ``W[pair, shift, t]`` and ``omega[shift, k] =
+    exp(2 pi i k shift / m)``, k = 0 .. m // 2: ``sigma_t = W[:, :, t] @ omega``.
     """
-    key = "mode_terms"
-    if key not in geom._cache:
-        indptr, indices, T = _folded_terms(geom)
-        Nphi, m = geom.Nphi, geom.Npsi
-        nterms = T.shape[1] // geom.size
-        cols = np.repeat(np.arange(Nphi * m), np.diff(indptr))
-        first = np.flatnonzero(indices % m == 0)  # the entries in the j = 0 rows
-        i, (i2, shift) = indices[first] // m, np.divmod(cols[first], m)
-        offsets, offset = np.unique(shift, return_inverse=True)
-        pairs, pair = np.unique(i2 * Nphi + i, return_inverse=True)
-        entries = T[first].tocoo()
-        r, t = np.divmod(entries.col, nterms)  # r = i m: term t weighted by cbar[i, t]
-        G = sp.csr_matrix(
-            (entries.data, (pair[entries.row] * len(offsets) + offset[entries.row],
-                            (r // m) * nterms + t)),
-            shape=(len(pairs) * len(offsets), Nphi * nterms))
-        omega = np.exp(2j * np.pi / m * np.outer(offsets, np.arange(m // 2 + 1)))
-        geom._cache[key] = (pairs % Nphi, pairs // Nphi, G, omega)
-    return geom._cache[key]
+    rows, cols, _, R = _stencil_table(geom)
+    shifts, W = _wrapped(geom, R)
+    m = geom.Npsi
+    return rows, cols, W, np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))

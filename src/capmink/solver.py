@@ -26,13 +26,14 @@ the path does not depend on the scale of f.  Newton steps use the exact
 sparse Jacobian of the discrete residual: the determinant is linearized as
 ``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
 Each solve runs on the psi ring of the data's symmetry
-(:func:`capmink.grid._ring`): one cell per phi row for psi-independent data,
-Npsi/2 for even data, all Npsi otherwise.  The start is averaged onto the
-ring, the solution tiled back onto the grid.  The residual, the convexity
-check and the Jacobian (on a fixed sparsity pattern,
-:func:`capmink.operators._folded_terms`) are the ring's; the rounding floor
-is the full grid's on the ring cells (:func:`_abs_ops`).  The border is
-never factored.  Each direction of psi-dependent data is an
+(:func:`capmink.grid._ring`, :func:`_symmetry`): one cell per phi row for
+psi-independent data, Npsi/2 for even data, all Npsi otherwise.  The start
+is averaged onto the ring, the solution tiled back onto the grid.  The
+residual, the convexity check, the rounding floor and the Jacobian (on a
+fixed sparsity pattern, :func:`capmink.operators._folded_terms`) are all
+evaluated on the ring, from operators that :mod:`capmink.operators` reads
+off the ring's own stencil table; the solver never builds the grid's.  The
+border is never factored.  Each direction of psi-dependent data is an
 inexact Newton step (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996):
 GMRES on the bordered system with the current Jacobian, right-preconditioned
 by block elimination on a preconditioner factor, to the forcing term
@@ -92,7 +93,7 @@ from .grid import (
     evenness_defect,
     robin_residual,
 )
-from .operators import JACOBIAN_TERMS, _folded_terms, _mode_terms, u_system
+from .operators import JACOBIAN_TERMS, _floor_system, _folded_terms, _mode_terms
 
 
 @dataclass
@@ -285,8 +286,8 @@ def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
     c_g = fr * hvec ** (p - 1.0) * e * w ** (e - 1.0) * 2.0
     # cof(b) : db for the determinant, minus d(rhs) through grad h and h
     weight = {"b11": b22, "b22": b11, "b12": -2.0 * b12, "g1": -c_g * g1, "g2": -c_g * g2}
-    return np.stack([weight[k] for k in JACOBIAN_TERMS] + [-c_h * u_system(geom)["ell"]],
-                    axis=1)
+    return np.stack([weight[k] for k in JACOBIAN_TERMS]
+                    + [-c_h * ell_field(geom).values.ravel()], axis=1)
 
 
 def _assemble(geom: CapGeometry, C) -> sp.csc_matrix:
@@ -317,12 +318,12 @@ class _ModeFactor:
     """
 
     def __init__(self, geom: CapGeometry, C):
-        rows, cols, G, omega = _mode_terms(geom)
+        rows, cols, W, omega = _mode_terms(geom)
         Nphi, K = geom.Nphi, omega.shape[1]
         self.shape = geom.shape
         cbar = C.reshape(*self.shape, -1).mean(axis=1)
         # per mode, the symbols of the phi-row pairs, in the pairs' column-major order
-        data = ((G @ cbar.ravel()).reshape(len(rows), -1) @ omega).T
+        data = (np.einsum("pst,pt->ps", W, cbar[rows]) @ omega).T
         counts = np.bincount(cols, minlength=Nphi)
         indptr = np.concatenate([[0], np.cumsum(np.tile(counts, K))])
         indices = (rows + Nphi * np.arange(K)[:, None]).ravel()
@@ -429,25 +430,6 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
     return direction
 
 
-def _abs_ops(geom: CapGeometry, m: int) -> dict:
-    """``S |A| E`` of the full grid's b11, b12, b22 for the ring of m cells.
-
-    S keeps the ring's cells (the first m of each phi row), E tiles the ring.
-    The ring's own |A| would add the pole ghost to its cell (even data) or the
-    psi stencil to itself (one cell) before the absolute value: a lower floor.
-    """
-    key = ("u_system_abs", m)
-    if key not in geom._cache:
-        row, psi = np.divmod(np.arange(geom.size), geom.Npsi)
-        ring_cell, n = row * m + psi % m, geom.Nphi * m
-        ops = {}
-        for k in ("b11", "b12", "b22"):
-            a = abs(u_system(geom)[k][psi < m]).tocoo()
-            ops[k] = sp.csr_matrix((a.data, (a.row, ring_cell[a.col])), shape=(n, n))
-        geom._cache[key] = ops
-    return geom._cache[key]
-
-
 def _residual_floor(geom: CapGeometry, uvec, parts) -> np.ndarray:
     """Componentwise attainable-accuracy bound for the discrete residual.
 
@@ -456,9 +438,10 @@ def _residual_floor(geom: CapGeometry, uvec, parts) -> np.ndarray:
     by roughly that factor, so the residual of the best double-precision
     iterate cannot drop below eps * |A| |u| per cell.  The standard |A||x|
     backward-error bound over the b-operators gives that floor.  geom is the
-    full grid; uvec and parts may live on a ring of it (see :func:`_abs_ops`).
+    grid or ring that uvec and parts live on; on a ring, |A| is the full
+    grid's (see :func:`capmink.operators._floor_system`).
     """
-    aops = _abs_ops(geom, len(uvec) // geom.Nphi)
+    aops = _floor_system(geom)
     au = np.abs(uvec)
     b11, b12, b22, _g1, _g2, _h, _w, rhs = parts
     eps = np.finfo(float).eps
@@ -488,11 +471,16 @@ def _within_floor(res, noise, tol, parts) -> bool:
 
 def _symmetry(fvals, even: bool) -> int:
     """Cells of the psi ring of the data's symmetry: 1 if the density is
-    psi-independent relative to its scale, else Npsi/2 if even, else Npsi."""
-    span = np.max(fvals, axis=1) - np.min(fvals, axis=1)
-    if np.max(span) <= 1e-13 * np.max(np.abs(fvals)):
+    psi-independent, else Npsi/2 if it is flagged even and is even, else Npsi.
+    Each test allows a defect of 1e-13 of the scale, the rounding level: the
+    ring sees only its own cells, so data even only to EVEN_TOL takes all Npsi."""
+    tol = 1e-13 * np.max(np.abs(fvals))
+    if np.max(np.max(fvals, axis=1) - np.min(fvals, axis=1)) <= tol:
         return 1
-    return fvals.shape[1] // 2 if even else fvals.shape[1]
+    half = fvals.shape[1] // 2
+    if even and np.max(np.abs(fvals - np.roll(fvals, half, axis=1))) <= tol:
+        return half
+    return fvals.shape[1]
 
 
 def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
@@ -540,29 +528,28 @@ THETA_REJECT = 0.5      # a trial step is given up above this contraction
 TRIAL_MIN_STEP = 0.25   # ... or when its line search wants a shorter step
 
 
-def _damped_newton(geom: CapGeometry, x, residual, direction, cfg: SolverConfig,
-                   trace: NewtonTrace, trial: bool = False):
+def _damped_newton(x, residual, direction, cfg: SolverConfig, trace: NewtonTrace,
+                   trial: bool = False):
     """Damped Newton with a sufficient-decrease line search; fills ``trace``.
 
-    ``residual(x)`` gives ``(res, parts, pin)``, where pin is the border
-    residual; ``direction`` takes x and the same three.  The u field (x but
-    its last entry, log C; on geom or a ring of it) must stay positive and
-    convex; convexity is read off the residual's own frame.  A step is halved
-    until that holds and the sup falls by ``1 - step/4`` or the floor test
-    holds.  The largest contraction of successive directions goes to
-    ``trace.contraction``; with ``trial`` the solve is given up once it
-    exceeds THETA_REJECT or the step falls below TRIAL_MIN_STEP, instead of
-    below MIN_STEP.  Returns the last iterate, its sup and its floor.
+    ``residual(x)`` gives ``(res, parts, pin, noise)``, where pin is the
+    border residual and noise the rounding floor; ``direction`` takes x and
+    the first three.  The u field (x but its last entry, log C) must stay
+    positive and convex; convexity is read off the residual's own frame.  A
+    step is halved until that holds and the sup falls by ``1 - step/4`` or
+    the floor test holds.  The largest contraction of successive directions
+    goes to ``trace.contraction``; with ``trial`` the solve is given up once
+    it exceeds THETA_REJECT or the step falls below TRIAL_MIN_STEP, instead
+    of below MIN_STEP.  Returns the last iterate, its sup and its floor.
     """
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else MIN_STEP
 
     def evaluate(x):
         """(x, sup, done, data) of a positive candidate, or None if not convex."""
-        res, parts, pin = residual(x)
+        res, parts, pin, noise = residual(x)
         if eigen_range(*parts[:3])[0] < CONVEXITY_FLOOR:
             return None
-        noise = _residual_floor(geom, x[:-1], parts)
         done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise)
@@ -637,7 +624,8 @@ def newton_solve(
 
     def residual(x):
         res, parts = _residual_u_vec(ring, fvals * np.exp(x[-1]), p, q, x[:-1])
-        return res, parts, float(np.mean(x[:-1]) - 1.0)
+        return (res, parts, float(np.mean(x[:-1]) - 1.0),
+                _residual_floor(ring, x[:-1], parts))
 
     trace = NewtonTrace(s=s, iterations=0)
     bordered = _bordered_directions(ring, trace)
@@ -646,7 +634,7 @@ def newton_solve(
         C = _folded_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
         return bordered(_assemble(ring, C), C, res, parts[7], pin)
 
-    x, res_sup, noise = _damped_newton(geom, x, residual, direction, cfg, trace, trial)
+    x, res_sup, noise = _damped_newton(x, residual, direction, cfg, trace, trial)
     return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup,
                      8.0 * float(np.max(noise)))
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 from capmink import ScalarField, build_grid, ell_field
-from capmink.grid import bump_profile
+from capmink.grid import _ring, bump_profile
 
 # the same examples on every run, and no per-example deadline on a loaded host
 settings.register_profile("tier1", deadline=None, derandomize=True, max_examples=10)
@@ -34,3 +35,26 @@ def robin_bump(geom, eps=0.1, k=2):
     """A positive Robin field: ell times a Neumann bump."""
     u = neumann_bump(geom, eps, k)
     return ScalarField(geom, ell_field(geom).values * u.values)
+
+
+def ring_of(g, symmetry):
+    """The psi ring of the symmetry: all Npsi cells, Npsi/2 ("even") or one ("rot")."""
+    return _ring(g, {"none": g.Npsi, "even": g.Npsi // 2, "rot": 1}[symmetry])
+
+
+def on_ring(ring, values):
+    """The first ring.Npsi cells of each phi row of a full-grid field, flattened."""
+    return np.reshape(values, (ring.Nphi, -1))[:, :ring.Npsi].ravel()
+
+
+def fold_pair(g, ring):
+    """(S, E): S keeps the ring's cells of the full grid, E tiles the ring onto it."""
+    cells = np.arange(g.size)
+    row, psi = np.divmod(cells, g.Npsi)
+    m = ring.Npsi
+    reduced = row * m + psi % m
+    first = psi < m
+    S = sp.csr_matrix((np.ones(ring.size), (reduced[first], cells[first])),
+                      shape=(ring.size, g.size))
+    E = sp.csr_matrix((np.ones(g.size), (cells, reduced)), shape=(g.size, ring.size))
+    return S, E

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from capmink import build_grid
-from capmink.grid import _u_frame, extend
-from capmink.operators import _extension_matrix, u_system
+from capmink.grid import _u_frame
+from capmink.operators import JACOBIAN_TERMS, u_system
+
+from conftest import fold_pair, ring_of
 
 
-@pytest.mark.parametrize("Nphi,Npsi", [(8, 16), (16, 32)])
+@pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
 def test_u_system_matches_dense_kernel(Nphi, Npsi):
     g = build_grid(math.pi / 3, Nphi, Npsi)
     u = np.random.default_rng(Nphi).uniform(0.5, 1.5, g.size)
@@ -23,7 +25,19 @@ def test_u_system_matches_dense_kernel(Nphi, Npsi):
         assert np.all(np.abs(ops[k] @ u - d) <= bound), k
 
 
-def test_extension_matrix_matches_extend():
-    g = build_grid(math.pi / 3, 8, 16)
-    v = np.random.default_rng(1).standard_normal(g.shape)
-    assert np.array_equal(_extension_matrix(g) @ v.ravel(), extend(g, v).ravel())
+@pytest.mark.parametrize("symmetry", ["none", "even", "rot"])
+@pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 8), (16, 32), (64, 128)])
+def test_ring_operators_are_the_full_grid_operators_restricted(Nphi, Npsi, symmetry):
+    """Each operator built on the ring of m cells is S A E of the full grid's,
+    to rounding, where the pole offsets meet the psi stencil mod Npsi (Npsi = 4)
+    or mod m (Npsi = 8) too; b12 and g2 vanish exactly on the one-cell ring."""
+    g = build_grid(math.pi / 3, Nphi, Npsi)
+    ring = ring_of(g, symmetry)
+    S, E = fold_pair(g, ring)
+    full, ops = u_system(g), u_system(ring)
+    for k in JACOBIAN_TERMS:
+        gap = abs(ops[k] - S @ full[k] @ E)
+        bound = 4.0 * np.finfo(float).eps * (S @ abs(full[k]) @ E)
+        assert (gap - bound).max() <= 0.0, k
+    if symmetry == "rot":
+        assert ops["b12"].count_nonzero() == ops["g2"].count_nonzero() == 0

@@ -49,36 +49,13 @@ from capmink.solver import (
     _within_floor,
 )
 
-from conftest import neumann_bump, robin_bump
+from conftest import fold_pair, neumann_bump, on_ring, ring_of, robin_bump
 
 
 def ell_power_density(geom, c=1.0, alpha=0.0, beta=0.0):
     ell = ell_field(geom).values
     w0 = ell**2 + ell_grad_sq(geom)
     return ScalarField(geom, c * ell**alpha * w0**beta)
-
-
-def ring_of(g, symmetry):
-    """The psi ring of the symmetry: all Npsi cells, Npsi/2 ("even") or one ("rot")."""
-    return _ring(g, {"none": g.Npsi, "even": g.Npsi // 2, "rot": 1}[symmetry])
-
-
-def on_ring(ring, values):
-    """The first ring.Npsi cells of each phi row of a full-grid field, flattened."""
-    return np.reshape(values, (ring.Nphi, -1))[:, :ring.Npsi].ravel()
-
-
-def fold_pair(g, ring):
-    """(S, E): S keeps the ring's cells of the full grid, E tiles the ring onto it."""
-    cells = np.arange(g.size)
-    row, psi = np.divmod(cells, g.Npsi)
-    m = ring.Npsi
-    reduced = row * m + psi % m
-    first = psi < m
-    S = sp.csr_matrix((np.ones(ring.size), (reduced[first], cells[first])),
-                      shape=(ring.size, g.size))
-    E = sp.csr_matrix((np.ones(g.size), (cells, reduced)), shape=(g.size, ring.size))
-    return S, E
 
 
 def folded_jacobian(g, fvals, p, q, parts):
@@ -466,19 +443,58 @@ class TestRing:
             assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat)), True) == 1
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
-    def test_ring_floor_is_the_full_grid_floor(self, problem):
+    def test_ring_floor_is_the_full_grid_floor(self, monkeypatch, problem):
         """The ring's floor is the full grid's on the ring cells, although the
-        ring's own stencils merge the pole ghost or the psi stencil with the cell."""
+        ring's own stencils merge the pole ghost or the psi stencil with the cell,
+        also where the pole offsets antipode -1 and +1 meet the psi stencil mod
+        Npsi (Npsi = 4) or mod the ring (Npsi = 8).  The reference |A| is S |A| E
+        of the full grid's operators."""
+        for Nphi, Npsi in [(8, 4), (8, 8), (16, 32)]:
+            g = build_grid(math.pi / 3, Nphi, Npsi)
+            spec = problem(g)
+            ring = ring_of(g, "even" if problem is _even_problem else "rot")
+            m = ring.Npsi
+            assert _symmetry(spec.f.values, spec.even) == m
+            u = np.tile(np.random.default_rng(Npsi).uniform(0.5, 1.5, (Nphi, m)),
+                        (1, Npsi // m))
+            f, ur = spec.f.values, on_ring(ring, u)
+            _, parts = _residual_u_vec(g, f, spec.p, spec.q, u.ravel())
+            full = on_ring(ring, _residual_floor(g, u.ravel(), parts))
+            _, parts = _residual_u_vec(ring, on_ring(ring, f), spec.p, spec.q, ur)
+            floor = _residual_floor(ring, ur, parts)
+            assert np.max(np.abs(floor - full) / full) <= 1e-14
+            row, psi = np.divmod(np.arange(g.size), Npsi)
+            ring_cell = row * m + psi % m
+            reference = {}
+            for k in ("b11", "b12", "b22"):
+                a = abs(u_system(g)[k][psi < m]).tocoo()
+                reference[k] = sp.csr_matrix((a.data, (a.row, ring_cell[a.col])),
+                                             shape=(ring.size, ring.size))
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_floor_system", lambda geom: reference)
+                expected = _residual_floor(ring, ur, parts)
+            assert np.max(np.abs(floor - expected) / expected) <= 1e-14
+
+    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    def test_solve_builds_no_full_grid_operators(self, problem):
+        """Operators, floor and symbols all come from the ring's own table."""
         g = build_grid(math.pi / 3, 16, 32)
-        spec = problem(g)
-        ring = ring_of(g, "even" if problem is _even_problem else "rot")
-        assert _symmetry(spec.f.values, spec.even) == ring.Npsi
-        u, f = _solved(spec, g).u.values, spec.f.values
-        _, parts = _residual_u_vec(g, f, spec.p, spec.q, u.ravel())
-        full = on_ring(ring, _residual_floor(g, u.ravel(), parts))
-        _, parts = _residual_u_vec(ring, on_ring(ring, f), spec.p, spec.q, on_ring(ring, u))
-        floor = _residual_floor(g, on_ring(ring, u), parts)
-        assert np.max(np.abs(floor - full) / full) <= 1e-14
+        _solved(problem(g), g)
+        assert "u_system" not in g._cache
+
+    def test_even_flag_with_a_defect_above_rounding_solves_the_grid(self):
+        """Data within EVEN_TOL of even but not even to rounding is solved on all
+        Npsi cells, so residual_sup is the residual of the given density."""
+        g = build_grid(math.pi / 3, 16, 32)
+        f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05).values
+        f[:, g.Npsi // 2:] *= 1.0 + 5e-11
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=ScalarField(g, f), even=True)
+        assert _symmetry(f, True) == g.Npsi
+        result = _solved(spec, g)
+        u_bar = result.u.values / np.mean(result.u.values)
+        res, _ = _residual_u_vec(g, f * math.exp(result.log_C), spec.p, spec.q, u_bar.ravel())
+        # the recomputed u_bar differs from the solver's iterate by rounding
+        assert result.residual_sup == pytest.approx(np.max(np.abs(res)), rel=1e-2)
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
     def test_solve_leaves_no_reference_cycle(self, problem):
