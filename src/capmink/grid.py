@@ -14,7 +14,8 @@ second-order accuracy.  A support function h is differentiated only through
 its quotient ``u = h / ell``: since ``ell'/ell = cot(theta)`` at the boundary,
 the Neumann condition on u is the Robin condition ``h_phi = cot(theta) * h``,
 so ``b = hess(h) + h I`` and ``grad h`` are those of ``h = ell * u`` on the
-Neumann-padded u (:func:`_u_frame`).
+Neumann-padded u.  That stencil is written once (:func:`_stencil`);
+:func:`_u_frame` evaluates it and :mod:`capmink.operators` reads it off.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from __future__ import annotations
 import copy
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, UsageError
 
@@ -185,24 +188,8 @@ def ell_grad_sq(geom: CapGeometry) -> np.ndarray:
     return np.repeat(vals[:, None], geom.Npsi, axis=1)
 
 
-def extend(geom: CapGeometry, values: np.ndarray) -> np.ndarray:
-    """Pad a field with the pole ghost row and the top (Neumann) ghost."""
-    ext = np.empty((geom.Nphi + 2, geom.Npsi))
-    ext[1:-1] = values
-    ext[0] = np.roll(values[0], geom.antipode)
-    a = _NEUMANN_GHOST
-    ext[-1] = a[0] * values[-3] + a[1] * values[-2] + a[2] * values[-1]
-    return ext
-
-
 def _psi_d1(values: np.ndarray, dpsi: float) -> np.ndarray:
     return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * dpsi)
-
-
-def _psi_d2(values: np.ndarray, dpsi: float) -> np.ndarray:
-    return (
-        np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)
-    ) / dpsi**2
 
 
 def grad_field(geom: CapGeometry, s: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -229,51 +216,76 @@ def grad_sq(geom: CapGeometry, s: ScalarField) -> np.ndarray:
     return g1.values**2 + g2.values**2
 
 
-def _ell_ext_rows(geom: CapGeometry) -> np.ndarray:
-    """ell on the ghost-padded phi rows: pole ghost, the Nphi cells, top ghost."""
-    phi_ext = np.concatenate(
-        [[-geom.dphi / 2.0], geom.phi_nodes, [geom.theta + geom.dphi / 2.0]]
-    )
-    return 1.0 - geom.cos_theta * np.cos(phi_ext)
+_Stencil = namedtuple("_Stencil", "ell X Phi psi")
 
 
-def _frame(geom: CapGeometry, ext: np.ndarray):
-    """Frame components of hess + id on a ghost-padded field (see :func:`extend`).
+def _stencil(geom: CapGeometry) -> _Stencil:
+    """The one discretization of ``b = hess(h) + h I`` and ``grad h``, cached on geom.
 
-    Returns (b11, b12, b22, g1, g2) on the interior cells, where
-    b = hess(v) + v I and (g1, g2) is the covariant gradient of the interior
-    values v = ext[1:-1], both in the frame e1 = d_phi, e2 = d_psi/sin(phi).
+    Both are of h = ell * u, in the frame e1 = d_phi, e2 = d_psi/sin(phi),
+    and are given by two sparse maps.  ``X`` ((Nphi + 2) x (Nphi + 1)) takes
+    the Nphi rows of u at psi offset 0 and the first row at the antipode to
+    h on the padded rows: the pole ghost, the Nphi cells and the Neumann top
+    ghost, each times ``ell`` at its phi.  ``Phi`` (5 Nphi x 3 (Nphi + 2))
+    takes three psi blocks of the padded h (itself, its centred and its
+    second psi difference) to b11, b12, b22, g1 and g2 on the cells, stacked
+    in that order; ``psi[k]`` holds block k's weights by psi offset.  Only
+    the pole ghost's psi shift, the geometry's antipode, is not in the maps,
+    so a ring of the grid has the grid's stencil.
     """
-    d = geom.dphi
-    sin = geom.sin_phi[:, None]
-    cos = geom.cos_phi[:, None]
-    values = ext[1:-1]
-    h_phi = (ext[2:] - ext[:-2]) / (2.0 * d)
-    h_phiphi = (ext[2:] - 2.0 * values + ext[:-2]) / d**2
-    # psi differences annihilate row constants; subtracting the row mean first
-    # removes the cancellation noise that the 1/sin(phi)^2 factor amplifies
-    # near the pole, which sets the attainable Newton residual floor
-    dev = ext - np.mean(ext, axis=1, keepdims=True)
-    h_psi = _psi_d1(dev[1:-1], geom.dpsi)
-    h_psipsi = _psi_d2(dev[1:-1], geom.dpsi)
-    h_phipsi = (_psi_d1(dev[2:], geom.dpsi) - _psi_d1(dev[:-2], geom.dpsi)) / (2.0 * d)
-    b11 = h_phiphi + values
-    b12 = h_phipsi / sin - cos / sin**2 * h_psi
-    b22 = h_psipsi / sin**2 + cos / sin * h_phi + values
-    return b11, b12, b22, h_phi, h_psi / sin
+    key = "stencil"
+    if key in geom._cache:
+        return geom._cache[key]
+    N, d, e = geom.Nphi, geom.dphi, geom.dpsi
+    ell = 1.0 - geom.cos_theta * np.cos(np.r_[-d / 2.0, geom.phi_nodes, geom.theta + d / 2.0])
+    # padded row r of h is ell_r times: u at the antipode on row 0 (column N),
+    # the cell rows, and the Neumann ghost from the last three
+    rows = np.concatenate([[0], np.arange(1, N + 1), [N + 1] * 3])
+    cols = np.concatenate([[N], np.arange(N), np.arange(N - 3, N)])
+    vals = np.concatenate([np.ones(N + 1), _NEUMANN_GHOST])
+    X = sp.csr_matrix((ell[rows] * vals, (rows, cols)), shape=(N + 2, N + 1))
+    # w[t, k, j, i]: the weight of term t on psi block k at padded row i + j of cell i
+    sin, cos = geom.sin_phi, geom.cos_phi
+    d1 = np.array([[-1.0], [0.0], [1.0]]) / (2.0 * d)
+    d2 = np.array([[1.0], [-2.0], [1.0]]) / d**2
+    mid = np.array([[0.0], [1.0], [0.0]])
+    w = np.zeros((5, 3, 3, N))
+    w[0, 0] = d2 + mid                        # b11 = h_phiphi + h
+    w[1, 1] = d1 / sin - mid * cos / sin**2   # b12 = h_phipsi/sin - cos/sin^2 h_psi
+    w[2, 0] = d1 * cos / sin + mid            # b22 = cos/sin h_phi + h
+    w[2, 2] = mid / sin**2                    #       + h_psipsi/sin^2
+    w[3, 0] = d1                              # g1 = h_phi
+    w[4, 1] = mid / sin                       # g2 = h_psi/sin
+    t, k, j, i = np.nonzero(w)
+    Phi = sp.csr_matrix((w[t, k, j, i], (t * N + i, k * (N + 2) + i + j)),
+                        shape=(5 * N, 3 * (N + 2)))
+    c1, c2 = 1.0 / (2.0 * e), 1.0 / e**2
+    psi = ({0: 1.0}, {-1: -c1, 1: c1}, {-1: c2, 0: -2.0 * c2, 1: c2})
+    geom._cache[key] = _Stencil(ell, X, Phi, psi)
+    return geom._cache[key]
 
 
 def _u_frame(geom: CapGeometry, u: np.ndarray):
     """(b11, b12, b22, g1, g2, h) of h = ell * u, shaped like u.
 
-    u holds the Nphi x Npsi cell values, as a grid or flattened; h and its
-    ghosts are ell times the Neumann-padded u (see :func:`extend`).  This is
-    the one discretization of ``b = hess(h) + h I`` and ``grad h``; the sparse
-    operators of :func:`capmink.operators.u_system` match it up to rounding.
+    u holds the Nphi x Npsi cell values, as a grid or flattened.  This is the
+    one evaluation of the stencil of :func:`_stencil`; the sparse operators of
+    :func:`capmink.operators.u_system` are read off the same stencil and
+    match it up to rounding.
     """
-    shape = np.shape(u)
-    ext = _ell_ext_rows(geom)[:, None] * extend(geom, np.reshape(u, geom.shape))
-    return tuple(a.reshape(shape) for a in (*_frame(geom, ext), ext[1:-1]))
+    shape, st = np.shape(u), _stencil(geom)
+    u = np.reshape(u, geom.shape)
+    ext = st.X @ np.concatenate([u, np.roll(u[:1], geom.antipode, axis=1)])
+    # psi differences annihilate row constants; subtracting the row mean first
+    # removes the cancellation noise that the 1/sin(phi)^2 factor amplifies
+    # near the pole, which sets the attainable Newton residual floor
+    dev = ext - np.mean(ext, axis=1, keepdims=True)
+    wrap = np.concatenate([dev[:, -1:], dev, dev[:, :1]], axis=1)
+    left, right = wrap[:, :-2], wrap[:, 2:]
+    c1, c2 = st.psi[1][1], st.psi[2][1]  # each difference's weight at offset 1
+    blocks = np.concatenate([ext, (right - left) * c1, (right - 2.0 * dev + left) * c2])
+    frame = (st.Phi @ blocks).reshape(5, geom.Nphi, -1)
+    return tuple(a.reshape(shape) for a in (*frame, ext[1:-1]))
 
 
 def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):

@@ -1,17 +1,19 @@
 """Sparse matrix form of the frame stencil of :mod:`capmink.grid`.
 
-Every ``b = hess(h) + h I`` and covariant gradient is evaluated by one dense
-kernel, ``grid._u_frame``, on the Neumann-padded quotient ``u = h / ell``.
-This module writes the same stencil as linear maps on flattened fields, so
-the solver can build an exact Jacobian.  Flattening is row-major over
+The stencil of ``b = hess(h) + h I`` and the covariant gradient of
+``h = ell * u`` is written once, in ``grid._stencil``: a ghost map X from u
+to the ghost-padded h and a phi-weight matrix Phi from three psi blocks of
+that h to the frame terms.  The dense kernel ``grid._u_frame`` evaluates it;
+this module reads the same stencil off as linear maps on flattened fields,
+so the solver can build an exact Jacobian.  Flattening is row-major over
 ``(phi, psi)``.  The dense kernel subtracts the row mean before its psi
 differences, so the two agree up to rounding, not bit for bit.
 
 Each frame operator has coefficients that depend on phi alone and reads u
 at psi offsets -1, 0 and 1, and at the same around the antipode for the pole
-ghost.  :func:`_stencil_table` describes it once, as a map from each psi
-offset o (mod the full grid's Npsi) to the Nphi x Nphi matrix R_o of its
-phi-row weights, with ell and the Neumann top ghost folded in.  On the psi
+ghost.  :func:`_stencil_table` lists it as a map from each psi offset o (mod
+the full grid's Npsi) to the Nphi x Nphi matrix R_o of its phi-row weights:
+Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
 m = Npsi is the grid itself) the table gives the operators
 ``sum_o kron(R_o, shift(o mod m))`` (:func:`u_system`, and the Newton
@@ -27,10 +29,11 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import _NEUMANN_GHOST, CapGeometry, _ell_ext_rows, ell_field
+from .grid import CapGeometry, _stencil, ell_field
 
-# the stencil operators that enter the Newton Jacobian, each weighted per cell
-JACOBIAN_TERMS = ("b11", "b22", "b12", "g1", "g2")
+# the stencil operators that enter the Newton Jacobian, each weighted per
+# cell, in the order of the frame terms of grid._stencil
+JACOBIAN_TERMS = ("b11", "b12", "b22", "g1", "g2")
 
 
 def _stencil_table(geom: CapGeometry):
@@ -47,40 +50,21 @@ def _stencil_table(geom: CapGeometry):
     key = "stencil_table"
     if key in geom._cache:
         return geom._cache[key]
-    N, d, e = geom.Nphi, geom.dphi, geom.dpsi
-    npsi = round(2.0 * math.pi / e)  # the full grid's Npsi, also on a ring of it
+    st, N = _stencil(geom), geom.Nphi
+    npsi = round(2.0 * math.pi / geom.dpsi)  # the full grid's Npsi, also on a ring of it
     antipode = npsi // 2
-    # phi weights map the extended rows (pole ghost, the N cells, top ghost) to the cells
-    ext = (N, N + 2)
-    D1 = sp.diags([-1.0 / (2.0 * d), 1.0 / (2.0 * d)], [0, 2], shape=ext)
-    D2 = sp.diags([1.0 / d**2, -2.0 / d**2, 1.0 / d**2], [0, 1, 2], shape=ext)
-    P = sp.diags([1.0], [1], shape=ext)
-    sin, cos = geom.sin_phi, geom.cos_phi
-    c = 1.0 / (2.0 * e)
-    d1, d2, same = {-1: -c, 1: c}, {-1: 1.0 / e**2, 0: -2.0 / e**2, 1: 1.0 / e**2}, {0: 1.0}
-    frame = {  # each operator as (phi weights, psi weights by offset) terms
-        "b11": [(D2 + P, same)],
-        "b12": [(sp.diags(1.0 / sin) @ D1 - sp.diags(cos / sin**2) @ P, d1)],
-        "b22": [(sp.diags(1.0 / sin**2) @ P, d2), (sp.diags(cos / sin) @ D1 + P, same)],
-        "g1": [(D1, same)],
-        "g2": [(sp.diags(1.0 / sin) @ P, d1)],
-    }
-    # h = ell u on the extended rows, from u at psi offset 0 (the first N
-    # columns: the cells and the Neumann top ghost) and at the antipode (the
-    # last N: the pole ghost)
-    top = np.zeros((1, N))
-    top[0, -3:] = _NEUMANN_GHOST
-    X = sp.diags(_ell_ext_rows(geom)) @ sp.bmat(
-        [[None, sp.eye(1, N)], [sp.identity(N), None], [top, None]])
     offsets = list(dict.fromkeys((s + o) % npsi for s in (0, antipode) for o in (-1, 0, 1)))
+    # Phi's blocks times X: column i' < N is u at offset 0, column N row 0 at the antipode
+    A = (st.Phi @ sp.block_diag([st.X] * len(st.psi))).tocoo()
+    term, row = np.divmod(A.row, N)
+    block, col = np.divmod(A.col, N + 1)
     entries = []  # (pair key, offset, term, weight) arrays
-    for t, k in enumerate(JACOBIAN_TERMS):
-        for phi_weights, psi_weights in frame[k]:
-            a = (phi_weights @ X).tocoo()
-            for o, w in psi_weights.items():
-                at = np.where(a.col < N, offsets.index(o % npsi),
-                              offsets.index((antipode + o) % npsi))
-                entries.append(((a.col % N) * N + a.row, at, np.full(a.nnz, t), w * a.data))
+    for b, psi_weights in enumerate(st.psi):
+        on = block == b
+        for o, w in psi_weights.items():
+            at = np.where(col[on] < N, offsets.index(o % npsi),
+                          offsets.index((antipode + o) % npsi))
+            entries.append(((col[on] % N) * N + row[on], at, term[on], w * A.data[on]))
     keys, offset, term, weight = (np.concatenate(x) for x in zip(*entries))
     keys, pair = np.unique(keys, return_inverse=True)
     R = np.zeros((len(keys), len(offsets), len(JACOBIAN_TERMS) + 1))

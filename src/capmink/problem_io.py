@@ -166,9 +166,12 @@ def solver_config(scfg) -> SolverConfig:
 
 
 def read_config(path) -> dict:
-    """The JSON object in a config file; OSError and JSONDecodeError propagate."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The JSON object in a UTF-8 config file; OSError and JSONDecodeError propagate."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return doc

@@ -271,6 +271,18 @@ class TestUsage:
         assert "usage: capmink" in capsys.readouterr().out
 
 
+# config bytes the JSON reader cannot decode: not UTF-8, and nested past its recursion limit
+UNREADABLE_JSON = {"not_utf8": b"\xff\xfe\x00bad", "too_deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_unreadable_config_exits_3(tmp_path, capsys, name):
+    cfg = tmp_path / "problem.json"
+    cfg.write_bytes(UNREADABLE_JSON[name])
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: config file")
+
+
 NEAR_PQ = {"theta": 1.0, "q": 2.0, "even": True, "f": {"kind": "ell_power", "alpha": -0.5},
            "grid": {"Nphi": 32, "Npsi": 64}}
 NEAR_PQ_EPS = (0.01, 0.001)
@@ -713,6 +725,16 @@ class TestPlotdata:
         assert main(["solve", "--config", cfg, "--out", str(src), "--grid", "8x16"]) == 0
         (src / "result.json").write_text(json.dumps(result))
         assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp / "p")]) == 3
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+    def test_plotdata_unreadable_result_exits_3(self, base_problem, capsys, name):
+        cfg, tmp = base_problem
+        src = tmp / "solve_out"
+        assert main(["solve", "--config", cfg, "--out", str(src), "--grid", "8x16"]) == 0
+        (src / "result.json").write_bytes(UNREADABLE_JSON[name])
+        capsys.readouterr()
+        assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp / "p")]) == 3
+        assert capsys.readouterr().err.startswith("error: config file")
 
     def test_plotdata_missing_dir(self, tmp_path):
         assert main(["plotdata", "--artifacts", str(tmp_path / "nope"),

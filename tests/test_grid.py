@@ -22,10 +22,10 @@ from capmink import (
 from capmink.grid import (
     _W_DERIV,
     _ring,
+    _stencil,
     _u_frame,
     boundary_values,
     bump_profile,
-    extend,
     field_from_csv,
     field_to_csv,
 )
@@ -70,6 +70,14 @@ class TestGeometry:
             ScalarField(geom_pi3, vals)
 
 
+def padded_u(geom, v):
+    """v with its pole and Neumann top ghost rows: the stencil's ghost map X,
+    which pads h = ell * v, divided by ell on the padded rows."""
+    st = _stencil(geom)
+    rows = np.concatenate([v, np.roll(v[:1], geom.antipode, axis=1)])
+    return (st.X @ rows) / st.ell[:, None]
+
+
 class TestOperators:
     def test_ell_satisfies_robin(self, geom_pi3):
         res = robin_residual(geom_pi3, ell_field(geom_pi3))
@@ -96,7 +104,7 @@ class TestOperators:
 
     def test_constant_is_neumann_exact(self, geom_pi3):
         one = np.ones(geom_pi3.shape)
-        ext = extend(geom_pi3, one)
+        ext = padded_u(geom_pi3, one)
         assert np.max(np.abs(ext - 1.0)) < 1e-14
 
     def test_hessian_second_order(self):
@@ -119,7 +127,7 @@ class TestOperators:
     def test_top_ghost_enforces_neumann(self, geom_pi3):
         g = geom_pi3
         v = np.random.default_rng(2).uniform(0.5, 1.5, g.shape)
-        ext = extend(g, v)
+        ext = padded_u(g, v)
         # the cubic through the last three rows and the ghost is flat at phi = theta
         der = np.einsum("i,ij->j", _W_DERIV, ext[-4:])
         assert np.max(np.abs(der)) <= 8.0 * np.finfo(float).eps
@@ -145,7 +153,7 @@ class TestSymmetry:
         )
         assert evenness_defect(g, s.values) < 1e-15
 
-    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (16, 32), (128, 256)])
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32), (128, 256)])
     @pytest.mark.parametrize("kind", ["even", "psi_independent"])
     def test_u_frame_on_ring_is_the_full_frame_restricted(self, Nphi, Npsi, kind):
         """A field invariant under the psi shift by m cells is its first m columns
