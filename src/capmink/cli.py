@@ -199,7 +199,7 @@ def cmd_monitors(args) -> int:
     }
     ok = payload["noncollapse"].get("pass", True)
     if spec.p != spec.q:
-        lo, hi, det = c0_bound_check(geom, h, spec)
+        lo, hi, det = c0_bound_check(geom, h, spec, cfg)
         payload["c0_bound"] = {"lower_pass": lo, "upper_pass": hi, **det}
         ok = ok and lo and hi
     os.makedirs(args.out, exist_ok=True)

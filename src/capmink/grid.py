@@ -147,7 +147,7 @@ class ScalarField:
 
 @dataclass
 class CurvatureData:
-    """Components of ``b = hess(h) + h I`` in the orthonormal frame."""
+    """Components of ``b = hess(h) + h I`` and of ``grad h`` in the orthonormal frame."""
 
     b11: np.ndarray
     b12: np.ndarray
@@ -156,6 +156,8 @@ class CurvatureData:
     sigma1: np.ndarray
     lambda_min: float
     lambda_max: float
+    g1: np.ndarray
+    g2: np.ndarray
 
 
 @dataclass
@@ -196,7 +198,8 @@ def grad_field(geom: CapGeometry, s: ScalarField) -> tuple[ScalarField, ScalarFi
     """Covariant gradient (g1, g2) in the frame e1 = d_phi, e2 = d_psi/sin(phi).
 
     Centered second order in the interior, across-pole ghost at the first row,
-    one-sided second order at the last row (no boundary condition assumed).
+    one-sided second order at the last row (no boundary condition assumed);
+    a support function's gradient is that of :func:`curvature_tensor`.
     """
     if s.geometry is not geom and s.geometry.shape != geom.shape:
         raise UsageError("field geometry does not match")
@@ -295,13 +298,14 @@ def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
 
 
 def curvature_tensor(geom: CapGeometry, h: ScalarField) -> CurvatureData:
-    """Second-order discretization of ``b = hess(h) + h I``, through u = h / ell."""
+    """Second-order ``b = hess(h) + h I`` and ``grad h`` (the one gradient of a
+    support function), through u = h / ell and its Neumann ghost."""
     if np.any(h.values <= 0.0):
         raise DomainError("support function must be positive")
-    b11, b12, b22, _, _, _ = _u_frame(geom, h.values / ell_field(geom).values)
+    b11, b12, b22, g1, g2, _ = _u_frame(geom, h.values / ell_field(geom).values)
     det_b = b11 * b22 - b12**2
     lam_min, lam_max = eigen_range(b11, b12, b22)
-    return CurvatureData(b11, b12, b22, det_b, b11 + b22, lam_min, lam_max)
+    return CurvatureData(b11, b12, b22, det_b, b11 + b22, lam_min, lam_max, g1, g2)
 
 
 def boundary_values(geom: CapGeometry, values: np.ndarray):
@@ -339,15 +343,15 @@ def embed_body(geom: CapGeometry, h: ScalarField) -> EmbeddedBody:
         raise DomainError("support function must be positive")
     cd = curvature_tensor(geom, h)
     warn = cd.lambda_min <= 0.0
-    g1, g2 = grad_field(geom, h)
+    g1, g2 = cd.g1, cd.g2
     sin = geom.sin_phi[:, None]
     cos = geom.cos_phi[:, None]
     cpsi = np.cos(geom.psi_nodes)[None, :]
     spsi = np.sin(geom.psi_nodes)[None, :]
     hv = h.values
-    x = hv * sin * cpsi + g1.values * cos * cpsi - g2.values * spsi
-    y = hv * sin * spsi + g1.values * cos * spsi + g2.values * cpsi
-    z = hv * cos - g1.values * sin
+    x = hv * sin * cpsi + g1 * cos * cpsi - g2 * spsi
+    y = hv * sin * spsi + g1 * cos * spsi + g2 * cpsi
+    z = hv * cos - g1 * sin
     cells = np.stack([x, y, z], axis=-1)
 
     hb, hb_phi = boundary_values(geom, h.values)

@@ -61,19 +61,18 @@ def john_construct(extents: BodyExtents, theta: float):
     return cap, factor
 
 
+SANDWICH_TOL = 5.0  # O(grid_eps) truncation tolerance of the ratios, in grid_eps
+
+
 def verify_sandwich(
-    geom: CapGeometry,
-    h: ScalarField,
-    cap: EllipsoidCap,
-    factor: float,
-    tol: float | None = None,
+    geom: CapGeometry, h: ScalarField, cap: EllipsoidCap, factor: float
 ) -> SandwichReport:
-    """Check support-function sandwiching: 1 <= h / support(cap) <= factor."""
+    """Check support-function sandwiching: 1 <= h / support(cap) <= factor,
+    each bound up to the truncation tolerance SANDWICH_TOL * grid_eps."""
     cd = curvature_tensor(geom, h)
     if cd.lambda_min <= 0.0:
         raise DomainError("support function is not strictly convex")
-    if tol is None:
-        tol = 5.0 * geom.grid_eps()
+    tol = SANDWICH_TOL * geom.grid_eps()
     w = cap_support(geom, cap).values
     ratio = h.values / w
     min_ratio = float(np.min(ratio))

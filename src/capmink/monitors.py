@@ -5,6 +5,8 @@ controls: the gradient quotient |grad h|^2 / h^gamma, the max/min
 non-collapsing bound derived from it, the boundary behaviour of the
 log-gradient test function, the trace auxiliary function with its explicit
 coefficients, and the extremum inequalities pinning max/min of h to the data.
+The gradient of h is the stencil's (:func:`capmink.grid.curvature_tensor`), and
+whether h is a solution is the solver's test (:func:`capmink.solver.is_solution`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from .grid import (
     evenness_defect,
     grad_sq,
 )
+from .solver import SolverConfig, is_solution
+
+# the O(grid_eps) truncation tolerance, in units of grid_eps, of the extremum
+# inequalities and (times max(1, max u)) of phi_monitor's Neumann defect
+TRUNCATION_TOL = 50.0
 
 
 @dataclass
@@ -68,9 +75,8 @@ def gradient_quotient(
     """Observed constant in |grad h|^2 / h^gamma <= N (max h)^(2-gamma)."""
     if not (0.0 < gamma < 2.0):
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
-    if np.any(h.values <= 0.0):
-        raise DomainError("h must be positive")
-    quot = grad_sq(geom, h) / h.values**gamma
+    cd = curvature_tensor(geom, h)
+    quot = (cd.g1**2 + cd.g2**2) / h.values**gamma
     i, j = np.unravel_index(np.argmax(quot), quot.shape)
     N_obs = float(np.max(quot)) / float(np.max(h.values)) ** (2.0 - gamma)
     return GradientQuotientReport(
@@ -130,12 +136,7 @@ def noncollapse_check(
     )
 
 
-def phi_monitor(
-    geom: CapGeometry,
-    u: ScalarField,
-    gamma: float,
-    neumann_tol: float | None = None,
-) -> PhiMonitorReport:
+def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorReport:
     """Test function ell^(2-gamma) |grad u|^2 / u^gamma and its boundary slope.
 
     For a Neumann u the outward derivative of log(Phi) at the boundary equals
@@ -147,10 +148,8 @@ def phi_monitor(
     if np.any(u.values <= 0.0):
         raise DomainError("u must be positive")
     scale = float(np.max(np.abs(u.values)))
-    if neumann_tol is None:
-        neumann_tol = 50.0 * geom.grid_eps() * max(1.0, scale)
     _, du = boundary_values(geom, u.values)
-    if float(np.max(np.abs(du))) > neumann_tol:
+    if float(np.max(np.abs(du))) > TRUNCATION_TOL * geom.grid_eps() * max(1.0, scale):
         raise ApplicabilityError(
             f"u violates the Neumann condition (defect {np.max(np.abs(du)):.3g})"
         )
@@ -187,7 +186,7 @@ def q_monitor(geom: CapGeometry, h: ScalarField, q: float):
     cd = curvature_tensor(geom, h)
     if np.any(cd.sigma1 <= 0.0):
         raise ConvexityError("sigma1 must be positive everywhere")
-    gsq = grad_sq(geom, h)
+    gsq = cd.g1**2 + cd.g2**2
     hmax2 = float(np.max(h.values)) ** 2
     gmax2 = float(np.max(gsq))
     hmin = float(np.min(h.values))
@@ -199,27 +198,25 @@ def q_monitor(geom: CapGeometry, h: ScalarField, q: float):
     return QMonitorConfig(A=A, B=B), ScalarField(geom, Q), loc
 
 
-def c0_bound_check(geom: CapGeometry, h: ScalarField, spec, tol: float | None = None):
-    """Extremum inequalities tying max/min of u = h/ell to the data.
+def c0_bound_check(geom: CapGeometry, h: ScalarField, spec,
+                   cfg: SolverConfig | None = None):
+    """Extremum inequalities tying max/min of u = h/ell to the data, at a solution h.
 
     At the max of u: u^(q-p) >= f ell^(p-1) (ell^2 + |grad ell|^2)^((3-q)/2);
-    the reverse inequality holds at the min.  Both are checked against the
-    grid-wide extremes of the right-hand side.
+    the reverse inequality holds at the min, each against the grid-wide
+    extreme of the right-hand side up to TRUNCATION_TOL * grid_eps.  Both
+    hold only at a solution: h is refused unless the solver's test accepts
+    it (:func:`capmink.solver.is_solution` at ``cfg.newton_tol``).
     """
-    from .solver import residual_h  # local import to avoid a cycle
-
     p, q = spec.p, spec.q
     if p == q:
         raise ApplicabilityError("c0 bound check does not apply at p == q")
-    if tol is None:
-        tol = 50.0 * geom.grid_eps()
-    res = residual_h(spec, geom, h)
-    res_sup = float(np.max(np.abs(res.values)))
-    scale = max(1.0, float(np.max(np.abs(spec.f.values))))
-    if res_sup > 100.0 * geom.grid_eps() * scale:
+    passed, res_sup = is_solution(spec, geom, h, cfg)
+    if not passed:
         raise ApplicabilityError(
             f"h is not a solution of the problem (residual {res_sup:.3g})"
         )
+    tol = TRUNCATION_TOL * geom.grid_eps()
     ell = ell_field(geom).values
     u = h.values / ell
     rhs = spec.f.values * ell ** (p - 1.0) * (ell**2 + ell_grad_sq(geom)) ** (

@@ -17,7 +17,7 @@ Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
 m = Npsi is the grid itself) the table gives the operators
 ``sum_o kron(R_o, shift(o mod m))`` (:func:`u_system`, and the Newton
-Jacobian's fixed pattern, :func:`_folded_terms`), the rounding floor's
+Jacobian's fixed pattern, :func:`_jacobian_pattern`), the rounding floor's
 ``sum_o kron(|R_o|, shift(o mod m))`` (:func:`_floor_system`) and the
 psi-Fourier symbols ``sum_o R_o exp(2 pi i k o / m)`` (:func:`_mode_terms`).
 """
@@ -139,7 +139,7 @@ def _floor_system(geom: CapGeometry) -> dict:
     return geom._cache[key]
 
 
-def _folded_terms(geom: CapGeometry):
+def _jacobian_pattern(geom: CapGeometry):
     """Fixed CSC pattern of every Jacobian on the ring geom, and its assembly map.
 
     ``J = sum_t diag(c_t) O_t + diag(d)``, O_t the :data:`JACOBIAN_TERMS`,
@@ -150,7 +150,7 @@ def _folded_terms(geom: CapGeometry):
     (cells x terms) holds c_t for each term in order and d last.  Built once
     per ring, on the first Newton step.
     """
-    key = "folded_terms"
+    key = "jacobian_pattern"
     if key not in geom._cache:
         shifts, W = _wrapped(geom, _stencil_table(geom)[3])
         p, s = np.nonzero(np.any(W != 0.0, axis=2))

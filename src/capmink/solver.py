@@ -30,7 +30,7 @@ Each solve runs on the psi ring of the data's symmetry
 psi-independent data, Npsi/2 for even data, all Npsi otherwise.  The start
 is averaged onto the ring, the solution tiled back onto the grid.  The
 residual, the convexity check, the rounding floor and the Jacobian (on a
-fixed sparsity pattern, :func:`capmink.operators._folded_terms`) are all
+fixed sparsity pattern, :func:`capmink.operators._jacobian_pattern`) are all
 evaluated on the ring, from operators that :mod:`capmink.operators` reads
 off the ring's own stencil table; the solver never builds the grid's.  The
 border is never factored.  Each direction of psi-dependent data is an
@@ -93,7 +93,7 @@ from .grid import (
     evenness_defect,
     robin_residual,
 )
-from .operators import JACOBIAN_TERMS, _floor_system, _folded_terms, _mode_terms
+from .operators import JACOBIAN_TERMS, _floor_system, _jacobian_pattern, _mode_terms
 
 
 @dataclass
@@ -268,12 +268,12 @@ def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarFi
                            h.values / ell_field(geom).values)
 
 
-def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
+def _jacobian_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
     """Coefficients C of the Jacobian on the ring geom at the frame ``parts``.
 
     Row r of C holds, at the r-th cell, the weight of each
     :data:`JACOBIAN_TERMS` operator in the Jacobian of the quotient residual
-    and last its diagonal term, as :func:`capmink.operators._folded_terms`
+    and last its diagonal term, as :func:`capmink.operators._jacobian_pattern`
     reads them.
     """
     b11, b12, b22, g1, g2, hvec, w, rhs = parts
@@ -292,7 +292,7 @@ def _folded_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
 
 def _assemble(geom: CapGeometry, C) -> sp.csc_matrix:
     """The Jacobian on the ring geom of the coefficients C."""
-    indptr, indices, T = _folded_terms(geom)
+    indptr, indices, T = _jacobian_pattern(geom)
     n = C.shape[0]
     return sp.csc_matrix((T @ C.ravel(), indices, indptr), shape=(n, n))
 
@@ -469,6 +469,36 @@ def _within_floor(res, noise, tol, parts) -> bool:
     return bool(np.all(np.abs(res) <= tol * scale + 8.0 * noise))
 
 
+def _floor_test(geom: CapGeometry, fvals, p, q, uvec, tol):
+    """``(res, parts, noise, passed)``: the residual of uvec on geom, its frame, its
+    rounding floor and the verdict of :func:`_within_floor` at tol."""
+    res, parts = _residual_u_vec(geom, fvals, p, q, uvec)
+    noise = _residual_floor(geom, uvec, parts)
+    return res, parts, noise, _within_floor(res, noise, tol, parts)
+
+
+def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
+                cfg: SolverConfig | None = None):
+    """``(passed, residual_sup)`` of newton_solve's own test of u = h / ell at newton_tol.
+
+    It runs on the psi ring of the data's symmetry if u is exactly invariant
+    under its shift, as a solver's h is, else on the grid.  The residual, its
+    scale and its floor all scale as t^2 under h -> t h, so the test of the
+    solver's normalized iterate carries over to h up to rounding.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    u = h.values / ell_field(geom).values
+    if np.any(u <= 0.0):
+        raise DomainError("u = h / ell must be positive")
+    m = _symmetry(spec.f.values, spec.even)
+    if not np.array_equal(u, np.roll(u, m, axis=1)):
+        m = geom.Npsi
+    res, _, _, passed = _floor_test(_ring(geom, m), spec.f.values[:, :m].ravel(),
+                                    spec.p, spec.q, u[:, :m].ravel(), cfg.newton_tol)
+    return passed, float(np.max(np.abs(res)))
+
+
 def _symmetry(fvals, even: bool) -> int:
     """Cells of the psi ring of the data's symmetry: 1 if the density is
     psi-independent, else Npsi/2 if it is flagged even and is even, else Npsi.
@@ -532,10 +562,11 @@ def _damped_newton(x, residual, direction, cfg: SolverConfig, trace: NewtonTrace
                    trial: bool = False):
     """Damped Newton with a sufficient-decrease line search; fills ``trace``.
 
-    ``residual(x)`` gives ``(res, parts, pin, noise)``, where pin is the
-    border residual and noise the rounding floor; ``direction`` takes x and
-    the first three.  The u field (x but its last entry, log C) must stay
-    positive and convex; convexity is read off the residual's own frame.  A
+    ``residual(x)`` gives ``(res, parts, pin, noise, passed)``, where pin is
+    the border residual, noise the rounding floor and passed the verdict of
+    :func:`_floor_test`; ``direction`` takes x and the first three.  The u
+    field (x but its last entry, log C) must stay positive and convex;
+    convexity is read off the residual's own frame.  A
     step is halved until that holds and the sup falls by ``1 - step/4`` or
     the floor test holds.  The largest contraction of successive directions
     goes to ``trace.contraction``; with ``trial`` the solve is given up once
@@ -547,10 +578,10 @@ def _damped_newton(x, residual, direction, cfg: SolverConfig, trace: NewtonTrace
 
     def evaluate(x):
         """(x, sup, done, data) of a positive candidate, or None if not convex."""
-        res, parts, pin, noise = residual(x)
+        res, parts, pin, noise, passed = residual(x)
         if eigen_range(*parts[:3])[0] < CONVEXITY_FLOOR:
             return None
-        done = _within_floor(res, noise, tol, parts) and abs(pin) <= tol
+        done = passed and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise)
 
@@ -623,15 +654,15 @@ def newton_solve(
     x = np.append(uvec / mean, log_C)
 
     def residual(x):
-        res, parts = _residual_u_vec(ring, fvals * np.exp(x[-1]), p, q, x[:-1])
-        return (res, parts, float(np.mean(x[:-1]) - 1.0),
-                _residual_floor(ring, x[:-1], parts))
+        res, parts, noise, passed = _floor_test(ring, fvals * np.exp(x[-1]), p, q, x[:-1],
+                                                cfg.newton_tol)
+        return res, parts, float(np.mean(x[:-1]) - 1.0), noise, passed
 
     trace = NewtonTrace(s=s, iterations=0)
     bordered = _bordered_directions(ring, trace)
 
     def direction(x, res, parts, pin):
-        C = _folded_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
+        C = _jacobian_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
         return bordered(_assemble(ring, C), C, res, parts[7], pin)
 
     x, res_sup, noise = _damped_newton(x, residual, direction, cfg, trace, trial)

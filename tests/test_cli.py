@@ -401,6 +401,18 @@ class TestMonitors:
         assert doc["c0_bound"]["lower_pass"] and doc["c0_bound"]["upper_pass"]
         assert doc["q_monitor"]["B"] >= 1.0
 
+    def test_c0_judges_at_the_run_tolerance(self, base_problem):
+        """A solve to newton_tol = 1e-8 is judged at 1e-8, not at the default: at
+        theta = 0.5 this solve stops above the default 1e-10."""
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        doc["theta"], doc["solver"] = 0.5, {"newton_tol": 1e-8}
+        path = write_config(tmp / "loose.json", doc)
+        out = tmp / "out"
+        assert main(["monitors", "--config", path, "--out", str(out)]) == 0
+        c0 = json.loads((out / "monitors.json").read_text())["c0_bound"]
+        assert c0["lower_pass"] and c0["upper_pass"]
+
     @pytest.mark.parametrize("gamma", ["abc", math.nan, 0.0, 2.0, None, "1", True],
                              ids=["non_numeric", "nan", "zero", "two", "null",
                                   "numeric_string", "true"])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from capmink import (
     build_grid,
     c0_bound_check,
     continuation_solve,
+    curvature_tensor,
+    ell_bump_f_exact,
     ell_field,
     ell_grad_sq,
     gradient_quotient,
@@ -24,10 +27,9 @@ from capmink import (
 from conftest import neumann_bump
 
 
-@pytest.fixture(scope="module")
-def solved():
-    """A converged even solution on a moderate grid."""
-    theta = math.pi / 3
+@functools.lru_cache(maxsize=None)
+def solve_at(theta):
+    """A converged even solution on a moderate grid at this theta."""
     geom = build_grid(theta, 32, 64)
     ell = ell_field(geom).values
     w0 = ell**2 + ell_grad_sq(geom)
@@ -36,6 +38,11 @@ def solved():
     result = continuation_solve(spec, geom)
     assert result.converged
     return geom, spec, result
+
+
+@pytest.fixture(scope="module")
+def solved():
+    return solve_at(math.pi / 3)
 
 
 class TestGradientQuotient:
@@ -136,9 +143,8 @@ class TestQMonitor:
     def test_coefficients_follow_closed_form(self, geom_pi3):
         h = ell_field(geom_pi3)
         cfg, Q, loc = q_monitor(geom_pi3, h, 1.5)
-        from capmink import grad_sq
-
-        gsq = grad_sq(geom_pi3, h)
+        cd = curvature_tensor(geom_pi3, h)
+        gsq = cd.g1**2 + cd.g2**2
         hmin = float(np.min(h.values))
         B = abs(3.0 - 1.5) * (np.max(h.values) ** 2 + 3.0 * np.max(gsq)) / hmin**4 + 1.0
         assert cfg.B == pytest.approx(B)
@@ -160,9 +166,13 @@ class TestQMonitor:
             q_monitor(g, wiggly, 2.0)
 
 
+THETAS = {"pi3": math.pi / 3, "0.3": 0.3, "0.02": 0.02, "1.3": 1.3}
+
+
 class TestC0Bound:
-    def test_solution_passes(self, solved):
-        geom, spec, result = solved
+    @pytest.mark.parametrize("theta", list(THETAS))
+    def test_solution_passes(self, theta):
+        geom, spec, result = solve_at(THETAS[theta])
         lo, hi, details = c0_bound_check(geom, result.h, spec)
         assert lo and hi
         assert details["min_u"] <= details["max_u"]
@@ -173,8 +183,38 @@ class TestC0Bound:
         with pytest.raises(ApplicabilityError):
             c0_bound_check(geom_pi3, ell_field(geom_pi3), spec)
 
-    def test_non_solution_rejected(self, solved):
-        geom, spec, result = solved
-        not_h = ScalarField(geom, 3.0 * result.h.values)
+    @pytest.mark.parametrize("theta", ["pi3", "0.02"])
+    @pytest.mark.parametrize("not_h", ["3h", "2h", "ell"])
+    def test_non_solution_rejected(self, not_h, theta):
+        """A multiple of the solution, or ell, is no solution, however small its
+        residual against max f; the solver's own test refuses each."""
+        geom, spec, result = solve_at(THETAS[theta])
+        values = {"3h": 3.0 * result.h.values, "2h": 2.0 * result.h.values,
+                  "ell": ell_field(geom).values}[not_h]
         with pytest.raises(ApplicabilityError):
-            c0_bound_check(geom, not_h, spec)
+            c0_bound_check(geom, ScalarField(geom, values), spec)
+
+    def test_even_solution_is_judged_on_its_ring(self):
+        """The even ell-bump's solution is tested on its half ring: the full
+        grid's floor operators are never built."""
+        geom = build_grid(math.pi / 3, 16, 32)
+        f = ell_bump_f_exact(geom, 2.0, 1.5, 0.05)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=geom.theta, f=f, even=True)
+        result = continuation_solve(spec, geom)
+        assert result.converged
+        lo, hi, _ = c0_bound_check(geom, result.h, spec)
+        assert lo and hi
+        assert "floor_system" not in geom._cache
+
+    def test_psi_dependent_solution_is_judged_on_the_grid(self):
+        """Data without a symmetry (the k = 1 bump) is tested on all Npsi cells:
+        its solution passes, twice it does not."""
+        geom = build_grid(math.pi / 3, 16, 32)
+        f = ell_bump_f_exact(geom, 2.5, 1.5, 0.05, k=1)
+        spec = ProblemSpec(p=2.5, q=1.5, theta=geom.theta, f=f)
+        result = continuation_solve(spec, geom)
+        assert result.converged
+        lo, hi, _ = c0_bound_check(geom, result.h, spec)
+        assert lo and hi
+        with pytest.raises(ApplicabilityError):
+            c0_bound_check(geom, ScalarField(geom, 2.0 * result.h.values), spec)

@@ -40,7 +40,7 @@ from capmink.solver import (
     _assemble,
     _base_density,
     _bordered_directions,
-    _folded_coeffs,
+    _jacobian_coeffs,
     _ModeFactor,
     _lu_factor,
     _residual_floor,
@@ -58,9 +58,9 @@ def ell_power_density(geom, c=1.0, alpha=0.0, beta=0.0):
     return ScalarField(geom, c * ell**alpha * w0**beta)
 
 
-def folded_jacobian(g, fvals, p, q, parts):
+def ring_jacobian(g, fvals, p, q, parts):
     """The Jacobian on the ring (or full grid) g at the frame parts."""
-    return _assemble(g, _folded_coeffs(g, fvals, p, q, parts))
+    return _assemble(g, _jacobian_coeffs(g, fvals, p, q, parts))
 
 
 def full_bordered_direction(g, J, res, rhs, pin):
@@ -75,12 +75,12 @@ def bordered_gap(g, fvals, p, q, uvec, symmetry):
     grid, and the full-grid one."""
     res, parts = _residual_u_vec(g, fvals, p, q, uvec)
     pin = float(np.mean(uvec) - 1.0)
-    full = full_bordered_direction(g, folded_jacobian(g, fvals, p, q, parts), res,
+    full = full_bordered_direction(g, ring_jacobian(g, fvals, p, q, parts), res,
                                    parts[7], pin)
     ring = ring_of(g, symmetry)
     fr, ur = on_ring(ring, fvals), on_ring(ring, uvec)
     res, parts = _residual_u_vec(ring, fr, p, q, ur)
-    C = _folded_coeffs(ring, fr, p, q, parts)
+    C = _jacobian_coeffs(ring, fr, p, q, parts)
     # with no GMRES budget every direction is exact: a fresh factor, block
     # elimination and one refinement step
     with pytest.MonkeyPatch.context() as mp:
@@ -170,7 +170,7 @@ class TestResiduals:
         rng = np.random.default_rng(3)
         uvec = 1.0 + 0.05 * rng.standard_normal(g.size)
         res0, parts = _residual_u_vec(g, fvals, p, q, uvec)
-        J = folded_jacobian(g, fvals, p, q, parts)
+        J = ring_jacobian(g, fvals, p, q, parts)
         eps = 1e-7
         cols = rng.choice(g.size, size=12, replace=False)
         for k in cols:
@@ -311,7 +311,7 @@ class TestFoldedJacobian:
         J, J_abs = reference_jacobian(g, fvals, 2.2, 1.7, parts)
         ring = ring_of(g, symmetry)
         S, E = fold_pair(g, ring)
-        A = _assemble(ring, S @ _folded_coeffs(g, fvals, 2.2, 1.7, parts))
+        A = _assemble(ring, S @ _jacobian_coeffs(g, fvals, 2.2, 1.7, parts))
         assert A.shape == (ring.size, ring.size)
         gap = abs(A - S @ J @ E).toarray()
         bound = 16.0 * np.finfo(float).eps * (S @ J_abs @ E).toarray()
@@ -326,7 +326,7 @@ class TestFoldedJacobian:
         uvec = np.repeat(profile, Npsi)
         ring = ring_of(g, "rot")
         _, parts = _residual_u_vec(ring, f[:, :1], 2.0, 1.5, profile)
-        assert folded_jacobian(ring, f[:, :1], 2.0, 1.5, parts).shape == (Nphi, Nphi)
+        assert ring_jacobian(ring, f[:, :1], 2.0, 1.5, parts).shape == (Nphi, Nphi)
         assert bordered_gap(g, f, 2.0, 1.5, uvec, "rot") <= 1e-10
 
 
@@ -575,7 +575,7 @@ class TestLaggedFactor:
         fvals = on_ring(ring, 1.0 + 0.1 * rng.random(g.size))
         uvec = on_ring(ring, 1.0 + 0.05 * rng.standard_normal(g.size))
         _, parts = _residual_u_vec(ring, fvals, 2.2, 1.7, uvec)
-        C = _folded_coeffs(ring, fvals, 2.2, 1.7, parts)
+        C = _jacobian_coeffs(ring, fvals, 2.2, 1.7, parts)
         m = ring.Npsi
         mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
         b = rng.standard_normal(C.shape[0])
