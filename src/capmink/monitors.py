@@ -69,6 +69,15 @@ class PhiMonitorReport:
     degenerate: bool
 
 
+def _argmax(geom: CapGeometry, values: np.ndarray):
+    """``(phi, psi)`` of the first cell, in row-major order, within 1e-12 relative
+    of the max of values.  On symmetric data the max is attained on a whole
+    orbit of cells, among which a plain argmax would choose by rounding."""
+    top = float(np.max(values))
+    i, j = np.unravel_index(np.argmax(values >= top - 1e-12 * abs(top)), values.shape)
+    return float(geom.phi_nodes[i]), float(geom.psi_nodes[j])
+
+
 def gradient_quotient(
     geom: CapGeometry, h: ScalarField, gamma: float
 ) -> GradientQuotientReport:
@@ -77,14 +86,9 @@ def gradient_quotient(
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
     cd = curvature_tensor(geom, h)
     quot = (cd.g1**2 + cd.g2**2) / h.values**gamma
-    i, j = np.unravel_index(np.argmax(quot), quot.shape)
+    phi, psi = _argmax(geom, quot)
     N_obs = float(np.max(quot)) / float(np.max(h.values)) ** (2.0 - gamma)
-    return GradientQuotientReport(
-        gamma=gamma,
-        N_observed=N_obs,
-        argmax_phi=float(geom.phi_nodes[i]),
-        argmax_psi=float(geom.psi_nodes[j]),
-    )
+    return GradientQuotientReport(gamma=gamma, N_observed=N_obs, argmax_phi=phi, argmax_psi=psi)
 
 
 def noncollapse_check(
@@ -193,9 +197,7 @@ def q_monitor(geom: CapGeometry, h: ScalarField, q: float):
     B = abs(3.0 - q) * (hmax2 + 3.0 * gmax2) / hmin**4 + 1.0
     A = -(2.0 * B * gmax2 + 1.0) / hmin
     Q = np.log(cd.sigma1) + A * h.values + B * gsq
-    i, j = np.unravel_index(np.argmax(Q), Q.shape)
-    loc = (float(geom.phi_nodes[i]), float(geom.psi_nodes[j]))
-    return QMonitorConfig(A=A, B=B), ScalarField(geom, Q), loc
+    return QMonitorConfig(A=A, B=B), ScalarField(geom, Q), _argmax(geom, Q)
 
 
 def c0_bound_check(geom: CapGeometry, h: ScalarField, spec,

@@ -41,9 +41,12 @@ by block elimination on a preconditioner factor, to the forcing term
 direction).  The preconditioner is the mode factor: with its coefficients
 averaged over each phi row, the Jacobian is circulant along the psi ring,
 so a real FFT along psi splits it into one banded Nphi system per Fourier
-mode, all factored by one SuperLU call in their natural order, whose fill
-stays inside each mode's band.  If GMRES misses eta_k
-within two restart cycles of GMRES_RESTART iterations, the Jacobian is
+mode, each factored by LAPACK's banded ``zgbtrf``.  If GMRES misses eta_k
+within two restart cycles of GMRES_RESTART iterations, its iterate is still
+the step when its true bordered residual is within ETA_MAX: eta_k can ask
+for more than the matvec delivers in double precision, or than the floor
+test needs (oversolving; Kelley, *Iterative Methods for Linear and
+Nonlinear Equations*, 1995, sec. 6.3).  Otherwise the Jacobian is
 factored exactly (SuperLU with the ``MMD_AT_PLUS_A`` fill-reducing column
 ordering) and the exact step is taken: block elimination on that factor
 plus one refinement step with it (Govaerts-Pryce, *BIT* 30, 1990), which
@@ -79,6 +82,7 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError
 from .grid import (
@@ -162,8 +166,8 @@ class NewtonTrace:
     # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
     # 0.0 when fewer than two directions were taken
     contraction: float = 0.0
-    # exact SuperLU factors of the ring Jacobian, SuperLU factors of its
-    # psi-average in Fourier modes, and GMRES iterations
+    # exact SuperLU factors of the ring Jacobian, banded LAPACK factors of
+    # its psi-average in Fourier modes, and GMRES iterations
     factorizations: int = 0
     mode_factorizations: int = 0
     krylov_iterations: int = 0
@@ -311,33 +315,37 @@ class _ModeFactor:
     Averaging the coefficients C over each phi row makes the Jacobian on a
     ring of m > 1 cells circulant along psi (see
     :func:`capmink.operators._mode_terms`), so a real FFT along psi splits it
-    into one banded Nphi x Nphi system per mode k = 0 .. m // 2.  These are
-    stacked mode after mode into one block-diagonal complex matrix and
-    factored by one SuperLU call in its natural order, which keeps the fill
-    inside each mode's band.  ``solve`` is rfft, that factor's solve, irfft.
+    into one banded Nphi x Nphi system per mode k = 0 .. m // 2, with kl
+    sub- and ku superdiagonals read off the stencil table's phi-row pairs.
+    Each is factored in LAPACK band storage by ``zgbtrf`` (partial pivoting,
+    which widens the stored band to 2 kl + ku + 1 rows).  ``solve`` is rfft,
+    one ``zgbtrs`` per mode, irfft.
     """
 
     def __init__(self, geom: CapGeometry, C):
         rows, cols, W, omega = _mode_terms(geom)
         Nphi, K = geom.Nphi, omega.shape[1]
         self.shape = geom.shape
+        self.kl, self.ku = int(np.max(rows - cols)), int(np.max(cols - rows))
         cbar = C.reshape(*self.shape, -1).mean(axis=1)
-        # per mode, the symbols of the phi-row pairs, in the pairs' column-major order
-        data = (np.einsum("pst,pt->ps", W, cbar[rows]) @ omega).T
-        counts = np.bincount(cols, minlength=Nphi)
-        indptr = np.concatenate([[0], np.cumsum(np.tile(counts, K))])
-        indices = (rows + Nphi * np.arange(K)[:, None]).ravel()
-        M = sp.csc_matrix((data.ravel(), indices, indptr), shape=(K * Nphi, K * Nphi))
-        try:
-            self.lu = spla.splu(M, permc_spec="NATURAL")
-        except RuntimeError as exc:  # an exactly singular mode
-            raise ApplicabilityError("psi-averaged Newton system is singular") from exc
+        # per pair, the symbols of every mode; entry (i, i') of a mode sits at
+        # band row kl + ku + i - i' of column i', each mode's band Fortran-ordered
+        data = np.einsum("pst,pt->ps", W, cbar[rows]) @ omega
+        bands = np.zeros((K, Nphi, 2 * self.kl + self.ku + 1), complex).transpose(0, 2, 1)
+        bands[:, self.kl + self.ku + rows - cols, cols] = data.T
+        self.factors = []
+        for band in bands:
+            lu, piv, info = lapack.zgbtrf(band, self.kl, self.ku, overwrite_ab=1)
+            if info > 0:  # an exactly singular mode
+                raise ApplicabilityError("psi-averaged Newton system is singular")
+            self.factors.append((lu, piv))
 
     def solve(self, v):
         Nphi, m = self.shape
         modes = np.fft.rfft(v.reshape(Nphi, m), axis=1)
-        x = self.lu.solve(modes.T.ravel())
-        return np.fft.irfft(x.reshape(-1, Nphi).T, n=m, axis=1).ravel()
+        for k, (lu, piv) in enumerate(self.factors):
+            modes[:, k] = lapack.zgbtrs(lu, self.kl, self.ku, modes[:, k], piv)[0]
+        return np.fft.irfft(modes, n=m, axis=1).ravel()
 
 
 # Inexact Newton (Eisenstat-Walker): GMRES to a forcing term, else an exact step
@@ -373,11 +381,13 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
     block elimination on a preconditioner factor, to the forcing term
     ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the
     first direction).  That factor is the mode factor of the direction's own
-    C (:class:`_ModeFactor`) until GMRES first misses eta_k within two restart
-    cycles; then A is factored exactly and the exact step taken (block
-    elimination plus one refinement step with the same factor), and that
-    factor is kept as the preconditioner, refactored at each later miss.  On
-    a one-cell ring (psi-independent data) every direction is an exact step.
+    C (:class:`_ModeFactor`) until GMRES first misses: misses eta_k within
+    two restart cycles, and leaves a true bordered residual above ETA_MAX
+    relative (a miss within ETA_MAX keeps its iterate as the step).  Then A
+    is factored exactly and the exact step taken (block elimination plus one
+    refinement step with the same factor), and that factor is kept as the
+    preconditioner, refactored at each later miss.  On a one-cell ring
+    (psi-independent data) every direction is an exact step.
     """
     k = geom.size
     row = np.full(k, 1.0 / k)
@@ -394,7 +404,8 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
         return d + dd, dl + ddl
 
     def krylov(A, factor, col, top, bottom, eta):
-        """The GMRES step, or None if GMRES misses eta within its budget."""
+        """The GMRES step, or None if GMRES misses eta within its budget and
+        the true bordered residual of its iterate misses ETA_MAX too."""
         precond = _block_elimination(factor, row, col)
 
         def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
@@ -402,12 +413,14 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
             return np.append(A @ d + dl * col, row @ d)
 
         op = spla.LinearOperator((k + 1, k + 1), matvec=bordered, dtype=float)
+        b = np.append(top, bottom)
         inner = []
-        v, info = spla.gmres(op, np.append(top, bottom), rtol=eta, atol=0.0,
-                             restart=GMRES_RESTART, maxiter=2,
+        v, info = spla.gmres(op, b, rtol=eta, atol=0.0, restart=GMRES_RESTART, maxiter=2,
                              callback=inner.append, callback_type="pr_norm")
         trace.krylov_iterations += len(inner)
-        return precond(v[:k], v[k]) if info == 0 else None
+        if info != 0 and np.linalg.norm(bordered(v) - b) > ETA_MAX * np.linalg.norm(b):
+            return None
+        return precond(v[:k], v[k])
 
     def direction(A, C, res, rhs, pin):
         nonlocal norm

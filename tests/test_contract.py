@@ -11,6 +11,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 import capmink.cli as cli
 import capmink.solver as solver
 from capmink import ProblemSpec, build_grid, ell_bump_f_exact
@@ -121,28 +123,34 @@ def test_pq_result_reports_polish(tmp_path):
 
 
 def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
-    """The benchmark's lu layer sees every factorization.
+    """The benchmark's lu layer sees every exact factorization.
 
     Every direction of even or unsymmetric data runs GMRES.  Until GMRES first
-    misses its forcing term in a newton_solve, each direction factors the
-    psi-averaged Jacobian in Fourier modes; each miss factors the Jacobian
-    exactly.  psi-independent data takes one exact factor per direction.  Each
-    splu call is counted once, as an exact or as a mode factorization.
+    misses in a newton_solve, each direction factors the psi-averaged Jacobian
+    in Fourier modes, one zgbtrf call per mode; each miss whose true residual
+    also misses ETA_MAX factors the Jacobian exactly, by one splu call.
+    psi-independent data takes one exact factor per direction.
     """
-    factorizations, gmres_missed = [], []
-    real_splu, real_gmres = solver.spla.splu, solver.spla.gmres
+    factorizations, bands, far_misses = [], [], []
+    real_splu, real_gmres, real_zgbtrf = solver.spla.splu, solver.spla.gmres, solver.lapack.zgbtrf
 
     def counted(*args, **kwargs):
         factorizations.append(args[0].shape)
         return real_splu(*args, **kwargs)
 
-    def gmres(*args, **kwargs):
-        out = real_gmres(*args, **kwargs)
-        gmres_missed.append(out[1] != 0)
+    def zgbtrf(*args, **kwargs):
+        bands.append(args[0].shape)
+        return real_zgbtrf(*args, **kwargs)
+
+    def gmres(op, b, **kwargs):
+        out = real_gmres(op, b, **kwargs)  # a miss, and its true residual misses ETA_MAX
+        far_misses.append(out[1] != 0 and bool(np.linalg.norm(op.matvec(out[0]) - b)
+                                               > solver.ETA_MAX * np.linalg.norm(b)))
         return out
 
     monkeypatch.setattr(solver.spla, "splu", counted)
     monkeypatch.setattr(solver.spla, "gmres", gmres)
+    monkeypatch.setattr(solver.lapack, "zgbtrf", zgbtrf)
     # a Newton direction for each accepted iteration, plus the last direction of
     # a solve given up before max_newton (a line search that ran out of halvings,
     # or a rejected continuation trial step)
@@ -155,12 +163,15 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     bump = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                        f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
     traces = solver.continuation_solve(bump, g).newton_trace
-    assert len(gmres_missed) == sum(directions(t) for t in traces) > 0
-    assert sum(t.factorizations for t in traces) == sum(gmres_missed)
-    assert 0 < sum(t.mode_factorizations for t in traces) <= len(gmres_missed)
-    assert len(factorizations) == sum(t.factorizations + t.mode_factorizations for t in traces)
+    assert len(far_misses) == sum(directions(t) for t in traces) > 0
+    modes = g.Npsi // 2 // 2 + 1  # the even data's half ring, rfft modes 0 .. m / 2
+    assert len(factorizations) == sum(t.factorizations for t in traces)
+    assert len(bands) == modes * sum(t.mode_factorizations for t in traces)
+    assert sum(t.factorizations for t in traces) == sum(far_misses)
+    assert 0 < sum(t.mode_factorizations for t in traces) <= len(far_misses)
 
     factorizations.clear()
+    bands.clear()
     g1 = build_grid(1.0, 8, 16)
     f = density_from_config(g1, {"kind": "ell_power", "alpha": -0.5}, 2.0, 2.0)
     pq = ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True)
@@ -169,3 +180,4 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     assert len(factorizations) == sum(directions(t) for t in traces)
     assert [t.factorizations for t in traces] == [directions(t) for t in traces]
     assert all(t.mode_factorizations == t.krylov_iterations == 0 for t in traces)
+    assert not bands

@@ -16,6 +16,7 @@ from capmink import (
     continuation_solve,
     curvature_tensor,
     ell_bump_f_exact,
+    ell_bump_field,
     ell_field,
     ell_grad_sq,
     gradient_quotient,
@@ -137,6 +138,27 @@ class TestPhiMonitor:
         rep = phi_monitor(geom, result.u, 1.0)
         # Phi of a solution attains its max away from the boundary row
         assert rep.interior_max
+
+
+@pytest.mark.parametrize("source", ["exact", "solved"])
+@pytest.mark.parametrize("Nphi", [32, 64, 128])
+def test_reported_location_is_invariant_under_the_symmetries(Nphi, source):
+    """The even ell-bump h takes each max on an orbit of psi -> psi + pi and
+    psi -> -psi.  The half turn (a roll by Npsi/2) and the mirror image of h
+    move its values at the rounding level and the reported locations not at all."""
+    g = build_grid(math.pi / 3, Nphi, 2 * Nphi)
+    if source == "exact":
+        h = ell_bump_field(g, 0.05)
+    else:
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, 0.05))
+        h = continuation_solve(spec, g).h
+    locations = set()
+    for v in (h.values, np.roll(h.values, g.Npsi // 2, axis=1),
+              np.roll(h.values[:, ::-1], 1, axis=1)):
+        rep = gradient_quotient(g, ScalarField(g, v), 1.0)
+        locations.add((rep.argmax_phi, rep.argmax_psi, q_monitor(g, ScalarField(g, v), 1.5)[2]))
+    assert len(locations) == 1
 
 
 class TestQMonitor:

@@ -33,7 +33,8 @@ from capmink import (
     uniqueness_probe,
 )
 from capmink.grid import _ring, bump_profile, evenness_defect
-from capmink.operators import u_system
+from capmink.operators import JACOBIAN_TERMS, _stencil_table, u_system
+from capmink.problem_io import density_from_config
 from capmink.solver import (
     GMRES_RESTART,
     NewtonTrace,
@@ -581,6 +582,63 @@ class TestLaggedFactor:
         b = rng.standard_normal(C.shape[0])
         expected = spla.spsolve(_assemble(ring, mean), b)
         assert _rel_gap(_ModeFactor(ring, C).solve(b), expected) <= 1e-12
+
+    def test_band_widths_are_read_off_the_stencil_table(self):
+        ring = ring_of(build_grid(math.pi / 3, 8, 16), "even")
+        rows, cols = _stencil_table(ring)[:2]
+        factor = _ModeFactor(ring, np.ones((ring.size, len(JACOBIAN_TERMS) + 1)))
+        assert (factor.kl, factor.ku) == (np.max(rows - cols), np.max(cols - rows)) == (2, 1)
+
+    def test_singular_mode_is_refused(self):
+        """With only the g2 term, the psi derivative, mode 0 of the even ring of
+        9 cells is exactly zero, and modes 1 .. 4 are diagonal and nonzero."""
+        ring = ring_of(build_grid(math.pi / 3, 8, 18), "even")
+        C = np.zeros((ring.size, len(JACOBIAN_TERMS) + 1))
+        C[:, JACOBIAN_TERMS.index("g2")] = 1.0
+        with pytest.raises(ApplicabilityError, match="psi-averaged Newton system is singular"):
+            _ModeFactor(ring, C)
+        C[:, -1] = 1.0  # the diagonal term makes every mode regular
+        _ModeFactor(ring, C)
+
+    def test_rounding_level_miss_takes_no_exact_factor(self, monkeypatch):
+        """On the eps = 0.45, k = 1 ell-bump GMRES misses its forcing term, but
+        each missed iterate meets ETA_MAX, so the solve takes no exact factor."""
+        missed, real_gmres = [], solver.spla.gmres
+
+        def gmres(*args, **kwargs):
+            out = real_gmres(*args, **kwargs)
+            missed.append(out[1] != 0)
+            return out
+
+        monkeypatch.setattr(solver.spla, "gmres", gmres)
+        g = build_grid(math.pi / 3, 64, 128)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.45, k=1))
+        traces = _solved(spec, g).newton_trace
+        assert any(missed)
+        assert sum(t.factorizations for t in traces) == 0
+
+    @pytest.mark.parametrize("case,counts", [
+        ("bump-k1-32x64", [(0, 0, 0, 0), (3, 11, 0, 3)]),
+        ("sweep-middle-16x32", [(0, 0, 0, 0), (3, 0, 3, 0)]),
+    ])
+    def test_counts_are_pinned(self, case, counts):
+        """(Newton iterations, GMRES iterations, exact factors, mode factors) of
+        each newton_solve: the not-even ell-bump, which runs GMRES on the full
+        grid, and the middle cell of the 16x32 branch-I sweep, psi-independent
+        data whose directions are all exact steps."""
+        if case == "bump-k1-32x64":
+            g = build_grid(math.pi / 3, 32, 64)
+            spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta,
+                               f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05, k=1))
+        else:
+            g = build_grid(math.pi / 3, 16, 32)
+            f = density_from_config(g, {"kind": "ell_power", "c": 0.8, "alpha": -0.8,
+                                        "beta": -0.3}, 1.5, 2.5)
+            spec = ProblemSpec(p=1.5, q=2.5, theta=g.theta, f=f, even=True)
+        traces = _solved(spec, g).newton_trace
+        assert [(t.iterations, t.krylov_iterations, t.factorizations, t.mode_factorizations)
+                for t in traces] == counts
 
     @pytest.mark.parametrize("budget", [1, GMRES_RESTART])
     def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
