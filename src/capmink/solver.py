@@ -27,9 +27,11 @@ sparse Jacobian of the discrete residual: the determinant is linearized as
 ``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
 Each solve runs on the psi ring of the data's symmetry
 (:func:`capmink.grid._ring`, :func:`_symmetry`): one cell per phi row for
-psi-independent data, Npsi/2 for even data, all Npsi otherwise.  The start
-is averaged onto the ring, the solution tiled back onto the grid.  The
-residual, the convexity check, the rounding floor and the Jacobian (on a
+psi-independent data, Npsi/2 for even data, all Npsi otherwise.  A
+continuation picks the ring of its target density once and runs every step
+on it, s = 0 included (f_0 is psi-independent, so each f_s has the target's
+symmetry); it tiles the solution back onto the grid once, at the end.  The
+residual, the convexity checks, the rounding floor and the Jacobian (on a
 fixed sparsity pattern, :func:`capmink.operators._jacobian_pattern`) are all
 evaluated on the ring, from operators that :mod:`capmink.operators` reads
 off the ring's own stencil table; the solver never builds the grid's.  The
@@ -76,7 +78,7 @@ when its field is positive and convex, else from ``x_k``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -84,7 +86,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError
+from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError, UsageError
 from .grid import (
     EVEN_TOL,
     CapGeometry,
@@ -204,20 +206,17 @@ class SolveResult:
 # residuals
 
 
-def _density(spec: ProblemSpec, s: float | None) -> np.ndarray:
-    """Homotopy density f_s at parameter s (None = target).
+def _density(f0, f, s: float) -> np.ndarray:
+    """Homotopy density ``f_s = (1 - s) f0 + s f`` at parameter s.
 
     The exponents are held at the target (p, q) along the whole path; the
-    density is blended from f_0 = ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2),
+    density is blended from the base density f0 (:func:`_base_density`),
     which makes h = ell the exact solution at s = 0 for every q.  (Moving the
     exponent q_s = 3 + s(q-3) instead crosses the scale-degenerate manifold
     q_s = p whenever q < p < 3, where the intermediate problem is generically
     unsolvable; at q = 3 the two paths coincide.)
     """
-    if s is None or s == 1.0:
-        return spec.f.values
-    f0 = _base_density(spec.f.geometry, spec.p, spec.q)
-    return (1.0 - s) * f0 + s * spec.f.values
+    return (1.0 - s) * f0 + s * f
 
 
 def _equation(fvals, p, q, frame, h):
@@ -371,7 +370,7 @@ def _block_elimination(lu, row, col):
 
 
 def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
-    """Newton directions ``(d, dl)`` of one newton_solve of the normalized equation.
+    """Newton directions ``(d, dl)`` of one Newton solve of the normalized equation.
 
     Each call ``direction(A, C, res, rhs, pin)`` solves
     ``[[A, -rhs], [r, 0]] (d, dl) = -(res, pin)`` on the ring geom, where A is
@@ -427,7 +426,7 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
         col, top, bottom = -rhs, -res, -pin
         norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
         step = None
-        if geom.Npsi > 1 and GMRES_RESTART > 0:
+        if geom.Npsi > 1:
             factor = lu
             if factor is None:
                 trace.mode_factorizations += 1
@@ -490,9 +489,19 @@ def _floor_test(geom: CapGeometry, fvals, p, q, uvec, tol):
     return res, parts, noise, _within_floor(res, noise, tol, parts)
 
 
+def _check_grid(spec: ProblemSpec, geom: CapGeometry, *fields: ScalarField):
+    """UsageError unless f is sampled on geom (shape and theta) and each field has its shape."""
+    g = spec.f.geometry
+    if g.shape != geom.shape or abs(g.theta - geom.theta) > 1e-12:
+        raise UsageError(f"f is sampled on a {g.shape} grid with theta {g.theta:.12g}, "
+                         f"not on the {geom.shape} grid with theta {geom.theta:.12g}")
+    if any(fld.values.shape != geom.shape for fld in fields):
+        raise UsageError(f"a field's shape does not match the grid {geom.shape}")
+
+
 def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
                 cfg: SolverConfig | None = None):
-    """``(passed, residual_sup)`` of newton_solve's own test of u = h / ell at newton_tol.
+    """``(passed, residual_sup)`` of the solver's own test of u = h / ell at newton_tol.
 
     It runs on the psi ring of the data's symmetry if u is exactly invariant
     under its shift, as a solver's h is, else on the grid.  The residual, its
@@ -501,6 +510,7 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     """
     if cfg is None:
         cfg = SolverConfig()
+    _check_grid(spec, geom, h)
     u = h.values / ell_field(geom).values
     if np.any(u <= 0.0):
         raise DomainError("u = h / ell must be positive")
@@ -571,34 +581,37 @@ THETA_REJECT = 0.5      # a trial step is given up above this contraction
 TRIAL_MIN_STEP = 0.25   # ... or when its line search wants a shorter step
 
 
-def _damped_newton(x, residual, direction, cfg: SolverConfig, trace: NewtonTrace,
-                   trial: bool = False):
-    """Damped Newton with a sufficient-decrease line search; fills ``trace``.
+def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
+            trial: bool = False):
+    """Damped Newton on the normalized equation on the psi ring ``ring``.
 
-    ``residual(x)`` gives ``(res, parts, pin, noise, passed)``, where pin is
-    the border residual, noise the rounding floor and passed the verdict of
-    :func:`_floor_test`; ``direction`` takes x and the first three.  The u
-    field (x but its last entry, log C) must stay positive and convex;
-    convexity is read off the residual's own frame.  A
-    step is halved until that holds and the sup falls by ``1 - step/4`` or
-    the floor test holds.  The largest contraction of successive directions
-    goes to ``trace.contraction``; with ``trial`` the solve is given up once
-    it exceeds THETA_REJECT or the step falls below TRIAL_MIN_STEP, instead
-    of below MIN_STEP.  Returns the last iterate, its sup and its floor.
+    fvals is the density on the ring's cells and the start is
+    ``x = (uvec / mean(uvec), log_C)``.  The u field (x but its last entry,
+    log C) must stay positive and convex; convexity is read off the
+    residual's own frame.  A step is halved until that holds and the sup of
+    the residual and the pin ``mean(u_bar) - 1`` falls by ``1 - step/4`` or
+    the floor test (:func:`_floor_test`) holds.  The largest contraction of
+    successive directions goes to the trace's ``contraction``; with ``trial``
+    the solve is given up once it exceeds THETA_REJECT or the step falls
+    below TRIAL_MIN_STEP, instead of below MIN_STEP.  Returns the last
+    iterate x, its NewtonTrace at s, its sup and its rounding floor.
     """
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else MIN_STEP
+    trace = NewtonTrace(s=s, iterations=0)
+    bordered = _bordered_directions(ring, trace)
 
     def evaluate(x):
         """(x, sup, done, data) of a positive candidate, or None if not convex."""
-        res, parts, pin, noise, passed = residual(x)
+        res, parts, noise, passed = _floor_test(ring, fvals * np.exp(x[-1]), p, q, x[:-1], tol)
         if eigen_range(*parts[:3])[0] < CONVEXITY_FLOOR:
             return None
+        pin = float(np.mean(x[:-1]) - 1.0)
         done = passed and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise)
 
-    start = evaluate(x)
+    start = evaluate(np.append(uvec / np.mean(uvec), log_C))
     if start is None:
         raise ConvexityError("u0 is not uniformly convex (b below the floor)")
     x, sup, done, data = start
@@ -607,29 +620,31 @@ def _damped_newton(x, residual, direction, cfg: SolverConfig, trace: NewtonTrace
     for _it in range(cfg.max_newton):
         if done:
             break
-        dx = direction(x, *data[:3])
+        res, parts, pin, _ = data
+        C = _jacobian_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
+        dx = bordered(_assemble(ring, C), C, res, parts[7], pin)
         size = float(np.max(np.abs(dx)))
         if last_size:
             theta = size / last_size
             trace.contraction = max(trace.contraction, theta)
             if trial and theta > THETA_REJECT:
-                return x, sup, data[3]
+                break
         last_size = size
         step = 1.0
-        while True:
+        while step >= min_step:
             cand = x + step * dx
             out = evaluate(cand) if np.all(cand[:-1] > 0.0) else None
             if out is not None and (out[1] <= (1.0 - 0.25 * step) * sup or out[2]):
                 break
             step *= 0.5
             trace.halvings += 1
-            if step < min_step:
-                return x, sup, data[3]
+        else:  # the line search ran out of halvings
+            break
         x, sup, done, data = out
         trace.iterations += 1
         trace.residuals.append(sup)
     trace.converged = done
-    return x, sup, data[3]
+    return x, trace, sup, 8.0 * float(np.max(data[3]))
 
 
 def newton_solve(
@@ -638,49 +653,27 @@ def newton_solve(
     s: float,
     u0: ScalarField,
     cfg: SolverConfig | None = None,
-    *,
-    trial: bool = False,
-    log_C: float | None = None,
 ) -> SolveResult:
     """Damped Newton on the normalized equation at homotopy parameter s.
 
-    The start is ``u_bar = u0 / mean(u0)`` and ``log C = log_C``, by default
-    ``(p - q) log mean(u0)``, which makes ``h = m ell u_bar`` equal ``ell u0``
-    for ``p != q``; at ``p = q`` log C cannot be read off u0.  ``trial=True``
-    marks a continuation step that the caller retries shorter: it is given up
-    early on a poor contraction (see :func:`_damped_newton`).
+    The solve runs on the psi ring of the symmetry of the density f_s, from
+    the mean of u0 over each orbit of that symmetry: ``u_bar`` is that mean
+    over its own mean, and ``log C = (p - q) log`` of it, which makes
+    ``h = m ell u_bar`` equal ``ell u0`` for ``p != q``; at ``p = q`` log C
+    cannot be read off u0 and starts at 0.
     """
     if cfg is None:
         cfg = SolverConfig()
+    _check_grid(spec, geom, u0)
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
-    fvals, p, q = _density(spec, s), spec.p, spec.q
-    # the solve runs on the psi ring of the data's symmetry, from the mean of
-    # u0 over each orbit of that symmetry and the density's first m columns
+    p, q = spec.p, spec.q
+    fvals = _density(_base_density(geom, p, q), spec.f.values, s)
     m = _symmetry(fvals, spec.even)
-    ring = _ring(geom, m)
-    fvals = fvals[:, :m].ravel()
     uvec = u0.values.reshape(geom.Nphi, -1, m).mean(axis=1).ravel()
-    mean = float(np.mean(uvec))
-    if log_C is None:
-        log_C = (p - q) * math.log(mean)
-    x = np.append(uvec / mean, log_C)
-
-    def residual(x):
-        res, parts, noise, passed = _floor_test(ring, fvals * np.exp(x[-1]), p, q, x[:-1],
-                                                cfg.newton_tol)
-        return res, parts, float(np.mean(x[:-1]) - 1.0), noise, passed
-
-    trace = NewtonTrace(s=s, iterations=0)
-    bordered = _bordered_directions(ring, trace)
-
-    def direction(x, res, parts, pin):
-        C = _jacobian_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
-        return bordered(_assemble(ring, C), C, res, parts[7], pin)
-
-    x, res_sup, noise = _damped_newton(x, residual, direction, cfg, trace, trial)
-    return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup,
-                     8.0 * float(np.max(noise)))
+    x, trace, res_sup, floor = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q, uvec,
+                                       (p - q) * math.log(np.mean(uvec)), s, cfg)
+    return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup, floor)
 
 
 def continuation_solve(
@@ -692,48 +685,53 @@ def continuation_solve(
 
     The step length follows the Newton contraction of the last accepted step,
     and each step starts from the secant predictor (see the module docstring).
+    Every step, s = 0 included, runs on the psi ring of the target density's
+    symmetry, chosen once; the solution is tiled onto geom once, at the end.
     For p = q the result is the normalized pair: h = ell u_bar and C = exp(log_C).
     """
     if cfg is None:
         cfg = SolverConfig()
+    _check_grid(spec, geom)
+    p, q = spec.p, spec.q
+    f0 = _base_density(geom, p, q)
     # the normalized equation sees C and f only as the product C f, so the path
     # runs to f / kappa, kappa the geometric mean of f / f_0, and does not depend
     # on the scale of f; the step to s = 1 solves for f itself, from log C - log kappa
-    log_kappa = float(np.mean(np.log(spec.f.values / _base_density(geom, spec.p, spec.q))))
-    scaled = replace(spec, f=ScalarField(geom, spec.f.values / math.exp(log_kappa)))
-    last = newton_solve(scaled, geom, 0.0, ScalarField(geom, np.ones(geom.shape)), cfg)
-    traces = list(last.newton_trace)
-    if not last.converged:
-        return replace(last, residual_sup=math.inf)
+    log_kappa = float(np.mean(np.log(spec.f.values / f0)))
+    m = _symmetry(spec.f.values, spec.even)
+    ring = _ring(geom, m)
+    f0, f = f0[:, :m].ravel(), spec.f.values[:, :m].ravel()
+    scaled = f / math.exp(log_kappa)
+
+    # at s = 0 the density is f_0, solved exactly by u_bar = 1 and log C = 0
+    last, trace, res_sup, floor = _newton(ring, f0, p, q, np.ones(ring.size), 0.0, 0.0, cfg)
+    traces, converged = [trace], trace.converged
     s, ds = 0.0, DS_INIT
     prev = None  # (x_(k-1), s_k - s_(k-1)) for the secant predictor
-    while s < 1.0:
+    while converged and s < 1.0:
         s_next = min(1.0, s + ds)
-        u = last.u.values.ravel()
-        x = np.append(u / np.mean(u), last.log_C)  # (u_bar, log C)
+        x = np.append(last[:-1] / np.mean(last[:-1]), last[-1])  # (u_bar, log C)
         start = x
         if prev is not None:
             pred = x + (s_next - s) / prev[1] * (x - prev[0])
-            u_pred = pred[:-1]
-            if (np.all(u_pred > 0.0)
-                    and eigen_range(*_u_frame(geom, u_pred)[:3])[0] >= CONVEXITY_FLOOR):
+            if (np.all(pred[:-1] > 0.0)
+                    and eigen_range(*_u_frame(ring, pred[:-1])[:3])[0] >= CONVEXITY_FLOOR):
                 start = pred
         target = s_next == 1.0
-        step = newton_solve(spec if target else scaled, geom, s_next,
-                            ScalarField(geom, start[:-1].reshape(geom.shape)), cfg, trial=True,
-                            log_C=start[-1] - log_kappa if target else start[-1])
-        traces.extend(step.newton_trace)
-        if step.converged:
-            theta = step.newton_trace[0].contraction
+        y, trace, y_sup, y_floor = _newton(
+            ring, f if target else _density(f0, scaled, s_next), p, q, start[:-1],
+            start[-1] - log_kappa if target else start[-1], s_next, cfg, trial=True)
+        traces.append(trace)
+        if trace.converged:
+            theta = trace.contraction
             factor = math.sqrt(THETA_BAR / theta) if theta > 0.0 else 2.0
-            prev, s, last = (x, s_next - s), s_next, step
+            prev, s, last, res_sup, floor = (x, s_next - s), s_next, y, y_sup, y_floor
             ds *= min(2.0, max(0.5, factor))
         else:
             ds *= 0.5
-            if ds < DS_MIN:
-                return replace(last, newton_trace=traces, converged=False,
-                               residual_sup=math.inf)
-    return replace(last, newton_trace=traces)
+            converged = ds >= DS_MIN
+    return _finalize(geom, last, p, q, traces, converged, s,
+                     res_sup if converged else math.inf, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from capmink import (
     ProblemSpec,
     ScalarField,
     SolverConfig,
+    UsageError,
     build_grid,
     continuation_solve,
     ell_bump_f_exact,
@@ -71,6 +72,11 @@ def full_bordered_direction(g, J, res, rhs, pin):
     return spla.spsolve(B, -np.append(res, pin))
 
 
+def gmres_miss(op, b, **kwargs):
+    """A GMRES that returns the zero iterate as a miss: the caller takes the exact step."""
+    return np.zeros_like(b), 1
+
+
 def bordered_gap(g, fvals, p, q, uvec, symmetry):
     """Relative gap between the bordered direction on the ring, tiled onto the
     grid, and the full-grid one."""
@@ -82,10 +88,10 @@ def bordered_gap(g, fvals, p, q, uvec, symmetry):
     fr, ur = on_ring(ring, fvals), on_ring(ring, uvec)
     res, parts = _residual_u_vec(ring, fr, p, q, ur)
     C = _jacobian_coeffs(ring, fr, p, q, parts)
-    # with no GMRES budget every direction is exact: a fresh factor, block
-    # elimination and one refinement step
+    # a GMRES that always misses makes every direction exact: a fresh factor,
+    # block elimination and one refinement step
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "GMRES_RESTART", 0)
+        mp.setattr(solver.spla, "gmres", gmres_miss)
         direction = _bordered_directions(ring, NewtonTrace(s=1.0, iterations=0))
         d = direction(_assemble(ring, C), C, res, parts[7], float(np.mean(ur) - 1.0))
     reduced = np.append(fold_pair(g, ring)[1] @ d[:-1], d[-1])
@@ -514,6 +520,88 @@ class TestRing:
             gc.enable()
 
 
+class TestOneRing:
+    """A continuation decides its ring once and touches the grid once."""
+
+    @staticmethod
+    def _multi_step_even(g):
+        """The even eps = 0.3, k = 2 ell-bump: two trial steps rejected, then
+        four accepted, the last three tried from the secant predictor."""
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.3, k=2))
+        _base_density(g, spec.p, spec.q)  # cached, as after any earlier solve on g
+        return spec
+
+    def _counted(self, monkeypatch, name):
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = self._multi_step_even(g)
+        firsts, real = [], getattr(solver, name)
+
+        def counted(first, *args, **kwargs):
+            firsts.append(first)
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+        traces = _solved(spec, g).newton_trace
+        assert len(traces) > 4 and not all(t.converged for t in traces)
+        return g, firsts
+
+    def test_continuation_decides_its_ring_once(self, monkeypatch):
+        _, calls = self._counted(monkeypatch, "_symmetry")
+        assert len(calls) == 1
+
+    def test_continuation_evaluates_the_grid_frame_once(self, monkeypatch):
+        """Only the tiled solution's b on the caller's grid; every residual and
+        every predictor check runs on the half ring."""
+        g, geoms = self._counted(monkeypatch, "_u_frame")
+        assert sum(geom is g for geom in geoms) == 1
+        assert all(geom is g or geom is _ring(g, g.Npsi // 2) for geom in geoms)
+
+    def test_every_step_tests_on_the_same_ring(self, monkeypatch):
+        """The s = 0 step included, every floor test gets the one half ring."""
+        g, geoms = self._counted(monkeypatch, "_floor_test")
+        assert geoms and all(geom is _ring(g, g.Npsi // 2) for geom in geoms)
+
+
+class TestGridMismatch:
+    """Data sampled on another grid is refused, never broadcast or reshaped."""
+
+    @staticmethod
+    def _bump(g):
+        return ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+
+    @staticmethod
+    def _entries(spec, g):
+        one = ScalarField(g, np.ones(g.shape))
+        return [lambda: continuation_solve(spec, g),
+                lambda: newton_solve(spec, g, 1.0, one),
+                lambda: solver.is_solution(spec, g, ell_field(g))]
+
+    def test_density_of_another_shape_is_refused(self):
+        spec = self._bump(build_grid(math.pi / 3, 16, 32))
+        for call in self._entries(spec, build_grid(math.pi / 3, 32, 64)):
+            with pytest.raises(UsageError, match="grid"):
+                call()
+
+    def test_density_of_another_theta_is_refused(self):
+        spec = self._bump(build_grid(math.pi / 3, 16, 32))
+        for call in self._entries(spec, build_grid(1.0, 16, 32)):
+            with pytest.raises(UsageError, match="theta"):
+                call()
+
+    def test_start_of_another_shape_is_refused(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        u0 = ScalarField(build_grid(math.pi / 3, 32, 16), np.ones((32, 16)))
+        with pytest.raises(UsageError, match="shape"):
+            newton_solve(self._bump(g), g, 1.0, u0)
+
+    def test_h_of_another_shape_is_refused(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        with pytest.raises(UsageError, match="shape"):
+            solver.is_solution(self._bump(g), g, ell_field(build_grid(math.pi / 3, 32, 16)))
+
+
 class TestContinuation:
     def test_hemisphere_constant_density(self, geom_pi2):
         g = geom_pi2
@@ -619,37 +707,45 @@ class TestLaggedFactor:
         assert sum(t.factorizations for t in traces) == 0
 
     @pytest.mark.parametrize("case,counts", [
-        ("bump-k1-32x64", [(0, 0, 0, 0), (3, 11, 0, 3)]),
-        ("sweep-middle-16x32", [(0, 0, 0, 0), (3, 0, 3, 0)]),
+        ("bump-k1-32x64", [(0.0, 0, 0, 0, 0), (1.0, 3, 11, 0, 3)]),
+        ("sweep-middle-16x32", [(0.0, 0, 0, 0, 0), (1.0, 3, 0, 3, 0)]),
+        ("bump-eps045-k1-16x32", [(0.0, 0, 0, 0, 0), (1.0, 2, 25, 0, 3), (0.5, 5, 38, 0, 5),
+                                  (0.9396997670284233, 4, 53, 0, 4), (1.0, 4, 72, 0, 4)]),
     ])
     def test_counts_are_pinned(self, case, counts):
-        """(Newton iterations, GMRES iterations, exact factors, mode factors) of
-        each newton_solve: the not-even ell-bump, which runs GMRES on the full
-        grid, and the middle cell of the 16x32 branch-I sweep, psi-independent
-        data whose directions are all exact steps."""
-        if case == "bump-k1-32x64":
-            g = build_grid(math.pi / 3, 32, 64)
-            spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta,
-                               f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05, k=1))
-        else:
+        """(s, Newton iterations, GMRES iterations, exact factors, mode factors)
+        of each continuation step: the not-even ell-bump, which runs GMRES on
+        the full grid; the middle cell of the 16x32 branch-I sweep,
+        psi-independent data whose directions are all exact steps; and the
+        eps = 0.45 ell-bump, whose first trial step to s = 1 is rejected and
+        whose later steps start from the secant predictor."""
+        if case == "sweep-middle-16x32":
             g = build_grid(math.pi / 3, 16, 32)
             f = density_from_config(g, {"kind": "ell_power", "c": 0.8, "alpha": -0.8,
                                         "beta": -0.3}, 1.5, 2.5)
             spec = ProblemSpec(p=1.5, q=2.5, theta=g.theta, f=f, even=True)
+        else:
+            g = build_grid(math.pi / 3, *((32, 64) if case == "bump-k1-32x64" else (16, 32)))
+            eps = 0.05 if case == "bump-k1-32x64" else 0.45
+            spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta,
+                               f=ell_bump_f_exact(g, 2.0, 1.5, eps=eps, k=1))
         traces = _solved(spec, g).newton_trace
+        assert [t.s for t in traces] == pytest.approx([c[0] for c in counts], rel=1e-12)
         assert [(t.iterations, t.krylov_iterations, t.factorizations, t.mode_factorizations)
-                for t in traces] == counts
+                for t in traces] == [c[1:] for c in counts]
 
     @pytest.mark.parametrize("budget", [1, GMRES_RESTART])
     def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
-        """A GMRES budget of 0 factors at every direction: exact Newton.  The full
-        budget takes no exact factor on the even ell-bump; a budget of 1 misses,
-        falls back to an exact factor and keeps it."""
+        """A GMRES that always misses factors at every direction: exact Newton,
+        after the one mode factor built before the first miss.  The full budget
+        takes no exact factor on the even ell-bump; a budget of 1 misses, falls
+        back to an exact factor and keeps it."""
         g = build_grid(math.pi / 3, 32, 64)
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                            f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
-        monkeypatch.setattr(solver, "GMRES_RESTART", 0)
-        exact = _solved(spec, g)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver.spla, "gmres", gmres_miss)
+            exact = _solved(spec, g)
         factors = []  # "mode" or "exact", in the order the solves build them
         real_mode, real_lu = solver._ModeFactor, solver._lu_factor
 
@@ -670,7 +766,7 @@ class TestLaggedFactor:
         assert _rel_gap(lagged.h.values, exact.h.values) <= SolverConfig().newton_tol
         # every trace converged, so each iteration took one direction
         assert [t.factorizations for t in exact.newton_trace] == iterations
-        assert all(t.krylov_iterations == t.mode_factorizations == 0
+        assert all(t.krylov_iterations == 0 and t.mode_factorizations == (t.iterations > 0)
                    for t in exact.newton_trace)
         assert sum(t.krylov_iterations for t in lagged.newton_trace) > 0
         assert len(factors) == sum(t.factorizations + t.mode_factorizations
@@ -678,7 +774,7 @@ class TestLaggedFactor:
         if budget == GMRES_RESTART:
             assert factors == ["mode"] * sum(iterations)
             return
-        # one newton_solve (the s = 0 solve takes no direction): mode factors
+        # one continuation step (the s = 0 solve takes no direction): mode factors
         # until the first miss, then the exact factor preconditions the rest
         assert [t.iterations > 0 for t in lagged.newton_trace] == [False, True]
         first = factors.index("exact")
