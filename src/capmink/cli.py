@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -350,6 +352,28 @@ def cmd_selftest(args) -> int:
                 failures.append(
                     f"boundary identity theta={theta:.4f} gamma={gamma}: err {err:.3g}"
                 )
+
+    # CSV writer: a field tiled from Npsi/2 cells is written from its period,
+    # and 0.0 against -0.0 across the half turn breaks that period; both are
+    # written byte for byte as csv.writer writes them
+    geom = build_grid(math.pi / 3, Nphi, Npsi)
+    half = Npsi // 2
+    vals = np.tile(rng.uniform(-2.0, 2.0, (Nphi, half)), (1, 2))
+    vals[1, [0, half]] = -0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        for broken in (False, True):
+            vals[2, [1, 1 + half]] = (0.0, -0.0) if broken else (-0.0, -0.0)
+            path = os.path.join(tmp, "field.csv")
+            field_to_csv(ScalarField(geom, vals), path)
+            ref = io.StringIO(newline="")
+            writer = csv.writer(ref)
+            writer.writerow(["i", "j", "phi", "psi", "value"])
+            for (i, j), v in np.ndenumerate(vals):
+                writer.writerow([i + 1, j, f"{geom.phi_nodes[i]:.17g}",
+                                 f"{geom.psi_nodes[j]:.17g}", f"{v:.17g}"])
+            with open(path, "rb") as fh:
+                if fh.read() != ref.getvalue().encode():
+                    failures.append(f"CSV bytes differ from csv.writer (period broken: {broken})")
 
     elapsed = time.time() - t0
     for line in failures:

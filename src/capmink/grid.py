@@ -391,25 +391,47 @@ def bump_profile(phi, theta: float):
 # serialization
 
 
+def _psi_period(values: np.ndarray) -> int:
+    """The least m of 1, Npsi/2 and Npsi by whose psi shift values is bitwise invariant.
+
+    Bitwise, not by float equality: 0.0 == -0.0, but the two print apart.
+    """
+    bits = values.view(np.uint64)
+    half = bits.shape[1] // 2
+    if np.all(bits == bits[:, :1]):
+        return 1
+    return half if np.array_equal(bits[:, :half], bits[:, half:]) else bits.shape[1]
+
+
 def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
     """Write the field as CSV rows (i, j, phi, psi, value), one line per cell.
 
     The text is what ``csv.writer`` gives for these rows: ``%.17g`` numbers,
     none of which needs quoting, and ``\\r\\n`` line ends.  Each phi row of
-    Npsi lines is written at once, from one line pattern shared by all rows:
-    the row's i and phi replace its ``{i}`` and ``{phi}`` marks, then its
-    values fill its ``%.17g`` slots.
+    Npsi lines is joined at once from one list of six slots per line, shared
+    by all rows: the ``,j,`` and ``,psi,`` texts and the line ends are set
+    once, and each row sets its i, phi and value texts.  Only the first m
+    values of a row are formatted, m the field's psi period
+    (:func:`_psi_period`; a solver's solution is tiled from its psi ring),
+    all in one ``%`` pass, and their texts fill the value slots Npsi / m
+    times over.
     """
     g = s.geometry
-    pattern = "".join(f"{{i}},{j},{{phi}},{psi:.17g},%.17g\r\n"
-                      for j, psi in enumerate(g.psi_nodes.tolist()))
+    N, m = g.Npsi, _psi_period(s.values)
+    numbers = "%.17g\0" * m
+    slots = [None] * (6 * N)  # line j: i, ",j,", phi, ",psi_j,", value, "\r\n"
+    slots[1::6] = [f",{j}," for j in range(N)]
+    slots[3::6] = [f",{psi:.17g}," for psi in g.psi_nodes.tolist()]
+    slots[5::6] = ["\r\n"] * N
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("i,j,phi,psi,value\r\n")
-        for i, (phi, values) in enumerate(zip(g.phi_nodes.tolist(), s.values.tolist())):
-            row = pattern.replace("{i}", str(i + 1)).replace("{phi}", f"{phi:.17g}")
-            fh.write(row % tuple(values))
+        for i, (phi, values) in enumerate(zip(g.phi_nodes.tolist(), s.values[:, :m].tolist())):
+            slots[0::6] = [str(i + 1)] * N
+            slots[2::6] = [f"{phi:.17g}"] * N
+            slots[4::6] = (numbers % tuple(values)).split("\0")[:m] * (N // m)
+            fh.write("".join(slots))
 
 
 def field_from_csv(path, theta: float) -> ScalarField:

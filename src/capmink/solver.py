@@ -232,11 +232,15 @@ def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
     This is :func:`manufactured_f` of h = ell (whose quotient ell / ell is
     exactly 1), so the homotopy base point has an exactly representable
     solution; it equals the continuum
-    ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2) up to O(grid^2).
+    ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2) up to O(grid^2).  ell does not
+    depend on psi, so it is evaluated on the one-cell ring and tiled: the
+    ring's frame is the grid's, bit for bit.
     """
     key = ("base_density", p, q)
     if key not in geom._cache:
-        geom._cache[key] = manufactured_f(geom, ell_field(geom), p, q).values
+        ring = _ring(geom, 1)
+        f0 = manufactured_f(ring, ell_field(ring), p, q).values
+        geom._cache[key] = np.repeat(f0, geom.Npsi, axis=1)
     return geom._cache[key]
 
 
@@ -257,6 +261,7 @@ def _residual_field(geom: CapGeometry, fvals, p, q, u: np.ndarray) -> ScalarFiel
 
 def residual_u(spec: ProblemSpec, geom: CapGeometry, u: ScalarField) -> ScalarField:
     """Residual in u = h/ell with the Neumann ghost at phi = theta."""
+    _check_grid(geom, spec.f, u)
     return _residual_field(geom, spec.f.values, spec.p, spec.q, u.values)
 
 
@@ -267,6 +272,7 @@ def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarFi
     up to the rounding of the quotient: the Neumann ghost of u imposes the
     Robin condition of h.
     """
+    _check_grid(geom, spec.f, h)
     return _residual_field(geom, spec.f.values, spec.p, spec.q,
                            h.values / ell_field(geom).values)
 
@@ -489,14 +495,14 @@ def _floor_test(geom: CapGeometry, fvals, p, q, uvec, tol):
     return res, parts, noise, _within_floor(res, noise, tol, parts)
 
 
-def _check_grid(spec: ProblemSpec, geom: CapGeometry, *fields: ScalarField):
-    """UsageError unless f is sampled on geom (shape and theta) and each field has its shape."""
-    g = spec.f.geometry
-    if g.shape != geom.shape or abs(g.theta - geom.theta) > 1e-12:
-        raise UsageError(f"f is sampled on a {g.shape} grid with theta {g.theta:.12g}, "
-                         f"not on the {geom.shape} grid with theta {geom.theta:.12g}")
-    if any(fld.values.shape != geom.shape for fld in fields):
-        raise UsageError(f"a field's shape does not match the grid {geom.shape}")
+def _check_grid(geom: CapGeometry, *fields: ScalarField):
+    """UsageError unless each field is sampled on geom: its shape, and its theta to 1e-12."""
+    for fld in fields:
+        g = fld.geometry
+        if g.shape != geom.shape or abs(g.theta - geom.theta) > 1e-12:
+            raise UsageError(f"a field is sampled on a grid of shape {g.shape} and theta "
+                             f"{g.theta:.12g}, not on the grid of shape {geom.shape} and "
+                             f"theta {geom.theta:.12g}")
 
 
 def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
@@ -510,7 +516,7 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     """
     if cfg is None:
         cfg = SolverConfig()
-    _check_grid(spec, geom, h)
+    _check_grid(geom, spec.f, h)
     u = h.values / ell_field(geom).values
     if np.any(u <= 0.0):
         raise DomainError("u = h / ell must be positive")
@@ -543,12 +549,17 @@ def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
     u_bar, on geom or a ring of it, is tiled onto geom, and
     h = m ell u_bar with m = C^(1/(p-q)), and m = 1 for p = q.  The residual
     figures are the solver's own, those of the normalized equation; b and the
-    Robin defect are evaluated on h_bar = ell u_bar and scaled by m.
+    Robin defect are evaluated on h_bar = ell u_bar and scaled by m, b on the
+    ring before tiling: the frame the solver's convexity check read.  That
+    is the tiled grid's frame restricted to the ring, bit for bit on every
+    solver output measured; on rough data the two row means the psi
+    differences subtract can round apart, and the frames agree to rounding.
     """
     log_C = float(x[-1])
     log_m = log_C / (p - q) if p != q else 0.0
     ell = ell_field(geom).values
     u_bar = x[:-1].reshape(geom.Nphi, -1)
+    lam_min, lam_max = eigen_range(*_u_frame(_ring(geom, u_bar.shape[1]), u_bar)[:3])
     u_bar = np.tile(u_bar, (1, geom.Npsi // u_bar.shape[1]))
     h_bar = ScalarField(geom, ell * u_bar)
     with np.errstate(over="ignore"):
@@ -560,7 +571,6 @@ def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
         raise DomainError(f"h = m h_bar is not representable in double precision "
                           f"(log10 m = {log_m / math.log(10.0):.6g})")
     u, h = ScalarField(geom, u), ScalarField(geom, h)
-    lam_min, lam_max = eigen_range(*_u_frame(geom, u_bar)[:3])
     return SolveResult(
         h=h,
         u=u,
@@ -664,7 +674,7 @@ def newton_solve(
     """
     if cfg is None:
         cfg = SolverConfig()
-    _check_grid(spec, geom, u0)
+    _check_grid(geom, spec.f, u0)
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
     p, q = spec.p, spec.q
@@ -691,7 +701,7 @@ def continuation_solve(
     """
     if cfg is None:
         cfg = SolverConfig()
-    _check_grid(spec, geom)
+    _check_grid(geom, spec.f)
     p, q = spec.p, spec.q
     f0 = _base_density(geom, p, q)
     # the normalized equation sees C and f only as the product C f, so the path
@@ -886,6 +896,7 @@ def pq_limit_solve(
 def pq_residual(geom: CapGeometry, f: ScalarField, p: float,
                 h: ScalarField, C: float) -> ScalarField:
     """Residual of det b = C f h^(p-1) (h^2 + |grad h|^2)^((3-p)/2), as residual_h."""
+    _check_grid(geom, f, h)
     return _residual_field(geom, C * f.values, p, p, h.values / ell_field(geom).values)
 
 

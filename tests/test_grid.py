@@ -7,10 +7,13 @@ import pytest
 from capmink import (
     ConfigError,
     DomainError,
+    ProblemSpec,
     ScalarField,
     UsageError,
     build_grid,
+    continuation_solve,
     curvature_tensor,
+    ell_bump_f_exact,
     ell_field,
     ell_grad_sq,
     embed_body,
@@ -21,6 +24,7 @@ from capmink import (
 )
 from capmink.grid import (
     _W_DERIV,
+    _psi_period,
     _ring,
     _stencil,
     _u_frame,
@@ -228,6 +232,50 @@ class TestSerialization:
         s.values[2, 3] = math.nan  # the writer formats what it is given
         field_to_csv(s, tmp_path / "fast.csv", header)
         csv_writer_reference(s, tmp_path / "ref.csv", header)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cells", ["one", "half"])
+    @pytest.mark.parametrize("edit, periodic", [
+        (None, True), ("signed_zero_pair", False), ("equal_signed_zeros", True),
+        ("nan_in_one_half", False), ("nan_in_both_halves", True)])
+    def test_csv_bytes_of_a_periodic_field_match_csv_writer(self, tmp_path, cells, edit,
+                                                            periodic):
+        """A field tiled from m cells is written from its first m columns; an edit
+        that breaks the period bitwise (0.0 against -0.0, or a NaN in one half
+        only) sends it down the plain path, and either way the bytes are those
+        of csv.writer."""
+        s = special_field(16, 32)
+        half = s.geometry.Npsi // 2
+        m = 1 if cells == "one" else half
+        s.values[:] = np.tile(s.values[:, :m], (1, 32 // m))
+        if edit == "signed_zero_pair":
+            s.values[3, 2], s.values[3, 2 + half] = 0.0, -0.0
+        elif edit == "equal_signed_zeros":
+            s.values[3] = -0.0
+            s.values[4] = 0.0
+        elif edit == "nan_in_one_half":
+            s.values[5, 7] = math.nan
+        elif edit == "nan_in_both_halves":
+            s.values[5] = math.nan
+        assert _psi_period(s.values) == (m if periodic else 32)
+        field_to_csv(s, tmp_path / "fast.csv")
+        csv_writer_reference(s, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("data, m", [("ell_bump", 16), ("ell_power", 1)])
+    def test_csv_bytes_of_a_solution_match_csv_writer(self, tmp_path, data, m):
+        """The solver tiles its solution from its psi ring: half the columns for
+        the even ell-bump, one for the psi-independent ell-power density."""
+        g = build_grid(math.pi / 3, 16, 32)
+        if data == "ell_bump":
+            f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05)
+        else:
+            ell = ell_field(g).values
+            f = ScalarField(g, ell**-1.2 * (ell**2 + ell_grad_sq(g)) ** -0.1)
+        result = continuation_solve(ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=f, even=True), g)
+        assert result.converged and _psi_period(result.h.values) == m
+        field_to_csv(result.h, tmp_path / "fast.csv", "solution")
+        csv_writer_reference(result.h, tmp_path / "ref.csv", "solution")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("Nphi, Npsi", [(8, 16), (16, 32)])

@@ -550,12 +550,12 @@ class TestOneRing:
         _, calls = self._counted(monkeypatch, "_symmetry")
         assert len(calls) == 1
 
-    def test_continuation_evaluates_the_grid_frame_once(self, monkeypatch):
-        """Only the tiled solution's b on the caller's grid; every residual and
-        every predictor check runs on the half ring."""
+    def test_continuation_evaluates_no_grid_frame(self, monkeypatch):
+        """Every residual, every predictor check and the solution's b run on the
+        half ring (the base density is cached before the solve)."""
         g, geoms = self._counted(monkeypatch, "_u_frame")
-        assert sum(geom is g for geom in geoms) == 1
-        assert all(geom is g or geom is _ring(g, g.Npsi // 2) for geom in geoms)
+        assert geoms and all(geom is _ring(g, g.Npsi // 2) for geom in geoms)
+        assert not any(geom is g for geom in geoms)
 
     def test_every_step_tests_on_the_same_ring(self, monkeypatch):
         """The s = 0 step included, every floor test gets the one half ring."""
@@ -600,6 +600,37 @@ class TestGridMismatch:
         g = build_grid(math.pi / 3, 16, 32)
         with pytest.raises(UsageError, match="shape"):
             solver.is_solution(self._bump(g), g, ell_field(build_grid(math.pi / 3, 32, 16)))
+
+    @staticmethod
+    def _residuals(spec, g, h):
+        return [lambda: residual_h(spec, g, h),
+                lambda: residual_u(spec, g, ScalarField(h.geometry, np.ones(h.values.shape))),
+                lambda: pq_residual(g, spec.f, 2.0, h, 1.0)]
+
+    def test_residuals_refuse_a_density_of_another_theta(self):
+        """Unchecked, residual_h of f from theta = pi/3 on a theta = 1.0 grid
+        returns a residual of sup 0.32."""
+        spec = self._bump(build_grid(math.pi / 3, 16, 32))
+        g = build_grid(1.0, 16, 32)
+        for call in self._residuals(spec, g, ell_field(g)):
+            with pytest.raises(UsageError, match="theta"):
+                call()
+
+    def test_residuals_refuse_a_grid_of_another_shape(self):
+        """Unchecked, a 32x64 grid gives a raw broadcasting ValueError."""
+        spec = self._bump(build_grid(math.pi / 3, 16, 32))
+        g = build_grid(math.pi / 3, 32, 64)
+        for call in self._residuals(spec, g, ell_field(g)):
+            with pytest.raises(UsageError, match="shape"):
+                call()
+
+    def test_residuals_refuse_h_of_another_grid(self):
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = self._bump(g)
+        for other in (build_grid(1.0, 16, 32), build_grid(math.pi / 3, 32, 16)):
+            for call in self._residuals(spec, g, ell_field(other)):
+                with pytest.raises(UsageError, match="grid"):
+                    call()
 
 
 class TestContinuation:
@@ -842,6 +873,15 @@ class TestManufactured:
         base = ell_power_density(g, alpha=1.0 - p, beta=(q - 3.0) / 2.0)
         assert np.max(np.abs(f.values - base.values)) < 30.0 * g.grid_eps()
         assert np.array_equal(f.values, _base_density(g, p, q))
+
+    @pytest.mark.parametrize("theta", [math.pi / 3, 1.3], ids=["pi3", "1.3"])
+    @pytest.mark.parametrize("Nphi, Npsi", [(16, 32), (128, 256)])
+    def test_base_density_on_the_one_cell_ring_is_the_grids(self, theta, Nphi, Npsi):
+        """ell does not depend on psi: f_0 evaluated on the one-cell ring and
+        tiled is manufactured_f of ell on the grid, bit for bit."""
+        g = build_grid(theta, Nphi, Npsi)
+        f0 = _base_density(g, 2.0, 1.5)
+        assert np.array_equal(f0, manufactured_f(g, ell_field(g), 2.0, 1.5).values)
 
     def test_manufactured_solution_is_recovered_to_rounding(self):
         """The density of h* has h* as its discrete solution, boundary row included."""
