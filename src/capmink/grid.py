@@ -47,8 +47,6 @@ class CapGeometry:
     Immutable after construction; safe to share between threads.
     """
 
-    n = 2
-
     def __init__(self, theta: float, Nphi: int, Npsi: int):
         if not (0.0 < theta <= math.pi / 2.0 + 1e-15):
             raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
@@ -69,9 +67,6 @@ class CapGeometry:
         self.cos_theta = math.cos(self.theta)
         self.sin_theta = math.sin(self.theta)
         self.cot_theta = self.cos_theta / self.sin_theta
-        self.area_weights = (self.sin_phi * self.dphi * self.dpsi)[:, None] * np.ones(
-            (1, self.Npsi)
-        )
         self._cache: dict = {}
 
     @property
@@ -112,7 +107,6 @@ def _ring(geom: CapGeometry, m: int) -> CapGeometry:
         ring = copy.copy(geom)  # shares the phi arrays
         ring.Npsi, ring.antipode, ring._cache = m, geom.antipode % m, {}
         ring.psi_nodes = geom.psi_nodes[:m]
-        ring.area_weights = geom.area_weights[:, :m]
         geom._cache[key] = ring
     return geom._cache[key]
 

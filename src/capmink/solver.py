@@ -34,33 +34,32 @@ symmetry); it tiles the solution back onto the grid once, at the end.  The
 residual, the convexity checks, the rounding floor and the Jacobian (on a
 fixed sparsity pattern, :func:`capmink.operators._jacobian_pattern`) are all
 evaluated on the ring, from operators that :mod:`capmink.operators` reads
-off the ring's own stencil table; the solver never builds the grid's.  The
-border is never factored.  Each direction of psi-dependent data is an
-inexact Newton step (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996):
-GMRES on the bordered system with the current Jacobian, right-preconditioned
-by block elimination on a preconditioner factor, to the forcing term
+off the ring's own stencil table; the solver never builds the grid's.
+Each direction of psi-dependent data is an inexact Newton step
+(Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996): GMRES on the bordered
+system with the current Jacobian, right-preconditioned by block elimination
+on the mode factor, to the forcing term
 ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the first
-direction).  The preconditioner is the mode factor: with its coefficients
-averaged over each phi row, the Jacobian is circulant along the psi ring,
-so a real FFT along psi splits it into one banded Nphi system per Fourier
-mode, each factored by LAPACK's banded ``zgbtrf``.  If GMRES misses eta_k
-within two restart cycles of GMRES_RESTART iterations, its iterate is still
-the step when its true bordered residual is within ETA_MAX: eta_k can ask
-for more than the matvec delivers in double precision, or than the floor
-test needs (oversolving; Kelley, *Iterative Methods for Linear and
-Nonlinear Equations*, 1995, sec. 6.3).  Otherwise the Jacobian is
-factored exactly (SuperLU with the ``MMD_AT_PLUS_A`` fill-reducing column
-ordering) and the exact step is taken: block elimination on that factor
-plus one refinement step with it (Govaerts-Pryce, *BIT* 30, 1990), which
-keeps the step accurate as the Jacobian turns singular at ``p = q``.  That
-factor then preconditions the solve's later directions, and each later miss
-refactors: a miss marks data the psi-average fits poorly, on which the mode
-factor tends to miss again.  The contraction Theta is no reason to refactor,
-because GMRES solves the current Jacobian: Theta measures the nonlinearity,
-not the preconditioner.  On the one-cell ring of psi-independent data every
-direction takes the exact step: the psi-average is the Jacobian itself, and
-its banded Nphi-unknown factor costs less than the GMRES calls.  Convergence
-is decided by the residual floor test alone.
+direction).  The mode factor is that of the psi-average: with its
+coefficients averaged over each phi row, the Jacobian is circulant along the
+psi ring, so a real FFT along psi splits it into one banded Nphi system per
+Fourier mode, each factored by LAPACK's banded ``zgbtrf``.  If GMRES misses
+eta_k within two restart cycles of GMRES_RESTART iterations, its iterate is
+still the step when its true bordered residual is within ETA_MAX: eta_k can
+ask for more than the matvec delivers in double precision, or than the floor
+test needs (oversolving; Kelley, *Iterative Methods for Linear and Nonlinear
+Equations*, 1995, sec. 6.3).  Otherwise GMRES runs on from that iterate
+toward ETA_MAX, up to GMRES_MAX_CYCLES cycles in all: strongly
+psi-dependent data, which the psi-average fits poorly, can need them.  A
+miss after those gives no direction, and the Newton solve stops there
+unconverged, as when its line search runs out of halvings.  On the
+one-cell ring of psi-independent data the psi-average is the Jacobian
+itself, so every direction takes the exact step: a SuperLU factor
+(``MMD_AT_PLUS_A`` column ordering) of its Nphi unknowns, block elimination
+on it plus one refinement step (Govaerts-Pryce, *BIT* 30, 1990), which
+keeps the step accurate as the Jacobian turns singular at ``p = q``.  The
+border is never factored.  Convergence is decided by the residual floor
+test alone.
 
 The continuation is steered by the observed Newton contraction
 ``Theta_k = |dx_k|_inf / |dx_(k-1)|_inf`` of successive directions
@@ -91,6 +90,7 @@ from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _psi_period,
     _ring,
     _u_frame,
     bump_profile,
@@ -168,8 +168,8 @@ class NewtonTrace:
     # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
     # 0.0 when fewer than two directions were taken
     contraction: float = 0.0
-    # exact SuperLU factors of the ring Jacobian, banded LAPACK factors of
-    # its psi-average in Fourier modes, and GMRES iterations
+    # exact SuperLU factors of one-cell ring Jacobians, banded LAPACK factors
+    # of the psi-average in Fourier modes on larger rings, and GMRES iterations
     factorizations: int = 0
     mode_factorizations: int = 0
     krylov_iterations: int = 0
@@ -353,9 +353,10 @@ class _ModeFactor:
         return np.fft.irfft(modes, n=m, axis=1).ravel()
 
 
-# Inexact Newton (Eisenstat-Walker): GMRES to a forcing term, else an exact step
-ETA_MAX = 1e-3       # largest forcing term of a GMRES direction
-GMRES_RESTART = 10   # GMRES gets two restart cycles of this length, else an exact step
+# Inexact Newton (Eisenstat-Walker): GMRES to a forcing term on psi-dependent data
+ETA_MAX = 1e-3         # largest forcing term, and largest miss a GMRES step may keep
+GMRES_RESTART = 10     # length of a GMRES restart cycle; eta_k gets two cycles
+GMRES_MAX_CYCLES = 10  # cycles in all that a direction gets to reach ETA_MAX
 
 
 def _block_elimination(lu, row, col):
@@ -382,64 +383,55 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
     ``[[A, -rhs], [r, 0]] (d, dl) = -(res, pin)`` on the ring geom, where A is
     the Jacobian of the coefficients C, ``-rhs`` the derivative of the
     residual in log C and ``r`` the gradient of the pin ``mean(u_bar) - 1``.
-    A direction runs GMRES on the bordered system, right-preconditioned by
-    block elimination on a preconditioner factor, to the forcing term
+    On a one-cell ring (psi-independent data) A is factored exactly and the
+    exact step taken: block elimination plus one refinement step with the
+    same factor.  On a ring of m > 1 cells a direction runs GMRES on the
+    bordered system, right-preconditioned by block elimination on the mode
+    factor of its own C (:class:`_ModeFactor`), to the forcing term
     ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the
-    first direction).  That factor is the mode factor of the direction's own
-    C (:class:`_ModeFactor`) until GMRES first misses: misses eta_k within
-    two restart cycles, and leaves a true bordered residual above ETA_MAX
-    relative (a miss within ETA_MAX keeps its iterate as the step).  Then A
-    is factored exactly and the exact step taken (block elimination plus one
-    refinement step with the same factor), and that factor is kept as the
-    preconditioner, refactored at each later miss.  On a one-cell ring
-    (psi-independent data) every direction is an exact step.
+    first direction).  An iterate that misses eta_k within two restart cycles
+    is still the step if its true bordered residual is within ETA_MAX
+    relative; otherwise GMRES runs on from it toward ETA_MAX, up to
+    GMRES_MAX_CYCLES cycles in all, and if it misses again the call returns
+    None: there is no direction.
     """
     k = geom.size
     row = np.full(k, 1.0 / k)
-    lu = norm = None  # the kept exact factor, and |F| at the last direction
-
-    def exact(A, col, top, bottom):
-        nonlocal lu
-        lu = None  # release the kept factor before its replacement is built
-        lu = _lu_factor(A)
-        trace.factorizations += 1
-        solve = _block_elimination(lu, row, col)
-        d, dl = solve(top, bottom)
-        dd, ddl = solve(top - A @ d - dl * col, bottom - row @ d)
-        return d + dd, dl + ddl
-
-    def krylov(A, factor, col, top, bottom, eta):
-        """The GMRES step, or None if GMRES misses eta within its budget and
-        the true bordered residual of its iterate misses ETA_MAX too."""
-        precond = _block_elimination(factor, row, col)
-
-        def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
-            d, dl = precond(v[:k], v[k])
-            return np.append(A @ d + dl * col, row @ d)
-
-        op = spla.LinearOperator((k + 1, k + 1), matvec=bordered, dtype=float)
-        b = np.append(top, bottom)
-        inner = []
-        v, info = spla.gmres(op, b, rtol=eta, atol=0.0, restart=GMRES_RESTART, maxiter=2,
-                             callback=inner.append, callback_type="pr_norm")
-        trace.krylov_iterations += len(inner)
-        if info != 0 and np.linalg.norm(bordered(v) - b) > ETA_MAX * np.linalg.norm(b):
-            return None
-        return precond(v[:k], v[k])
+    norm = None  # |F| at the last direction
 
     def direction(A, C, res, rhs, pin):
         nonlocal norm
         col, top, bottom = -rhs, -res, -pin
-        norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
-        step = None
-        if geom.Npsi > 1:
-            factor = lu
-            if factor is None:
-                trace.mode_factorizations += 1
-                factor = _ModeFactor(geom, C)
+        if geom.Npsi == 1:
+            trace.factorizations += 1
+            solve = _block_elimination(_lu_factor(A), row, col)
+            d, dl = solve(top, bottom)
+            dd, ddl = solve(top - A @ d - dl * col, bottom - row @ d)
+            d, dl = d + dd, dl + ddl
+        else:
+            norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
             eta = ETA_MAX if norm_prev is None else min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2)
-            step = krylov(A, factor, col, top, bottom, eta)
-        d, dl = step if step is not None else exact(A, col, top, bottom)
+            trace.mode_factorizations += 1
+            precond = _block_elimination(_ModeFactor(geom, C), row, col)
+
+            def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
+                d, dl = precond(v[:k], v[k])
+                return np.append(A @ d + dl * col, row @ d)
+
+            op = spla.LinearOperator((k + 1, k + 1), matvec=bordered, dtype=float)
+            b = np.append(top, bottom)
+            inner, v = [], None
+            for rtol, cycles in ((eta, 2), (ETA_MAX, GMRES_MAX_CYCLES - 2)):
+                v, info = spla.gmres(op, b, x0=v, rtol=rtol, atol=0.0, restart=GMRES_RESTART,
+                                     maxiter=cycles, callback=inner.append,
+                                     callback_type="pr_norm")
+                kept = info == 0 or np.linalg.norm(bordered(v) - b) <= ETA_MAX * np.linalg.norm(b)
+                if kept:
+                    break
+            trace.krylov_iterations += len(inner)
+            if not kept:
+                return None
+            d, dl = precond(v[:k], v[k])
         dx = np.append(d, dl)
         if not np.all(np.isfinite(dx)):
             raise ApplicabilityError("Newton linear system is singular")
@@ -509,8 +501,9 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
                 cfg: SolverConfig | None = None):
     """``(passed, residual_sup)`` of the solver's own test of u = h / ell at newton_tol.
 
-    It runs on the psi ring of the data's symmetry if u is exactly invariant
-    under its shift, as a solver's h is, else on the grid.  The residual, its
+    It runs on the smallest psi ring under whose shift both the data and u
+    are invariant: the larger of the ring of the data's symmetry and the psi
+    period of u (:func:`capmink.grid._psi_period`).  The residual, its
     scale and its floor all scale as t^2 under h -> t h, so the test of the
     solver's normalized iterate carries over to h up to rounding.
     """
@@ -520,9 +513,7 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     u = h.values / ell_field(geom).values
     if np.any(u <= 0.0):
         raise DomainError("u = h / ell must be positive")
-    m = _symmetry(spec.f.values, spec.even)
-    if not np.array_equal(u, np.roll(u, m, axis=1)):
-        m = geom.Npsi
+    m = max(_symmetry(spec.f.values, spec.even), _psi_period(u))
     res, _, _, passed = _floor_test(_ring(geom, m), spec.f.values[:, :m].ravel(),
                                     spec.p, spec.q, u[:, :m].ravel(), cfg.newton_tol)
     return passed, float(np.max(np.abs(res)))
@@ -603,7 +594,8 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
     the floor test (:func:`_floor_test`) holds.  The largest contraction of
     successive directions goes to the trace's ``contraction``; with ``trial``
     the solve is given up once it exceeds THETA_REJECT or the step falls
-    below TRIAL_MIN_STEP, instead of below MIN_STEP.  Returns the last
+    below TRIAL_MIN_STEP, instead of below MIN_STEP; any solve stops when
+    :func:`_bordered_directions` gives no direction.  Returns the last
     iterate x, its NewtonTrace at s, its sup and its rounding floor.
     """
     tol = cfg.newton_tol
@@ -633,6 +625,8 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
         res, parts, pin, _ = data
         C = _jacobian_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
         dx = bordered(_assemble(ring, C), C, res, parts[7], pin)
+        if dx is None:  # GMRES missed ETA_MAX: no direction
+            break
         size = float(np.max(np.abs(dx)))
         if last_size:
             theta = size / last_size

@@ -11,6 +11,7 @@ from capmink import (
     DomainError,
     ProblemSpec,
     ScalarField,
+    SolverConfig,
     build_grid,
     c0_bound_check,
     continuation_solve,
@@ -24,6 +25,9 @@ from capmink import (
     phi_monitor,
     q_monitor,
 )
+
+from capmink.grid import _ring
+from capmink.solver import _floor_test, is_solution
 
 from conftest import neumann_bump
 
@@ -227,6 +231,29 @@ class TestC0Bound:
         lo, hi, _ = c0_bound_check(geom, result.h, spec)
         assert lo and hi
         assert "floor_system" not in geom._cache
+
+    @pytest.mark.parametrize("delta,verdict", [(1e-13, True), (1e-9, False)])
+    def test_half_periodic_h_of_psi_independent_data_is_judged_on_the_half_ring(
+            self, delta, verdict):
+        """psi-independent data with a half-periodic h (the solution times a
+        cos(2 psi) bump tiled from its first half) is tested on the half ring,
+        where both fields are invariant: the verdict is the full grid's, and so
+        is residual_sup, to rounding."""
+        geom = build_grid(math.pi / 3, 16, 32)
+        ell = ell_field(geom).values
+        f = ScalarField(geom, ell ** (-1.2) * (ell**2 + ell_grad_sq(geom)) ** (-0.1))
+        spec = ProblemSpec(p=2.0, q=1.5, theta=geom.theta, f=f, even=True)
+        result = continuation_solve(spec, geom)
+        assert result.converged
+        half = neumann_bump(geom, eps=delta).values[:, :geom.Npsi // 2]
+        h = ScalarField(geom, result.h.values * np.tile(half, (1, 2)))
+        passed, res_sup = is_solution(spec, geom, h)
+        assert "floor_system" in _ring(geom, geom.Npsi // 2)._cache
+        assert "floor_system" not in geom._cache
+        res, _, _, full = _floor_test(geom, f.values.ravel(), 2.0, 1.5, (h.values / ell).ravel(),
+                                      SolverConfig().newton_tol)
+        assert passed == full == verdict
+        assert res_sup == pytest.approx(float(np.max(np.abs(res))), rel=1e-12)
 
     def test_psi_dependent_solution_is_judged_on_the_grid(self):
         """Data without a symmetry (the k = 1 bump) is tested on all Npsi cells:

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -33,11 +34,11 @@ from capmink import (
     residual_u,
     uniqueness_probe,
 )
+from capmink.cli import main as cli_main
 from capmink.grid import _ring, bump_profile, evenness_defect
 from capmink.operators import JACOBIAN_TERMS, _stencil_table, u_system
 from capmink.problem_io import density_from_config
 from capmink.solver import (
-    GMRES_RESTART,
     NewtonTrace,
     _assemble,
     _base_density,
@@ -66,20 +67,21 @@ def ring_jacobian(g, fvals, p, q, parts):
 
 
 def full_bordered_direction(g, J, res, rhs, pin):
-    """(du, d log C) of the full-grid bordered system, by spsolve."""
+    """(du, d log C) of the bordered system on the grid or ring g, by spsolve."""
     mean_row = sp.csr_matrix(np.full((1, g.size), 1.0 / g.size))
     B = sp.bmat([[J, sp.csc_matrix(-rhs[:, None])], [mean_row, None]], format="csc")
     return spla.spsolve(B, -np.append(res, pin))
 
 
 def gmres_miss(op, b, **kwargs):
-    """A GMRES that returns the zero iterate as a miss: the caller takes the exact step."""
+    """A GMRES that returns the zero iterate as a miss: its true residual misses ETA_MAX."""
     return np.zeros_like(b), 1
 
 
-def bordered_gap(g, fvals, p, q, uvec, symmetry):
+def bordered_gap(g, fvals, p, q, uvec, symmetry, spsolve_ring=False):
     """Relative gap between the bordered direction on the ring, tiled onto the
-    grid, and the full-grid one."""
+    grid, and the full-grid one.  The ring's direction is the solver's, or with
+    ``spsolve_ring`` spsolve of the ring's bordered system."""
     res, parts = _residual_u_vec(g, fvals, p, q, uvec)
     pin = float(np.mean(uvec) - 1.0)
     full = full_bordered_direction(g, ring_jacobian(g, fvals, p, q, parts), res,
@@ -88,12 +90,12 @@ def bordered_gap(g, fvals, p, q, uvec, symmetry):
     fr, ur = on_ring(ring, fvals), on_ring(ring, uvec)
     res, parts = _residual_u_vec(ring, fr, p, q, ur)
     C = _jacobian_coeffs(ring, fr, p, q, parts)
-    # a GMRES that always misses makes every direction exact: a fresh factor,
-    # block elimination and one refinement step
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver.spla, "gmres", gmres_miss)
-        direction = _bordered_directions(ring, NewtonTrace(s=1.0, iterations=0))
-        d = direction(_assemble(ring, C), C, res, parts[7], float(np.mean(ur) - 1.0))
+    A, pin = _assemble(ring, C), float(np.mean(ur) - 1.0)
+    if spsolve_ring:
+        d = full_bordered_direction(ring, A, res, parts[7], pin)
+    else:
+        d = _bordered_directions(ring, NewtonTrace(s=1.0, iterations=0))(A, C, res, parts[7],
+                                                                          pin)
     reduced = np.append(fold_pair(g, ring)[1] @ d[:-1], d[-1])
     return np.max(np.abs(reduced - full)) / np.max(np.abs(full))
 
@@ -253,23 +255,30 @@ class TestNewton:
 class TestEvenFold:
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
     def test_reduced_direction_matches_full_solve(self, Nphi, Npsi):
-        """The half-domain bordered step equals the full-grid bordered step."""
+        """The half ring's bordered system has the full-grid bordered step as its
+        solution, and the solver's GMRES direction on it is that step to the
+        accuracy its forcing term allows."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         f = manufactured_f(g, robin_bump(g, eps=0.1), 2.0, 1.5)
         u = neumann_bump(g, eps=0.05).values
         uvec = (0.5 * (u + np.roll(u, Npsi // 2, axis=1))).ravel()  # the even part
-        assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even") <= 1e-10
+        assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even", spsolve_ring=True) <= 1e-10
+        assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even") <= 1e-3
 
     def test_direction_near_p_equals_q_solution(self):
-        """1e-6 off a p = q solution S J E is nearly singular; the refinement step
-        keeps the bordered step accurate (without it the gap is about 5e-10)."""
+        """1e-5 off a p = q solution the one-cell ring's Jacobian is nearly
+        singular; the refinement step keeps the exact bordered step accurate
+        (without it the gap is about 3e-11, four orders wider).  Closer to the
+        solution the rounding of the full grid's own residual, amplified by
+        the same near-singular system, would dominate the reference."""
         g = build_grid(1.0, 16, 32)
         f = ell_power_density(g, alpha=-0.5)
         limit = continuation_solve(ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True), g)
         assert limit.converged
-        uvec = limit.u.values.ravel() * (1.0 + 1e-6 * neumann_bump(g, eps=1.0).values.ravel())
+        profile = 1.0 + 1e-5 * bump_profile(g.phi_nodes, g.theta)
+        uvec = (limit.u.values * profile[:, None]).ravel()
         fC = f.values * math.exp(limit.log_C)
-        assert bordered_gap(g, fC, 2.0, 2.0, uvec, "even") <= 1e-10
+        assert bordered_gap(g, fC, 2.0, 2.0, uvec, "rot") <= 1e-10
 
     def test_singular_system_is_applicability_error(self):
         with pytest.raises(ApplicabilityError, match="singular"):
@@ -680,6 +689,15 @@ class TestContinuation:
         assert doc["newton_trace"][0]["s"] == 0.0
 
 
+def _strongly_psi_dependent(g):
+    """p = 4, q = 3 and the even f = exp(3 cos(2 psi) sin(phi) / sin(theta)),
+    tiled from its first half: data the psi-average fits poorly."""
+    phi, psi = g.phi_nodes[:, None], g.psi_nodes[None, :g.Npsi // 2]
+    half = np.exp(3.0 * np.cos(2.0 * psi) * np.sin(phi) / g.sin_theta)
+    return ProblemSpec(p=4.0, q=3.0, theta=g.theta, even=True,
+                       f=ScalarField(g, np.tile(half, (1, 2))))
+
+
 class TestLaggedFactor:
     """Directions of psi-dependent data run GMRES on psi-Fourier mode factors."""
 
@@ -765,52 +783,106 @@ class TestLaggedFactor:
         assert [(t.iterations, t.krylov_iterations, t.factorizations, t.mode_factorizations)
                 for t in traces] == [c[1:] for c in counts]
 
-    @pytest.mark.parametrize("budget", [1, GMRES_RESTART])
-    def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
-        """A GMRES that always misses factors at every direction: exact Newton,
-        after the one mode factor built before the first miss.  The full budget
-        takes no exact factor on the even ell-bump; a budget of 1 misses, falls
-        back to an exact factor and keeps it."""
-        g = build_grid(math.pi / 3, 32, 64)
-        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
-                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
-        with monkeypatch.context() as mp:
-            mp.setattr(solver.spla, "gmres", gmres_miss)
-            exact = _solved(spec, g)
-        factors = []  # "mode" or "exact", in the order the solves build them
-        real_mode, real_lu = solver._ModeFactor, solver._lu_factor
+    def test_far_miss_ends_the_newton_solve(self, monkeypatch, tmp_path):
+        """A GMRES iterate that misses ETA_MAX, also after its run on toward
+        ETA_MAX, gives no direction: each Newton solve of the even ell-bump
+        stops at its first direction, after one mode factor of the half ring,
+        two GMRES runs and no exact factor, so every continuation trial is
+        halved until ds falls below DS_MIN, and ``capmink solve`` exits 2.
+        psi-independent data runs no GMRES and still converges."""
+        runs = []
 
-        def mode(*args):
-            factors.append("mode")
-            return real_mode(*args)
+        def gmres(op, b, **kwargs):
+            runs.append(kwargs["x0"] is not None)
+            return gmres_miss(op, b)
 
-        def lu(A):
-            factors.append("exact")
-            return real_lu(A)
+        monkeypatch.setattr(solver.spla, "gmres", gmres)
+        rings, real_mode = [], solver._ModeFactor
+
+        def mode(ring, C):
+            rings.append(ring.Npsi)
+            return real_mode(ring, C)
 
         monkeypatch.setattr(solver, "_ModeFactor", mode)
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+        result = continuation_solve(spec, g)
+        traces = result.newton_trace
+        assert not result.converged and result.s_reached == 0.0
+        trials = math.ceil(math.log2(solver.DS_INIT / solver.DS_MIN))
+        assert [t.s for t in traces] == [0.0] + [2.0**-k for k in range(trials)]
+        assert all(t.iterations == 0 and not t.converged for t in traces[1:])
+        assert [t.mode_factorizations for t in traces] == [0] + [1] * trials
+        assert sum(t.factorizations for t in traces) == 0
+        assert rings == [g.Npsi // 2] * trials
+        assert runs == [False, True] * trials
+
+        sweep = ProblemSpec(p=1.5, q=2.5, theta=g.theta, even=True,
+                            f=ell_power_density(g, c=0.8, alpha=-0.8, beta=-0.3))
+        flat = continuation_solve(sweep, g)
+        assert flat.converged and len(rings) == trials
+        assert sum(t.krylov_iterations for t in flat.newton_trace) == 0
+
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps({
+            "theta": g.theta, "p": 2.0, "q": 1.5, "even": True,
+            "grid": {"Nphi": 16, "Npsi": 32},
+            "f": {"kind": "manufactured",
+                  "h_star": ell_bump_field(g, eps=0.05).values.ravel().tolist()}}))
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_far_miss_runs_on_toward_eta_max(self, monkeypatch):
+        """f = exp(3 cos(2 psi) sin(phi) / sin(theta)) at theta = 0.3, p = 4, q = 3:
+        the psi-average fits this data poorly, and some directions miss
+        ETA_MAX within the two cycles given to eta_k.  GMRES runs on from those
+        iterates toward ETA_MAX, and the continuation converges without an
+        exact factor; stopped at the first such miss, it does not converge."""
+        runs, real_gmres = [], solver.spla.gmres
+
+        def gmres(op, b, **kwargs):
+            runs.append(kwargs["x0"] is not None)
+            return real_gmres(op, b, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "gmres", gmres)
+        g = build_grid(0.3, 16, 32)
+        spec = _strongly_psi_dependent(g)
+        traces = _solved(spec, g).newton_trace
+        assert any(runs)
+        assert sum(t.factorizations for t in traces) == 0
+
+        def no_run_on(op, b, **kwargs):
+            if kwargs["x0"] is not None:
+                return kwargs["x0"], 1
+            return real_gmres(op, b, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "gmres", no_run_on)
+        assert not continuation_solve(spec, g).converged
+
+    def test_exact_factors_are_one_cell_rings_only(self, monkeypatch):
+        """Every SuperLU factor the solver makes is of a one-cell ring's Jacobian:
+        psi-independent data, at p != q and at p = q; even and unsymmetric
+        psi-dependent data, rounding-level GMRES misses and GMRES runs on
+        toward ETA_MAX included, make none."""
+        shapes, real_lu = [], solver._lu_factor
+
+        def lu(A):
+            shapes.append(A.shape)
+            return real_lu(A)
+
         monkeypatch.setattr(solver, "_lu_factor", lu)
-        monkeypatch.setattr(solver, "GMRES_RESTART", budget)
-        lagged = _solved(spec, g)
-        iterations = [t.iterations for t in exact.newton_trace]
-        assert [t.iterations for t in lagged.newton_trace] == iterations
-        assert _rel_gap(lagged.h.values, exact.h.values) <= SolverConfig().newton_tol
-        # every trace converged, so each iteration took one direction
-        assert [t.factorizations for t in exact.newton_trace] == iterations
-        assert all(t.krylov_iterations == 0 and t.mode_factorizations == (t.iterations > 0)
-                   for t in exact.newton_trace)
-        assert sum(t.krylov_iterations for t in lagged.newton_trace) > 0
-        assert len(factors) == sum(t.factorizations + t.mode_factorizations
-                                   for t in lagged.newton_trace)
-        if budget == GMRES_RESTART:
-            assert factors == ["mode"] * sum(iterations)
-            return
-        # one continuation step (the s = 0 solve takes no direction): mode factors
-        # until the first miss, then the exact factor preconditions the rest
-        assert [t.iterations > 0 for t in lagged.newton_trace] == [False, True]
-        first = factors.index("exact")
-        assert first >= 1 and "mode" not in factors[first:]
-        assert lagged.newton_trace[1].mode_factorizations == first
+        g = build_grid(math.pi / 3, 16, 32)
+        for even, eps, k in [(True, 0.05, 2), (False, 0.05, 1), (False, 0.45, 1)]:
+            spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=even,
+                               f=ell_bump_f_exact(g, 2.0, 1.5, eps=eps, k=k))
+            _solved(spec, g)
+        g3 = build_grid(0.3, 16, 32)
+        _solved(_strongly_psi_dependent(g3), g3)
+        assert shapes == []
+        for p, q in [(1.5, 2.5), (2.0, 2.0)]:
+            f = ell_power_density(g, c=0.8, alpha=-0.8, beta=-0.3)
+            _solved(ProblemSpec(p=p, q=q, theta=g.theta, f=f, even=True), g)
+        assert shapes and set(shapes) == {(g.Nphi, g.Nphi)}
 
 
 class TestStepControl:
