@@ -783,6 +783,65 @@ class TestLaggedFactor:
         assert [(t.iterations, t.krylov_iterations, t.factorizations, t.mode_factorizations)
                 for t in traces] == [c[1:] for c in counts]
 
+    @pytest.mark.parametrize("budget", [1, solver.GMRES_RESTART])
+    def test_lagged_solve_matches_exact_newton(self, monkeypatch, budget):
+        """Exact Newton on the even ell-bump at 32x64, each direction a dense
+        solve of its preconditioned bordered system, against GMRES restarted
+        every ``budget`` iterations.  The full budget takes the same Newton
+        iterations; a budget of 1 runs on toward ETA_MAX and takes more.  Both
+        reach h within newton_tol of exact Newton with one mode factor per
+        direction and no exact factor."""
+        g = build_grid(math.pi / 3, 32, 64)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+        real_gmres = solver.spla.gmres
+
+        def dense(op, b, **kwargs):
+            return np.linalg.solve(op.matmat(np.eye(b.size)), b), 0
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver.spla, "gmres", dense)
+            exact = _solved(spec, g)
+        factors, runs = [], []  # "mode" or "exact", in the order the solves build them
+        real_mode, real_lu = solver._ModeFactor, solver._lu_factor
+
+        def mode(*args):
+            factors.append("mode")
+            return real_mode(*args)
+
+        def lu(A):
+            factors.append("exact")
+            return real_lu(A)
+
+        def gmres(op, b, **kwargs):
+            runs.append(kwargs["x0"] is not None)
+            return real_gmres(op, b, **kwargs)
+
+        monkeypatch.setattr(solver, "_ModeFactor", mode)
+        monkeypatch.setattr(solver, "_lu_factor", lu)
+        monkeypatch.setattr(solver.spla, "gmres", gmres)
+        monkeypatch.setattr(solver, "GMRES_RESTART", budget)
+        lagged = _solved(spec, g)
+        iterations = [t.iterations for t in exact.newton_trace]
+        assert _rel_gap(lagged.h.values, exact.h.values) <= SolverConfig().newton_tol
+        # every trace converged, so each iteration took one direction
+        assert all(t.factorizations == t.krylov_iterations == 0
+                   and t.mode_factorizations == t.iterations for t in exact.newton_trace)
+        assert sum(t.krylov_iterations for t in lagged.newton_trace) > 0
+        directions = sum(t.iterations for t in lagged.newton_trace)
+        assert factors == ["mode"] * directions
+        assert [t.mode_factorizations for t in lagged.newton_trace] == \
+            [t.iterations for t in lagged.newton_trace]
+        if budget == 1:
+            # one continuation step (the s = 0 solve takes no direction), whose
+            # inexact directions cost Newton iterations and some run on
+            assert [t.iterations > 0 for t in lagged.newton_trace] == [False, True]
+            assert directions > sum(iterations)
+            assert any(runs)
+            return
+        assert [t.iterations for t in lagged.newton_trace] == iterations
+        assert not any(runs)
+
     def test_far_miss_ends_the_newton_solve(self, monkeypatch, tmp_path):
         """A GMRES iterate that misses ETA_MAX, also after its run on toward
         ETA_MAX, gives no direction: each Newton solve of the even ell-bump
