@@ -177,8 +177,13 @@ def _mode_terms(geom: CapGeometry):
     Returns ``(rows, cols, W, omega)``: the phi-row pairs of the table, the
     ring's weights ``W[pair, shift, t]`` and ``omega[shift, k] =
     exp(2 pi i k shift / m)``, k = 0 .. m // 2: ``sigma_t = W[:, :, t] @ omega``.
+    Cached on geom.
     """
-    rows, cols, _, R = _stencil_table(geom)
-    shifts, W = _wrapped(geom, R)
-    m = geom.Npsi
-    return rows, cols, W, np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))
+    key = "mode_terms"
+    if key not in geom._cache:
+        rows, cols, _, R = _stencil_table(geom)
+        shifts, W = _wrapped(geom, R)
+        m = geom.Npsi
+        omega = np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))
+        geom._cache[key] = (rows, cols, W, omega)
+    return geom._cache[key]

@@ -42,8 +42,10 @@ on the mode factor, to the forcing term
 ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the first
 direction).  The mode factor is that of the psi-average: with its
 coefficients averaged over each phi row, the Jacobian is circulant along the
-psi ring, so a real FFT along psi splits it into one banded Nphi system per
-Fourier mode, each factored by LAPACK's banded ``zgbtrf``.  If GMRES misses
+psi ring, so a real FFT along psi splits it into one Nphi system per
+Fourier mode.  Each is tridiagonal in phi once one step of partial pivoting
+removes the Neumann ghost's entry (N-1, N-3), and all modes are factored as
+one block-diagonal tridiagonal by LAPACK's ``zgttrf``.  If GMRES misses
 eta_k within two restart cycles of GMRES_RESTART iterations, its iterate is
 still the step when its true bordered residual is within ETA_MAX: eta_k can
 ask for more than the matvec delivers in double precision, or than the floor
@@ -52,7 +54,10 @@ Equations*, 1995, sec. 6.3).  Otherwise GMRES runs on from that iterate
 toward ETA_MAX, up to GMRES_MAX_CYCLES cycles in all: strongly
 psi-dependent data, which the psi-average fits poorly, can need them.  A
 miss after those gives no direction, and the Newton solve stops there
-unconverged, as when its line search runs out of halvings.  On the
+unconverged, as when its line search runs out of halvings.  GMRES ends
+each restart cycle with a matvec at the iterate it returns, so the ETA_MAX
+check, the step and the first matvec of a run on read that matvec instead
+of preconditioning the iterate again.  On the
 one-cell ring of psi-independent data the psi-average is the Jacobian
 itself, so every direction takes the exact step: a SuperLU factor
 (``MMD_AT_PLUS_A`` column ordering) of its Nphi unknowns, block elimination
@@ -168,8 +173,9 @@ class NewtonTrace:
     # largest |dx_k|_inf / |dx_(k-1)|_inf of successive Newton directions;
     # 0.0 when fewer than two directions were taken
     contraction: float = 0.0
-    # exact SuperLU factors of one-cell ring Jacobians, banded LAPACK factors
-    # of the psi-average in Fourier modes on larger rings, and GMRES iterations
+    # exact SuperLU factors of one-cell ring Jacobians, tridiagonal LAPACK
+    # factors of the psi-average in Fourier modes on larger rings (one zgttrf
+    # for all modes, after the ghost's pivot step), and GMRES iterations
     factorizations: int = 0
     mode_factorizations: int = 0
     krylov_iterations: int = 0
@@ -315,42 +321,58 @@ def _lu_factor(A):
 
 
 class _ModeFactor:
-    """Solver of the psi-average of a ring Jacobian, one psi-Fourier mode at a time.
+    """Solver of the psi-average of a ring Jacobian, all psi-Fourier modes in one factor.
 
     Averaging the coefficients C over each phi row makes the Jacobian on a
     ring of m > 1 cells circulant along psi (see
     :func:`capmink.operators._mode_terms`), so a real FFT along psi splits it
-    into one banded Nphi x Nphi system per mode k = 0 .. m // 2, with kl
-    sub- and ku superdiagonals read off the stencil table's phi-row pairs.
-    Each is factored in LAPACK band storage by ``zgbtrf`` (partial pivoting,
-    which widens the stored band to 2 kl + ku + 1 rows).  ``solve`` is rfft,
-    one ``zgbtrs`` per mode, irfft.
+    into one Nphi x Nphi system per mode k = 0 .. m // 2.  Each is
+    tridiagonal in phi but for the Neumann ghost's entry (N-1, N-3), and rows
+    N-2 and N-1 have entries only in columns N-3 .. N-1.  One step of partial
+    pivoting on column N-3 removes that entry: the two rows are swapped where
+    the ghost's entry is the larger (``swap``), and row N-1 less ``mu`` times
+    row N-2 (mu = 0 where both entries are 0).  The m // 2 + 1 tridiagonal
+    systems are stacked into one block-diagonal tridiagonal, zero at the
+    block seams, and factored by one LAPACK ``zgttrf``.  ``solve`` is rfft,
+    the same swap and row operation on the right-hand side, one ``zgttrs``,
+    irfft.
     """
 
     def __init__(self, geom: CapGeometry, C):
         rows, cols, W, omega = _mode_terms(geom)
-        Nphi, K = geom.Nphi, omega.shape[1]
-        self.shape = geom.shape
-        self.kl, self.ku = int(np.max(rows - cols)), int(np.max(cols - rows))
-        cbar = C.reshape(*self.shape, -1).mean(axis=1)
-        # per pair, the symbols of every mode; entry (i, i') of a mode sits at
-        # band row kl + ku + i - i' of column i', each mode's band Fortran-ordered
-        data = np.einsum("pst,pt->ps", W, cbar[rows]) @ omega
-        bands = np.zeros((K, Nphi, 2 * self.kl + self.ku + 1), complex).transpose(0, 2, 1)
-        bands[:, self.kl + self.ku + rows - cols, cols] = data.T
-        self.factors = []
-        for band in bands:
-            lu, piv, info = lapack.zgbtrf(band, self.kl, self.ku, overwrite_ab=1)
-            if info > 0:  # an exactly singular mode
-                raise ApplicabilityError("psi-averaged Newton system is singular")
-            self.factors.append((lu, piv))
+        self.shape = Nphi, m = geom.shape
+        # the row means of C; einsum sums along the middle axis faster than mean
+        cbar = np.einsum("ijt->it", C.reshape(Nphi, m, -1)) / m
+        # diagonals[i - i' + 1, k, i]: entry (i, i') of mode k, for i - i' = -1 .. 2
+        diagonals = np.zeros((4, omega.shape[1], Nphi), complex)
+        diagonals[rows - cols + 1, :, rows] = np.einsum("pst,pt->ps", W, cbar[rows]) @ omega
+        up, mid, low, ghost = diagonals
+        # rows N-2 and N-1 of each mode over columns N-3 .. N-1
+        top = np.stack([low[:, -2], mid[:, -2], up[:, -2]], axis=1)
+        bottom = np.stack([ghost[:, -1], low[:, -1], mid[:, -1]], axis=1)
+        self.swap = np.abs(bottom[:, 0]) > np.abs(top[:, 0])
+        top, bottom = (np.where(self.swap[:, None], bottom, top),
+                       np.where(self.swap[:, None], top, bottom))
+        self.mu = np.divide(bottom[:, 0], top[:, 0], out=np.zeros_like(top[:, 0]),
+                            where=top[:, 0] != 0.0)
+        low[:, -2], mid[:, -2], up[:, -2] = top.T
+        low[:, -1], mid[:, -1] = (bottom[:, 1:] - self.mu[:, None] * top[:, 1:]).T
+        # row 0 of a mode has no subdiagonal entry and row N-1 no superdiagonal
+        # one, so the stacked modes are uncoupled at the seams
+        *self.factor, info = lapack.zgttrf(low.ravel()[1:], mid.ravel(), up.ravel()[:-1],
+                                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:  # an exactly singular mode
+            raise ApplicabilityError("psi-averaged Newton system is singular")
 
     def solve(self, v):
         Nphi, m = self.shape
-        modes = np.fft.rfft(v.reshape(Nphi, m), axis=1)
-        for k, (lu, piv) in enumerate(self.factors):
-            modes[:, k] = lapack.zgbtrs(lu, self.kl, self.ku, modes[:, k], piv)[0]
-        return np.fft.irfft(modes, n=m, axis=1).ravel()
+        # one row of Nphi values per mode, in the order of the stacked system
+        modes = np.ascontiguousarray(np.fft.rfft(v.reshape(Nphi, m), axis=1).T)
+        top = np.where(self.swap, modes[:, -1], modes[:, -2])
+        modes[:, -1] = np.where(self.swap, modes[:, -2], modes[:, -1]) - self.mu * top
+        modes[:, -2] = top
+        x = lapack.zgttrs(*self.factor, modes.reshape(-1, 1), overwrite_b=1)[0]
+        return np.fft.irfft(x.reshape(-1, Nphi).T, n=m, axis=1).ravel()
 
 
 # Inexact Newton (Eisenstat-Walker): GMRES to a forcing term on psi-dependent data
@@ -393,7 +415,10 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
     is still the step if its true bordered residual is within ETA_MAX
     relative; otherwise GMRES runs on from it toward ETA_MAX, up to
     GMRES_MAX_CYCLES cycles in all, and if it misses again the call returns
-    None: there is no direction.
+    None: there is no direction.  The preconditioned iterate, its product and
+    its true residual come from GMRES's last matvec, which is at the iterate
+    it returns, so each direction makes one mode solve for z and at most one
+    per GMRES matvec.
     """
     k = geom.size
     row = np.full(k, 1.0 / k)
@@ -413,25 +438,32 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
             eta = ETA_MAX if norm_prev is None else min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2)
             trace.mode_factorizations += 1
             precond = _block_elimination(_ModeFactor(geom, C), row, col)
+            last = None  # the last matvec: a copy of its v, its (d, dl), its product
 
             def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
-                d, dl = precond(v[:k], v[k])
-                return np.append(A @ d + dl * col, row @ d)
+                nonlocal last
+                if last is None or not np.array_equal(v, last[0]):
+                    d, dl = precond(v[:k], v[k])
+                    last = v.copy(), (d, dl), np.append(A @ d + dl * col, row @ d)
+                return last
 
-            op = spla.LinearOperator((k + 1, k + 1), matvec=bordered, dtype=float)
+            # gmres writes into an Arnoldi product, so each matvec returns a fresh one
+            op = spla.LinearOperator((k + 1, k + 1), matvec=lambda v: bordered(v)[2].copy(),
+                                     dtype=float)
             b = np.append(top, bottom)
             inner, v = [], None
             for rtol, cycles in ((eta, 2), (ETA_MAX, GMRES_MAX_CYCLES - 2)):
                 v, info = spla.gmres(op, b, x0=v, rtol=rtol, atol=0.0, restart=GMRES_RESTART,
                                      maxiter=cycles, callback=inner.append,
                                      callback_type="pr_norm")
-                kept = info == 0 or np.linalg.norm(bordered(v) - b) <= ETA_MAX * np.linalg.norm(b)
+                kept = (info == 0
+                        or np.linalg.norm(bordered(v)[2] - b) <= ETA_MAX * np.linalg.norm(b))
                 if kept:
                     break
             trace.krylov_iterations += len(inner)
             if not kept:
                 return None
-            d, dl = precond(v[:k], v[k])
+            d, dl = bordered(v)[1]
         dx = np.append(d, dl)
         if not np.all(np.isfinite(dx)):
             raise ApplicabilityError("Newton linear system is singular")
@@ -731,8 +763,8 @@ def continuation_solve(
             factor = math.sqrt(THETA_BAR / theta) if theta > 0.0 else 2.0
             prev, s, last, res_sup, floor = (x, s_next - s), s_next, y, y_sup, y_floor
             ds *= min(2.0, max(0.5, factor))
-        else:
-            ds *= 0.5
+        else:  # retry at half the step tried, which is shorter than ds near s = 1
+            ds = 0.5 * (s_next - s)
             converged = ds >= DS_MIN
     return _finalize(geom, last, p, q, traces, converged, s,
                      res_sup if converged else math.inf, floor)

@@ -127,22 +127,23 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     """The benchmark's lu layer sees every exact factorization.
 
     Every direction of even or unsymmetric data factors the psi-averaged
-    Jacobian in Fourier modes, one zgbtrf call per mode, and runs GMRES on
-    it; it makes no splu call.  A miss whose true residual also misses
-    ETA_MAX runs GMRES on toward ETA_MAX, and a second such miss ends the
-    Newton solve.  psi-independent data takes one exact factor per
-    direction, by one splu call.
+    Jacobian in Fourier modes, all m/2 + 1 modes of its ring in one zgttrf
+    call of (m/2 + 1) Nphi rows, and runs GMRES on it; it makes no splu
+    call.  A miss whose true residual also misses ETA_MAX runs GMRES on
+    toward ETA_MAX, and a second such miss ends the Newton solve.
+    psi-independent data takes one exact factor per direction, by one splu
+    call.
     """
-    factorizations, bands, far_misses = [], [], []
-    real_splu, real_gmres, real_zgbtrf = solver.spla.splu, solver.spla.gmres, solver.lapack.zgbtrf
+    factorizations, tridiagonals, far_misses = [], [], []
+    real_splu, real_gmres, real_zgttrf = solver.spla.splu, solver.spla.gmres, solver.lapack.zgttrf
 
     def counted(*args, **kwargs):
         factorizations.append(args[0].shape)
         return real_splu(*args, **kwargs)
 
-    def zgbtrf(*args, **kwargs):
-        bands.append(args[0].shape)
-        return real_zgbtrf(*args, **kwargs)
+    def zgttrf(dl, d, du, **kwargs):
+        tridiagonals.append(d.shape)
+        return real_zgttrf(dl, d, du, **kwargs)
 
     def gmres(op, b, **kwargs):
         out = real_gmres(op, b, **kwargs)  # a miss, and its true residual misses ETA_MAX
@@ -152,7 +153,7 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
 
     monkeypatch.setattr(solver.spla, "splu", counted)
     monkeypatch.setattr(solver.spla, "gmres", gmres)
-    monkeypatch.setattr(solver.lapack, "zgbtrf", zgbtrf)
+    monkeypatch.setattr(solver.lapack, "zgttrf", zgttrf)
     # a Newton direction for each accepted iteration, plus the last direction of
     # a solve given up before max_newton (a line search that ran out of halvings,
     # a rejected continuation trial step, or a GMRES miss beyond ETA_MAX)
@@ -168,12 +169,12 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     assert len(far_misses) == sum(directions(t) for t in traces) > 0
     modes = g.Npsi // 2 // 2 + 1  # the even data's half ring, rfft modes 0 .. m / 2
     assert len(factorizations) == sum(t.factorizations for t in traces)
-    assert len(bands) == modes * sum(t.mode_factorizations for t in traces)
+    assert tridiagonals == [(modes * g.Nphi,)] * sum(t.mode_factorizations for t in traces)
     assert sum(t.factorizations for t in traces) == sum(far_misses) == 0
     assert 0 < sum(t.mode_factorizations for t in traces) == len(far_misses)
 
     factorizations.clear()
-    bands.clear()
+    tridiagonals.clear()
     g1 = build_grid(1.0, 8, 16)
     f = density_from_config(g1, {"kind": "ell_power", "alpha": -0.5}, 2.0, 2.0)
     pq = ProblemSpec(p=2.0, q=2.0, theta=1.0, f=f, even=True)
@@ -182,4 +183,4 @@ def test_factorizations_are_one_splu_per_solve_or_per_direction(monkeypatch):
     assert len(factorizations) == sum(directions(t) for t in traces)
     assert [t.factorizations for t in traces] == [directions(t) for t in traces]
     assert all(t.mode_factorizations == t.krylov_iterations == 0 for t in traces)
-    assert not bands
+    assert not tridiagonals

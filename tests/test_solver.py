@@ -720,11 +720,45 @@ class TestLaggedFactor:
         expected = spla.spsolve(_assemble(ring, mean), b)
         assert _rel_gap(_ModeFactor(ring, C).solve(b), expected) <= 1e-12
 
-    def test_band_widths_are_read_off_the_stencil_table(self):
-        ring = ring_of(build_grid(math.pi / 3, 8, 16), "even")
-        rows, cols = _stencil_table(ring)[:2]
-        factor = _ModeFactor(ring, np.ones((ring.size, len(JACOBIAN_TERMS) + 1)))
-        assert (factor.kl, factor.ku) == (np.max(rows - cols), np.max(cols - rows)) == (2, 1)
+    @pytest.mark.parametrize("symmetry", ["even", "none"])
+    @pytest.mark.parametrize("Nphi,Npsi", [(4, 8), (16, 32), (128, 256)])
+    def test_only_the_ghost_pair_leaves_the_tridiagonal(self, Nphi, Npsi, symmetry):
+        """The mode factor's tridiagonal form rests on the stencil table: its
+        only phi-row pair (i, i') with |i - i'| > 1 is the Neumann ghost's
+        (N-1, N-3), and rows N-2 and N-1 read only columns N-3 .. N-1."""
+        rows, cols = _stencil_table(ring_of(build_grid(math.pi / 3, Nphi, Npsi), symmetry))[:2]
+        far = np.abs(rows - cols) > 1
+        assert list(zip(rows[far], cols[far])) == [(Nphi - 1, Nphi - 3)]
+        assert set(cols[rows >= Nphi - 2]) == {Nphi - 3, Nphi - 2, Nphi - 1}
+
+    @pytest.mark.parametrize("symmetry", ["even", "none"])
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 16), (16, 32)])
+    def test_ghost_pivot_swaps_where_the_ghost_entry_is_larger(self, Nphi, Npsi, symmetry):
+        """The b11 weight is scaled so that the psi-averaged (N-2, N-3) entry of
+        mode 0 cancels, and a constant b12 weight keeps it away from 0 where
+        the psi-difference symbol, sin(2 pi k / m), is not 0.  The ghost's
+        (N-1, N-3) entry is then the larger in modes 0 and m / 2 only, where
+        the pivot step swaps rows N-2 and N-1, and the solve is still spsolve
+        of the psi-averaged Jacobian."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        rng = np.random.default_rng(Nphi + Npsi)
+        ring = ring_of(g, symmetry)
+        fvals = on_ring(ring, 1.0 + 0.1 * rng.random(g.size))
+        uvec = on_ring(ring, 1.0 + 0.05 * rng.standard_normal(g.size))
+        _, parts = _residual_u_vec(ring, fvals, 2.2, 1.7, uvec)
+        C = _jacobian_coeffs(ring, fvals, 2.2, 1.7, parts)
+        C[:, JACOBIAN_TERMS.index("b12")] = 1.0
+        m, t = ring.Npsi, JACOBIAN_TERMS.index("b11")
+        rows, cols, _, R = _stencil_table(ring)
+        pair = np.flatnonzero((rows == Nphi - 2) & (cols == Nphi - 3))[0]
+        terms = R[pair].sum(axis=0) * C.reshape(Nphi, m, -1).mean(axis=1)[Nphi - 2]
+        C[:, t] *= (terms[t] - terms.sum()) / terms[t]
+        factor = _ModeFactor(ring, C)
+        assert np.flatnonzero(factor.swap).tolist() == [0, m // 2]
+        mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
+        b = rng.standard_normal(C.shape[0])
+        expected = spla.spsolve(_assemble(ring, mean), b)
+        assert _rel_gap(factor.solve(b), expected) <= 1e-12
 
     def test_singular_mode_is_refused(self):
         """With only the g2 term, the psi derivative, mode 0 of the even ring of
@@ -736,6 +770,57 @@ class TestLaggedFactor:
             _ModeFactor(ring, C)
         C[:, -1] = 1.0  # the diagonal term makes every mode regular
         _ModeFactor(ring, C)
+
+    @pytest.mark.parametrize("run_on", [False, True])
+    def test_each_matvec_makes_one_mode_solve(self, monkeypatch, run_on):
+        """Each direction of the 16x32 even ell-bump makes one mode solve for
+        its border column z and one per GMRES matvec: the ETA_MAX check and
+        the step read GMRES's last matvec, at the iterate it returns.  With
+        ``run_on``, each first GMRES run stops after one iteration as a miss
+        (as :func:`gmres_miss` does, but from a nonzero iterate) that also
+        misses ETA_MAX, and the run on from it starts with a matvec at x0
+        that reuses the kept one instead of solving again."""
+        events, real_gmres = [], solver.spla.gmres
+        real_mode, real_solve = solver._ModeFactor, solver._ModeFactor.solve
+
+        def mode(ring, C):
+            events.append("factor")
+            return real_mode(ring, C)
+
+        def solve(self, v):
+            events.append("solve")
+            return real_solve(self, v)
+
+        def gmres(op, b, **kwargs):
+            events.append("gmres")
+
+            def matvec(v):
+                events.append("matvec")
+                return op.matvec(v)
+
+            counted = spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+            if run_on and kwargs["x0"] is None:
+                x, _ = real_gmres(counted, b, **{**kwargs, "restart": 1, "maxiter": 1})
+                assert np.linalg.norm(op.matvec(x) - b) > solver.ETA_MAX * np.linalg.norm(b)
+                return x, 1
+            return real_gmres(counted, b, **kwargs)
+
+        monkeypatch.setattr(solver, "_ModeFactor", mode)
+        monkeypatch.setattr(real_mode, "solve", solve)
+        monkeypatch.setattr(solver.spla, "gmres", gmres)
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+        _solved(spec, g)
+        text = " ".join(events)
+        directions = [d.split() for d in text.split("factor")[1:]]
+        assert directions
+        for d in directions:
+            assert d[:2] == ["solve", "gmres"]
+            assert d.count("gmres") == 1 + run_on
+            assert d.count("solve") == 1 + d.count("matvec") - run_on
+        if run_on:
+            assert text.count("gmres matvec matvec") == len(directions)
 
     def test_rounding_level_miss_takes_no_exact_factor(self, monkeypatch):
         """On the eps = 0.45, k = 1 ell-bump GMRES misses its forcing term, but
@@ -966,6 +1051,29 @@ class TestStepControl:
         assert sum(t.halvings for t in result.newton_trace) < 21
         assert sum(t.iterations for t in result.newton_trace) <= 25
         assert all(t.contraction <= 0.5 for t in result.newton_trace if t.converged)
+
+    def test_a_failed_trial_is_not_repeated(self, monkeypatch):
+        """A failed trial to s = 1 is retried at half the step it tried, not
+        at half of a ds that overshoots 1: p = 1.5, q = 2.5, theta = 0.6 and
+        f = exp(2 cos(psi) sin(phi) / sin(theta)) at 16x32 used to try the
+        same s = 1 trial from the same start twice.  No two consecutive failed
+        trials share their s and start, and the continuation converges."""
+        trials, real_newton = [], solver._newton
+
+        def newton(ring, fvals, p, q, uvec, log_C, s, cfg, trial=False):
+            out = real_newton(ring, fvals, p, q, uvec, log_C, s, cfg, trial)
+            trials.append((s, np.append(uvec, log_C), out[1].converged))
+            return out
+
+        monkeypatch.setattr(solver, "_newton", newton)
+        g = build_grid(0.6, 16, 32)
+        phi, psi = g.phi_nodes[:, None], g.psi_nodes[None, :]
+        f = ScalarField(g, np.exp(2.0 * np.cos(psi) * np.sin(phi) / g.sin_theta))
+        spec = ProblemSpec(p=1.5, q=2.5, theta=g.theta, f=f, allow_unsupported=True)
+        assert continuation_solve(spec, g).converged
+        assert not all(ok for *_, ok in trials)
+        for (s, start, ok), (s_next, start_next, ok_next) in zip(trials, trials[1:]):
+            assert ok or ok_next or s != s_next or not np.array_equal(start, start_next)
 
     def test_non_finite_floor_never_converges(self):
         parts = (None,) * 7 + (np.ones(3),)
