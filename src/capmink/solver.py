@@ -15,16 +15,17 @@ the dilation direction that makes the plain Jacobian singular at ``p = q``
 ``h = C^(1/(p-q)) ell u_bar`` for ``p != q``, ``h = ell u_bar`` for ``p = q``.
 The homotopy
 
-    f_s = (1 - s) f_0 + s f / kappa,   f_0 = ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2),
+    f_s = f_0^(1-s) f^s,   f_0 = ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2),
 
-holds the exponents fixed and blends only the density; it starts from the
-exactly solvable data at ``s = 0`` (solution ``u_bar = 1``, ``C = 1``) and
-continues to the target problem at ``s = 1``.  ``kappa`` is the geometric
-mean of ``f / f_0``: the equation sees C and f only as the product ``C f``,
-so ``f / kappa`` is the target with ``log C`` shifted by ``log kappa``, and
-the path does not depend on the scale of f.  Newton steps use the exact
-sparse Jacobian of the discrete residual: the determinant is linearized as
-``cof(b) : db`` and the right-hand side analytically in ``(u, grad u)``.
+holds the exponents fixed and blends the density log-linearly (the equation
+sees f only through ``log f``) from the exactly solvable data at ``s = 0``
+(``u_bar = 1``, ``C = 1``) to the target at ``s = 1``, each end bit for bit.
+f_s is ``kappa^s`` times a density whose log has the mean of ``log f_0``
+(kappa the geometric mean of ``f / f_0``), and the equation sees C and f
+only as ``C f``: log C drifts by ``-log kappa`` per unit s, and ``f -> c f``
+only shifts it by ``-s log c``.  Newton steps use the exact sparse Jacobian
+of the discrete residual: the determinant is linearized as ``cof(b) : db``
+and the right-hand side analytically in ``(u, grad u)``.
 Each solve runs on the psi ring of the data's symmetry
 (:func:`capmink.grid._ring`, :func:`_symmetry`): one cell per phi row for
 psi-independent data, Npsi/2 for even data, all Npsi otherwise.  A
@@ -76,14 +77,14 @@ accepted step ``ds`` is scaled by ``sqrt(Theta_bar / Theta_max)``, with
 ``Theta_bar = 1/4``, clamped to [1/2, 2].  Each step starts from the secant
 predictor ``x_k + (ds / ds_prev)(x_k - x_(k-1))`` of the normalized unknowns
 (Allgower-Georg, *Introduction to Numerical Continuation Methods*, 1990)
-when its field is positive and convex, else from ``x_k``.
+when its field is positive and convex, else from ``x_k`` with log C drifted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,8 +158,11 @@ class SolverConfig:
     max_newton: int = 50
 
     def __post_init__(self):
-        for name in ("newton_tol", "max_newton"):
+        for name, kind, what in (("newton_tol", Real, "a number"),
+                                 ("max_newton", Integral, "an integer")):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
 
@@ -213,16 +217,16 @@ class SolveResult:
 
 
 def _density(f0, f, s: float) -> np.ndarray:
-    """Homotopy density ``f_s = (1 - s) f0 + s f`` at parameter s.
+    """Homotopy density ``f_s = f0^(1 - s) f^s``, f0 and f bit for bit at s = 0 and 1.
 
     The exponents are held at the target (p, q) along the whole path; the
-    density is blended from the base density f0 (:func:`_base_density`),
-    which makes h = ell the exact solution at s = 0 for every q.  (Moving the
+    density is blended log-linearly from f0 (:func:`_base_density`), which
+    makes h = ell the exact solution at s = 0 for every q.  (Moving the
     exponent q_s = 3 + s(q-3) instead crosses the scale-degenerate manifold
     q_s = p whenever q < p < 3, where the intermediate problem is generically
     unsolvable; at q = 3 the two paths coincide.)
     """
-    return (1.0 - s) * f0 + s * f
+    return f0 ** (1.0 - s) * f**s
 
 
 def _equation(fvals, p, q, frame, h):
@@ -692,11 +696,11 @@ def newton_solve(
 ) -> SolveResult:
     """Damped Newton on the normalized equation at homotopy parameter s.
 
-    The solve runs on the psi ring of the symmetry of the density f_s, from
-    the mean of u0 over each orbit of that symmetry: ``u_bar`` is that mean
-    over its own mean, and ``log C = (p - q) log`` of it, which makes
-    ``h = m ell u_bar`` equal ``ell u0`` for ``p != q``; at ``p = q`` log C
-    cannot be read off u0 and starts at 0.
+    The solve runs on the psi ring of the symmetry of f_s (:func:`_density`,
+    the continuation's path), from the mean of u0 over each orbit of that
+    symmetry: ``u_bar`` is that mean over its own mean, and log C is
+    ``(p - q) log`` of it, which makes ``h = m ell u_bar`` equal ``ell u0``
+    for ``p != q``; at ``p = q`` log C cannot be read off u0 and starts at 0.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -719,10 +723,11 @@ def continuation_solve(
 ) -> SolveResult:
     """Homotopy continuation from the exact s = 0 problem to the target at s = 1.
 
-    The step length follows the Newton contraction of the last accepted step,
-    and each step starts from the secant predictor (see the module docstring).
-    Every step, s = 0 included, runs on the psi ring of the target density's
-    symmetry, chosen once; the solution is tiled onto geom once, at the end.
+    Each step solves for f_s (:func:`_density`) from the secant predictor or
+    the drifted last solution (see the module docstring), with a step length
+    set by the Newton contraction of the last accepted step.  Every step,
+    s = 0 included, runs on the psi ring of the target density's symmetry,
+    chosen once; the solution is tiled onto geom once, at the end.
     For p = q the result is the normalized pair: h = ell u_bar and C = exp(log_C).
     """
     if cfg is None:
@@ -730,14 +735,11 @@ def continuation_solve(
     _check_grid(geom, spec.f)
     p, q = spec.p, spec.q
     f0 = _base_density(geom, p, q)
-    # the normalized equation sees C and f only as the product C f, so the path
-    # runs to f / kappa, kappa the geometric mean of f / f_0, and does not depend
-    # on the scale of f; the step to s = 1 solves for f itself, from log C - log kappa
+    # log C drifts by -log kappa per unit s, kappa the geometric mean of f / f_0
     log_kappa = float(np.mean(np.log(spec.f.values / f0)))
     m = _symmetry(spec.f.values, spec.even)
     ring = _ring(geom, m)
     f0, f = f0[:, :m].ravel(), spec.f.values[:, :m].ravel()
-    scaled = f / math.exp(log_kappa)
 
     # at s = 0 the density is f_0, solved exactly by u_bar = 1 and log C = 0
     last, trace, res_sup, floor = _newton(ring, f0, p, q, np.ones(ring.size), 0.0, 0.0, cfg)
@@ -747,16 +749,14 @@ def continuation_solve(
     while converged and s < 1.0:
         s_next = min(1.0, s + ds)
         x = np.append(last[:-1] / np.mean(last[:-1]), last[-1])  # (u_bar, log C)
-        start = x
+        start = np.append(x[:-1], x[-1] - (s_next - s) * log_kappa)
         if prev is not None:
             pred = x + (s_next - s) / prev[1] * (x - prev[0])
             if (np.all(pred[:-1] > 0.0)
                     and eigen_range(*_u_frame(ring, pred[:-1])[:3])[0] >= CONVEXITY_FLOOR):
                 start = pred
-        target = s_next == 1.0
-        y, trace, y_sup, y_floor = _newton(
-            ring, f if target else _density(f0, scaled, s_next), p, q, start[:-1],
-            start[-1] - log_kappa if target else start[-1], s_next, cfg, trial=True)
+        y, trace, y_sup, y_floor = _newton(ring, _density(f0, f, s_next), p, q, start[:-1],
+                                           start[-1], s_next, cfg, trial=True)
         traces.append(trace)
         if trace.converged:
             theta = trace.contraction

@@ -248,8 +248,13 @@ class TestNewton:
         assert math.exp(result.log_C) == pytest.approx(C_star, rel=1e-9)
 
     def test_solver_config_validation(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(newton_tol=-1.0)
+        """A fractional max_newton would crash the solve in range(); a bool is
+        no count and no tolerance."""
+        for kwargs in ({"newton_tol": -1.0}, {"max_newton": 2.5}, {"max_newton": 3.0},
+                       {"max_newton": True}, {"newton_tol": True}):
+            with pytest.raises(ConfigError):
+                SolverConfig(**kwargs)
+        assert SolverConfig(max_newton=np.int64(3), newton_tol=1).max_newton == 3
 
 
 class TestEvenFold:
@@ -370,6 +375,11 @@ def _rot_problem(g, scale=1.0):
     return ProblemSpec(p=2.2, q=1.6, theta=g.theta, f=f, even=True)
 
 
+def _bump_problem(g, scale=1.0):
+    f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.45, k=1)
+    return ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=ScalarField(g, scale * f.values))
+
+
 def _solved(spec, g):
     result = continuation_solve(spec, g)
     assert result.converged
@@ -418,9 +428,13 @@ class TestMetamorphic:
         reflected = _solved_h(_even_problem(g, reflect=True, harmonics=harmonics), g)
         assert _rel_gap(reflected, np.roll(base[:, ::-1], 1, axis=1)) <= 1e-9
 
-    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem, _bump_problem],
+                             ids=["even", "rot", "bump045"])
     @given(c=st.floats(0.2, 5.0))
     def test_density_scaling_dilates_solution(self, problem, c):
+        """f -> c f takes the same continuation steps with the same counts and
+        dilates h by c^(1/(q-p)).  The eps = 0.45 ell-bump takes several steps,
+        along which log C drifts by -log kappa per unit s."""
         g = build_grid(math.pi / 3, 16, 32)
         spec = problem(g)
         base = _solved(spec, g)
@@ -428,6 +442,12 @@ class TestMetamorphic:
         dilated = c ** (1.0 / (spec.q - spec.p)) * base.h.values
         assert _rel_gap(scaled.h.values, dilated) <= 1e-9
         assert scaled.log_C - base.log_C == pytest.approx(-math.log(c), abs=1e-9)
+        path, scaled_path = ([(t.s, t.iterations, t.krylov_iterations, t.factorizations,
+                               t.mode_factorizations) for t in r.newton_trace]
+                             for r in (base, scaled))
+        assert problem is not _bump_problem or len(path) > 2
+        assert [t[0] for t in scaled_path] == pytest.approx([t[0] for t in path], rel=1e-12)
+        assert [t[1:] for t in scaled_path] == [t[1:] for t in path]
 
     def test_even_flag_does_not_change_the_solve(self):
         """Even data solved on the full grid (even=False) and on the half ring."""
@@ -843,8 +863,8 @@ class TestLaggedFactor:
     @pytest.mark.parametrize("case,counts", [
         ("bump-k1-32x64", [(0.0, 0, 0, 0, 0), (1.0, 3, 11, 0, 3)]),
         ("sweep-middle-16x32", [(0.0, 0, 0, 0, 0), (1.0, 3, 0, 3, 0)]),
-        ("bump-eps045-k1-16x32", [(0.0, 0, 0, 0, 0), (1.0, 2, 25, 0, 3), (0.5, 5, 38, 0, 5),
-                                  (0.9396997670284233, 4, 53, 0, 4), (1.0, 4, 72, 0, 4)]),
+        ("bump-eps045-k1-16x32", [(0.0, 0, 0, 0, 0), (1.0, 2, 25, 0, 3), (0.5, 5, 47, 0, 5),
+                                  (0.9915902679446201, 5, 65, 0, 5), (1.0, 3, 53, 0, 3)]),
     ])
     def test_counts_are_pinned(self, case, counts):
         """(s, Newton iterations, GMRES iterations, exact factors, mode factors)
@@ -1081,6 +1101,39 @@ class TestStepControl:
         assert _within_floor(zero, zero, 1e-10, parts)
         assert not _within_floor(zero, np.full(3, math.inf), 1e-10, parts)
         assert not _within_floor(np.array([0.0, math.nan, 0.0]), zero, 1e-10, parts)
+
+
+def _psi_wave(g, k):
+    """f = exp(0.9 cos(k psi) sin(phi)^2 / sin(theta)^2), even in psi for even k."""
+    phi, psi = g.phi_nodes[:, None], g.psi_nodes[None, :]
+    return ScalarField(g, np.exp(0.9 * np.cos(k * psi) * np.sin(phi) ** 2 / g.sin_theta**2))
+
+
+class TestHomotopy:
+    """Every solve follows the log-linear blend f_s = f0^(1-s) f^s."""
+
+    def test_density_is_exact_at_the_ends_and_log_linear_between(self):
+        """Bit for bit at s = 0 and 1, which keeps two-step solves unchanged."""
+        g = build_grid(math.pi / 3, 16, 32)
+        f0 = _base_density(g, 2.0, 1.5)
+        f = 1e3 * ell_bump_f_exact(g, 2.0, 1.5, eps=0.45, k=1).values
+        assert np.array_equal(solver._density(f0, f, 0.0), f0)
+        assert np.array_equal(solver._density(f0, f, 1.0), f)
+        for s in (0.3, 0.9915902679446201):
+            blend = (1.0 - s) * np.log(f0) + s * np.log(f)
+            assert np.max(np.abs(np.log(solver._density(f0, f, s)) - blend)) <= 1e-14
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 3, math.pi / 2])
+    @pytest.mark.parametrize("p,q", [(2.0, 1.5), (3.0, 1.0), (4.0, 3.0), (1.5, 2.5),
+                                     (1.2, 3.0), (2.0, 2.0)])
+    def test_psi_dependent_even_inputs_converge(self, p, q, theta, k):
+        """54 supported even psi-dependent inputs of every branch at 16x32,
+        each converging to s = 1."""
+        g = build_grid(theta, 16, 32)
+        result = continuation_solve(ProblemSpec(p=p, q=q, theta=theta, f=_psi_wave(g, k),
+                                                even=True), g)
+        assert result.converged and result.s_reached == 1.0
 
 
 def sympy_bump_density(geom, p, q, eps, k):
