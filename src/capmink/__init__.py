@@ -27,8 +27,6 @@ from .grid import (
     ell_grad_sq,
     embed_body,
     evenness_defect,
-    grad_field,
-    grad_sq,
     robin_residual,
 )
 from .ellipsoid import (

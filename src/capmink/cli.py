@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from .errors import CapminkError, ConfigError, UsageError
+from .errors import CapminkError, ConfigError, DomainError, UsageError
 from .grid import (
     ScalarField,
     build_grid,
@@ -393,7 +393,10 @@ def cmd_plotdata(args) -> int:
     solution_path = os.path.join(src, "solution.csv")
     if os.path.exists(result_path) and os.path.exists(solution_path):
         theta = _number(read_config(result_path)["config"], "theta")
-        h = field_from_csv(solution_path, theta)
+        try:
+            h = field_from_csv(solution_path, theta)
+        except DomainError as exc:  # theta outside (0, pi/2], as load_problem refuses it
+            raise ConfigError(f"{result_path}: {exc}") from exc
         path = os.path.join(args.out, "h_profile.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

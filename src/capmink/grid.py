@@ -16,6 +16,9 @@ the Neumann condition on u is the Robin condition ``h_phi = cot(theta) * h``,
 so ``b = hess(h) + h I`` and ``grad h`` are those of ``h = ell * u`` on the
 Neumann-padded u.  That stencil is written once (:func:`_stencil`);
 :func:`_u_frame` evaluates it and :mod:`capmink.operators` reads it off.
+It is the one gradient of every grid field: a Neumann u's is
+``(grad h - u grad ell) / ell`` with both gradients the stencil's, and only
+:func:`boundary_values` otherwise differences a field, to reach phi = theta.
 """
 
 from __future__ import annotations
@@ -184,35 +187,6 @@ def ell_grad_sq(geom: CapGeometry) -> np.ndarray:
     return np.repeat(vals[:, None], geom.Npsi, axis=1)
 
 
-def _psi_d1(values: np.ndarray, dpsi: float) -> np.ndarray:
-    return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * dpsi)
-
-
-def grad_field(geom: CapGeometry, s: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Covariant gradient (g1, g2) in the frame e1 = d_phi, e2 = d_psi/sin(phi).
-
-    Centered second order in the interior, across-pole ghost at the first row,
-    one-sided second order at the last row (no boundary condition assumed);
-    a support function's gradient is that of :func:`curvature_tensor`.
-    """
-    if s.geometry is not geom and s.geometry.shape != geom.shape:
-        raise UsageError("field geometry does not match")
-    v = s.values
-    d = geom.dphi
-    g1 = np.empty_like(v)
-    g1[1:-1] = (v[2:] - v[:-2]) / (2.0 * d)
-    pole_ghost = np.roll(v[0], geom.antipode)
-    g1[0] = (v[1] - pole_ghost) / (2.0 * d)
-    g1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * d)
-    g2 = _psi_d1(v, geom.dpsi) / geom.sin_phi[:, None]
-    return ScalarField(geom, g1), ScalarField(geom, g2)
-
-
-def grad_sq(geom: CapGeometry, s: ScalarField) -> np.ndarray:
-    g1, g2 = grad_field(geom, s)
-    return g1.values**2 + g2.values**2
-
-
 _Stencil = namedtuple("_Stencil", "ell X Phi psi")
 
 
@@ -329,44 +303,34 @@ def embed_body(geom: CapGeometry, h: ScalarField) -> EmbeddedBody:
     """Reconstruct the hypersurface X = h * nu + grad h from its support function.
 
     The unit normal in the chart is nu = (sin(phi)cos(psi), sin(phi)sin(psi),
-    cos(phi)); the boundary circle is obtained by one-sided extrapolation to
-    phi = theta, where the Robin condition is equivalent to the boundary
-    points lying on the supporting plane: X_3 = h cos(theta) - h_phi sin(theta).
+    cos(phi)); the boundary circle is obtained by one-sided extrapolation of
+    h, h_phi and the stencil's h_psi to phi = theta, where the Robin condition
+    is equivalent to the boundary points lying on the supporting plane:
+    X_3 = h cos(theta) - h_phi sin(theta).
     """
     if np.any(h.values <= 0.0):
         raise DomainError("support function must be positive")
     cd = curvature_tensor(geom, h)
-    warn = cd.lambda_min <= 0.0
-    g1, g2 = cd.g1, cd.g2
+    cpsi, spsi = np.cos(geom.psi_nodes), np.sin(geom.psi_nodes)
+
+    def points(hv, g1, g2, sin, cos):  # X = h nu + g1 e1 + g2 e2 at (phi, psi_j)
+        return np.stack([hv * sin * cpsi + g1 * cos * cpsi - g2 * spsi,
+                         hv * sin * spsi + g1 * cos * spsi + g2 * cpsi,
+                         hv * cos - g1 * sin], axis=-1)
+
     sin = geom.sin_phi[:, None]
-    cos = geom.cos_phi[:, None]
-    cpsi = np.cos(geom.psi_nodes)[None, :]
-    spsi = np.sin(geom.psi_nodes)[None, :]
-    hv = h.values
-    x = hv * sin * cpsi + g1 * cos * cpsi - g2 * spsi
-    y = hv * sin * spsi + g1 * cos * spsi + g2 * cpsi
-    z = hv * cos - g1 * sin
-    cells = np.stack([x, y, z], axis=-1)
-
+    cells = points(h.values, cd.g1, cd.g2, sin, geom.cos_phi[:, None])
     hb, hb_phi = boundary_values(geom, h.values)
-    hb_psi = _psi_d1(hb[None, :], geom.dpsi)[0]
-    st, ct = geom.sin_theta, geom.cos_theta
-    cpsi1 = np.cos(geom.psi_nodes)
-    spsi1 = np.sin(geom.psi_nodes)
-    g2b = hb_psi / st
-    xb = hb * st * cpsi1 + hb_phi * ct * cpsi1 - g2b * spsi1
-    yb = hb * st * spsi1 + hb_phi * ct * spsi1 + g2b * cpsi1
-    zb = hb * ct - hb_phi * st
-    boundary = np.stack([xb, yb, zb], axis=-1)
-
-    r_cells = np.hypot(x, y)
-    r_bnd = np.hypot(xb, yb)
+    g2b = boundary_values(geom, cd.g2 * sin)[0] / geom.sin_theta
+    boundary = points(hb, hb_phi, g2b, geom.sin_theta, geom.cos_theta)
+    r_cells = np.hypot(cells[..., 0], cells[..., 1])
+    r_bnd = np.hypot(boundary[:, 0], boundary[:, 1])
     extents = BodyExtents(
         R_out=float(max(np.max(r_cells), np.max(r_bnd))),
         R_in=float(np.min(r_bnd)),
-        H=float(np.max(z)),
-        boundary_plane_defect=float(np.max(np.abs(zb))),
-        convex_warning=bool(warn),
+        H=float(np.max(cells[..., 2])),
+        boundary_plane_defect=float(np.max(np.abs(boundary[:, 2]))),
+        convex_warning=bool(cd.lambda_min <= 0.0),
     )
     return EmbeddedBody(cells, boundary, extents)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import EllipsoidCap, cap_from_RH, cap_support
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .grid import BodyExtents, CapGeometry, ScalarField, curvature_tensor
 
 
@@ -68,7 +68,11 @@ def verify_sandwich(
     geom: CapGeometry, h: ScalarField, cap: EllipsoidCap, factor: float
 ) -> SandwichReport:
     """Check support-function sandwiching: 1 <= h / support(cap) <= factor,
-    each bound up to the truncation tolerance SANDWICH_TOL * grid_eps."""
+    each bound up to the truncation tolerance SANDWICH_TOL * grid_eps.  A
+    factor that is not finite, which any body would pass, or is below 1 is a
+    ConfigError."""
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ConfigError(f"factor must be finite and at least 1, got {factor}")
     cd = curvature_tensor(geom, h)
     if cd.lambda_min <= 0.0:
         raise DomainError("support function is not strictly convex")

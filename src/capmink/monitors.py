@@ -5,8 +5,12 @@ controls: the gradient quotient |grad h|^2 / h^gamma, the max/min
 non-collapsing bound derived from it, the boundary behaviour of the
 log-gradient test function, the trace auxiliary function with its explicit
 coefficients, and the extremum inequalities pinning max/min of h to the data.
-The gradient of h is the stencil's (:func:`capmink.grid.curvature_tensor`), and
-whether h is a solution is the solver's test (:func:`capmink.solver.is_solution`).
+Every gradient is the stencil's: that of h is read off
+:func:`capmink.grid.curvature_tensor`, and that of a Neumann u (in
+:func:`phi_monitor`) is ``(grad h - u grad ell) / ell`` with h = ell * u.
+Whether h is a solution is the solver's test (:func:`capmink.solver.is_solution`).
+A constant that would make a check pass vacuously or report garbage (an
+infinite, NaN or non-positive N or C_dd, a non-finite q) is a ConfigError.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _ring,
+    _u_frame,
     boundary_values,
     curvature_tensor,
     ell_field,
     ell_grad_sq,
     evenness_defect,
-    grad_sq,
 )
 from .solver import SolverConfig, is_solution
 
@@ -106,6 +111,9 @@ def noncollapse_check(
     """
     if not (0.0 < gamma < 2.0):
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
+    for name, value in (("N", N), ("C_dd", C_dd)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
     if evenness_defect(geom, h.values) > EVEN_TOL:
         raise ApplicabilityError("non-collapsing estimate requires an even h")
     n_obs = gradient_quotient(geom, h, gamma).N_observed
@@ -143,9 +151,12 @@ def noncollapse_check(
 def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorReport:
     """Test function ell^(2-gamma) |grad u|^2 / u^gamma and its boundary slope.
 
-    For a Neumann u the outward derivative of log(Phi) at the boundary equals
-    -gamma * cot(theta) wherever the tangential gradient does not vanish; the
-    returned per-node derivative is NaN at (near-)degenerate nodes.
+    grad u is read off the stencil as (grad h - u grad ell) / ell with
+    h = ell * u, both gradients those of :func:`capmink.grid._u_frame`; a
+    constant u has Phi = 0 exactly.  For a Neumann u the outward derivative
+    of log(Phi) at the boundary equals -gamma * cot(theta) wherever the
+    tangential gradient does not vanish; the returned per-node derivative is
+    NaN at (near-)degenerate nodes.
     """
     if not (0.0 < gamma < 2.0):
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
@@ -157,16 +168,19 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
         raise ApplicabilityError(
             f"u violates the Neumann condition (defect {np.max(np.abs(du)):.3g})"
         )
-    ell = ell_field(geom).values
-    gsq = grad_sq(geom, u)
+    # the stencil is linear, so u may be offset by a constant first: then a
+    # constant u gives v = 0 and Phi = 0 exactly
+    v = u.values - scale
+    _, _, _, g1, g2, _ = _u_frame(geom, v)
+    _, _, _, ell_g1, _, ell = _u_frame(_ring(geom, 1), np.ones((geom.Nphi, 1)))
+    gsq = ((g1 - v * ell_g1) ** 2 + g2**2) / ell**2
     phi_vals = ell ** (2.0 - gamma) * gsq / u.values**gamma
     degenerate = float(np.max(phi_vals)) < 1e-14 * max(1.0, scale**2)
 
     floor = 1e-12 * max(1.0, scale**2)
     with np.errstate(divide="ignore"):
         logphi = np.where(phi_vals > floor, np.log(np.maximum(phi_vals, floor)), np.nan)
-    f1, f2, f3 = logphi[-1], logphi[-2], logphi[-3]
-    bnd_der = (2.0 * f1 - 3.0 * f2 + f3) / geom.dphi
+    _, bnd_der = boundary_values(geom, logphi)
 
     # boundary gradient magnitude, extrapolated, for masking degenerate nodes
     gb, _ = boundary_values(geom, np.sqrt(gsq))
@@ -187,6 +201,8 @@ def q_monitor(geom: CapGeometry, h: ScalarField, q: float):
     B = |3 - q| (max h^2 + 3 max |grad h|^2) / min h^4 + 1 and
     -A = (2 B max |grad h|^2 + 1) / min h.  Diagnostic only.
     """
+    if not math.isfinite(q):
+        raise ConfigError(f"q must be finite, got {q}")
     cd = curvature_tensor(geom, h)
     if np.any(cd.sigma1 <= 0.0):
         raise ConvexityError("sigma1 must be positive everywhere")

@@ -748,6 +748,20 @@ class TestPlotdata:
         assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp / "p")]) == 3
         assert capsys.readouterr().err.startswith("error: config file")
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 2.0])
+    def test_plotdata_theta_outside_the_range_exits_3(self, base_problem, capsys, theta):
+        """A result.json whose theta no cap grid has is a config error, as a
+        CSV on another grid is."""
+        cfg, tmp = base_problem
+        src = tmp / "solve_out"
+        assert main(["solve", "--config", cfg, "--out", str(src), "--grid", "8x16"]) == 0
+        doc = json.loads((src / "result.json").read_text())
+        doc["config"]["theta"] = theta
+        (src / "result.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp / "p")]) == 3
+        assert "theta must lie in (0, pi/2]" in capsys.readouterr().err
+
     def test_plotdata_missing_dir(self, tmp_path):
         assert main(["plotdata", "--artifacts", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 3

@@ -18,8 +18,7 @@ from capmink import (
     ell_grad_sq,
     embed_body,
     evenness_defect,
-    grad_field,
-    grad_sq,
+    phi_monitor,
     robin_residual,
 )
 from capmink.grid import (
@@ -91,15 +90,19 @@ class TestOperators:
         assert cd.lambda_min > 0.9
 
     def test_ell_gradient_matches_analytic(self, geom_pi3):
+        """The stencil's grad ell is (cos(theta) sin(phi), 0)."""
         g = geom_pi3
-        gsq = grad_sq(g, ell_field(g))
-        assert np.max(np.abs(gsq - ell_grad_sq(g))) < 10.0 * g.grid_eps()
+        cd = curvature_tensor(g, ell_field(g))
+        assert np.max(np.abs(cd.g1 - g.cos_theta * g.sin_phi[:, None])) < 10.0 * g.grid_eps()
+        assert np.all(cd.g2 == 0.0)
 
     def test_constant_field_has_zero_gradient(self, geom_pi3):
-        one = ScalarField(geom_pi3, np.ones(geom_pi3.shape))
-        g1, g2 = grad_field(geom_pi3, one)
-        assert np.max(np.abs(g1.values)) == 0.0
-        assert np.max(np.abs(g2.values)) == 0.0
+        """phi_monitor's grad u of a constant u is exactly 0, and so is Phi."""
+        for c in (1.0, 0.3, 2.5, math.pi, 1e5):
+            u = ScalarField(geom_pi3, np.full(geom_pi3.shape, c))
+            rep = phi_monitor(geom_pi3, u, 1.0)
+            assert np.all(rep.phi_field.values == 0.0)
+            assert rep.degenerate
 
     def test_constant_is_neumann_exact(self, geom_pi3):
         one = np.ones(geom_pi3.shape)

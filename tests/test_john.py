@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capmink import (
+    ConfigError,
     DomainError,
     ScalarField,
     build_grid,
@@ -84,6 +85,14 @@ class TestVerify:
         # the inner cap alone cannot contain the body
         report = verify_sandwich(geom, h, cap, 1.0)
         assert not report.passed
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.999, -2.0])
+    def test_bad_factor_rejected(self, unit_cap_body, factor):
+        """A factor of inf would pass any body, and one below 1 none."""
+        geom, h, body = unit_cap_body
+        cap, _ = john_construct(body.extents, geom.theta)
+        with pytest.raises(ConfigError):
+            verify_sandwich(geom, h, cap, factor)
 
     def test_nonconvex_h_rejected(self, unit_cap_body):
         geom, _, body = unit_cap_body

@@ -26,7 +26,7 @@ from capmink import (
     q_monitor,
 )
 
-from capmink.grid import _ring
+from capmink.grid import _ring, bump_profile
 from capmink.solver import _floor_test, is_solution
 
 from conftest import neumann_bump
@@ -95,6 +95,15 @@ class TestNonCollapse:
         with pytest.raises(ApplicabilityError):
             noncollapse_check(geom_pi3, h, 1.0, 0.5 * n, 4.5)
 
+    @pytest.mark.parametrize("name", ["N", "C_dd"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -2.0])
+    def test_bad_constant_rejected(self, geom_pi3, name, value):
+        """An infinite constant would pass any h with infinite bounds, a NaN
+        one report a NaN bound and a negative one negative bounds."""
+        args = {"N": 100.0, "C_dd": 4.5, name: value}
+        with pytest.raises(ConfigError):
+            noncollapse_check(geom_pi3, ell_field(geom_pi3), 1.0, args["N"], args["C_dd"])
+
     def test_odd_h_rejected(self, geom_pi3):
         g = geom_pi3
         odd = ScalarField.from_function(
@@ -130,6 +139,39 @@ class TestPhiMonitor:
         u = ScalarField(geom_pi3, np.ones(geom_pi3.shape))
         rep = phi_monitor(geom_pi3, u, 1.0)
         assert rep.degenerate
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bump_converges_at_second_order(self, k):
+        """Phi of u = 1 + eps cos(k psi) rho(phi) against its closed form,
+        with grad u = (eps cos(k psi) rho', -eps k sin(k psi) rho / sin(phi))
+        and rho' as in ell_bump_f_exact."""
+        eps, gamma, errs = 0.05, 1.0, []
+        for N in (16, 32, 64):
+            g = build_grid(math.pi / 3, N, 2 * N)
+            phi, psi = g.phi_nodes[:, None], g.psi_nodes[None, :]
+            sin, cos = np.sin(phi), np.cos(phi)
+            rho = bump_profile(phi, g.theta)
+            rho1 = 2.0 * sin * cos * (2.0 - 2.0 * sin**2 / g.sin_theta**2)
+            u = neumann_bump(g, eps, k).values
+            g1 = eps * np.cos(k * psi) * rho1
+            g2 = -eps * k * np.sin(k * psi) * rho / sin
+            exact = (1.0 - g.cos_theta * cos) ** (2.0 - gamma) * (g1**2 + g2**2) / u**gamma
+            rep = phi_monitor(g, ScalarField(g, u), gamma)
+            errs.append(float(np.max(np.abs(rep.phi_field.values - exact))))
+        assert errs[0] / errs[1] >= 3.5
+        assert errs[1] / errs[2] >= 3.5
+
+    def test_gradient_is_the_stencils(self, geom_pi3):
+        """Phi's grad u is the certificates' gradient: ell grad u + u grad ell
+        is curvature_tensor's grad h of h = ell u, with its grad ell too."""
+        g, gamma = geom_pi3, 0.5
+        u = neumann_bump(g, 0.1, 1).values
+        ell = ell_field(g).values
+        cd = curvature_tensor(g, ScalarField(g, ell * u))
+        ell_g1 = curvature_tensor(g, ell_field(g)).g1
+        gsq = ((cd.g1 - u * ell_g1) ** 2 + cd.g2**2) / ell**2
+        phi = phi_monitor(g, ScalarField(g, u), gamma).phi_field.values
+        assert np.max(np.abs(phi * u**gamma / ell ** (2.0 - gamma) - gsq)) < 1e-10 * np.max(gsq)
 
     def test_non_neumann_rejected(self, geom_pi3):
         g = geom_pi3
@@ -181,6 +223,11 @@ class TestQMonitor:
     def test_q3_has_unit_B(self, geom_pi3):
         cfg, _, _ = q_monitor(geom_pi3, ell_field(geom_pi3), 3.0)
         assert cfg.B == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected(self, geom_pi3, q):
+        with pytest.raises(ConfigError):
+            q_monitor(geom_pi3, ell_field(geom_pi3), q)
 
     def test_nonconvex_rejected(self, geom_pi3):
         g = geom_pi3
