@@ -475,7 +475,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, UsageError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, UsageError, OSError, json.JSONDecodeError, KeyError,
+            MemoryError) as exc:  # MemoryError: a grid too large for this machine
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CapminkError as exc:

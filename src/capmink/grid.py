@@ -57,6 +57,8 @@ class CapGeometry:
             raise ConfigError(f"Nphi must be >= 4, got {Nphi}")
         if Npsi < 4 or Npsi % 2 != 0:
             raise ConfigError(f"Npsi must be even and >= 4, got {Npsi}")
+        if np.dtype(float).itemsize * int(Nphi) * int(Npsi) > np.iinfo(np.intp).max:
+            raise ConfigError(f"a {Nphi}x{Npsi} grid has more cells than memory can address")
         self.theta = float(theta)
         self.Nphi = int(Nphi)
         self.Npsi = int(Npsi)
@@ -140,6 +142,16 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.geometry, self.values.copy())
+
+
+def _check_grid(geom: CapGeometry, *fields: ScalarField):
+    """UsageError unless each field is sampled on geom: its shape, and its theta to 1e-12."""
+    for fld in fields:
+        g = fld.geometry
+        if g.shape != geom.shape or abs(g.theta - geom.theta) > 1e-12:
+            raise UsageError(f"a field is sampled on a grid of shape {g.shape} and theta "
+                             f"{g.theta:.12g}, not on the grid of shape {geom.shape} and "
+                             f"theta {geom.theta:.12g}")
 
 
 @dataclass
@@ -268,6 +280,7 @@ def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
 def curvature_tensor(geom: CapGeometry, h: ScalarField) -> CurvatureData:
     """Second-order ``b = hess(h) + h I`` and ``grad h`` (the one gradient of a
     support function), through u = h / ell and its Neumann ghost."""
+    _check_grid(geom, h)
     if np.any(h.values <= 0.0):
         raise DomainError("support function must be positive")
     b11, b12, b22, g1, g2, _ = _u_frame(geom, h.values / ell_field(geom).values)
@@ -286,6 +299,7 @@ def boundary_values(geom: CapGeometry, values: np.ndarray):
 
 def robin_residual(geom: CapGeometry, h: ScalarField) -> np.ndarray:
     """h_phi(theta) - cot(theta) h(theta) per boundary node (diagnostic)."""
+    _check_grid(geom, h)
     val, der = boundary_values(geom, h.values)
     return der - geom.cot_theta * val
 
@@ -308,8 +322,6 @@ def embed_body(geom: CapGeometry, h: ScalarField) -> EmbeddedBody:
     is equivalent to the boundary points lying on the supporting plane:
     X_3 = h cos(theta) - h_phi sin(theta).
     """
-    if np.any(h.values <= 0.0):
-        raise DomainError("support function must be positive")
     cd = curvature_tensor(geom, h)
     cpsi, spsi = np.cos(geom.psi_nodes), np.sin(geom.psi_nodes)
 
@@ -411,9 +423,13 @@ def field_from_csv(path, theta: float) -> ScalarField:
     i, j, phi, psi, vals = (np.array(col) for col in zip(*rows))
     if not np.all(np.isfinite(np.concatenate([phi, psi, vals]))):
         raise ConfigError(f"field CSV {path} holds a non-finite number")
-    geom = build_grid(theta, int(i.max()), int(j.max()) + 1)
+    Nphi, Npsi = int(i.max()), int(j.max()) + 1
+    if len(rows) != Nphi * Npsi:  # before build_grid, which allocates Nphi and Npsi nodes
+        raise ConfigError(f"field CSV {path} has {len(rows)} rows, not the {Nphi}x{Npsi} "
+                          "cells its indices name")
+    geom = build_grid(theta, Nphi, Npsi)
     ii, jj = np.indices(geom.shape).reshape(2, -1)
-    if (len(rows) != geom.size or np.any(i - 1 != ii) or np.any(j != jj)
+    if (np.any(i - 1 != ii) or np.any(j != jj)
             or np.max(np.abs(phi - geom.phi_nodes[ii])) > 1e-9
             or np.max(np.abs(psi - geom.psi_nodes[jj])) > 1e-9):
         raise ConfigError(

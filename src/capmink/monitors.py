@@ -25,6 +25,7 @@ from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _check_grid,
     _ring,
     _u_frame,
     boundary_values,
@@ -158,6 +159,7 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     tangential gradient does not vanish; the returned per-node derivative is
     NaN at (near-)degenerate nodes.
     """
+    _check_grid(geom, u)
     if not (0.0 < gamma < 2.0):
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
     if np.any(u.values <= 0.0):

@@ -26,7 +26,7 @@ only as ``C f``: log C drifts by ``-log kappa`` per unit s, and ``f -> c f``
 only shifts it by ``-s log c``.  Newton steps use the exact sparse Jacobian
 of the discrete residual: the determinant is linearized as ``cof(b) : db``
 and the right-hand side analytically in ``(u, grad u)``.
-Each solve runs on the psi ring of the data's symmetry
+Each solve runs on the psi ring of the density's own symmetry, flagged or not
 (:func:`capmink.grid._ring`, :func:`_symmetry`): one cell per phi row for
 psi-independent data, Npsi/2 for even data, all Npsi otherwise.  A
 continuation picks the ring of its target density once and runs every step
@@ -91,11 +91,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError, UsageError
+from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError
 from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _check_grid,
     _psi_period,
     _ring,
     _u_frame,
@@ -110,7 +111,8 @@ from .operators import JACOBIAN_TERMS, _floor_system, _jacobian_pattern, _mode_t
 
 @dataclass
 class ProblemSpec:
-    """Target data (p, q, theta, f) of the capillary Minkowski problem."""
+    """Target data (p, q, theta, f) of the capillary Minkowski problem.  ``even`` admits
+    1 < p < q and refuses f with an evenness defect above EVEN_TOL; it picks no ring."""
 
     p: float
     q: float
@@ -523,16 +525,6 @@ def _floor_test(geom: CapGeometry, fvals, p, q, uvec, tol):
     return res, parts, noise, _within_floor(res, noise, tol, parts)
 
 
-def _check_grid(geom: CapGeometry, *fields: ScalarField):
-    """UsageError unless each field is sampled on geom: its shape, and its theta to 1e-12."""
-    for fld in fields:
-        g = fld.geometry
-        if g.shape != geom.shape or abs(g.theta - geom.theta) > 1e-12:
-            raise UsageError(f"a field is sampled on a grid of shape {g.shape} and theta "
-                             f"{g.theta:.12g}, not on the grid of shape {geom.shape} and "
-                             f"theta {geom.theta:.12g}")
-
-
 def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
                 cfg: SolverConfig | None = None):
     """``(passed, residual_sup)`` of the solver's own test of u = h / ell at newton_tol.
@@ -549,22 +541,22 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     u = h.values / ell_field(geom).values
     if np.any(u <= 0.0):
         raise DomainError("u = h / ell must be positive")
-    m = max(_symmetry(spec.f.values, spec.even), _psi_period(u))
+    m = max(_symmetry(spec.f.values), _psi_period(u))
     res, _, _, passed = _floor_test(_ring(geom, m), spec.f.values[:, :m].ravel(),
                                     spec.p, spec.q, u[:, :m].ravel(), cfg.newton_tol)
     return passed, float(np.max(np.abs(res)))
 
 
-def _symmetry(fvals, even: bool) -> int:
-    """Cells of the psi ring of the data's symmetry: 1 if the density is
-    psi-independent, else Npsi/2 if it is flagged even and is even, else Npsi.
-    Each test allows a defect of 1e-13 of the scale, the rounding level: the
-    ring sees only its own cells, so data even only to EVEN_TOL takes all Npsi."""
+def _symmetry(fvals) -> int:
+    """Cells of the psi ring of the data's symmetry, read off the data, not the even
+    flag: 1 if psi-independent, else Npsi/2 if even, else Npsi.  Each test allows a
+    defect of 1e-13 of the scale, the rounding level: the ring sees only its own
+    cells, so data even only to EVEN_TOL takes all Npsi."""
     tol = 1e-13 * np.max(np.abs(fvals))
     if np.max(np.max(fvals, axis=1) - np.min(fvals, axis=1)) <= tol:
         return 1
     half = fvals.shape[1] // 2
-    if even and np.max(np.abs(fvals - np.roll(fvals, half, axis=1))) <= tol:
+    if np.max(np.abs(fvals - np.roll(fvals, half, axis=1))) <= tol:
         return half
     return fvals.shape[1]
 
@@ -709,7 +701,7 @@ def newton_solve(
         raise DomainError("u0 must be positive")
     p, q = spec.p, spec.q
     fvals = _density(_base_density(geom, p, q), spec.f.values, s)
-    m = _symmetry(fvals, spec.even)
+    m = _symmetry(fvals)
     uvec = u0.values.reshape(geom.Nphi, -1, m).mean(axis=1).ravel()
     x, trace, res_sup, floor = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q, uvec,
                                        (p - q) * math.log(np.mean(uvec)), s, cfg)
@@ -737,7 +729,7 @@ def continuation_solve(
     f0 = _base_density(geom, p, q)
     # log C drifts by -log kappa per unit s, kappa the geometric mean of f / f_0
     log_kappa = float(np.mean(np.log(spec.f.values / f0)))
-    m = _symmetry(spec.f.values, spec.even)
+    m = _symmetry(spec.f.values)
     ring = _ring(geom, m)
     f0, f = f0[:, :m].ravel(), spec.f.values[:, :m].ravel()
 
@@ -897,7 +889,7 @@ def pq_limit_solve(
     f_star = ScalarField(geom, C_star * spec.f.values)
     C_eps = []
     for e in eps_schedule:
-        sub = ProblemSpec(p=spec.p + e, q=spec.q, theta=spec.theta, f=f_star, even=spec.even)
+        sub = ProblemSpec(p=spec.p + e, q=spec.q, theta=spec.theta, f=f_star)
         r = newton_solve(sub, geom, 1.0, limit.u, cfg)
         traces.extend(r.newton_trace)
         if not r.converged:

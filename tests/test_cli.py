@@ -235,6 +235,21 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert strict_json(out / "result.json")["converged"] is True
 
+    @pytest.mark.parametrize("argv,grid", [
+        (["--grid", f"8x{10**13}"], None),
+        (["--grid", f"8x{10**30}"], None),
+        ([], {"Nphi": 10**13}),
+    ], ids=["grid_1e13", "grid_1e30", "config_1e13"])
+    def test_grid_too_large_for_memory_exits_3(self, tmp_path, capsys, argv, grid):
+        """numpy refuses each of these grids without allocating it: 1e30 cells
+        are refused by the grid itself, 1e13 by the allocator (MemoryError)."""
+        doc = {"theta": 1.0, "p": 2.0, "q": 1.5, "even": True}
+        if grid is not None:
+            doc["grid"] = grid
+        cfg = write_config(tmp_path / "p.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unsupported_exponents_is_config_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.json",
@@ -388,6 +403,22 @@ class TestSandwich:
         doc["h_csv"] = str(path)
         cfg2 = write_config(tmp / "with_h.json", doc)
         assert main(["sandwich", "--config", cfg2, "--out", str(tmp / "o")]) == 3
+
+
+    @pytest.mark.parametrize("i", [10**13, 10**30], ids=["1e13", "1e30"])
+    def test_sandwich_rejects_h_csv_of_a_huge_grid(self, base_problem, i):
+        """One row whose index names a huge grid is refused before the grid is built."""
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        doc["h_csv"] = str(_huge_grid_csv(tmp / "h.csv", i))
+        cfg2 = write_config(tmp / "with_h.json", doc)
+        assert main(["sandwich", "--config", cfg2, "--out", str(tmp / "o")]) == 3
+
+
+def _huge_grid_csv(path, i):
+    """A one-row field CSV whose cell index i names an i x 4 grid."""
+    path.write_text(f"i,j,phi,psi,value\n{i},3,0.1,0.0,1.0\n")
+    return path
 
 
 class TestMonitors:
@@ -761,6 +792,14 @@ class TestPlotdata:
         capsys.readouterr()
         assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp / "p")]) == 3
         assert "theta must lie in (0, pi/2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("i", [10**13, 10**30], ids=["1e13", "1e30"])
+    def test_plotdata_solution_of_a_huge_grid_exits_3(self, tmp_path, i):
+        src = tmp_path / "solve_out"
+        src.mkdir()
+        (src / "result.json").write_text(json.dumps({"config": {"theta": 1.0}}))
+        _huge_grid_csv(src / "solution.csv", i)
+        assert main(["plotdata", "--artifacts", str(src), "--out", str(tmp_path / "p")]) == 3
 
     def test_plotdata_missing_dir(self, tmp_path):
         assert main(["plotdata", "--artifacts", str(tmp_path / "nope"),

@@ -18,8 +18,13 @@ from capmink import (
     ell_grad_sq,
     embed_body,
     evenness_defect,
+    gradient_quotient,
+    john_construct,
+    noncollapse_check,
     phi_monitor,
+    q_monitor,
     robin_residual,
+    verify_sandwich,
 )
 from capmink.grid import (
     _W_DERIV,
@@ -52,8 +57,9 @@ class TestGeometry:
         with pytest.raises(DomainError):
             build_grid(theta, Nphi, Npsi)
 
-    @pytest.mark.parametrize("Nphi,Npsi", [(3, 8), (8, 7), (8, 2)])
+    @pytest.mark.parametrize("Nphi,Npsi", [(3, 8), (8, 7), (8, 2), (8, 10**30), (10**30, 8)])
     def test_bad_resolution_rejected(self, Nphi, Npsi):
+        """Too coarse, odd, or too large for a float64 field to be addressed."""
         with pytest.raises(ConfigError):
             build_grid(1.0, Nphi, Npsi)
 
@@ -66,6 +72,35 @@ class TestGeometry:
         vals[0, 0] = np.nan
         with pytest.raises(DomainError):
             ScalarField(geom_pi3, vals)
+
+
+def _sandwich(geom, h):
+    cap, factor = john_construct(embed_body(geom, ell_field(geom)).extents, geom.theta)
+    return verify_sandwich(geom, h, cap, factor)
+
+
+# every certificate that differentiates or samples a field h on the grid it is given
+CERTIFICATES = {
+    "curvature_tensor": curvature_tensor,
+    "embed_body": embed_body,
+    "robin_residual": robin_residual,
+    "phi_monitor": lambda geom, h: phi_monitor(geom, h, 1.0),
+    "gradient_quotient": lambda geom, h: gradient_quotient(geom, h, 1.0),
+    "noncollapse_check": lambda geom, h: noncollapse_check(geom, h, 1.0, 10.0, 1.0),
+    "q_monitor": lambda geom, h: q_monitor(geom, h, 2.0),
+    "verify_sandwich": _sandwich,
+}
+
+
+@pytest.mark.parametrize("other", [(0.6, 16, 32), (1.0, 8, 16)], ids=["theta", "shape"])
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_certificate_refuses_a_field_of_another_grid(name, other):
+    """A field sampled on another theta or shape is a UsageError, not garbage,
+    a misleading convexity error or a numpy broadcast error."""
+    geom = build_grid(1.0, 16, 32)
+    CERTIFICATES[name](geom, ell_field(geom))
+    with pytest.raises(UsageError, match="not on the grid"):
+        CERTIFICATES[name](geom, ell_field(build_grid(*other)))
 
 
 def padded_u(geom, v):

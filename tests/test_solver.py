@@ -295,7 +295,7 @@ class TestEvenFold:
             g, lambda phi, psi: 1.0 + 0.2 * np.cos(psi) * np.sin(phi) ** 2
         )
         spec = ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=False)
-        assert _symmetry(f.values, False) == g.Npsi and _ring(g, g.Npsi) is g
+        assert _symmetry(f.values) == g.Npsi and _ring(g, g.Npsi) is g
         result = continuation_solve(spec, g)
         assert result.converged
         assert evenness_defect(g, result.h.values) > 1e-4
@@ -368,6 +368,11 @@ def _even_problem(g, scale=1.0, roll=0, reflect=False, harmonics=(1.0, 0.5, 0.0,
         vals = np.roll(vals[:, ::-1], 1, axis=1)
     vals = np.roll(vals, roll, axis=1)
     return ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=ScalarField(g, vals), even=True)
+
+
+def _unflagged_even_problem(g):
+    spec = _even_problem(g)
+    return ProblemSpec(p=spec.p, q=spec.q, theta=g.theta, f=spec.f)
 
 
 def _rot_problem(g, scale=1.0):
@@ -449,15 +454,19 @@ class TestMetamorphic:
         assert [t[0] for t in scaled_path] == pytest.approx([t[0] for t in path], rel=1e-12)
         assert [t[1:] for t in scaled_path] == [t[1:] for t in path]
 
-    def test_even_flag_does_not_change_the_solve(self):
-        """Even data solved on the full grid (even=False) and on the half ring."""
+    def test_even_flag_does_not_change_the_solve(self, monkeypatch):
+        """Even data is solved on the half ring whether or not it is flagged even,
+        and the half ring gives the solve forced onto the full grid."""
         g = build_grid(math.pi / 3, 16, 32)
-        spec = _even_problem(g)
-        full = _solved(ProblemSpec(p=spec.p, q=spec.q, theta=g.theta, f=spec.f), g)
+        spec = _unflagged_even_problem(g)
+        assert _symmetry(spec.f.values) == g.Npsi // 2
         half = _solved(spec, g)
-        assert _symmetry(spec.f.values, False) == 2 * _symmetry(spec.f.values, True)
-        assert ([(t.s, t.iterations) for t in full.newton_trace]
-                == [(t.s, t.iterations) for t in half.newton_trace])
+        assert np.array_equal(half.h.values, _solved(_even_problem(g), g).h.values)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_symmetry", lambda fvals: fvals.shape[1])
+            full = _solved(spec, g)
+        assert ([(t.s, t.iterations, t.krylov_iterations) for t in full.newton_trace]
+                == [(t.s, t.iterations, t.krylov_iterations) for t in half.newton_trace])
         assert _rel_gap(full.h.values, half.h.values) <= 1e-12
 
 
@@ -471,12 +480,11 @@ class TestRing:
         even = flat * (1.0 + 0.3 * np.cos(2 * g.psi_nodes) * sin2)
         odd = flat * (1.0 + 0.3 * np.cos(g.psi_nodes) * sin2)
         for scale in (1e-15, 1.0, 1e15):
-            assert _symmetry(scale * flat, False) == 1
-            assert _symmetry(scale * even, True) == g.Npsi // 2
-            assert _symmetry(scale * even, False) == g.Npsi
-            assert _symmetry(scale * odd, False) == g.Npsi
+            assert _symmetry(scale * flat) == 1
+            assert _symmetry(scale * even) == g.Npsi // 2
+            assert _symmetry(scale * odd) == g.Npsi
             # a psi variation at the rounding level of the data is no variation
-            assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat)), True) == 1
+            assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat))) == 1
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
     def test_ring_floor_is_the_full_grid_floor(self, monkeypatch, problem):
@@ -490,7 +498,7 @@ class TestRing:
             spec = problem(g)
             ring = ring_of(g, "even" if problem is _even_problem else "rot")
             m = ring.Npsi
-            assert _symmetry(spec.f.values, spec.even) == m
+            assert _symmetry(spec.f.values) == m
             u = np.tile(np.random.default_rng(Npsi).uniform(0.5, 1.5, (Nphi, m)),
                         (1, Npsi // m))
             f, ur = spec.f.values, on_ring(ring, u)
@@ -511,12 +519,14 @@ class TestRing:
                 expected = _residual_floor(ring, ur, parts)
             assert np.max(np.abs(floor - expected) / expected) <= 1e-14
 
-    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    @pytest.mark.parametrize("problem", [_even_problem, _unflagged_even_problem, _rot_problem],
+                             ids=["even", "unflagged_even", "rot"])
     def test_solve_builds_no_full_grid_operators(self, problem):
-        """Operators, floor and symbols all come from the ring's own table."""
+        """Operators, floor and symbols all come from the ring's own table, also
+        for even data that is not flagged even."""
         g = build_grid(math.pi / 3, 16, 32)
         _solved(problem(g), g)
-        assert "u_system" not in g._cache
+        assert not {"u_system", "jacobian_pattern", "floor_system"} & set(g._cache)
 
     def test_even_flag_with_a_defect_above_rounding_solves_the_grid(self):
         """Data within EVEN_TOL of even but not even to rounding is solved on all
@@ -525,7 +535,7 @@ class TestRing:
         f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05).values
         f[:, g.Npsi // 2:] *= 1.0 + 5e-11
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=ScalarField(g, f), even=True)
-        assert _symmetry(f, True) == g.Npsi
+        assert _symmetry(f) == g.Npsi
         result = _solved(spec, g)
         u_bar = result.u.values / np.mean(result.u.values)
         res, _ = _residual_u_vec(g, f * math.exp(result.log_C), spec.p, spec.q, u_bar.ravel())
