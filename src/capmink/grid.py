@@ -116,32 +116,30 @@ def _ring(geom: CapGeometry, m: int) -> CapGeometry:
     return geom._cache[key]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
-    """A real-valued function sampled on the cap grid."""
+    """An immutable function sampled on the cap grid: ``values`` is a read-only copy
+    of its input, and :func:`curvature_tensor` keeps the field's frame with it."""
 
     geometry: CapGeometry
     values: np.ndarray
+    _frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.geometry.shape:
-            raise UsageError(
-                f"field shape {self.values.shape} does not match grid "
-                f"{self.geometry.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.shape != self.geometry.shape:
+            raise UsageError(f"field shape {values.shape} does not match grid "
+                             f"{self.geometry.shape}")
+        if not np.all(np.isfinite(values)):
             raise DomainError("field contains non-finite entries")
 
     @classmethod
     def from_function(cls, geom: CapGeometry, fn) -> "ScalarField":
         phi = geom.phi_nodes[:, None]
         psi = geom.psi_nodes[None, :]
-        vals = np.broadcast_to(np.asarray(fn(phi, psi), dtype=float), geom.shape)
-        return cls(geom, vals.copy())
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.geometry, self.values.copy())
+        return cls(geom, np.broadcast_to(np.asarray(fn(phi, psi), dtype=float), geom.shape))
 
 
 def _check_grid(geom: CapGeometry, *fields: ScalarField):
@@ -154,19 +152,22 @@ def _check_grid(geom: CapGeometry, *fields: ScalarField):
                              f"theta {geom.theta:.12g}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureData:
-    """Components of ``b = hess(h) + h I`` and of ``grad h`` in the orthonormal frame."""
+    """Components of ``b = hess(h) + h I`` and of ``grad h`` in the orthonormal
+    frame: the one frame of a field, shared by every caller, its arrays read-only."""
 
     b11: np.ndarray
     b12: np.ndarray
     b22: np.ndarray
-    det_b: np.ndarray
     sigma1: np.ndarray
     lambda_min: float
-    lambda_max: float
     g1: np.ndarray
     g2: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.b11, self.b12, self.b22, self.sigma1, self.g1, self.g2):
+            a.flags.writeable = False
 
 
 @dataclass
@@ -177,7 +178,6 @@ class BodyExtents:
     R_in: float
     H: float
     boundary_plane_defect: float
-    convex_warning: bool = False
 
 
 @dataclass
@@ -279,14 +279,16 @@ def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
 
 def curvature_tensor(geom: CapGeometry, h: ScalarField) -> CurvatureData:
     """Second-order ``b = hess(h) + h I`` and ``grad h`` (the one gradient of a
-    support function), through u = h / ell and its Neumann ghost."""
+    support function), through u = h / ell and its Neumann ghost.  The first call
+    on h keeps the frame with it; later calls with the same geom return it."""
     _check_grid(geom, h)
-    if np.any(h.values <= 0.0):
-        raise DomainError("support function must be positive")
-    b11, b12, b22, g1, g2, _ = _u_frame(geom, h.values / ell_field(geom).values)
-    det_b = b11 * b22 - b12**2
-    lam_min, lam_max = eigen_range(b11, b12, b22)
-    return CurvatureData(b11, b12, b22, det_b, b11 + b22, lam_min, lam_max, g1, g2)
+    if h._frame[0] is not geom:
+        if np.any(h.values <= 0.0):
+            raise DomainError("support function must be positive")
+        b11, b12, b22, g1, g2, _ = _u_frame(geom, h.values / ell_field(geom).values)
+        cd = CurvatureData(b11, b12, b22, b11 + b22, eigen_range(b11, b12, b22)[0], g1, g2)
+        object.__setattr__(h, "_frame", (geom, cd))
+    return h._frame[1]
 
 
 def boundary_values(geom: CapGeometry, values: np.ndarray):
@@ -342,7 +344,6 @@ def embed_body(geom: CapGeometry, h: ScalarField) -> EmbeddedBody:
         R_in=float(np.min(r_bnd)),
         H=float(np.max(cells[..., 2])),
         boundary_plane_defect=float(np.max(np.abs(boundary[:, 2]))),
-        convex_warning=bool(cd.lambda_min <= 0.0),
     )
     return EmbeddedBody(cells, boundary, extents)
 

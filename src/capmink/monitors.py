@@ -108,7 +108,8 @@ def noncollapse_check(
 
     Case 2 depends only on (theta, C_dd).  Case 1 carries the derivative
     constant |2-gamma| / (2 cos theta) frozen at its first occurrence; it is
-    reported as a candidate and enters pass/fail only through the max.
+    reported as a candidate and enters pass/fail only through the max; one
+    beyond the double range (gamma near 0 or 2) is inf.
     """
     if not (0.0 < gamma < 2.0):
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
@@ -125,13 +126,20 @@ def noncollapse_check(
     st, ct = geom.sin_theta, geom.cos_theta
     if ct > 0.0:
         c_tg = (2.0 - gamma) / (2.0 * ct)
-        bound1 = (
-            c_tg ** (2.0 / gamma)
-            * N ** (1.0 / gamma)
-            * (1.0 + C_dd * 2.0 ** (2.0 / (2.0 - gamma))) ** (2.0 / gamma)
-            * C_dd
-            / (ct * (1.0 - ct))
-        )
+        try:
+            bound1 = (
+                c_tg ** (2.0 / gamma)
+                * N ** (1.0 / gamma)
+                * (1.0 + C_dd * 2.0 ** (2.0 / (2.0 - gamma))) ** (2.0 / gamma)
+                * C_dd
+                / (ct * (1.0 - ct))
+            )
+        except OverflowError:  # a power beyond the double range: sum the logs instead
+            log_dd = np.logaddexp(0.0, math.log(C_dd) + math.log(2.0) * 2.0 / (2.0 - gamma))
+            log_b = ((2.0 * math.log(c_tg) + math.log(N) + 2.0 * log_dd) / gamma
+                     + math.log(C_dd / (ct * (1.0 - ct))))
+            with np.errstate(over="ignore"):
+                bound1 = float(np.exp(log_b))  # inf beyond the double range
     else:
         bound1 = math.inf
     cot = ct / st

@@ -798,7 +798,7 @@ def ell_bump_field(geom: CapGeometry, eps: float, k: int = 2) -> ScalarField:
     psi = geom.psi_nodes[None, :]
     ell = 1.0 - geom.cos_theta * np.cos(phi)
     vals = ell * (1.0 + eps * np.cos(k * psi) * bump_profile(phi, geom.theta))
-    return ScalarField(geom, np.broadcast_to(vals, geom.shape).copy())
+    return ScalarField(geom, np.broadcast_to(vals, geom.shape))
 
 
 def ell_bump_f_exact(
@@ -832,7 +832,6 @@ def ell_bump_f_exact(
     b22 = -k * k * c * B / sin**2 + cos / sin * h_phi + h
     w = h**2 + h_phi**2 + (h_psi / sin) ** 2
     vals = (b11 * b22 - b12**2) / (h ** (p - 1.0) * w ** ((3.0 - q) / 2.0))
-    vals = np.broadcast_to(vals, geom.shape).copy()
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         raise ApplicabilityError("bump amplitude too large: density not positive")
     return ScalarField(geom, vals)
@@ -889,7 +888,8 @@ def pq_limit_solve(
     f_star = ScalarField(geom, C_star * spec.f.values)
     C_eps = []
     for e in eps_schedule:
-        sub = ProblemSpec(p=spec.p + e, q=spec.q, theta=spec.theta, f=f_star)
+        sub = ProblemSpec(p=spec.p + e, q=spec.q, theta=spec.theta, f=f_star,
+                          allow_unsupported=spec.allow_unsupported)
         r = newton_solve(sub, geom, 1.0, limit.u, cfg)
         traces.extend(r.newton_trace)
         if not r.converged:

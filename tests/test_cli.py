@@ -130,6 +130,16 @@ class TestSolve:
         assert pq["C_star"] == pytest.approx(1.0, abs=1e-8)
         assert len(pq["C_eps"]) == len(pq["eps_schedule"])
 
+    def test_unsupported_pq_problem_solves_its_eps_problems(self, tmp_path):
+        """allow_unsupported reaches the (p + eps, q) problems of the limit scheme,
+        which lie outside the supported branches when p = q > 3."""
+        cfg = write_config(tmp_path / "pq.json", {
+            "theta": 1.0, "p": 3.5, "q": 3.5, "allow_unsupported": True,
+            "grid": {"Nphi": 8, "Npsi": 16}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert len(strict_json(out / "pq_limit.json")["C_eps"]) == 4
+
     def test_missing_config_is_config_error(self):
         assert main(["solve", "--config", "/nonexistent.json"]) == 3
 
@@ -443,6 +453,19 @@ class TestMonitors:
         assert main(["monitors", "--config", path, "--out", str(out)]) == 0
         c0 = json.loads((out / "monitors.json").read_text())["c0_bound"]
         assert c0["lower_pass"] and c0["upper_pass"]
+
+    @pytest.mark.parametrize("gamma", [1e-6, 1.999])
+    def test_gamma_near_the_ends_writes_an_infinite_bound_as_null(self, base_problem,
+                                                                 gamma):
+        cfg, tmp = base_problem
+        doc = json.loads((tmp / "problem.json").read_text())
+        doc["theta"], doc["gamma"] = 1.0, gamma
+        out = tmp / "out"
+        assert main(["monitors", "--config", write_config(tmp / "g.json", doc),
+                     "--out", str(out)]) == 0
+        noncollapse = strict_json(out / "monitors.json")["noncollapse"]
+        assert noncollapse["bound_case1"] is None
+        assert noncollapse["pass"] is True
 
     @pytest.mark.parametrize("gamma", ["abc", math.nan, 0.0, 2.0, None, "1", True],
                              ids=["non_numeric", "nan", "zero", "two", "null",

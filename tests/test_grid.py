@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import capmink.grid as grid_module
 from capmink import (
     ConfigError,
     DomainError,
@@ -14,6 +16,7 @@ from capmink import (
     continuation_solve,
     curvature_tensor,
     ell_bump_f_exact,
+    ell_bump_field,
     ell_field,
     ell_grad_sq,
     embed_body,
@@ -72,6 +75,61 @@ class TestGeometry:
         vals[0, 0] = np.nan
         with pytest.raises(DomainError):
             ScalarField(geom_pi3, vals)
+
+
+class TestImmutableField:
+    def test_values_cannot_be_written(self, geom_pi3):
+        h = ell_field(geom_pi3)
+        with pytest.raises(ValueError):
+            h.values[0, 0] = 2.0
+
+    def test_values_cannot_be_assigned(self, geom_pi3):
+        h = ell_field(geom_pi3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.values = np.ones(geom_pi3.shape)
+
+    def test_writing_the_input_array_leaves_the_field_unchanged(self, geom_pi3):
+        vals = np.ones(geom_pi3.shape)
+        h = ScalarField(geom_pi3, vals)
+        vals[0, 0] = 2.0
+        assert np.all(h.values == 1.0)
+
+    def test_frame_is_kept_read_only_with_the_field(self, geom_pi3):
+        """Later calls return the one frame, bitwise the frame of the same values
+        in a fresh field; neither its arrays nor its attributes can be written."""
+        h = robin_bump(geom_pi3)
+        cd = curvature_tensor(geom_pi3, h)
+        assert curvature_tensor(geom_pi3, h) is cd
+        fresh = curvature_tensor(geom_pi3, ScalarField(geom_pi3, h.values))
+        for name in ("b11", "b12", "b22", "sigma1", "g1", "g2"):
+            arr = getattr(cd, name)
+            assert np.array_equal(arr, getattr(fresh, name))
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        assert cd.lambda_min == fresh.lambda_min
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cd.g1 = np.zeros(geom_pi3.shape)
+
+    def test_a_kept_frame_still_checks_the_grid(self, geom_pi3):
+        h = ell_field(geom_pi3)
+        curvature_tensor(geom_pi3, h)
+        with pytest.raises(UsageError, match="not on the grid"):
+            curvature_tensor(build_grid(1.0, 32, 64), h)
+
+
+def test_certificates_of_one_field_evaluate_one_frame(monkeypatch):
+    """The John sandwich, the non-collapsing estimate and the trace function all
+    read the frame that the first curvature_tensor call on h evaluated."""
+    geom = build_grid(1.0, 16, 32)
+    h = ell_bump_field(geom, 0.05)
+    calls, real = [], grid_module._u_frame
+    monkeypatch.setattr(grid_module, "_u_frame", lambda *a: calls.append(a) or real(*a))
+    cap, factor = john_construct(embed_body(geom, h).extents, geom.theta)
+    assert verify_sandwich(geom, h, cap, factor).passed
+    n = gradient_quotient(geom, h, 1.0).N_observed
+    assert noncollapse_check(geom, h, 1.0, n, factor).passed
+    q_monitor(geom, h, 2.0)
+    assert len(calls) == 1
 
 
 def _sandwich(geom, h):
@@ -289,7 +347,6 @@ class TestSerialization:
     @pytest.mark.parametrize("Nphi, Npsi", [(8, 16), (16, 32)])
     def test_csv_bytes_match_csv_writer(self, tmp_path, Nphi, Npsi, header):
         s = special_field(Nphi, Npsi)
-        s.values[2, 3] = math.nan  # the writer formats what it is given
         field_to_csv(s, tmp_path / "fast.csv", header)
         csv_writer_reference(s, tmp_path / "ref.csv", header)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -301,23 +358,29 @@ class TestSerialization:
     def test_csv_bytes_of_a_periodic_field_match_csv_writer(self, tmp_path, cells, edit,
                                                             periodic):
         """A field tiled from m cells is written from its first m columns; an edit
-        that breaks the period bitwise (0.0 against -0.0, or a NaN in one half
-        only) sends it down the plain path, and either way the bytes are those
-        of csv.writer."""
-        s = special_field(16, 32)
-        half = s.geometry.Npsi // 2
+        that breaks the period bitwise (0.0 against -0.0) sends it down the plain
+        path, and either way the bytes are those of csv.writer.  The period of an
+        array is bitwise too (a NaN in one half only breaks it), but no field
+        holds a NaN."""
+        base = special_field(16, 32)
+        g, half = base.geometry, base.geometry.Npsi // 2
         m = 1 if cells == "one" else half
-        s.values[:] = np.tile(s.values[:, :m], (1, 32 // m))
+        vals = np.tile(base.values[:, :m], (1, 32 // m))
         if edit == "signed_zero_pair":
-            s.values[3, 2], s.values[3, 2 + half] = 0.0, -0.0
+            vals[3, 2], vals[3, 2 + half] = 0.0, -0.0
         elif edit == "equal_signed_zeros":
-            s.values[3] = -0.0
-            s.values[4] = 0.0
+            vals[3] = -0.0
+            vals[4] = 0.0
         elif edit == "nan_in_one_half":
-            s.values[5, 7] = math.nan
+            vals[5, 7] = math.nan
         elif edit == "nan_in_both_halves":
-            s.values[5] = math.nan
-        assert _psi_period(s.values) == (m if periodic else 32)
+            vals[5] = math.nan
+        assert _psi_period(vals) == (m if periodic else 32)
+        if edit is not None and edit.startswith("nan"):
+            with pytest.raises(DomainError):
+                ScalarField(g, vals)
+            return
+        s = ScalarField(g, vals)
         field_to_csv(s, tmp_path / "fast.csv")
         csv_writer_reference(s, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -104,6 +104,30 @@ class TestNonCollapse:
         with pytest.raises(ConfigError):
             noncollapse_check(geom_pi3, ell_field(geom_pi3), 1.0, args["N"], args["C_dd"])
 
+    @pytest.mark.parametrize("gamma, bound", [
+        (1e-6, math.inf), (1e-3, math.inf), (0.05, 5.985826683142651e+41),
+        (1.0, 1357.618624320803), (1.9, 6495740.20266447),
+        (1.99, 1.0212808585133745e+60), (1.999, math.inf)])
+    def test_case1_bound_beyond_the_double_range_is_infinite(self, gamma, bound):
+        """A case-1 bound too large for a double is inf, never an OverflowError
+        or NaN; the finite ones are bitwise those of the plain product."""
+        g = build_grid(1.0, 16, 32)
+        rep = noncollapse_check(g, ell_field(g), gamma, 0.5, 3.5)
+        assert rep.bound_case1 == bound
+        assert rep.passed
+
+    @pytest.mark.parametrize("gamma, N, C_dd", [(1e-3, 0.5, 1e-3), (1e-3, 0.45, 1e-3)])
+    def test_case1_bound_with_an_overflowing_power_is_the_product(self, gamma, N, C_dd):
+        """(2 - gamma) / (2 cos theta) > 1 raised to 2 / gamma overflows, N < 1
+        raised to 1 / gamma brings the product back into the double range."""
+        mpmath = pytest.importorskip("mpmath")
+        g = build_grid(1.0, 16, 32)
+        rep = noncollapse_check(g, ell_field(g), gamma, N, C_dd)
+        ct, gm = mpmath.mpf(g.cos_theta), mpmath.mpf(gamma)
+        exact = ((2 - gm) / (2 * ct)) ** (2 / gm) * mpmath.mpf(N) ** (1 / gm) * (
+            1 + C_dd * mpmath.mpf(2) ** (2 / (2 - gm))) ** (2 / gm) * C_dd / (ct * (1 - ct))
+        assert rep.bound_case1 == pytest.approx(float(exact), rel=1e-11)
+
     def test_odd_h_rejected(self, geom_pi3):
         g = geom_pi3
         odd = ScalarField.from_function(

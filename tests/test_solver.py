@@ -532,7 +532,7 @@ class TestRing:
         """Data within EVEN_TOL of even but not even to rounding is solved on all
         Npsi cells, so residual_sup is the residual of the given density."""
         g = build_grid(math.pi / 3, 16, 32)
-        f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05).values
+        f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05).values.copy()
         f[:, g.Npsi // 2:] *= 1.0 + 5e-11
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=ScalarField(g, f), even=True)
         assert _symmetry(f) == g.Npsi
