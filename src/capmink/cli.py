@@ -262,7 +262,8 @@ def cmd_sweep(args) -> int:
     if not _flag(doc, "even", True) or _flag(doc, "allow_unsupported"):  # as _sweep_entry
         raise ConfigError("sweep takes only even: true, allow_unsupported: false")
     fcfg = doc.get("f", {"kind": "constant"})
-    Nphi, Npsi = args.grid or grid_size(doc.get("grid", {}), (24, 48))
+    grid = grid_size(doc.get("grid", {}), (24, 48))  # read even when --grid overrides it
+    Nphi, Npsi = args.grid or grid
     cfg = solver_config(doc.get("solver", {}))
     tasks = [
         (p, q, th, fcfg, Nphi, Npsi, cfg)
@@ -305,6 +306,9 @@ def cmd_selftest(args) -> int:
     """Identity, round-trip, and boundary suites on a small grid."""
     t0 = time.time()
     Nphi, Npsi = args.grid or (32, 64)
+    if Npsi == 4:  # cos(2 psi) has no tangential gradient at psi = j pi/2
+        raise ConfigError("selftest needs Npsi >= 6: on 4 azimuths the boundary identity "
+                          "field has no tangential gradient")
     rng = np.random.default_rng(args.seed)
     failures = []
 

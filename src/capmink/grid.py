@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,21 +120,38 @@ def _ring(geom: CapGeometry, m: int) -> CapGeometry:
 @dataclass(frozen=True)
 class ScalarField:
     """An immutable function sampled on the cap grid: ``values`` is a read-only copy
-    of its input, and :func:`curvature_tensor` keeps the field's frame with it."""
+    of its input.  A copy or an unpickled field is built anew from its geometry and
+    values, read-only and without the original's frame."""
 
     geometry: CapGeometry
     values: np.ndarray
-    _frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        vars(self)["values"] = values  # past the frozen __setattr__, as cached_property writes
         if values.shape != self.geometry.shape:
             raise UsageError(f"field shape {values.shape} does not match grid "
                              f"{self.geometry.shape}")
         if not np.all(np.isfinite(values)):
             raise DomainError("field contains non-finite entries")
+
+    def __reduce__(self):
+        return type(self), (self.geometry, self.values)
+
+    @functools.cached_property
+    def _frame(self) -> CurvatureData:
+        """The frame of :func:`curvature_tensor` on the field's own grid, evaluated on
+        the ring of the psi period of u = h / ell and tiled: the grid's frame bit for
+        bit on every solver output measured, on rough data to rounding."""
+        if np.any(self.values <= 0.0):
+            raise DomainError("support function must be positive")
+        g = self.geometry
+        u = self.values / ell_field(g).values
+        m = _psi_period(u)
+        b11, b12, b22, g1, g2, _ = (np.tile(a, (1, g.Npsi // m))
+                                    for a in _u_frame(_ring(g, m), u[:, :m]))
+        return CurvatureData(b11, b12, b22, b11 + b22, eigen_range(b11, b12, b22)[0], g1, g2)
 
     @classmethod
     def from_function(cls, geom: CapGeometry, fn) -> "ScalarField":
@@ -279,16 +297,10 @@ def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):
 
 def curvature_tensor(geom: CapGeometry, h: ScalarField) -> CurvatureData:
     """Second-order ``b = hess(h) + h I`` and ``grad h`` (the one gradient of a
-    support function), through u = h / ell and its Neumann ghost.  The first call
-    on h keeps the frame with it; later calls with the same geom return it."""
+    support function), through u = h / ell and its Neumann ghost: h's one frame,
+    evaluated on the first call and returned by every later one."""
     _check_grid(geom, h)
-    if h._frame[0] is not geom:
-        if np.any(h.values <= 0.0):
-            raise DomainError("support function must be positive")
-        b11, b12, b22, g1, g2, _ = _u_frame(geom, h.values / ell_field(geom).values)
-        cd = CurvatureData(b11, b12, b22, b11 + b22, eigen_range(b11, b12, b22)[0], g1, g2)
-        object.__setattr__(h, "_frame", (geom, cd))
-    return h._frame[1]
+    return h._frame
 
 
 def boundary_values(geom: CapGeometry, values: np.ndarray):

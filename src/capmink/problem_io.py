@@ -89,7 +89,8 @@ def load_problem(doc: dict, grid_override: tuple[int, int] | None = None):
     theta, p, q = (_number(doc, key) for key in ("theta", "p", "q"))
     even = _flag(doc, "even")
     allow_unsupported = _flag(doc, "allow_unsupported")
-    Nphi, Npsi = grid_override or grid_size(doc.get("grid", {}), (32, 64))
+    grid = grid_size(doc.get("grid", {}), (32, 64))  # checked even when overridden
+    Nphi, Npsi = grid_override or grid
     try:
         geom = build_grid(theta, Nphi, Npsi)
         f = density_from_config(geom, doc.get("f", {"kind": "constant"}), p, q)

@@ -561,24 +561,21 @@ def _symmetry(fvals) -> int:
     return fvals.shape[1]
 
 
-def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
+def _finalize(geom: CapGeometry, x, b_range, p, q, trace, converged, s_reached,
               residual_sup, residual_floor) -> SolveResult:
     """SolveResult on geom of the normalized iterate x = (u_bar, log C).
 
     u_bar, on geom or a ring of it, is tiled onto geom, and
     h = m ell u_bar with m = C^(1/(p-q)), and m = 1 for p = q.  The residual
-    figures are the solver's own, those of the normalized equation; b and the
-    Robin defect are evaluated on h_bar = ell u_bar and scaled by m, b on the
-    ring before tiling: the frame the solver's convexity check read.  That
-    is the tiled grid's frame restricted to the ring, bit for bit on every
-    solver output measured; on rough data the two row means the psi
-    differences subtract can round apart, and the frames agree to rounding.
+    figures are the solver's own, those of the normalized equation; the Robin
+    defect is evaluated on h_bar = ell u_bar and scaled by m.  b_range is the
+    (min, max) eigenvalue range of b of h_bar that the convexity check of
+    :func:`_newton` read for x, on the ring, and is scaled by m.
     """
     log_C = float(x[-1])
     log_m = log_C / (p - q) if p != q else 0.0
     ell = ell_field(geom).values
     u_bar = x[:-1].reshape(geom.Nphi, -1)
-    lam_min, lam_max = eigen_range(*_u_frame(_ring(geom, u_bar.shape[1]), u_bar)[:3])
     u_bar = np.tile(u_bar, (1, geom.Npsi // u_bar.shape[1]))
     h_bar = ScalarField(geom, ell * u_bar)
     with np.errstate(over="ignore"):
@@ -595,7 +592,7 @@ def _finalize(geom: CapGeometry, x, p, q, trace, converged, s_reached,
         u=u,
         residual_sup=residual_sup,
         robin_defect_sup=m * float(np.max(np.abs(robin_residual(geom, h_bar)))),
-        b_eigen_range=(m * lam_min, m * lam_max),
+        b_eigen_range=(m * b_range[0], m * b_range[1]),
         newton_trace=trace,
         converged=converged,
         s_reached=s_reached,
@@ -624,7 +621,8 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
     the solve is given up once it exceeds THETA_REJECT or the step falls
     below TRIAL_MIN_STEP, instead of below MIN_STEP; any solve stops when
     :func:`_bordered_directions` gives no direction.  Returns the last
-    iterate x, its NewtonTrace at s, its sup and its rounding floor.
+    iterate x, its NewtonTrace at s, its sup, its rounding floor and the
+    eigenvalue range of its b that the convexity check read.
     """
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else MIN_STEP
@@ -634,12 +632,13 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
     def evaluate(x):
         """(x, sup, done, data) of a positive candidate, or None if not convex."""
         res, parts, noise, passed = _floor_test(ring, fvals * np.exp(x[-1]), p, q, x[:-1], tol)
-        if eigen_range(*parts[:3])[0] < CONVEXITY_FLOOR:
+        b_range = eigen_range(*parts[:3])
+        if b_range[0] < CONVEXITY_FLOOR:
             return None
         pin = float(np.mean(x[:-1]) - 1.0)
         done = passed and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
-        return x, sup, done, (res, parts, pin, noise)
+        return x, sup, done, (res, parts, pin, noise, b_range)
 
     start = evaluate(np.append(uvec / np.mean(uvec), log_C))
     if start is None:
@@ -650,7 +649,7 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
     for _it in range(cfg.max_newton):
         if done:
             break
-        res, parts, pin, _ = data
+        res, parts, pin, *_ = data
         C = _jacobian_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
         dx = bordered(_assemble(ring, C), C, res, parts[7], pin)
         if dx is None:  # GMRES missed ETA_MAX: no direction
@@ -676,7 +675,7 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
         trace.iterations += 1
         trace.residuals.append(sup)
     trace.converged = done
-    return x, trace, sup, 8.0 * float(np.max(data[3]))
+    return x, trace, sup, 8.0 * float(np.max(data[3])), data[4]
 
 
 def newton_solve(
@@ -703,9 +702,9 @@ def newton_solve(
     fvals = _density(_base_density(geom, p, q), spec.f.values, s)
     m = _symmetry(fvals)
     uvec = u0.values.reshape(geom.Nphi, -1, m).mean(axis=1).ravel()
-    x, trace, res_sup, floor = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q, uvec,
-                                       (p - q) * math.log(np.mean(uvec)), s, cfg)
-    return _finalize(geom, x, p, q, [trace], trace.converged, s, res_sup, floor)
+    x, trace, res_sup, floor, b_range = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q,
+                                                uvec, (p - q) * math.log(np.mean(uvec)), s, cfg)
+    return _finalize(geom, x, b_range, p, q, [trace], trace.converged, s, res_sup, floor)
 
 
 def continuation_solve(
@@ -734,7 +733,8 @@ def continuation_solve(
     f0, f = f0[:, :m].ravel(), spec.f.values[:, :m].ravel()
 
     # at s = 0 the density is f_0, solved exactly by u_bar = 1 and log C = 0
-    last, trace, res_sup, floor = _newton(ring, f0, p, q, np.ones(ring.size), 0.0, 0.0, cfg)
+    last, trace, res_sup, floor, b_range = _newton(ring, f0, p, q, np.ones(ring.size), 0.0,
+                                                   0.0, cfg)
     traces, converged = [trace], trace.converged
     s, ds = 0.0, DS_INIT
     prev = None  # (x_(k-1), s_k - s_(k-1)) for the secant predictor
@@ -747,18 +747,20 @@ def continuation_solve(
             if (np.all(pred[:-1] > 0.0)
                     and eigen_range(*_u_frame(ring, pred[:-1])[:3])[0] >= CONVEXITY_FLOOR):
                 start = pred
-        y, trace, y_sup, y_floor = _newton(ring, _density(f0, f, s_next), p, q, start[:-1],
-                                           start[-1], s_next, cfg, trial=True)
+        y, trace, y_sup, y_floor, y_range = _newton(ring, _density(f0, f, s_next), p, q,
+                                                    start[:-1], start[-1], s_next, cfg,
+                                                    trial=True)
         traces.append(trace)
         if trace.converged:
             theta = trace.contraction
             factor = math.sqrt(THETA_BAR / theta) if theta > 0.0 else 2.0
-            prev, s, last, res_sup, floor = (x, s_next - s), s_next, y, y_sup, y_floor
+            prev, s = (x, s_next - s), s_next
+            last, b_range, res_sup, floor = y, y_range, y_sup, y_floor
             ds *= min(2.0, max(0.5, factor))
         else:  # retry at half the step tried, which is shorter than ds near s = 1
             ds = 0.5 * (s_next - s)
             converged = ds >= DS_MIN
-    return _finalize(geom, last, p, q, traces, converged, s,
+    return _finalize(geom, last, b_range, p, q, traces, converged, s,
                      res_sup if converged else math.inf, floor)
 
 
@@ -898,7 +900,8 @@ def pq_limit_solve(
 
     lam = 1.0 / float(np.min(limit.h.values))
     x = np.append(lam * limit.u.values.ravel(), limit.log_C)  # u = u_bar at p = q
-    solution = _finalize(geom, x, spec.p, spec.q, traces, True, 1.0,
+    b_range = eigen_range(*_u_frame(geom, x[:-1])[:3])  # the frame of the new field x
+    solution = _finalize(geom, x, b_range, spec.p, spec.q, traces, True, 1.0,
                          lam**2 * limit.residual_sup, lam**2 * limit.residual_floor)
     return PqLimitResult(
         h_bar=solution.h,

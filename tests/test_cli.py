@@ -260,6 +260,21 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["solve", "monitors", "sandwich", "sweep"])
+    @pytest.mark.parametrize("grid", [{"nphi": 8}, "junk"], ids=["unknown_key", "string"])
+    def test_grid_override_still_checks_the_grid_object(self, tmp_path, capsys, command,
+                                                        grid):
+        """--grid replaces the grid object's sizes, not its validation: a
+        malformed object exits 3 with the override as without it."""
+        doc = ({"p_values": [2.0], "q_values": [1.5], "theta_values": [1.0]}
+               if command == "sweep" else {"theta": 1.0, "p": 2.0, "q": 1.5})
+        cfg = write_config(tmp_path / "p.json", {**doc, "grid": grid})
+        for override in ([], ["--grid", "8x16"]):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         *override]) == 3
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_unsupported_exponents_is_config_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.json",
@@ -832,4 +847,16 @@ class TestPlotdata:
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--grid", "24x48"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", ["4x4", "8x4", "32x4"])
+    def test_four_azimuths_are_refused_before_any_suite(self, capsys, grid):
+        """cos(2 psi) of the boundary identity field has no tangential gradient
+        on 4 azimuths, so that suite has no node to test."""
+        assert main(["selftest", "--grid", grid]) == 3
+        out = capsys.readouterr()
+        assert out.err.startswith("error: selftest needs Npsi >= 6") and out.out == ""
+
+    def test_smallest_grid_passes(self, capsys):
+        assert main(["selftest", "--grid", "4x6"]) == 0
         assert "PASS" in capsys.readouterr().out

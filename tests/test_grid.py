@@ -1,6 +1,8 @@
+import copy
 import csv
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +111,25 @@ class TestImmutableField:
         assert cd.lambda_min == fresh.lambda_min
         with pytest.raises(dataclasses.FrozenInstanceError):
             cd.g1 = np.zeros(geom_pi3.shape)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda h: pickle.loads(pickle.dumps(h))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_is_read_only_and_evaluates_its_own_frame(self, clone):
+        """A copy is built anew from its geometry and values: it cannot be
+        written, and its frame is its own, equal to the original's bitwise."""
+        g = build_grid(1.0, 16, 32)
+        h = robin_bump(g)
+        cd = curvature_tensor(g, h)
+        twin = clone(h)
+        assert not twin.values.flags.writeable
+        assert np.array_equal(twin.values, h.values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.values = np.ones(g.shape)
+        twin_cd = curvature_tensor(g, twin)
+        assert twin_cd is not cd
+        for name in ("b11", "b12", "b22", "sigma1", "g1", "g2"):
+            assert np.array_equal(getattr(twin_cd, name), getattr(cd, name))
 
     def test_a_kept_frame_still_checks_the_grid(self, geom_pi3):
         h = ell_field(geom_pi3)

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import capmink.grid as grid_module
 import capmink.solver as solver
 from capmink import (
     ApplicabilityError,
@@ -22,10 +23,12 @@ from capmink import (
     UsageError,
     build_grid,
     continuation_solve,
+    curvature_tensor,
     ell_bump_f_exact,
     ell_bump_field,
     ell_field,
     ell_grad_sq,
+    embed_body,
     manufactured_f,
     newton_solve,
     pq_limit_solve,
@@ -600,6 +603,93 @@ class TestOneRing:
         """The s = 0 step included, every floor test gets the one half ring."""
         g, geoms = self._counted(monkeypatch, "_floor_test")
         assert geoms and all(geom is _ring(g, g.Npsi // 2) for geom in geoms)
+
+
+class TestOneFrame:
+    """A solution carries one frame: the convexity check's range for b_eigen_range,
+    and for the certificates one frame of h, evaluated on its psi period."""
+
+    @staticmethod
+    def _bump(g):
+        return ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05))
+
+    @staticmethod
+    def _power(g):
+        return ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_power_density(g, 0.8, -0.8, -0.3))
+
+    @pytest.mark.parametrize("solve", [
+        lambda spec, g: newton_solve(spec, g, 0.5, ScalarField(g, np.ones(g.shape))),
+        lambda spec, g: continuation_solve(spec, g),
+        lambda spec, g: pq_limit_solve(ProblemSpec(p=2.5, q=2.5, theta=g.theta, f=spec.f),
+                                       g).solution,
+    ], ids=["newton", "continuation", "pq_limit"])
+    def test_finalize_evaluates_no_frame(self, monkeypatch, solve):
+        g = build_grid(1.0, 16, 32)
+        spec = self._bump(g)
+        inside, calls = [], []
+        real_frame, real_finalize = solver._u_frame, solver._finalize
+
+        def frame(*args):
+            if inside:
+                calls.append(args[0])
+            return real_frame(*args)
+
+        def finalize(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_finalize(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(solver, "_u_frame", frame)
+        monkeypatch.setattr(solver, "_finalize", finalize)
+        assert solve(spec, g).converged
+        assert calls == []
+
+    @pytest.mark.parametrize("density,m", [("_bump", 16), ("_power", 1)],
+                             ids=["even_bump", "ell_power"])
+    def test_certificates_evaluate_one_frame_on_the_psi_period(self, monkeypatch, density, m):
+        """Half the grid for the even ell-bump, one cell for a psi-independent
+        density; the tiled frame is the full grid's, bit for bit."""
+        g = build_grid(1.0, 16, 32)
+        h = continuation_solve(getattr(self, density)(g), g).h
+        u = h.values / ell_field(g).values
+        assert grid_module._psi_period(u) == m
+        calls, real = [], grid_module._u_frame
+        monkeypatch.setattr(grid_module, "_u_frame",
+                            lambda geom, v: calls.append((geom, np.shape(v))) or real(geom, v))
+        cd = curvature_tensor(g, h)
+        assert curvature_tensor(g, h) is cd
+        embed_body(g, h)
+        assert calls == [(_ring(g, m), (g.Nphi, m))]
+        b11, b12, b22, g1, g2, _ = real(g, u)
+        for name, full in zip(("b11", "b12", "b22", "g1", "g2"), (b11, b12, b22, g1, g2)):
+            assert np.array_equal(getattr(cd, name), full), name
+
+    @pytest.mark.parametrize("density", ["_bump", "_power"])
+    def test_b_eigen_range_is_the_range_newton_read(self, monkeypatch, density):
+        """The last frame of the last Newton solve is the returned iterate's: its
+        range, scaled by m = C^(1/(p-q)), is b_eigen_range bit for bit."""
+        g = build_grid(1.0, 16, 32)
+        spec = getattr(self, density)(g)
+        outs, frames = [], []
+        real_newton, real_test = solver._newton, solver._floor_test
+        monkeypatch.setattr(solver, "_newton",
+                            lambda *a, **k: outs.append(real_newton(*a, **k)) or outs[-1])
+        monkeypatch.setattr(solver, "_floor_test",
+                            lambda *a: frames.append(real_test(*a)) or frames[-1])
+        result = continuation_solve(spec, g)
+        assert result.converged
+        x, trace, _, _, b_range = outs[-1]
+        assert trace.converged
+        parts = frames[-1][1]
+        assert b_range == solver.eigen_range(*parts[:3])
+        ring = _ring(g, solver._symmetry(spec.f.values))
+        assert np.array_equal(parts[0], solver._u_frame(ring, x[:-1])[0])
+        m = float(np.exp(result.log_C / (spec.p - spec.q)))
+        assert result.b_eigen_range == (m * b_range[0], m * b_range[1])
 
 
 class TestGridMismatch:
