@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -105,18 +106,10 @@ def cmd_solve(args) -> int:
     result, pq = _solve(geom, spec, cfg)
     config = resolved_config(doc, geom, cfg)
     write_solve_artifacts(args.out, result, config)
-    if pq is not None:
-        write_json_report(
-            os.path.join(args.out, "pq_limit.json"),
-            {
-                "C_star": pq.C_star,
-                "C_eps": pq.C_eps,
-                "eps_schedule": pq.eps_schedule,
-                "diffs": pq.diffs,
-                "residual_sup": pq.residual_sup,
-            },
-            config,
-        )
+    if pq is not None:  # every field but the solution, whose residual it adds
+        doc = {f.name: getattr(pq, f.name) for f in fields(pq) if f.name != "solution"}
+        doc["residual_sup"] = result.residual_sup
+        write_json_report(os.path.join(args.out, "pq_limit.json"), doc, config)
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -159,23 +152,12 @@ def cmd_monitors(args) -> int:
     h = result.h
     gq = gradient_quotient(geom, h, gamma)
     body = embed_body(geom, h)
-    payload = {
-        "gamma": gamma,
-        "gradient_quotient": {
-            "N_observed": gq.N_observed,
-            "argmax_phi": gq.argmax_phi,
-            "argmax_psi": gq.argmax_psi,
-        },
-    }
+    payload = {"gamma": gamma, "gradient_quotient": asdict(gq)}
     try:
         cap, factor = john_construct(body.extents, geom.theta)
-        nc = noncollapse_check(geom, h, gamma, max(gq.N_observed, 1e-12), factor)
-        payload["noncollapse"] = {
-            "ratio": nc.ratio,
-            "bound_case1": nc.bound_case1,
-            "bound_case2": nc.bound_case2,
-            "pass": nc.passed,
-        }
+        nc = asdict(noncollapse_check(geom, h, gamma, max(gq.N_observed, 1e-12), factor))
+        nc["pass"] = nc.pop("passed")
+        payload["noncollapse"] = nc
     except CapminkError as exc:
         payload["noncollapse"] = {"error": str(exc)}
     pm = phi_monitor(geom, result.u, gamma)
@@ -289,11 +271,7 @@ def cmd_sweep(args) -> int:
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# {provenance_comment(config)}\n")
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["p", "q", "theta", "converged", "ratio",
-                        "lambda_min", "sigma1_max", "error"],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -117,11 +117,12 @@ def _ring(geom: CapGeometry, m: int) -> CapGeometry:
     return geom._cache[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """An immutable function sampled on the cap grid: ``values`` is a read-only copy
     of its input.  A copy or an unpickled field is built anew from its geometry and
-    values, read-only and without the original's frame."""
+    values, read-only and without the original's frame.  Equality and hashing are
+    by identity."""
 
     geometry: CapGeometry
     values: np.ndarray

@@ -9,7 +9,7 @@ the pointwise inequality of capillary support functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,16 +30,11 @@ class SandwichReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "cap": self.cap.to_json_dict(),
-            "factor": self.factor,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "boundary_min_ratio": self.boundary_min_ratio,
-            "boundary_max_ratio": self.boundary_max_ratio,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+        """Every field, the cap as its own JSON dict and passed as "pass"."""
+        doc = asdict(self)
+        doc["cap"] = self.cap.to_json_dict()
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def height_ratio_check(extents: BodyExtents, theta: float):

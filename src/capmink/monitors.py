@@ -43,7 +43,6 @@ TRUNCATION_TOL = 50.0
 
 @dataclass
 class GradientQuotientReport:
-    gamma: float
     N_observed: float
     argmax_phi: float
     argmax_psi: float
@@ -52,9 +51,6 @@ class GradientQuotientReport:
 @dataclass
 class NonCollapseReport:
     ratio: float
-    gamma: float
-    N: float
-    C_dd: float
     bound_case1: float
     bound_case2: float
     passed: bool
@@ -94,7 +90,7 @@ def gradient_quotient(
     quot = (cd.g1**2 + cd.g2**2) / h.values**gamma
     phi, psi = _argmax(geom, quot)
     N_obs = float(np.max(quot)) / float(np.max(h.values)) ** (2.0 - gamma)
-    return GradientQuotientReport(gamma=gamma, N_observed=N_obs, argmax_phi=phi, argmax_psi=psi)
+    return GradientQuotientReport(N_observed=N_obs, argmax_phi=phi, argmax_psi=psi)
 
 
 def noncollapse_check(
@@ -111,6 +107,7 @@ def noncollapse_check(
     reported as a candidate and enters pass/fail only through the max; one
     beyond the double range (gamma near 0 or 2) is inf.
     """
+    _check_grid(geom, h)
     if not (0.0 < gamma < 2.0):
         raise ConfigError(f"gamma must lie in (0, 2), got {gamma}")
     for name, value in (("N", N), ("C_dd", C_dd)):
@@ -148,9 +145,6 @@ def noncollapse_check(
     ratio = float(np.max(h.values)) / float(np.min(h.values))
     return NonCollapseReport(
         ratio=ratio,
-        gamma=gamma,
-        N=N,
-        C_dd=C_dd,
         bound_case1=bound1,
         bound_case2=bound2,
         passed=ratio <= max(bound1, bound2),

@@ -83,7 +83,7 @@ when its field is positive and convex, else from ``x_k`` with log C drifted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -91,7 +91,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import ApplicabilityError, ConfigError, ConvexityError, DomainError
+from .errors import (ApplicabilityError, CapminkError, ConfigError, ConvexityError,
+                     DomainError)
 from .grid import (
     EVEN_TOL,
     CapGeometry,
@@ -202,16 +203,10 @@ class SolveResult:
     log_C: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "s_reached": self.s_reached,
-            "residual_sup": self.residual_sup,
-            "residual_floor": self.residual_floor,
-            "log_C": self.log_C,
-            "robin_defect_sup": self.robin_defect_sup,
-            "b_eigen_range": list(self.b_eigen_range),
-            "newton_trace": [asdict(t) for t in self.newton_trace],
-        }
+        """Every field but h and u, which solution.csv carries; traces as dicts."""
+        doc = asdict(replace(self, h=None, u=None))
+        del doc["h"], doc["u"]
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,12 @@ def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
     key = ("base_density", p, q)
     if key not in geom._cache:
         ring = _ring(geom, 1)
-        f0 = manufactured_f(ring, ell_field(ring), p, q).values
+        try:
+            f0 = manufactured_f(ring, ell_field(ring), p, q).values
+        except CapminkError as exc:
+            raise ApplicabilityError(f"the base density f0 = manufactured_f(ell) cannot be "
+                                     f"formed at theta = {geom.theta}, p = {p}, q = {q}: "
+                                     f"{exc}") from exc
         geom._cache[key] = np.repeat(f0, geom.Npsi, axis=1)
     return geom._cache[key]
 
@@ -790,8 +790,13 @@ def manufactured_f(
     *frame, h = _u_frame(geom, h_star.values / ell_field(geom).values)
     if eigen_range(*frame[:3])[0] <= 0.0:
         raise ApplicabilityError("h_star is not strictly convex")
-    det, weight, _ = _equation(1.0, p, q, frame, h)
-    return ScalarField(geom, det / weight)
+    with np.errstate(all="ignore"):
+        det, weight, _ = _equation(1.0, p, q, frame, h)
+        f = det / weight
+    if not np.all(np.isfinite(f) & (f > 0.0)):
+        raise ApplicabilityError(f"the density det b / (h^(p-1) w^((3-q)/2)) is not finite "
+                                 f"and positive at p = {p}, q = {q}")
+    return ScalarField(geom, f)
 
 
 def ell_bump_field(geom: CapGeometry, eps: float, k: int = 2) -> ScalarField:
@@ -845,11 +850,9 @@ def ell_bump_f_exact(
 
 @dataclass
 class PqLimitResult:
-    h_bar: ScalarField
     C_star: float
     eps_schedule: list
     C_eps: list
-    residual_sup: float
     diffs: list
     solution: SolveResult  # h = h_bar, with the residual and floor of the p = q solve
 
@@ -904,11 +907,9 @@ def pq_limit_solve(
     solution = _finalize(geom, x, b_range, spec.p, spec.q, traces, True, 1.0,
                          lam**2 * limit.residual_sup, lam**2 * limit.residual_floor)
     return PqLimitResult(
-        h_bar=solution.h,
         C_star=C_star,
         eps_schedule=eps_schedule,
         C_eps=C_eps,
-        residual_sup=solution.residual_sup,
         diffs=[abs(b - a) for a, b in zip(C_eps[:-1], C_eps[1:])],
         solution=solution,
     )

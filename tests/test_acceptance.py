@@ -194,7 +194,7 @@ class TestCriterion7PqLimit:
         f = ScalarField(geom, np.ones(geom.shape))
         spec = ProblemSpec(p=2.0, q=2.0, theta=math.pi / 2, f=f, even=True)
         out = pq_limit_solve(spec, geom)
-        assert out.residual_sup <= 1e-6
+        assert out.solution.residual_sup <= 1e-6
         assert all(d <= 1e-3 for d in out.diffs)
         assert out.C_star == pytest.approx(1.0, abs=1e-8)
 
@@ -203,11 +203,11 @@ class TestCriterion7PqLimit:
         f = ell_power(geom, alpha=-1.0, beta=-0.25)
         spec = ProblemSpec(p=2.0, q=2.0, theta=1.5, f=f, even=True)
         out = pq_limit_solve(spec, geom)
-        assert out.residual_sup <= 1e-6
+        assert out.solution.residual_sup <= 1e-6
         # successive C*_eps differences decrease and reach 1e-3 by eps = 0.0125
         assert out.diffs == sorted(out.diffs, reverse=True)
         assert out.diffs[-1] <= 1e-3
-        res = pq_residual(geom, spec.f, spec.p, out.h_bar, out.C_star)
+        res = pq_residual(geom, spec.f, spec.p, out.solution.h, out.C_star)
         # h-form cross-check at truncation level
         assert np.max(np.abs(res.values)) <= 100.0 * geom.grid_eps()
 
@@ -216,7 +216,7 @@ class TestCriterion7PqLimit:
         f = ell_power(geom, alpha=-1.0, beta=-0.25)
         spec = ProblemSpec(p=2.0, q=2.0, theta=math.pi / 3, f=f, even=True)
         out = pq_limit_solve(spec, geom)
-        assert out.residual_sup <= 1e-6
+        assert out.solution.residual_sup <= 1e-6
         assert out.diffs == sorted(out.diffs, reverse=True)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import capmink.cli as cli
-from capmink import ProblemSpec, build_grid, ell_bump_field, ell_field, pq_limit_solve
+from capmink import (GradientQuotientReport, NewtonTrace, NonCollapseReport, PqLimitResult,
+                     ProblemSpec, SandwichReport, SolveResult, build_grid,
+                     ell_bump_field, ell_field, pq_limit_solve)
 from capmink.cli import main
 from capmink.grid import field_from_csv, field_to_csv
 from capmink.problem_io import density_from_config
@@ -111,6 +114,18 @@ class TestSolve:
         result = strict_json(out / "result.json")
         assert result["converged"] is False
         assert result["residual_sup"] is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta,p", [(0.3, 300.0), (1e-6, 2.0), (1e-8, 2.0)])
+    def test_base_density_that_cannot_be_formed_names_itself(self, tmp_path, capsys,
+                                                              theta, p):
+        """f0's weight h^(p-1) underflows (p = 300), or ell fails the Robin test or
+        is not positive (theta near 0): exit 2, naming f0, theta, p and q."""
+        cfg = write_config(tmp_path / "f0.json", {"theta": theta, "p": p, "q": 1.5,
+                                                  "grid": {"Nphi": 8, "Npsi": 16}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "base density f0" in err and f"theta = {theta}, p = {p}, q = 1.5" in err
 
     def test_pq_problem_writes_limit_report(self, tmp_path):
         cfg = write_config(
@@ -860,3 +875,74 @@ class TestSelftest:
     def test_smallest_grid_passes(self, capsys):
         assert main(["selftest", "--grid", "4x6"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def _fields(record, drop=(), add=()):
+    """The field names of a record class, less drop, plus add."""
+    return {f.name for f in dataclasses.fields(record)} - set(drop) | set(add)
+
+
+@pytest.fixture(scope="module")
+def record_artifacts(tmp_path_factory):
+    """The artifacts of solve, sandwich and monitors on a p != q problem, of solve
+    on a p = q problem and of a one-cell sweep, all at 8x16."""
+    tmp = tmp_path_factory.mktemp("records")
+    grid = {"Nphi": 8, "Npsi": 16}
+    f = {"kind": "ell_power", "alpha": -1.2}
+    problem = write_config(tmp / "problem.json", {"theta": math.pi / 3, "p": 2.0, "q": 1.5,
+                                                  "even": True, "f": f, "grid": grid})
+    pq = write_config(tmp / "pq.json", {"theta": 1.0, "p": 2.5, "q": 2.5, "grid": grid,
+                                        "f": {"kind": "ell_power", "alpha": -0.5}})
+    sweep = write_config(tmp / "sweep.json", {"p_values": [2.0], "q_values": [1.5],
+                                              "theta_values": [math.pi / 3], "f": f,
+                                              "grid": grid})
+    for command, cfg in (("solve", problem), ("sandwich", problem), ("monitors", problem),
+                         ("solve", pq), ("sweep", sweep)):
+        out = tmp / f"{command}-{Path(cfg).stem}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    return tmp
+
+
+def _json_keys(path, *block):
+    doc = strict_json(path)
+    for key in block:
+        doc = doc[key]
+    return [set(doc) - {"config"}]
+
+
+def _sweep_header(tmp):
+    lines = (tmp / "sweep-sweep" / "sweep.csv").read_text().splitlines()
+    return [set(next(csv.reader(lines[1:2])))]
+
+
+# the row of a sweep cell whose grid cannot be built, which is written at once
+_CELL_ROW, _ = cli._sweep_entry((2.0, 1.5, -1.0, None, 8, 16, None))
+
+# each artifact's keys: its record's fields less the stated exclusions
+RECORDS = {
+    "result.json": (lambda t: _json_keys(t / "solve-problem" / "result.json"),
+                    _fields(SolveResult, drop=("h", "u"))),
+    "newton_trace": (lambda t: [set(e) for e in
+                                strict_json(t / "solve-problem" / "result.json")["newton_trace"]],
+                     _fields(NewtonTrace)),
+    "sandwich.json": (lambda t: _json_keys(t / "sandwich-problem" / "sandwich.json"),
+                      _fields(SandwichReport, drop=("passed",), add=("pass",))),
+    "gradient_quotient": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json",
+                                               "gradient_quotient"),
+                          _fields(GradientQuotientReport)),
+    "noncollapse": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json",
+                                         "noncollapse"),
+                    _fields(NonCollapseReport, drop=("passed",), add=("pass",))),
+    "pq_limit.json": (lambda t: _json_keys(t / "solve-pq" / "pq_limit.json"),
+                      _fields(PqLimitResult, drop=("solution",), add=("residual_sup",))),
+    "sweep.csv": (_sweep_header, set(_CELL_ROW)),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(RECORDS))
+def test_artifact_keys_are_its_record_fields(record_artifacts, artifact):
+    """Every field of a record reaches its artifact, and nothing else does: a field
+    is declared once, in its dataclass (or, for sweep.csv, in the cell's row)."""
+    keys, fields = RECORDS[artifact]
+    found = keys(record_artifacts)
+    assert found and all(names == fields for names in found)

@@ -112,6 +112,15 @@ class TestImmutableField:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cd.g1 = np.zeros(geom_pi3.shape)
 
+    def test_equality_and_hash_are_identity(self, geom_pi3):
+        """Fields compare by identity, without comparing their arrays, and can be
+        set members and dict keys."""
+        h = ell_field(geom_pi3)
+        twin = ScalarField(geom_pi3, h.values)
+        assert h == h and h != twin and not (h == twin)
+        assert len({h, twin, h}) == 2
+        assert {h: 1, twin: 2}[h] == 1
+
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                        lambda h: pickle.loads(pickle.dumps(h))],
                              ids=["copy", "deepcopy", "pickle"])
@@ -174,12 +183,14 @@ CERTIFICATES = {
 @pytest.mark.parametrize("other", [(0.6, 16, 32), (1.0, 8, 16)], ids=["theta", "shape"])
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))
 def test_certificate_refuses_a_field_of_another_grid(name, other):
-    """A field sampled on another theta or shape is a UsageError, not garbage,
-    a misleading convexity error or a numpy broadcast error."""
+    """A field sampled on another theta or shape, psi-independent or odd in psi,
+    is a UsageError, not garbage, a misleading convexity or evenness error or a
+    numpy broadcast error."""
     geom = build_grid(1.0, 16, 32)
     CERTIFICATES[name](geom, ell_field(geom))
-    with pytest.raises(UsageError, match="not on the grid"):
-        CERTIFICATES[name](geom, ell_field(build_grid(*other)))
+    for field in (ell_field(build_grid(*other)), ell_bump_field(build_grid(*other), 0.05, 1)):
+        with pytest.raises(UsageError, match="not on the grid"):
+            CERTIFICATES[name](geom, field)
 
 
 def padded_u(geom, v):

@@ -1328,15 +1328,15 @@ class TestPqLimit:
         spec = ProblemSpec(p=2.0, q=2.0, theta=g.theta, f=f, even=True)
         out = pq_limit_solve(spec, g)
         assert out.C_star == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(out.h_bar.values - 1.0)) < 1e-8
-        assert out.residual_sup < 1e-10
+        assert np.max(np.abs(out.solution.h.values - 1.0)) < 1e-8
+        assert out.solution.residual_sup < 1e-10
 
     def test_normalization_min_h_is_one(self):
         g = build_grid(1.5, 24, 48)
         f = ell_power_density(g, alpha=-1.0, beta=-0.25)
         spec = ProblemSpec(p=2.0, q=2.0, theta=g.theta, f=f, even=True)
         out = pq_limit_solve(spec, g)
-        assert float(np.min(out.h_bar.values)) == pytest.approx(1.0, abs=1e-8)
+        assert float(np.min(out.solution.h.values)) == pytest.approx(1.0, abs=1e-8)
 
     def test_dilation_family_shares_C(self):
         """C* is invariant under scaling f, h adjusting accordingly."""
@@ -1344,7 +1344,7 @@ class TestPqLimit:
         f = ell_power_density(g, alpha=-1.0, beta=-0.25)
         spec = ProblemSpec(p=2.0, q=2.0, theta=g.theta, f=f, even=True)
         out = pq_limit_solve(spec, g)
-        res = pq_residual(g, f, 2.0, out.h_bar, out.C_star)
+        res = pq_residual(g, f, 2.0, out.solution.h, out.C_star)
         assert np.max(np.abs(res.values)) < 100.0 * g.grid_eps()
 
     @pytest.mark.parametrize("c", [1e-4, 1e4])
