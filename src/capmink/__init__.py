@@ -37,10 +37,11 @@ from .ellipsoid import (
 )
 from .john import SandwichReport, height_ratio_check, john_construct, verify_sandwich
 from .monitors import (
+    C0BoundReport,
     GradientQuotientReport,
     NonCollapseReport,
     PhiMonitorReport,
-    QMonitorConfig,
+    QMonitorReport,
     c0_bound_check,
     gradient_quotient,
     noncollapse_check,

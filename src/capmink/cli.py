@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -132,9 +132,7 @@ def cmd_sandwich(args) -> int:
     cap, factor = john_construct(body.extents, geom.theta)
     report = verify_sandwich(geom, h, cap, factor)
     os.makedirs(args.out, exist_ok=True)
-    write_json_report(
-        os.path.join(args.out, "sandwich.json"), report.to_json_dict(), config
-    )
+    write_json_report(os.path.join(args.out, "sandwich.json"), report, config)
     ratio = ScalarField(geom, h.values / cap_support(geom, cap).values)
     field_to_csv(ratio, os.path.join(args.out, "sandwich_ratio.csv"))
     return EXIT_OK if report.passed else EXIT_NONCONVERGED
@@ -152,39 +150,17 @@ def cmd_monitors(args) -> int:
     h = result.h
     gq = gradient_quotient(geom, h, gamma)
     body = embed_body(geom, h)
-    payload = {"gamma": gamma, "gradient_quotient": asdict(gq)}
+    payload = {"gamma": gamma, "gradient_quotient": gq}  # each block a monitor's record
     try:
         cap, factor = john_construct(body.extents, geom.theta)
-        nc = asdict(noncollapse_check(geom, h, gamma, max(gq.N_observed, 1e-12), factor))
-        nc["pass"] = nc.pop("passed")
-        payload["noncollapse"] = nc
+        nc = noncollapse_check(geom, h, gamma, max(gq.N_observed, 1e-12), factor)
+        payload["noncollapse"], ok = nc, nc.passed
     except CapminkError as exc:
-        payload["noncollapse"] = {"error": str(exc)}
-    pm = phi_monitor(geom, result.u, gamma)
-    payload["phi_monitor"] = {
-        "interior_max": pm.interior_max,
-        "degenerate": pm.degenerate,
-        "boundary_derivative_range": [
-            float(np.nanmin(pm.boundary_derivative))
-            if np.any(np.isfinite(pm.boundary_derivative))
-            else None,
-            float(np.nanmax(pm.boundary_derivative))
-            if np.any(np.isfinite(pm.boundary_derivative))
-            else None,
-        ],
-        "target": -gamma * geom.cot_theta,
-    }
-    qc, qfield, qloc = q_monitor(geom, h, spec.q)
-    payload["q_monitor"] = {
-        "A": qc.A,
-        "B": qc.B,
-        "max": float(np.max(qfield.values)),
-        "argmax": list(qloc),
-    }
-    ok = payload["noncollapse"].get("pass", True)
+        payload["noncollapse"], ok = {"error": str(exc)}, True
+    payload["phi_monitor"] = phi_monitor(geom, result.u, gamma)
+    payload["q_monitor"] = q_monitor(geom, h, spec.q)
     if spec.p != spec.q:
-        lo, hi, det = c0_bound_check(geom, h, spec, cfg)
-        payload["c0_bound"] = {"lower_pass": lo, "upper_pass": hi, **det}
+        lo, hi, payload["c0_bound"] = c0_bound_check(geom, h, spec, cfg)
         ok = ok and lo and hi
     os.makedirs(args.out, exist_ok=True)
     write_json_report(os.path.join(args.out, "monitors.json"), payload, config)
@@ -324,12 +300,10 @@ def cmd_selftest(args) -> int:
         )
         for gamma in (0.5, 1.0):
             rep = phi_monitor(geom, u, gamma)
-            target = -gamma * geom.cot_theta
-            der = rep.boundary_derivative
             # exclude nodes near the zero set of the tangential gradient,
             # where the log-derivative identity degenerates
             mask = rep.boundary_gradient > 0.5 * float(np.max(rep.boundary_gradient))
-            err = float(np.nanmax(np.abs(der[mask] - target)))
+            err = float(np.nanmax(np.abs(rep.boundary_derivative[mask] - rep.target)))
             if err > 50.0 * math.sqrt(geom.grid_eps()):
                 failures.append(
                     f"boundary identity theta={theta:.4f} gamma={gamma}: err {err:.3g}"

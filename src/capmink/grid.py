@@ -148,10 +148,7 @@ class ScalarField:
         if np.any(self.values <= 0.0):
             raise DomainError("support function must be positive")
         g = self.geometry
-        u = self.values / ell_field(g).values
-        m = _psi_period(u)
-        b11, b12, b22, g1, g2, _ = (np.tile(a, (1, g.Npsi // m))
-                                    for a in _u_frame(_ring(g, m), u[:, :m]))
+        b11, b12, b22, g1, g2, _ = _ring_frame(g, self.values / ell_field(g).values)
         return CurvatureData(b11, b12, b22, b11 + b22, eigen_range(b11, b12, b22)[0], g1, g2)
 
     @classmethod
@@ -288,6 +285,12 @@ def _u_frame(geom: CapGeometry, u: np.ndarray):
     blocks = np.concatenate([ext, (right - left) * c1, (right - 2.0 * dev + left) * c2])
     frame = (st.Phi @ blocks).reshape(5, geom.Nphi, -1)
     return tuple(a.reshape(shape) for a in (*frame, ext[1:-1]))
+
+
+def _ring_frame(geom: CapGeometry, u: np.ndarray):
+    """:func:`_u_frame` of the grid field u on the ring of its :func:`_psi_period`, tiled."""
+    m = _psi_period(u)
+    return tuple(np.tile(a, (1, geom.Npsi // m)) for a in _u_frame(_ring(geom, m), u[:, :m]))
 
 
 def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):

@@ -9,7 +9,7 @@ the pointwise inequality of capillary support functions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,6 @@ class SandwichReport:
     boundary_max_ratio: float
     tol: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        """Every field, the cap as its own JSON dict and passed as "pass"."""
-        doc = asdict(self)
-        doc["cap"] = self.cap.to_json_dict()
-        doc["pass"] = doc.pop("passed")
-        return doc
 
 
 def height_ratio_check(extents: BodyExtents, theta: float):

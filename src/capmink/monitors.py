@@ -9,6 +9,7 @@ Every gradient is the stencil's: that of h is read off
 :func:`capmink.grid.curvature_tensor`, and that of a Neumann u (in
 :func:`phi_monitor`) is ``(grad h - u grad ell) / ell`` with h = ell * u.
 Whether h is a solution is the solver's test (:func:`capmink.solver.is_solution`).
+Each monitor returns a record; its fields, less per-node arrays, are its monitors.json block.
 A constant that would make a check pass vacuously or report garbage (an
 infinite, NaN or non-positive N or C_dd, a non-finite q) is a ConfigError.
 """
@@ -16,7 +17,7 @@ infinite, NaN or non-positive N or C_dd, a non-finite q) is a ConfigError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .grid import (
     ScalarField,
     _check_grid,
     _ring,
+    _ring_frame,
     _u_frame,
     boundary_values,
     curvature_tensor,
@@ -36,8 +38,8 @@ from .grid import (
 )
 from .solver import SolverConfig, is_solution
 
-# the O(grid_eps) truncation tolerance, in units of grid_eps, of the extremum
-# inequalities and (times max(1, max u)) of phi_monitor's Neumann defect
+# the truncation tolerance of the extremum inequalities, in units of grid_eps, and
+# (times max(1, max u)) of phi_monitor's Neumann defect, a phi-derivative, in dphi^2
 TRUNCATION_TOL = 50.0
 
 
@@ -57,18 +59,47 @@ class NonCollapseReport:
 
 
 @dataclass
-class QMonitorConfig:
-    A: float
-    B: float
-
-
-@dataclass
 class PhiMonitorReport:
     phi_field: ScalarField
     interior_max: bool
     boundary_derivative: np.ndarray
     boundary_gradient: np.ndarray
     degenerate: bool
+    boundary_derivative_range: list  # of the finite boundary_derivative, or [None, None]
+    target: float  # -gamma cot(theta), the slope of a Neumann u
+
+    def to_json_dict(self) -> dict:
+        """Every field but the per-node phi_field, boundary_derivative and boundary_gradient."""
+        arrays = ("phi_field", "boundary_derivative", "boundary_gradient")
+        doc = asdict(replace(self, **dict.fromkeys(arrays)))
+        return {k: v for k, v in doc.items() if k not in arrays}
+
+
+@dataclass
+class QMonitorReport:
+    A: float
+    B: float
+    max: float
+    argmax: tuple  # (phi, psi) of the max
+    field: ScalarField
+
+    def to_json_dict(self) -> dict:
+        """Every field but the per-node field."""
+        doc = asdict(replace(self, field=None))
+        del doc["field"]
+        return doc
+
+
+@dataclass
+class C0BoundReport:
+    lower_pass: bool
+    upper_pass: bool
+    max_u: float
+    min_u: float
+    rhs_min: float
+    rhs_max: float
+    residual_sup: float
+    tol: float
 
 
 def _argmax(geom: CapGeometry, values: np.ndarray):
@@ -155,11 +186,13 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     """Test function ell^(2-gamma) |grad u|^2 / u^gamma and its boundary slope.
 
     grad u is read off the stencil as (grad h - u grad ell) / ell with
-    h = ell * u, both gradients those of :func:`capmink.grid._u_frame`; a
-    constant u has Phi = 0 exactly.  For a Neumann u the outward derivative
-    of log(Phi) at the boundary equals -gamma * cot(theta) wherever the
-    tangential gradient does not vanish; the returned per-node derivative is
-    NaN at (near-)degenerate nodes.
+    h = ell * u, both gradients those of :func:`capmink.grid._u_frame` on the
+    psi ring of u - max u, tiled (:func:`capmink.grid._ring_frame`); a
+    constant u has Phi = 0 exactly.  A u whose boundary phi-derivative exceeds
+    TRUNCATION_TOL * dphi^2 * max(1, max u) is not Neumann and is refused.
+    For a Neumann u the outward derivative of log(Phi) at the boundary equals
+    -gamma * cot(theta) (``target``) wherever the tangential gradient does not
+    vanish; the returned per-node derivative is NaN at (near-)degenerate nodes.
     """
     _check_grid(geom, u)
     if not (0.0 < gamma < 2.0):
@@ -167,15 +200,13 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     if np.any(u.values <= 0.0):
         raise DomainError("u must be positive")
     scale = float(np.max(np.abs(u.values)))
-    _, du = boundary_values(geom, u.values)
-    if float(np.max(np.abs(du))) > TRUNCATION_TOL * geom.grid_eps() * max(1.0, scale):
-        raise ApplicabilityError(
-            f"u violates the Neumann condition (defect {np.max(np.abs(du)):.3g})"
-        )
+    defect = float(np.max(np.abs(boundary_values(geom, u.values)[1])))
+    if defect > TRUNCATION_TOL * geom.dphi**2 * max(1.0, scale):
+        raise ApplicabilityError(f"u violates the Neumann condition (defect {defect:.3g})")
     # the stencil is linear, so u may be offset by a constant first: then a
     # constant u gives v = 0 and Phi = 0 exactly
     v = u.values - scale
-    _, _, _, g1, g2, _ = _u_frame(geom, v)
+    _, _, _, g1, g2, _ = _ring_frame(geom, v)
     _, _, _, ell_g1, _, ell = _u_frame(_ring(geom, 1), np.ones((geom.Nphi, 1)))
     gsq = ((g1 - v * ell_g1) ** 2 + g2**2) / ell**2
     phi_vals = ell ** (2.0 - gamma) * gsq / u.values**gamma
@@ -189,16 +220,20 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     # boundary gradient magnitude, extrapolated, for masking degenerate nodes
     gb, _ = boundary_values(geom, np.sqrt(gsq))
     i, _j = np.unravel_index(np.argmax(phi_vals), phi_vals.shape)
+    finite = bnd_der[np.isfinite(bnd_der)]
     return PhiMonitorReport(
         phi_field=ScalarField(geom, phi_vals),
         interior_max=bool(i < geom.Nphi - 1),
         boundary_derivative=bnd_der,
         boundary_gradient=gb,
         degenerate=degenerate,
+        boundary_derivative_range=[float(f(finite)) if finite.size else None
+                                   for f in (np.min, np.max)],
+        target=-gamma * geom.cot_theta,
     )
 
 
-def q_monitor(geom: CapGeometry, h: ScalarField, q: float):
+def q_monitor(geom: CapGeometry, h: ScalarField, q: float) -> QMonitorReport:
     """Trace auxiliary function log(sigma1) + A h + B |grad h|^2.
 
     The coefficients follow the explicit choice
@@ -217,7 +252,8 @@ def q_monitor(geom: CapGeometry, h: ScalarField, q: float):
     B = abs(3.0 - q) * (hmax2 + 3.0 * gmax2) / hmin**4 + 1.0
     A = -(2.0 * B * gmax2 + 1.0) / hmin
     Q = np.log(cd.sigma1) + A * h.values + B * gsq
-    return QMonitorConfig(A=A, B=B), ScalarField(geom, Q), _argmax(geom, Q)
+    return QMonitorReport(A=A, B=B, max=float(np.max(Q)), argmax=_argmax(geom, Q),
+                          field=ScalarField(geom, Q))
 
 
 def c0_bound_check(geom: CapGeometry, h: ScalarField, spec,
@@ -228,30 +264,21 @@ def c0_bound_check(geom: CapGeometry, h: ScalarField, spec,
     the reverse inequality holds at the min, each against the grid-wide
     extreme of the right-hand side up to TRUNCATION_TOL * grid_eps.  Both
     hold only at a solution: h is refused unless the solver's test accepts
-    it (:func:`capmink.solver.is_solution` at ``cfg.newton_tol``).
+    it (:func:`capmink.solver.is_solution` at ``cfg.newton_tol``).  Returns
+    ``(lower_pass, upper_pass, report)``.
     """
     p, q = spec.p, spec.q
     if p == q:
         raise ApplicabilityError("c0 bound check does not apply at p == q")
     passed, res_sup = is_solution(spec, geom, h, cfg)
     if not passed:
-        raise ApplicabilityError(
-            f"h is not a solution of the problem (residual {res_sup:.3g})"
-        )
+        raise ApplicabilityError(f"h is not a solution of the problem (residual {res_sup:.3g})")
     tol = TRUNCATION_TOL * geom.grid_eps()
     ell = ell_field(geom).values
     u = h.values / ell
-    rhs = spec.f.values * ell ** (p - 1.0) * (ell**2 + ell_grad_sq(geom)) ** (
-        (3.0 - q) / 2.0
-    )
-    lower_pass = float(np.max(u)) ** (q - p) >= float(np.min(rhs)) - tol
-    upper_pass = float(np.min(u)) ** (q - p) <= float(np.max(rhs)) + tol
-    details = {
-        "max_u": float(np.max(u)),
-        "min_u": float(np.min(u)),
-        "rhs_min": float(np.min(rhs)),
-        "rhs_max": float(np.max(rhs)),
-        "residual_sup": res_sup,
-        "tol": tol,
-    }
-    return lower_pass, upper_pass, details
+    rhs = spec.f.values * ell ** (p - 1.0) * (ell**2 + ell_grad_sq(geom)) ** ((3.0 - q) / 2.0)
+    max_u, min_u = float(np.max(u)), float(np.min(u))
+    rhs_min, rhs_max = float(np.min(rhs)), float(np.max(rhs))
+    report = C0BoundReport(max_u ** (q - p) >= rhs_min - tol, min_u ** (q - p) <= rhs_max + tol,
+                           max_u, min_u, rhs_min, rhs_max, res_sup, tol)
+    return report.lower_pass, report.upper_pass, report

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import reprlib
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -191,17 +191,21 @@ def provenance_comment(config: dict) -> str:
 
 
 def _json_safe(obj):
-    """obj with numpy values as Python ones and every non-finite float as None.
+    """obj with numpy values as Python ones, every non-finite float as None, a record
+    as its ``to_json_dict()`` or else its fields, and a ``passed`` key as "pass".
 
     JSON has no Infinity or NaN; a non-converged solve reports an infinite
     residual, which is written as null.
     """
+    if is_dataclass(obj):
+        obj = (obj.to_json_dict() if hasattr(obj, "to_json_dict")
+               else {f.name: getattr(obj, f.name) for f in fields(obj)})
     if isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.tolist()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        return {("pass" if k == "passed" else k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
@@ -216,9 +220,7 @@ def _write_json(path, doc: dict):
 def write_solve_artifacts(outdir, result: SolveResult, config: dict):
     """SolveResult JSON + solution CSV + Newton trace CSV under outdir."""
     os.makedirs(outdir, exist_ok=True)
-    doc = result.to_json_dict()
-    doc["config"] = config
-    _write_json(os.path.join(outdir, "result.json"), doc)
+    _write_json(os.path.join(outdir, "result.json"), {**result.to_json_dict(), "config": config})
     field_to_csv(
         result.h, os.path.join(outdir, "solution.csv"), provenance_comment(config)
     )
@@ -232,5 +234,5 @@ def write_solve_artifacts(outdir, result: SolveResult, config: dict):
     return outdir
 
 
-def write_json_report(path, payload: dict, config: dict):
-    _write_json(path, {**payload, "config": config})
+def write_json_report(path, payload, config: dict):  # payload: a dict or a record
+    _write_json(path, {**_json_safe(payload), "config": config})

@@ -13,9 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import capmink.cli as cli
-from capmink import (GradientQuotientReport, NewtonTrace, NonCollapseReport, PqLimitResult,
-                     ProblemSpec, SandwichReport, SolveResult, build_grid,
-                     ell_bump_field, ell_field, pq_limit_solve)
+from capmink import (C0BoundReport, GradientQuotientReport, NewtonTrace, NonCollapseReport,
+                     PhiMonitorReport, PqLimitResult, ProblemSpec, QMonitorReport,
+                     SandwichReport, SolveResult, build_grid, ell_bump_field, ell_field,
+                     pq_limit_solve)
 from capmink.cli import main
 from capmink.grid import field_from_csv, field_to_csv
 from capmink.problem_io import density_from_config
@@ -933,6 +934,14 @@ RECORDS = {
     "noncollapse": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json",
                                          "noncollapse"),
                     _fields(NonCollapseReport, drop=("passed",), add=("pass",))),
+    "phi_monitor": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json",
+                                         "phi_monitor"),
+                    _fields(PhiMonitorReport, drop=("phi_field", "boundary_derivative",
+                                                    "boundary_gradient"))),
+    "q_monitor": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json", "q_monitor"),
+                  _fields(QMonitorReport, drop=("field",))),
+    "c0_bound": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json", "c0_bound"),
+                 _fields(C0BoundReport)),
     "pq_limit.json": (lambda t: _json_keys(t / "solve-pq" / "pq_limit.json"),
                       _fields(PqLimitResult, drop=("solution",), add=("residual_sup",))),
     "sweep.csv": (_sweep_header, set(_CELL_ROW)),

@@ -167,12 +167,18 @@ def _sandwich(geom, h):
     return verify_sandwich(geom, h, cap, factor)
 
 
+def _quotient(h):
+    """u = h / ell on h's own grid: phi_monitor takes a Neumann u, and ell itself is
+    not Neumann."""
+    return ScalarField(h.geometry, h.values / ell_field(h.geometry).values)
+
+
 # every certificate that differentiates or samples a field h on the grid it is given
 CERTIFICATES = {
     "curvature_tensor": curvature_tensor,
     "embed_body": embed_body,
     "robin_residual": robin_residual,
-    "phi_monitor": lambda geom, h: phi_monitor(geom, h, 1.0),
+    "phi_monitor": lambda geom, h: phi_monitor(geom, _quotient(h), 1.0),
     "gradient_quotient": lambda geom, h: gradient_quotient(geom, h, 1.0),
     "noncollapse_check": lambda geom, h: noncollapse_check(geom, h, 1.0, 10.0, 1.0),
     "q_monitor": lambda geom, h: q_monitor(geom, h, 2.0),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from capmink import (
     john_construct,
     verify_sandwich,
 )
+from capmink.problem_io import write_json_report
 from conftest import robin_bump
 
 
@@ -107,9 +109,13 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify_sandwich(geom, wiggly, cap, factor)
 
-    def test_report_json_has_pass_key(self, unit_cap_body):
+    def test_report_json_has_pass_key(self, unit_cap_body, tmp_path):
+        """The JSON writer writes the report's passed as "pass" and its cap through
+        EllipsoidCap.to_json_dict."""
         geom, h, body = unit_cap_body
         cap, factor = john_construct(body.extents, geom.theta)
-        doc = verify_sandwich(geom, h, cap, factor).to_json_dict()
-        assert doc["pass"] is True
+        path = tmp_path / "sandwich.json"
+        write_json_report(path, verify_sandwich(geom, h, cap, factor), {})
+        doc = json.loads(path.read_text())
+        assert doc["pass"] is True and "passed" not in doc
         assert doc["cap"]["lambda"] == pytest.approx(cap.lam)

@@ -26,7 +26,8 @@ from capmink import (
     q_monitor,
 )
 
-from capmink.grid import _ring, bump_profile
+import capmink.grid as grid_module
+from capmink.grid import _ring, _u_frame, bump_profile
 from capmink.solver import _floor_test, is_solution
 
 from conftest import neumann_bump
@@ -203,6 +204,46 @@ class TestPhiMonitor:
         with pytest.raises(ApplicabilityError):
             phi_monitor(g, u, 1.0)
 
+    @pytest.mark.parametrize("theta,N", [(math.pi / 3, 32), (1.0, 16)])
+    def test_ell_is_not_neumann(self, theta, N):
+        """ell's boundary phi-derivative (about 0.45) is refused at TRUNCATION_TOL * dphi^2,
+        where the scale of both directions, grid_eps, let it pass."""
+        g = build_grid(theta, N, 2 * N)
+        with pytest.raises(ApplicabilityError, match="Neumann"):
+            phi_monitor(g, ell_field(g), 1.0)
+
+    @pytest.mark.parametrize("case,ring,exact", [("even_density", 16, True),
+                                                 ("psi_independent", 1, True),
+                                                 ("k1_bump", 32, True),
+                                                 ("even_bump", 16, False)])
+    def test_ring_frame_is_the_grid_frame(self, case, ring, exact, monkeypatch):
+        """Phi's frame of v = u - max u is evaluated on v's psi ring and tiled: half the
+        grid for even data, one cell per row for psi-independent data.  That is the
+        frame of all Npsi columns bit for bit on the even grid density, the
+        psi-independent and the k = 1 solution; on the even ell-bump at 16x32 the two
+        rings subtract their row means apart and agree to rounding."""
+        g = build_grid(math.pi / 3, 16, 32)
+        ell, phi, psi = ell_field(g).values, g.phi_nodes[:, None], g.psi_nodes[None, :]
+        f = {"even_density": np.exp(0.5 * np.cos(2 * psi) * np.sin(phi) ** 2 / g.sin_theta**2),
+             "psi_independent": ell ** (-1.2) * (ell**2 + ell_grad_sq(g)) ** (-0.1),
+             "k1_bump": ell_bump_f_exact(g, 2.5, 1.5, 0.05, k=1).values,
+             "even_bump": ell_bump_f_exact(g, 2.0, 1.5, 0.05).values}[case]
+        p = 2.5 if case == "k1_bump" else 2.0
+        u = continuation_solve(ProblemSpec(p=p, q=1.5, theta=g.theta, f=ScalarField(g, f)), g).u
+        calls, real = [], grid_module._u_frame
+        monkeypatch.setattr(grid_module, "_u_frame", lambda *a: calls.append(a[0]) or real(*a))
+        Phi = phi_monitor(g, u, 1.0).phi_field.values
+        assert calls[0].Npsi == ring
+        v = u.values - np.max(u.values)
+        _, _, _, g1, g2, _ = _u_frame(g, v)
+        _, _, _, ell_g1, _, ell_u = _u_frame(_ring(g, 1), np.ones((g.Nphi, 1)))
+        gsq = ((g1 - v * ell_g1) ** 2 + g2**2) / ell_u**2
+        full = ell_u ** (2.0 - 1.0) * gsq / u.values**1.0
+        if exact:
+            assert np.array_equal(Phi, full)
+        else:
+            assert np.max(np.abs(Phi - full)) <= 1e-13 * np.max(full)
+
     def test_interior_max_for_solution(self, solved):
         geom, spec, result = solved
         rep = phi_monitor(geom, result.u, 1.0)
@@ -227,26 +268,27 @@ def test_reported_location_is_invariant_under_the_symmetries(Nphi, source):
     for v in (h.values, np.roll(h.values, g.Npsi // 2, axis=1),
               np.roll(h.values[:, ::-1], 1, axis=1)):
         rep = gradient_quotient(g, ScalarField(g, v), 1.0)
-        locations.add((rep.argmax_phi, rep.argmax_psi, q_monitor(g, ScalarField(g, v), 1.5)[2]))
+        locations.add((rep.argmax_phi, rep.argmax_psi,
+                       q_monitor(g, ScalarField(g, v), 1.5).argmax))
     assert len(locations) == 1
 
 
 class TestQMonitor:
     def test_coefficients_follow_closed_form(self, geom_pi3):
         h = ell_field(geom_pi3)
-        cfg, Q, loc = q_monitor(geom_pi3, h, 1.5)
+        rep = q_monitor(geom_pi3, h, 1.5)
         cd = curvature_tensor(geom_pi3, h)
         gsq = cd.g1**2 + cd.g2**2
         hmin = float(np.min(h.values))
         B = abs(3.0 - 1.5) * (np.max(h.values) ** 2 + 3.0 * np.max(gsq)) / hmin**4 + 1.0
-        assert cfg.B == pytest.approx(B)
-        assert cfg.A == pytest.approx(-(2.0 * B * np.max(gsq) + 1.0) / hmin)
-        assert np.all(np.isfinite(Q.values))
-        assert 0.0 < loc[0] <= geom_pi3.theta
+        assert rep.B == pytest.approx(B)
+        assert rep.A == pytest.approx(-(2.0 * B * np.max(gsq) + 1.0) / hmin)
+        assert np.all(np.isfinite(rep.field.values))
+        assert rep.max == np.max(rep.field.values)
+        assert 0.0 < rep.argmax[0] <= geom_pi3.theta
 
     def test_q3_has_unit_B(self, geom_pi3):
-        cfg, _, _ = q_monitor(geom_pi3, ell_field(geom_pi3), 3.0)
-        assert cfg.B == pytest.approx(1.0)
+        assert q_monitor(geom_pi3, ell_field(geom_pi3), 3.0).B == pytest.approx(1.0)
 
     @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
     def test_non_finite_q_rejected(self, geom_pi3, q):
@@ -270,9 +312,10 @@ class TestC0Bound:
     @pytest.mark.parametrize("theta", list(THETAS))
     def test_solution_passes(self, theta):
         geom, spec, result = solve_at(THETAS[theta])
-        lo, hi, details = c0_bound_check(geom, result.h, spec)
+        lo, hi, report = c0_bound_check(geom, result.h, spec)
         assert lo and hi
-        assert details["min_u"] <= details["max_u"]
+        assert (report.lower_pass, report.upper_pass) == (lo, hi)
+        assert report.min_u <= report.max_u
 
     def test_p_equals_q_rejected(self, geom_pi3):
         f = ScalarField(geom_pi3, np.ones(geom_pi3.shape))
