@@ -11,7 +11,7 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,6 @@ class EllipsoidCap:
     lam: float
     R: float
     H: float
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
 
 
 def make_cap(a: float, b: float, theta: float) -> EllipsoidCap:

@@ -198,8 +198,6 @@ class BodyExtents:
 
 @dataclass
 class EmbeddedBody:
-    cells: np.ndarray  # (Nphi, Npsi, 3)
-    boundary: np.ndarray  # (Npsi, 3)
     extents: BodyExtents
 
 
@@ -332,36 +330,31 @@ def evenness_defect(geom: CapGeometry, values: np.ndarray) -> float:
 
 
 def embed_body(geom: CapGeometry, h: ScalarField) -> EmbeddedBody:
-    """Reconstruct the hypersurface X = h * nu + grad h from its support function.
+    """Extents of the hypersurface X = h * nu + grad h, reconstructed from its support function.
 
-    The unit normal in the chart is nu = (sin(phi)cos(psi), sin(phi)sin(psi),
-    cos(phi)); the boundary circle is obtained by one-sided extrapolation of
-    h, h_phi and the stencil's h_psi to phi = theta, where the Robin condition
-    is equivalent to the boundary points lying on the supporting plane:
-    X_3 = h cos(theta) - h_phi sin(theta).
+    In the frame (nu, e1, e2) at (phi, psi), X = h nu + g1 e1 + g2 e2 lies at
+    distance hypot(h sin(phi) + g1 cos(phi), g2) from the axis and at height
+    h cos(phi) - g1 sin(phi), whatever psi is.  The boundary circle is obtained
+    by one-sided extrapolation of h, h_phi and the stencil's h_psi to
+    phi = theta, where the Robin condition is equivalent to the boundary
+    points lying on the supporting plane: X_3 = h cos(theta) - h_phi sin(theta).
     """
     cd = curvature_tensor(geom, h)
-    cpsi, spsi = np.cos(geom.psi_nodes), np.sin(geom.psi_nodes)
 
-    def points(hv, g1, g2, sin, cos):  # X = h nu + g1 e1 + g2 e2 at (phi, psi_j)
-        return np.stack([hv * sin * cpsi + g1 * cos * cpsi - g2 * spsi,
-                         hv * sin * spsi + g1 * cos * spsi + g2 * cpsi,
-                         hv * cos - g1 * sin], axis=-1)
+    def radius_height(hv, g1, g2, sin, cos):
+        return np.hypot(hv * sin + g1 * cos, g2), hv * cos - g1 * sin
 
     sin = geom.sin_phi[:, None]
-    cells = points(h.values, cd.g1, cd.g2, sin, geom.cos_phi[:, None])
+    r_cells, z_cells = radius_height(h.values, cd.g1, cd.g2, sin, geom.cos_phi[:, None])
     hb, hb_phi = boundary_values(geom, h.values)
     g2b = boundary_values(geom, cd.g2 * sin)[0] / geom.sin_theta
-    boundary = points(hb, hb_phi, g2b, geom.sin_theta, geom.cos_theta)
-    r_cells = np.hypot(cells[..., 0], cells[..., 1])
-    r_bnd = np.hypot(boundary[:, 0], boundary[:, 1])
-    extents = BodyExtents(
+    r_bnd, z_bnd = radius_height(hb, hb_phi, g2b, geom.sin_theta, geom.cos_theta)
+    return EmbeddedBody(BodyExtents(
         R_out=float(max(np.max(r_cells), np.max(r_bnd))),
         R_in=float(np.min(r_bnd)),
-        H=float(np.max(cells[..., 2])),
-        boundary_plane_defect=float(np.max(np.abs(boundary[:, 2]))),
-    )
-    return EmbeddedBody(cells, boundary, extents)
+        H=float(np.max(z_cells)),
+        boundary_plane_defect=float(np.max(np.abs(z_bnd))),
+    ))
 
 
 def bump_profile(phi, theta: float):

@@ -17,7 +17,7 @@ infinite, NaN or non-positive N or C_dd, a non-finite q) is a ConfigError.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +65,9 @@ class PhiMonitorReport:
     boundary_derivative: np.ndarray
     boundary_gradient: np.ndarray
     degenerate: bool
-    boundary_derivative_range: list  # of the finite boundary_derivative, or [None, None]
+    # [min, max] of boundary_derivative where the identity holds, or None where it holds nowhere
+    boundary_derivative_range: list | None
     target: float  # -gamma cot(theta), the slope of a Neumann u
-
-    def to_json_dict(self) -> dict:
-        """Every field but the per-node phi_field, boundary_derivative and boundary_gradient."""
-        arrays = ("phi_field", "boundary_derivative", "boundary_gradient")
-        doc = asdict(replace(self, **dict.fromkeys(arrays)))
-        return {k: v for k, v in doc.items() if k not in arrays}
 
 
 @dataclass
@@ -82,12 +77,6 @@ class QMonitorReport:
     max: float
     argmax: tuple  # (phi, psi) of the max
     field: ScalarField
-
-    def to_json_dict(self) -> dict:
-        """Every field but the per-node field."""
-        doc = asdict(replace(self, field=None))
-        del doc["field"]
-        return doc
 
 
 @dataclass
@@ -193,6 +182,9 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     For a Neumann u the outward derivative of log(Phi) at the boundary equals
     -gamma * cot(theta) (``target``) wherever the tangential gradient does not
     vanish; the returned per-node derivative is NaN at (near-)degenerate nodes.
+    ``boundary_derivative_range`` spans the finite derivatives at the nodes
+    where the extrapolated |u_psi| / sin(theta) is positive and at least half
+    its max, and is None where there is no such node.
     """
     _check_grid(geom, u)
     if not (0.0 < gamma < 2.0):
@@ -217,18 +209,22 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
         logphi = np.where(phi_vals > floor, np.log(np.maximum(phi_vals, floor)), np.nan)
     _, bnd_der = boundary_values(geom, logphi)
 
-    # boundary gradient magnitude, extrapolated, for masking degenerate nodes
+    # boundary gradient magnitude, extrapolated
     gb, _ = boundary_values(geom, np.sqrt(gsq))
+    # the tangential gradient |u_psi| / sin(theta) on the boundary
+    u_psi = g2 * geom.sin_phi[:, None] / ell
+    tangential = np.abs(boundary_values(geom, u_psi)[0]) / geom.sin_theta
+    held = bnd_der[(tangential >= 0.5 * np.max(tangential)) & (tangential > 0.0)
+                   & np.isfinite(bnd_der)]
     i, _j = np.unravel_index(np.argmax(phi_vals), phi_vals.shape)
-    finite = bnd_der[np.isfinite(bnd_der)]
     return PhiMonitorReport(
         phi_field=ScalarField(geom, phi_vals),
         interior_max=bool(i < geom.Nphi - 1),
         boundary_derivative=bnd_der,
         boundary_gradient=gb,
         degenerate=degenerate,
-        boundary_derivative_range=[float(f(finite)) if finite.size else None
-                                   for f in (np.min, np.max)],
+        boundary_derivative_range=([float(np.min(held)), float(np.max(held))]
+                                   if held.size else None),
         target=-gamma * geom.cot_theta,
     )
 

@@ -190,37 +190,44 @@ def provenance_comment(config: dict) -> str:
     return "config=" + json.dumps(_json_safe(config), sort_keys=True, allow_nan=False)
 
 
+# the JSON name of each record field that is written under another name
+_JSON_NAMES = {"passed": "pass", "lam": "lambda"}
+
+
 def _json_safe(obj):
     """obj with numpy values as Python ones, every non-finite float as None, a record
-    as its ``to_json_dict()`` or else its fields, and a ``passed`` key as "pass".
+    as its fields less those that hold per-node data (a ScalarField or an array,
+    which the CSVs carry or no artifact does), and each key named by _JSON_NAMES.
 
     JSON has no Infinity or NaN; a non-converged solve reports an infinite
     residual, which is written as null.
     """
     if is_dataclass(obj):
-        obj = (obj.to_json_dict() if hasattr(obj, "to_json_dict")
-               else {f.name: getattr(obj, f.name) for f in fields(obj)})
+        obj = {f.name: value for f in fields(obj)
+               if not isinstance(value := getattr(obj, f.name), (ScalarField, np.ndarray))}
     if isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.tolist()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {("pass" if k == "passed" else k): _json_safe(v) for k, v in obj.items()}
+        return {_JSON_NAMES.get(k, k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
 
 
-def _write_json(path, doc: dict):
+def _write_json(path, payload, config: dict):
+    """payload (a dict or a record) as JSON at path, with config beside its fields."""
     with open(path, "w") as fh:
-        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump({**_json_safe(payload), "config": _json_safe(config)}, fh, indent=2,
+                  sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def write_solve_artifacts(outdir, result: SolveResult, config: dict):
     """SolveResult JSON + solution CSV + Newton trace CSV under outdir."""
     os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, "result.json"), {**result.to_json_dict(), "config": config})
+    _write_json(os.path.join(outdir, "result.json"), result, config)
     field_to_csv(
         result.h, os.path.join(outdir, "solution.csv"), provenance_comment(config)
     )
@@ -235,4 +242,4 @@ def write_solve_artifacts(outdir, result: SolveResult, config: dict):
 
 
 def write_json_report(path, payload, config: dict):  # payload: a dict or a record
-    _write_json(path, {**_json_safe(payload), "config": config})
+    _write_json(path, payload, config)

@@ -83,7 +83,7 @@ when its field is positive and convex, else from ``x_k`` with log C drifted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
@@ -201,12 +201,6 @@ class SolveResult:
     residual_floor: float = 0.0
     # log C of the normalized equation; h = exp(log_C / (p - q)) ell u_bar if p != q
     log_C: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        """Every field but h and u, which solution.csv carries; traces as dicts."""
-        doc = asdict(replace(self, h=None, u=None))
-        del doc["h"], doc["u"]
-        return doc
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,21 @@ class TestMonitors:
         assert noncollapse["bound_case1"] is None
         assert noncollapse["pass"] is True
 
+    def test_estimate_that_does_not_apply_is_written_as_its_error(self, tmp_path):
+        """p, q = 4, 3 with f = exp(cos(psi) sin(phi) / sin(theta)) has a solution
+        that is not even, so the non-collapsing estimate does not apply: its block
+        is that error, and the run exits 0 on the checks that do apply."""
+        g = build_grid(1.0, 16, 32)
+        f = np.exp(np.cos(g.psi_nodes[None, :]) * np.sin(g.phi_nodes[:, None]) / g.sin_theta)
+        cfg = write_config(tmp_path / "odd.json", {
+            "theta": 1.0, "p": 4.0, "q": 3.0, "grid": {"Nphi": 16, "Npsi": 32},
+            "f": {"kind": "grid", "values": f.ravel().tolist()}})
+        out = tmp_path / "out"
+        assert main(["monitors", "--config", cfg, "--out", str(out)]) == 0
+        doc = strict_json(out / "monitors.json")
+        assert doc["noncollapse"] == {"error": "non-collapsing estimate requires an even h"}
+        assert doc["c0_bound"]["lower_pass"] and doc["c0_bound"]["upper_pass"]
+
     @pytest.mark.parametrize("gamma", ["abc", math.nan, 0.0, 2.0, None, "1", True],
                              ids=["non_numeric", "nan", "zero", "two", "null",
                                   "numeric_string", "true"])
@@ -812,6 +827,22 @@ class TestPlotdata:
         assert lines[0] == "phi,h"
         assert len(lines) == 17
         assert (plot_out / "trace.csv").exists()
+
+    def test_plotdata_from_sandwich(self, base_problem):
+        """sandwich_field.csv is (phi, psi, ratio) of each row of sandwich_ratio.csv."""
+        cfg, tmp = base_problem
+        src = tmp / "sandwich_out"
+        assert main(["sandwich", "--config", cfg, "--out", str(src)]) == 0
+        plot_out = tmp / "plot_out"
+        assert main(["plotdata", "--artifacts", str(src), "--out", str(plot_out)]) == 0
+        assert sorted(os.listdir(plot_out)) == ["sandwich_field.csv"]
+        lines = (plot_out / "sandwich_field.csv").read_text().splitlines()
+        assert lines[0] == "phi,psi,ratio"
+        ratio = field_from_csv(src / "sandwich_ratio.csv", math.pi / 3)
+        g = ratio.geometry
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+        assert rows == [(g.phi_nodes[i], g.psi_nodes[j], ratio.values[i, j])
+                        for i in range(g.Nphi) for j in range(g.Npsi)]
 
     @pytest.mark.parametrize("result", [{"config": 5}, [1], {"config": {"theta": "1"}}, {}],
                              ids=["config_not_object", "not_object", "string_theta",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from capmink import (
     make_cap,
     robin_residual,
 )
+from capmink.problem_io import write_json_report
 
 
 class TestMakeCap:
@@ -50,8 +52,9 @@ class TestMakeCap:
             cap = make_cap(a, b, theta)
             assert cap.R / cap.H > 2.0 * math.cos(theta) / math.sin(theta)
 
-    def test_json_dict_uses_lambda_key(self):
-        d = make_cap(1.0, 2.0, 1.0).to_json_dict()
+    def test_json_writes_lam_as_lambda(self, tmp_path):
+        write_json_report(tmp_path / "cap.json", make_cap(1.0, 2.0, 1.0), {})
+        d = json.loads((tmp_path / "cap.json").read_text())
         assert "lambda" in d and "lam" not in d
 
 

@@ -110,8 +110,8 @@ class TestVerify:
             verify_sandwich(geom, wiggly, cap, factor)
 
     def test_report_json_has_pass_key(self, unit_cap_body, tmp_path):
-        """The JSON writer writes the report's passed as "pass" and its cap through
-        EllipsoidCap.to_json_dict."""
+        """The JSON writer writes the report's passed as "pass" and its cap's lam as
+        "lambda"."""
         geom, h, body = unit_cap_body
         cap, factor = john_construct(body.extents, geom.theta)
         path = tmp_path / "sandwich.json"

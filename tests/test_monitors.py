@@ -244,6 +244,28 @@ class TestPhiMonitor:
         else:
             assert np.max(np.abs(Phi - full)) <= 1e-13 * np.max(full)
 
+    def test_range_is_null_where_the_identity_holds_nowhere(self, solved):
+        """A psi-independent solution has no tangential gradient on the boundary, so
+        the log-slope identity holds at no node and the range is None, not the
+        slope of its rounding-level phi-gradient."""
+        geom, _, result = solved
+        rep = phi_monitor(geom, result.u, 1.0)
+        assert not rep.degenerate
+        assert rep.boundary_derivative_range is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_range_spans_the_nodes_of_half_the_max_tangential_gradient(self, geom_pi3, k):
+        """The range is that of boundary_derivative over the nodes where
+        |u_psi| / sin(theta), here eps k |sin(k psi)| rho(theta) / sin(theta), is at
+        least half its max; there the slope meets target."""
+        g = geom_pi3
+        rep = phi_monitor(g, neumann_bump(g, k=k), 1.0)
+        tangential = np.abs(np.sin(k * g.psi_nodes))
+        held = rep.boundary_derivative[tangential >= 0.5 * np.max(tangential)]
+        assert rep.boundary_derivative_range == [np.min(held), np.max(held)]
+        err = max(abs(v - rep.target) for v in rep.boundary_derivative_range)
+        assert err < 50.0 * math.sqrt(g.grid_eps())
+
     def test_interior_max_for_solution(self, solved):
         geom, spec, result = solved
         rep = phi_monitor(geom, result.u, 1.0)

@@ -40,7 +40,7 @@ from capmink import (
 from capmink.cli import main as cli_main
 from capmink.grid import _ring, bump_profile, evenness_defect
 from capmink.operators import JACOBIAN_TERMS, _stencil_table, u_system
-from capmink.problem_io import density_from_config
+from capmink.problem_io import density_from_config, write_solve_artifacts
 from capmink.solver import (
     NewtonTrace,
     _assemble,
@@ -216,6 +216,29 @@ class TestNewton:
         # each Newton step at least squares the residual (up to a constant)
         for a, b in zip(res[:-1], res[1:]):
             assert b < 10.0 * a**2 + 1e-10
+
+    def test_line_search_below_min_step_ends_the_newton_solve(self, monkeypatch):
+        """A line search that finds no acceptable step down to MIN_STEP ends the
+        Newton solve unconverged, with no iteration taken: here every candidate
+        after the start is refused as not convex, so the steps 1, 1/2, ...,
+        MIN_STEP are each refused and halved."""
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                           f=ell_power_density(g, alpha=-1.2, beta=-0.1))
+        _base_density(g, spec.p, spec.q)  # formed, and kept on g, before the seam
+        calls, real = [], solver.eigen_range
+
+        def eigen_range(*b):
+            calls.append(b)
+            return real(*b) if len(calls) == 1 else (-math.inf, math.inf)
+
+        monkeypatch.setattr(solver, "eigen_range", eigen_range)
+        result = newton_solve(spec, g, 1.0, ScalarField(g, np.ones(g.shape)))
+        (trace,) = result.newton_trace
+        assert not result.converged and not trace.converged
+        assert trace.iterations == 0 and len(trace.residuals) == 1
+        assert trace.halvings == 21 == 1 - math.log2(solver.MIN_STEP)
+        assert len(calls) == 1 + trace.halvings
 
     def test_nonpositive_start_rejected(self, geom_pi3):
         f = ell_power_density(geom_pi3, alpha=-1.0)
@@ -796,14 +819,14 @@ class TestContinuation:
         assert result.converged
         assert evenness_defect(g, result.h.values) < 1e-12
 
-    def test_to_json_dict_round_trips(self, geom_pi3):
-        import json
-
+    def test_result_json_round_trips(self, geom_pi3, tmp_path):
+        """result.json is the record as the JSON writer writes it: its traces as objects."""
         g = geom_pi3
         f = ell_power_density(g, alpha=-1.0)
         spec = ProblemSpec(p=2.0, q=3.0, theta=g.theta, f=f, even=True)
         result = continuation_solve(spec, g)
-        doc = json.loads(json.dumps(result.to_json_dict()))
+        write_solve_artifacts(tmp_path, result, {})
+        doc = json.loads((tmp_path / "result.json").read_text())
         assert doc["converged"] is True
         assert doc["s_reached"] == 1.0
         assert doc["newton_trace"][0]["s"] == 0.0
