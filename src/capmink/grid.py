@@ -147,8 +147,10 @@ class ScalarField:
         bit on every solver output measured, on rough data to rounding."""
         if np.any(self.values <= 0.0):
             raise DomainError("support function must be positive")
-        g = self.geometry
-        b11, b12, b22, g1, g2, _ = _ring_frame(g, self.values / ell_field(g).values)
+        g, u = self.geometry, self.values / _ell(self.geometry)
+        m = _psi_period(u)
+        b11, b12, b22, g1, g2 = (np.tile(a, (1, g.Npsi // m))
+                                 for a in _u_frame(_ring(g, m), u[:, :m])[:5])
         return CurvatureData(b11, b12, b22, b11 + b22, eigen_range(b11, b12, b22)[0], g1, g2)
 
     @classmethod
@@ -201,10 +203,18 @@ class EmbeddedBody:
     extents: BodyExtents
 
 
+def _ell(geom: CapGeometry) -> np.ndarray:
+    """:func:`ell_field`'s values, read-only, cached on geom (the field would be a cycle)."""
+    if "ell" not in geom._cache:
+        geom._cache["ell"] = np.repeat((1.0 - geom.cos_theta * geom.cos_phi)[:, None],
+                                       geom.Npsi, axis=1)
+        geom._cache["ell"].flags.writeable = False
+    return geom._cache["ell"]
+
+
 def ell_field(geom: CapGeometry) -> ScalarField:
     """Capillary support function of the unit cap: ell = 1 - cos(theta)cos(phi)."""
-    vals = 1.0 - geom.cos_theta * geom.cos_phi
-    return ScalarField(geom, np.repeat(vals[:, None], geom.Npsi, axis=1))
+    return ScalarField(geom, _ell(geom))
 
 
 def ell_grad_sq(geom: CapGeometry) -> np.ndarray:
@@ -283,12 +293,6 @@ def _u_frame(geom: CapGeometry, u: np.ndarray):
     blocks = np.concatenate([ext, (right - left) * c1, (right - 2.0 * dev + left) * c2])
     frame = (st.Phi @ blocks).reshape(5, geom.Nphi, -1)
     return tuple(a.reshape(shape) for a in (*frame, ext[1:-1]))
-
-
-def _ring_frame(geom: CapGeometry, u: np.ndarray):
-    """:func:`_u_frame` of the grid field u on the ring of its :func:`_psi_period`, tiled."""
-    m = _psi_period(u)
-    return tuple(np.tile(a, (1, geom.Npsi // m)) for a in _u_frame(_ring(geom, m), u[:, :m]))
 
 
 def eigen_range(b11: np.ndarray, b12: np.ndarray, b22: np.ndarray):

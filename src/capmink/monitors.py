@@ -27,12 +27,12 @@ from .grid import (
     CapGeometry,
     ScalarField,
     _check_grid,
+    _ell,
+    _psi_period,
     _ring,
-    _ring_frame,
     _u_frame,
     boundary_values,
     curvature_tensor,
-    ell_field,
     ell_grad_sq,
     evenness_defect,
 )
@@ -63,7 +63,6 @@ class PhiMonitorReport:
     phi_field: ScalarField
     interior_max: bool
     boundary_derivative: np.ndarray
-    boundary_gradient: np.ndarray
     degenerate: bool
     # [min, max] of boundary_derivative where the identity holds, or None where it holds nowhere
     boundary_derivative_range: list | None
@@ -175,8 +174,8 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     """Test function ell^(2-gamma) |grad u|^2 / u^gamma and its boundary slope.
 
     grad u is read off the stencil as (grad h - u grad ell) / ell with
-    h = ell * u, both gradients those of :func:`capmink.grid._u_frame` on the
-    psi ring of u - max u, tiled (:func:`capmink.grid._ring_frame`); a
+    h = ell * u, both gradients those of :func:`capmink.grid._u_frame`, all on
+    the psi ring of u, and only Phi and the per-node derivative are tiled; a
     constant u has Phi = 0 exactly.  A u whose boundary phi-derivative exceeds
     TRUNCATION_TOL * dphi^2 * max(1, max u) is not Neumann and is refused.
     For a Neumann u the outward derivative of log(Phi) at the boundary equals
@@ -197,31 +196,31 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
         raise ApplicabilityError(f"u violates the Neumann condition (defect {defect:.3g})")
     # the stencil is linear, so u may be offset by a constant first: then a
     # constant u gives v = 0 and Phi = 0 exactly
-    v = u.values - scale
-    _, _, _, g1, g2, _ = _ring_frame(geom, v)
+    m = _psi_period(u.values)
+    ring, uv = _ring(geom, m), u.values[:, :m]
+    v = uv - scale
+    _, _, _, g1, g2, _ = _u_frame(ring, v)
     _, _, _, ell_g1, _, ell = _u_frame(_ring(geom, 1), np.ones((geom.Nphi, 1)))
     gsq = ((g1 - v * ell_g1) ** 2 + g2**2) / ell**2
-    phi_vals = ell ** (2.0 - gamma) * gsq / u.values**gamma
+    phi_vals = ell ** (2.0 - gamma) * gsq / uv**gamma
     degenerate = float(np.max(phi_vals)) < 1e-14 * max(1.0, scale**2)
 
     floor = 1e-12 * max(1.0, scale**2)
     with np.errstate(divide="ignore"):
         logphi = np.where(phi_vals > floor, np.log(np.maximum(phi_vals, floor)), np.nan)
-    _, bnd_der = boundary_values(geom, logphi)
+    _, bnd_der = boundary_values(ring, logphi)
 
-    # boundary gradient magnitude, extrapolated
-    gb, _ = boundary_values(geom, np.sqrt(gsq))
     # the tangential gradient |u_psi| / sin(theta) on the boundary
     u_psi = g2 * geom.sin_phi[:, None] / ell
-    tangential = np.abs(boundary_values(geom, u_psi)[0]) / geom.sin_theta
+    tangential = np.abs(boundary_values(ring, u_psi)[0]) / geom.sin_theta
     held = bnd_der[(tangential >= 0.5 * np.max(tangential)) & (tangential > 0.0)
                    & np.isfinite(bnd_der)]
+    # the first max row of the tiled Phi is the ring's
     i, _j = np.unravel_index(np.argmax(phi_vals), phi_vals.shape)
     return PhiMonitorReport(
-        phi_field=ScalarField(geom, phi_vals),
+        phi_field=ScalarField(geom, np.tile(phi_vals, (1, geom.Npsi // m))),
         interior_max=bool(i < geom.Nphi - 1),
-        boundary_derivative=bnd_der,
-        boundary_gradient=gb,
+        boundary_derivative=np.tile(bnd_der, geom.Npsi // m),
         degenerate=degenerate,
         boundary_derivative_range=([float(np.min(held)), float(np.max(held))]
                                    if held.size else None),
@@ -270,7 +269,7 @@ def c0_bound_check(geom: CapGeometry, h: ScalarField, spec,
     if not passed:
         raise ApplicabilityError(f"h is not a solution of the problem (residual {res_sup:.3g})")
     tol = TRUNCATION_TOL * geom.grid_eps()
-    ell = ell_field(geom).values
+    ell = _ell(geom)
     u = h.values / ell
     rhs = spec.f.values * ell ** (p - 1.0) * (ell**2 + ell_grad_sq(geom)) ** ((3.0 - q) / 2.0)
     max_u, min_u = float(np.max(u)), float(np.min(u))

@@ -16,24 +16,27 @@ the full grid's Npsi) to the Nphi x Nphi matrix R_o of its phi-row weights:
 Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
 m = Npsi is the grid itself) the table gives the operators
-``sum_o kron(R_o, shift(o mod m))`` (:func:`u_system`, and the Newton
-Jacobian's fixed pattern, :func:`_jacobian_pattern`), the rounding floor's
-``sum_o kron(|R_o|, shift(o mod m))`` (:func:`_floor_system`) and the
-psi-Fourier symbols ``sum_o R_o exp(2 pi i k o / m)`` (:func:`_mode_terms`).
+``sum_o kron(R_o, shift(o mod m))`` (:func:`u_system`).  The solver reads them,
+once per ring, as one fixed-stride layout on which it assembles the Newton Jacobian
+and the rounding floor's ``sum_o kron(|R_o|, shift(o mod m))`` per step, and as
+psi-Fourier symbols ``sum_o R_o exp(2 pi i k o / m)`` (:func:`_ring_layout`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import CapGeometry, _stencil, ell_field
+from .grid import CapGeometry, _ell, _stencil
 
 # the stencil operators that enter the Newton Jacobian, each weighted per
 # cell, in the order of the frame terms of grid._stencil
 JACOBIAN_TERMS = ("b11", "b12", "b22", "g1", "g2")
+
+_Layout = namedtuple("_Layout", "indices indptr W F rows cols pair_W omega")
 
 
 def _stencil_table(geom: CapGeometry):
@@ -117,73 +120,49 @@ def u_system(geom: CapGeometry) -> dict:
         shifts, W = _wrapped(geom, _stencil_table(geom)[3])
         ops = {k: _ring_matrix(geom, shifts, W[:, :, t])
                for t, k in enumerate(JACOBIAN_TERMS)}
-        ops["ell"] = ell_field(geom).values.ravel()
+        ops["ell"] = _ell(geom).ravel()
         geom._cache[key] = ops
     return geom._cache[key]
 
 
-def _floor_system(geom: CapGeometry) -> dict:
-    """``|A|`` of b11, b12 and b22 for the rounding floor, cached on geom.
+def _ring_layout(geom: CapGeometry) -> _Layout:
+    """Every operator on the ring geom, from one wrap of the stencil table, cached on it.
 
-    Each is ``sum_o kron(|R_o|, shift(o mod m))``, the absolute values taken
-    before the ring wraps the offsets: on a ring, ``S |A| E`` of the full
-    grid's A (S keeps the ring's cells, E tiles the ring onto the grid).  The
-    ring's own ``|A|`` would first add the pole ghost to its cell (even data)
-    or the psi stencil to itself (one cell), and give a lower floor.
+    Cell (i, j) of ``sum_s kron(W[:, s], shift(s))`` has the (pair, shift) slots
+    and weights of every cell of phi row i: ``indices`` and ``indptr`` list E
+    per cell (ELLPACK; Saad, *Iterative Methods for Sparse Linear Systems*,
+    2003, sec. 3.4), a row with fewer padded with the cell's diagonal at
+    weight 0.  ``W[i, t, e]`` weights slot e of row i in term t (the
+    :data:`JACOBIAN_TERMS`, then the diagonal): cell coefficients C (cells x
+    terms) give the data ``matmul(C.reshape(Nphi, m, -1), W)``.  ``F[i, k, e]``
+    weights it in the rounding floor's ``|A|`` of b11, 2 b12 and b22, taken
+    before the ring wraps the offsets: ``S |A| E`` of the full grid's A (S keeps
+    the ring's cells, E tiles the ring onto the grid), where the ring's own
+    would add the pole ghost to its cell (even data) or the psi stencil to
+    itself (one cell).  With coefficients cbar constant along each phi row, a
+    ring Jacobian maps psi mode k of row i' to row i with the weight ``sum_t
+    cbar[i, t] sigma_t[i, i'](k)``, ``sigma_t = pair_W[:, :, t] @ omega`` over
+    the phi-row pairs ``(rows, cols)``, ``omega[shift, k] = exp(2 pi i k shift
+    / m)`` for k = 0 .. m // 2 (the full grid's antipode gives ``(-1)^k``).
     """
-    key = "floor_system"
-    if key not in geom._cache:
-        shifts, W = _wrapped(geom, np.abs(_stencil_table(geom)[3]))
-        geom._cache[key] = {k: _ring_matrix(geom, shifts, W[:, :, JACOBIAN_TERMS.index(k)])
-                            for k in ("b11", "b12", "b22")}
-    return geom._cache[key]
-
-
-def _jacobian_pattern(geom: CapGeometry):
-    """Fixed CSC pattern of every Jacobian on the ring geom, and its assembly map.
-
-    ``J = sum_t diag(c_t) O_t + diag(d)``, O_t the :data:`JACOBIAN_TERMS`,
-    has an entry at each (pair, shift) of the table where a term has a
-    weight, in each of the ring's m cells j, and its values are a fixed
-    linear map of the coefficients.  Returns ``(indptr, indices, T)``: that
-    CSC pattern and the sparse map T with ``data = T @ C.ravel()``, where C
-    (cells x terms) holds c_t for each term in order and d last.  Built once
-    per ring, on the first Newton step.
-    """
-    key = "jacobian_pattern"
-    if key not in geom._cache:
-        shifts, W = _wrapped(geom, _stencil_table(geom)[3])
-        p, s = np.nonzero(np.any(W != 0.0, axis=2))
-        # the ring matrix of the entry numbers gives each CSC position its entry
-        ids = np.zeros(W.shape[:2])
-        ids[p, s] = np.arange(1, len(p) + 1)
-        A = _ring_matrix(geom, shifts, ids).tocsc()
-        # the value at a position in row r weights C[r, t] by its entry's weight of term t
-        w = sp.csr_matrix(W[p, s])[A.data.astype(np.int64) - 1]
-        nt = W.shape[2]
-        cols = w.indices + np.repeat(A.indices * nt, np.diff(w.indptr))
-        T = sp.csr_matrix((w.data, cols, w.indptr), shape=(A.nnz, geom.size * nt))
-        geom._cache[key] = (A.indptr, A.indices, T)
-    return geom._cache[key]
-
-
-def _mode_terms(geom: CapGeometry):
-    """psi-Fourier symbols of the Jacobian terms on a ring of m > 1 cells.
-
-    A Jacobian with coefficients cbar constant along each phi row maps psi
-    mode k of row i' to the same mode of row i, with the weight
-    ``sum_t cbar[i, t] sigma_t[i, i'](k)``, ``sigma_t(k) = sum_o R_o
-    exp(2 pi i k o / m)`` (the full grid's antipode ``m/2`` gives ``(-1)^k``).
-    Returns ``(rows, cols, W, omega)``: the phi-row pairs of the table, the
-    ring's weights ``W[pair, shift, t]`` and ``omega[shift, k] =
-    exp(2 pi i k shift / m)``, k = 0 .. m // 2: ``sigma_t = W[:, :, t] @ omega``.
-    Cached on geom.
-    """
-    key = "mode_terms"
+    key = "ring_layout"
     if key not in geom._cache:
         rows, cols, _, R = _stencil_table(geom)
         shifts, W = _wrapped(geom, R)
-        m = geom.Npsi
+        F = _wrapped(geom, np.abs(R))[1]  # no weight cancels: the slots of every term
+        p, s = np.nonzero(np.any(F != 0.0, axis=2))  # by pair (col, then row), then shift
+        order = np.argsort(rows[p], kind="stable")
+        p, s, i = p[order], s[order], rows[p[order]]
+        e = np.arange(len(i)) - np.searchsorted(i, i)  # slot within row i
+        N, m, E = geom.Nphi, geom.Npsi, int(np.max(e)) + 1
+        # slot e of row i reads phi row col at psi shift shift; padding reads the cell
+        col, shift = np.repeat(np.arange(N)[:, None], E, axis=1), np.zeros((N, E), int)
+        col[i, e], shift[i, e] = cols[p], shifts[s]
+        Wrow, Frow = np.zeros((N, W.shape[2], E)), np.zeros((N, 3, E))
+        Wrow[i, :, e], Frow[i, :, e] = W[p, s], F[p, s, :3] * [1.0, 2.0, 1.0]
+        cells = col[:, None] * m + (np.arange(m)[:, None] + shift[:, None]) % m
         omega = np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))
-        geom._cache[key] = (rows, cols, W, omega)
+        geom._cache[key] = _Layout(cells.astype(np.int32).ravel(),
+                                   np.arange(0, geom.size * E + 1, E, dtype=np.int32),
+                                   Wrow, Frow, rows, cols, W, omega)
     return geom._cache[key]

@@ -37,8 +37,8 @@ from .errors import CapminkError, ConfigError
 from .grid import (
     CapGeometry,
     ScalarField,
+    _ell,
     build_grid,
-    ell_field,
     ell_grad_sq,
     field_to_csv,
 )
@@ -68,7 +68,7 @@ def density_from_config(geom: CapGeometry, fcfg: dict, p: float, q: float) -> Sc
         beta = _number(fcfg, "beta", 0.0)
         if c <= 0.0:
             raise ConfigError("ell_power coefficient c must be positive")
-        ell = ell_field(geom).values
+        ell = _ell(geom)
         vals = c * ell**alpha * (ell**2 + ell_grad_sq(geom)) ** beta
         return ScalarField(geom, vals)
     if kind == "grid":

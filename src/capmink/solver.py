@@ -32,10 +32,10 @@ psi-independent data, Npsi/2 for even data, all Npsi otherwise.  A
 continuation picks the ring of its target density once and runs every step
 on it, s = 0 included (f_0 is psi-independent, so each f_s has the target's
 symmetry); it tiles the solution back onto the grid once, at the end.  The
-residual, the convexity checks, the rounding floor and the Jacobian (on a
-fixed sparsity pattern, :func:`capmink.operators._jacobian_pattern`) are all
-evaluated on the ring, from operators that :mod:`capmink.operators` reads
-off the ring's own stencil table; the solver never builds the grid's.
+residual, the convexity checks, the rounding floor and the Jacobian (assembled
+per step on one fixed-stride layout, :func:`capmink.operators._ring_layout`) are
+all evaluated on the ring, from weights read off the ring's own stencil table;
+the solver never builds the grid's.
 Each direction of psi-dependent data is an inexact Newton step
 (Eisenstat-Walker, *SIAM J. Sci. Comput.* 17, 1996): GMRES on the bordered
 system with the current Jacobian, right-preconditioned by block elimination
@@ -98,6 +98,7 @@ from .grid import (
     CapGeometry,
     ScalarField,
     _check_grid,
+    _ell,
     _psi_period,
     _ring,
     _u_frame,
@@ -107,7 +108,7 @@ from .grid import (
     evenness_defect,
     robin_residual,
 )
-from .operators import JACOBIAN_TERMS, _floor_system, _jacobian_pattern, _mode_terms
+from .operators import JACOBIAN_TERMS, _ring_layout
 
 
 @dataclass
@@ -241,7 +242,9 @@ def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
     if key not in geom._cache:
         ring = _ring(geom, 1)
         try:
-            f0 = manufactured_f(ring, ell_field(ring), p, q).values
+            if "ell_frame" not in ring._cache:  # ell's checked frame, for every (p, q)
+                ring._cache["ell_frame"] = _manufactured_frame(ring, ell_field(ring))
+            f0 = _manufactured_density(*ring._cache["ell_frame"], p, q)
         except CapminkError as exc:
             raise ApplicabilityError(f"the base density f0 = manufactured_f(ell) cannot be "
                                      f"formed at theta = {geom.theta}, p = {p}, q = {q}: "
@@ -280,7 +283,7 @@ def residual_h(spec: ProblemSpec, geom: CapGeometry, h: ScalarField) -> ScalarFi
     """
     _check_grid(geom, spec.f, h)
     return _residual_field(geom, spec.f.values, spec.p, spec.q,
-                           h.values / ell_field(geom).values)
+                           h.values / _ell(geom))
 
 
 def _jacobian_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
@@ -288,8 +291,7 @@ def _jacobian_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
 
     Row r of C holds, at the r-th cell, the weight of each
     :data:`JACOBIAN_TERMS` operator in the Jacobian of the quotient residual
-    and last its diagonal term, as :func:`capmink.operators._jacobian_pattern`
-    reads them.
+    and last its diagonal term, as :func:`_assemble` reads them.
     """
     b11, b12, b22, g1, g2, hvec, w, rhs = parts
     e = (3.0 - q) / 2.0
@@ -302,14 +304,14 @@ def _jacobian_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
     # cof(b) : db for the determinant, minus d(rhs) through grad h and h
     weight = {"b11": b22, "b22": b11, "b12": -2.0 * b12, "g1": -c_g * g1, "g2": -c_g * g2}
     return np.stack([weight[k] for k in JACOBIAN_TERMS]
-                    + [-c_h * ell_field(geom).values.ravel()], axis=1)
+                    + [-c_h * _ell(geom).ravel()], axis=1)
 
 
-def _assemble(geom: CapGeometry, C) -> sp.csc_matrix:
-    """The Jacobian on the ring geom of the coefficients C."""
-    indptr, indices, T = _jacobian_pattern(geom)
-    n = C.shape[0]
-    return sp.csc_matrix((T @ C.ravel(), indices, indptr), shape=(n, n))
+def _assemble(geom: CapGeometry, C) -> sp.csr_matrix:
+    """The Jacobian on the ring geom of the coefficients C, on the ring's layout."""
+    L, n = _ring_layout(geom), C.shape[0]
+    data = np.matmul(C.reshape(geom.Nphi, -1, C.shape[1]), L.W)
+    return sp.csr_matrix((data.ravel(), L.indices, L.indptr), shape=(n, n))
 
 
 def _lu_factor(A):
@@ -325,7 +327,7 @@ class _ModeFactor:
 
     Averaging the coefficients C over each phi row makes the Jacobian on a
     ring of m > 1 cells circulant along psi (see
-    :func:`capmink.operators._mode_terms`), so a real FFT along psi splits it
+    :func:`capmink.operators._ring_layout`), so a real FFT along psi splits it
     into one Nphi x Nphi system per mode k = 0 .. m // 2.  Each is
     tridiagonal in phi but for the Neumann ghost's entry (N-1, N-3), and rows
     N-2 and N-1 have entries only in columns N-3 .. N-1.  One step of partial
@@ -339,7 +341,7 @@ class _ModeFactor:
     """
 
     def __init__(self, geom: CapGeometry, C):
-        rows, cols, W, omega = _mode_terms(geom)
+        rows, cols, W, omega = _ring_layout(geom)[4:]  # the mode symbols' terms
         self.shape = Nphi, m = geom.shape
         # the row means of C; einsum sums along the middle axis faster than mean
         cbar = np.einsum("ijt->it", C.reshape(Nphi, m, -1)) / m
@@ -479,21 +481,18 @@ def _residual_floor(geom: CapGeometry, uvec, parts) -> np.ndarray:
     1/(sin(phi)^2 dpsi^2); a one-ulp change of u moves that cell's residual
     by roughly that factor, so the residual of the best double-precision
     iterate cannot drop below eps * |A| |u| per cell.  The standard |A||x|
-    backward-error bound over the b-operators gives that floor.  geom is the
-    grid or ring that uvec and parts live on; on a ring, |A| is the full
-    grid's (see :func:`capmink.operators._floor_system`).
+    backward-error bound over the b-operators gives that floor,
+    ``eps (|b22| |A11| + 2 |b12| |A12| + |b11| |A22|) |u| + 4 eps |rhs|``, one
+    matvec on the ring's layout.  geom is the grid or ring that uvec and parts
+    live on; on a ring, |A| is the full grid's (see
+    :func:`capmink.operators._ring_layout`).
     """
-    aops = _floor_system(geom)
-    au = np.abs(uvec)
+    L, n = _ring_layout(geom), len(uvec)
     b11, b12, b22, _g1, _g2, _h, _w, rhs = parts
-    eps = np.finfo(float).eps
-    a11 = aops["b11"] @ au
-    a12 = aops["b12"] @ au
-    a22 = aops["b22"] @ au
-    return eps * (
-        np.abs(b22) * a11 + np.abs(b11) * a22 + 2.0 * np.abs(b12) * a12
-        + 4.0 * np.abs(rhs)
-    )
+    coeffs = np.stack([b22, b12, b11], axis=1).reshape(geom.Nphi, -1, 3)
+    data = np.matmul(np.abs(coeffs, out=coeffs), L.F)
+    A = sp.csr_matrix((data.ravel(), L.indices, L.indptr), shape=(n, n))
+    return np.finfo(float).eps * (A @ np.abs(uvec) + 4.0 * np.abs(rhs))
 
 
 def _within_floor(res, noise, tol, parts) -> bool:
@@ -532,7 +531,7 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     if cfg is None:
         cfg = SolverConfig()
     _check_grid(geom, spec.f, h)
-    u = h.values / ell_field(geom).values
+    u = h.values / _ell(geom)
     if np.any(u <= 0.0):
         raise DomainError("u = h / ell must be positive")
     m = max(_symmetry(spec.f.values), _psi_period(u))
@@ -568,7 +567,7 @@ def _finalize(geom: CapGeometry, x, b_range, p, q, trace, converged, s_reached,
     """
     log_C = float(x[-1])
     log_m = log_C / (p - q) if p != q else 0.0
-    ell = ell_field(geom).values
+    ell = _ell(geom)
     u_bar = x[:-1].reshape(geom.Nphi, -1)
     u_bar = np.tile(u_bar, (1, geom.Npsi // u_bar.shape[1]))
     h_bar = ScalarField(geom, ell * u_bar)
@@ -773,6 +772,11 @@ def manufactured_f(
     is measured first: a field that violates the boundary condition by more
     than O(grid^2) is refused.
     """
+    return ScalarField(geom, _manufactured_density(*_manufactured_frame(geom, h_star), p, q))
+
+
+def _manufactured_frame(geom: CapGeometry, h_star: ScalarField):
+    """``(frame, h)`` of h_star for :func:`manufactured_f`, once h_star passes its checks."""
     if np.any(h_star.values <= 0.0):
         raise DomainError("h_star must be positive")
     rob = float(np.max(np.abs(robin_residual(geom, h_star))))
@@ -781,16 +785,21 @@ def manufactured_f(
         raise ApplicabilityError(
             f"h_star violates the Robin condition (defect {rob:.3g})"
         )
-    *frame, h = _u_frame(geom, h_star.values / ell_field(geom).values)
+    *frame, h = _u_frame(geom, h_star.values / _ell(geom))
     if eigen_range(*frame[:3])[0] <= 0.0:
         raise ApplicabilityError("h_star is not strictly convex")
+    return frame, h
+
+
+def _manufactured_density(frame, h, p, q) -> np.ndarray:
+    """det b / (h^(p-1) w^((3-q)/2)) of the frame and h of :func:`_manufactured_frame`."""
     with np.errstate(all="ignore"):
         det, weight, _ = _equation(1.0, p, q, frame, h)
         f = det / weight
     if not np.all(np.isfinite(f) & (f > 0.0)):
         raise ApplicabilityError(f"the density det b / (h^(p-1) w^((3-q)/2)) is not finite "
                                  f"and positive at p = {p}, q = {q}")
-    return ScalarField(geom, f)
+    return f
 
 
 def ell_bump_field(geom: CapGeometry, eps: float, k: int = 2) -> ScalarField:
@@ -913,7 +922,7 @@ def pq_residual(geom: CapGeometry, f: ScalarField, p: float,
                 h: ScalarField, C: float) -> ScalarField:
     """Residual of det b = C f h^(p-1) (h^2 + |grad h|^2)^((3-p)/2), as residual_h."""
     _check_grid(geom, f, h)
-    return _residual_field(geom, C * f.values, p, p, h.values / ell_field(geom).values)
+    return _residual_field(geom, C * f.values, p, p, h.values / _ell(geom))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import settings
 
 from capmink import ScalarField, build_grid, ell_field
-from capmink.grid import _ring, bump_profile
+from capmink.grid import _ring, boundary_values, bump_profile
 
 # the same examples on every run, and no per-example deadline on a loaded host
 settings.register_profile("tier1", deadline=None, derandomize=True, max_examples=10)
@@ -35,6 +35,15 @@ def robin_bump(geom, eps=0.1, k=2):
     """A positive Robin field: ell times a Neumann bump."""
     u = neumann_bump(geom, eps, k)
     return ScalarField(geom, ell_field(geom).values * u.values)
+
+
+def tangential_mask(geom, u):
+    """The boundary nodes where phi_monitor's identity is judged: those whose
+    tangential gradient, the centred psi difference of u extrapolated to
+    phi = theta, is at least half its max."""
+    ub = boundary_values(geom, u.values)[0]
+    t = np.abs(np.roll(ub, -1) - np.roll(ub, 1))
+    return t >= 0.5 * np.max(t)
 
 
 def ring_of(g, symmetry):

@@ -967,8 +967,7 @@ RECORDS = {
                     _fields(NonCollapseReport, drop=("passed",), add=("pass",))),
     "phi_monitor": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json",
                                          "phi_monitor"),
-                    _fields(PhiMonitorReport, drop=("phi_field", "boundary_derivative",
-                                                    "boundary_gradient"))),
+                    _fields(PhiMonitorReport, drop=("phi_field", "boundary_derivative"))),
     "q_monitor": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json", "q_monitor"),
                   _fields(QMonitorReport, drop=("field",))),
     "c0_bound": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json", "c0_bound"),

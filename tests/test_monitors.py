@@ -27,10 +27,11 @@ from capmink import (
 )
 
 import capmink.grid as grid_module
+import capmink.monitors as monitors_module
 from capmink.grid import _ring, _u_frame, bump_profile
 from capmink.solver import _floor_test, is_solution
 
-from conftest import neumann_bump
+from conftest import neumann_bump, tangential_mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,7 +157,7 @@ class TestPhiMonitor:
         for gamma in (0.5, 1.0):
             rep = phi_monitor(g, u, gamma)
             target = -gamma * g.cot_theta
-            mask = rep.boundary_gradient > 0.05 * np.max(rep.boundary_gradient)
+            mask = tangential_mask(g, u)
             err = np.nanmax(np.abs(rep.boundary_derivative[mask] - target))
             assert err < 50.0 * math.sqrt(g.grid_eps())
 
@@ -217,9 +218,9 @@ class TestPhiMonitor:
                                                  ("k1_bump", 32, True),
                                                  ("even_bump", 16, False)])
     def test_ring_frame_is_the_grid_frame(self, case, ring, exact, monkeypatch):
-        """Phi's frame of v = u - max u is evaluated on v's psi ring and tiled: half the
-        grid for even data, one cell per row for psi-independent data.  That is the
-        frame of all Npsi columns bit for bit on the even grid density, the
+        """Phi and its frame of v = u - max u are evaluated on u's psi ring, and Phi
+        is tiled: half the grid for even data, one cell per row for psi-independent
+        data.  That is Phi of all Npsi columns bit for bit on the even grid density, the
         psi-independent and the k = 1 solution; on the even ell-bump at 16x32 the two
         rings subtract their row means apart and agree to rounding."""
         g = build_grid(math.pi / 3, 16, 32)
@@ -231,7 +232,7 @@ class TestPhiMonitor:
         p = 2.5 if case == "k1_bump" else 2.0
         u = continuation_solve(ProblemSpec(p=p, q=1.5, theta=g.theta, f=ScalarField(g, f)), g).u
         calls, real = [], grid_module._u_frame
-        monkeypatch.setattr(grid_module, "_u_frame", lambda *a: calls.append(a[0]) or real(*a))
+        monkeypatch.setattr(monitors_module, "_u_frame", lambda *a: calls.append(a[0]) or real(*a))
         Phi = phi_monitor(g, u, 1.0).phi_field.values
         assert calls[0].Npsi == ring
         v = u.values - np.max(u.values)
@@ -358,7 +359,7 @@ class TestC0Bound:
 
     def test_even_solution_is_judged_on_its_ring(self):
         """The even ell-bump's solution is tested on its half ring: the full
-        grid's floor operators are never built."""
+        grid's operator layout is never built."""
         geom = build_grid(math.pi / 3, 16, 32)
         f = ell_bump_f_exact(geom, 2.0, 1.5, 0.05)
         spec = ProblemSpec(p=2.0, q=1.5, theta=geom.theta, f=f, even=True)
@@ -366,7 +367,7 @@ class TestC0Bound:
         assert result.converged
         lo, hi, _ = c0_bound_check(geom, result.h, spec)
         assert lo and hi
-        assert "floor_system" not in geom._cache
+        assert "ring_layout" not in geom._cache
 
     @pytest.mark.parametrize("delta,verdict", [(1e-13, True), (1e-9, False)])
     def test_half_periodic_h_of_psi_independent_data_is_judged_on_the_half_ring(
@@ -384,8 +385,8 @@ class TestC0Bound:
         half = neumann_bump(geom, eps=delta).values[:, :geom.Npsi // 2]
         h = ScalarField(geom, result.h.values * np.tile(half, (1, 2)))
         passed, res_sup = is_solution(spec, geom, h)
-        assert "floor_system" in _ring(geom, geom.Npsi // 2)._cache
-        assert "floor_system" not in geom._cache
+        assert "ring_layout" in _ring(geom, geom.Npsi // 2)._cache
+        assert "ring_layout" not in geom._cache
         res, _, _, full = _floor_test(geom, f.values.ravel(), 2.0, 1.5, (h.values / ell).ravel(),
                                       SolverConfig().newton_tol)
         assert passed == full == verdict

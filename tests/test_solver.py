@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -513,12 +514,12 @@ class TestRing:
             assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat))) == 1
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
-    def test_ring_floor_is_the_full_grid_floor(self, monkeypatch, problem):
+    def test_ring_floor_is_the_full_grid_floor(self, problem):
         """The ring's floor is the full grid's on the ring cells, although the
         ring's own stencils merge the pole ghost or the psi stencil with the cell,
         also where the pole offsets antipode -1 and +1 meet the psi stencil mod
-        Npsi (Npsi = 4) or mod the ring (Npsi = 8).  The reference |A| is S |A| E
-        of the full grid's operators."""
+        Npsi (Npsi = 4) or mod the ring (Npsi = 8).  The reference floor is
+        built from S |A| E of the full grid's operators."""
         for Nphi, Npsi in [(8, 4), (8, 8), (16, 32)]:
             g = build_grid(math.pi / 3, Nphi, Npsi)
             spec = problem(g)
@@ -540,9 +541,11 @@ class TestRing:
                 a = abs(u_system(g)[k][psi < m]).tocoo()
                 reference[k] = sp.csr_matrix((a.data, (a.row, ring_cell[a.col])),
                                              shape=(ring.size, ring.size))
-            with monkeypatch.context() as mp:
-                mp.setattr(solver, "_floor_system", lambda geom: reference)
-                expected = _residual_floor(ring, ur, parts)
+            b11, b12, b22, *_, rhs = parts
+            au = np.abs(ur)
+            expected = np.finfo(float).eps * (
+                np.abs(b22) * (reference["b11"] @ au) + np.abs(b11) * (reference["b22"] @ au)
+                + 2.0 * np.abs(b12) * (reference["b12"] @ au) + 4.0 * np.abs(rhs))
             assert np.max(np.abs(floor - expected) / expected) <= 1e-14
 
     @pytest.mark.parametrize("problem", [_even_problem, _unflagged_even_problem, _rot_problem],
@@ -552,7 +555,35 @@ class TestRing:
         for even data that is not flagged even."""
         g = build_grid(math.pi / 3, 16, 32)
         _solved(problem(g), g)
-        assert not {"u_system", "jacobian_pattern", "floor_system"} & set(g._cache)
+        assert not {"u_system", "ring_layout"} & set(g._cache)
+
+    def test_ring_caches_at_most_100_bytes_per_cell(self):
+        """Every operator weight depends on the phi row alone, so all that the even
+        ell-bump's solve caches on its ring is per phi row, but for one fixed-stride
+        index layout (int32, 9 slots per cell) and ell: at most 100 bytes per ring
+        cell in all, counted through every cached array, matrix, field and ring."""
+
+        def nbytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, grid_module.CapGeometry):
+                return nbytes(obj._cache)
+            if isinstance(obj, ScalarField):
+                return nbytes([obj.values, vars(obj).get("_frame")])
+            if isinstance(obj, dict):
+                return nbytes(list(obj.values()))
+            if isinstance(obj, (tuple, list)):
+                return sum(nbytes(v) for v in obj)
+            if sp.issparse(obj) or dataclasses.is_dataclass(obj):
+                return nbytes(vars(obj))
+            return 0
+
+        g = build_grid(math.pi / 3, 64, 128)
+        _solved(ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
+                            f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05)), g)
+        ring = _ring(g, g.Npsi // 2)
+        assert "ring_layout" in ring._cache
+        assert nbytes(ring) <= 100 * ring.size
 
     def test_even_flag_with_a_defect_above_rounding_solves_the_grid(self):
         """Data within EVEN_TOL of even but not even to rounding is solved on all
