@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .grid import (
     field_from_csv,
     field_to_csv,
 )
-from .ellipsoid import cap_from_RH, cap_support, make_cap
+from .ellipsoid import cap_from_RH, make_cap
 from .john import john_construct, verify_sandwich
 from .monitors import (
     c0_bound_check,
@@ -133,8 +134,7 @@ def cmd_sandwich(args) -> int:
     report = verify_sandwich(geom, h, cap, factor)
     os.makedirs(args.out, exist_ok=True)
     write_json_report(os.path.join(args.out, "sandwich.json"), report, config)
-    ratio = ScalarField(geom, h.values / cap_support(geom, cap).values)
-    field_to_csv(ratio, os.path.join(args.out, "sandwich_ratio.csv"))
+    field_to_csv(ScalarField(geom, report.ratio), os.path.join(args.out, "sandwich_ratio.csv"))
     return EXIT_OK if report.passed else EXIT_NONCONVERGED
 
 
@@ -172,10 +172,10 @@ def _sweep_grid(theta: float, Nphi: int, Npsi: int):
     """The sweep's grid for one theta, built once per sweep.
 
     Every sweep cell with this theta shares the geometry and with it the
-    operators cached on it, all of which depend on the geometry alone (or on
-    (p, q), in their key).  ``cmd_sweep`` clears the memo when it starts and
-    when it ends, so one ``capmink sweep`` builds one grid per distinct theta
-    and nothing outlives it; each ``--jobs`` worker keeps its own memo.
+    operators cached on it, all of which depend on the geometry alone.
+    ``cmd_sweep`` clears the memo when it starts and when it ends, so one
+    ``capmink sweep`` builds one grid per distinct theta and nothing outlives
+    it; each ``--jobs`` worker keeps its own memo.
     """
     return build_grid(theta, Nphi, Npsi)
 
@@ -242,8 +242,7 @@ def cmd_sweep(args) -> int:
         _sweep_grid.cache_clear()
     rows = [row for row, _ in cells]
     os.makedirs(args.out, exist_ok=True)
-    config = dict(doc)
-    config["grid"] = {"Nphi": Nphi, "Npsi": Npsi}
+    config = resolved_config(doc, SimpleNamespace(Nphi=Nphi, Npsi=Npsi), cfg)
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# {provenance_comment(config)}\n")

@@ -28,6 +28,7 @@ class SandwichReport:
     boundary_max_ratio: float
     tol: float
     passed: bool
+    ratio: np.ndarray  # h / support(cap) per node, which sandwich_ratio.csv carries
 
 
 def height_ratio_check(extents: BodyExtents, theta: float):
@@ -79,4 +80,5 @@ def verify_sandwich(
         boundary_max_ratio=float(np.max(ratio[-1])),
         tol=tol,
         passed=passed,
+        ratio=ratio,
     )

@@ -144,6 +144,8 @@ def _ring_layout(geom: CapGeometry) -> _Layout:
     cbar[i, t] sigma_t[i, i'](k)``, ``sigma_t = pair_W[:, :, t] @ omega`` over
     the phi-row pairs ``(rows, cols)``, ``omega[shift, k] = exp(2 pi i k shift
     / m)`` for k = 0 .. m // 2 (the full grid's antipode gives ``(-1)^k``).
+    Every array is read-only: an in-place scipy operation on a matrix that shares
+    them, as ``spsolve``'s ``sum_duplicates``, raises ValueError, not rewrites them.
     """
     key = "ring_layout"
     if key not in geom._cache:
@@ -165,4 +167,6 @@ def _ring_layout(geom: CapGeometry) -> _Layout:
         geom._cache[key] = _Layout(cells.astype(np.int32).ravel(),
                                    np.arange(0, geom.size * E + 1, E, dtype=np.int32),
                                    Wrow, Frow, rows, cols, W, omega)
+        for a in geom._cache[key]:
+            a.flags.writeable = False
     return geom._cache[key]

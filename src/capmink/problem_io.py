@@ -179,11 +179,9 @@ def read_config(path) -> dict:
 
 
 def resolved_config(doc: dict, geom: CapGeometry, cfg: SolverConfig) -> dict:
-    """The fully resolved configuration embedded in every artifact."""
-    out = dict(doc)
-    out["grid"] = {"Nphi": geom.Nphi, "Npsi": geom.Npsi}
-    out["solver"] = asdict(cfg)
-    return out
+    """The fully resolved configuration embedded in every artifact: geom is its grid, or
+    for a sweep anything that holds the Nphi and Npsi that its cells' grids share."""
+    return {**doc, "grid": {"Nphi": geom.Nphi, "Npsi": geom.Npsi}, "solver": asdict(cfg)}
 
 
 def provenance_comment(config: dict) -> str:

@@ -235,22 +235,19 @@ def _base_density(geom: CapGeometry, p: float, q: float) -> np.ndarray:
     exactly 1), so the homotopy base point has an exactly representable
     solution; it equals the continuum
     ell^(1-p) (ell^2 + |grad ell|^2)^((q-3)/2) up to O(grid^2).  ell does not
-    depend on psi, so it is evaluated on the one-cell ring and tiled: the
-    ring's frame is the grid's, bit for bit.
+    depend on psi, so it is evaluated on the one-cell ring, which caches ell's
+    checked frame for every (p, q), and tiled: the ring's frame is the grid's.
     """
-    key = ("base_density", p, q)
-    if key not in geom._cache:
-        ring = _ring(geom, 1)
-        try:
-            if "ell_frame" not in ring._cache:  # ell's checked frame, for every (p, q)
-                ring._cache["ell_frame"] = _manufactured_frame(ring, ell_field(ring))
-            f0 = _manufactured_density(*ring._cache["ell_frame"], p, q)
-        except CapminkError as exc:
-            raise ApplicabilityError(f"the base density f0 = manufactured_f(ell) cannot be "
-                                     f"formed at theta = {geom.theta}, p = {p}, q = {q}: "
-                                     f"{exc}") from exc
-        geom._cache[key] = np.repeat(f0, geom.Npsi, axis=1)
-    return geom._cache[key]
+    ring = _ring(geom, 1)
+    try:
+        if "ell_frame" not in ring._cache:
+            ring._cache["ell_frame"] = _manufactured_frame(ring, ell_field(ring))
+        f0 = _manufactured_density(*ring._cache["ell_frame"], p, q)
+    except CapminkError as exc:
+        raise ApplicabilityError(f"the base density f0 = manufactured_f(ell) cannot be "
+                                 f"formed at theta = {geom.theta}, p = {p}, q = {q}: "
+                                 f"{exc}") from exc
+    return np.repeat(f0, geom.Npsi, axis=1)
 
 
 def _residual_u_vec(geom: CapGeometry, fvals, p, q, uvec):
@@ -307,10 +304,11 @@ def _jacobian_coeffs(geom: CapGeometry, fvals, p, q, parts) -> np.ndarray:
                     + [-c_h * _ell(geom).ravel()], axis=1)
 
 
-def _assemble(geom: CapGeometry, C) -> sp.csr_matrix:
-    """The Jacobian on the ring geom of the coefficients C, on the ring's layout."""
+def _assemble(geom: CapGeometry, C, weights: str = "W") -> sp.csr_matrix:
+    """The operator on the ring geom of the cell coefficients C and the ring layout's
+    ``weights``: the Jacobian's ``W``, or ``F``, the rounding floor's |A|."""
     L, n = _ring_layout(geom), C.shape[0]
-    data = np.matmul(C.reshape(geom.Nphi, -1, C.shape[1]), L.W)
+    data = np.matmul(C.reshape(geom.Nphi, -1, C.shape[1]), getattr(L, weights))
     return sp.csr_matrix((data.ravel(), L.indices, L.indptr), shape=(n, n))
 
 
@@ -341,13 +339,14 @@ class _ModeFactor:
     """
 
     def __init__(self, geom: CapGeometry, C):
-        rows, cols, W, omega = _ring_layout(geom)[4:]  # the mode symbols' terms
+        L = _ring_layout(geom)  # the mode symbols' terms
         self.shape = Nphi, m = geom.shape
         # the row means of C; einsum sums along the middle axis faster than mean
         cbar = np.einsum("ijt->it", C.reshape(Nphi, m, -1)) / m
         # diagonals[i - i' + 1, k, i]: entry (i, i') of mode k, for i - i' = -1 .. 2
-        diagonals = np.zeros((4, omega.shape[1], Nphi), complex)
-        diagonals[rows - cols + 1, :, rows] = np.einsum("pst,pt->ps", W, cbar[rows]) @ omega
+        diagonals = np.zeros((4, L.omega.shape[1], Nphi), complex)
+        symbols = np.einsum("pst,pt->ps", L.pair_W, cbar[L.rows]) @ L.omega
+        diagonals[L.rows - L.cols + 1, :, L.rows] = symbols
         up, mid, low, ghost = diagonals
         # rows N-2 and N-1 of each mode over columns N-3 .. N-1
         top = np.stack([low[:, -2], mid[:, -2], up[:, -2]], axis=1)
@@ -483,15 +482,13 @@ def _residual_floor(geom: CapGeometry, uvec, parts) -> np.ndarray:
     iterate cannot drop below eps * |A| |u| per cell.  The standard |A||x|
     backward-error bound over the b-operators gives that floor,
     ``eps (|b22| |A11| + 2 |b12| |A12| + |b11| |A22|) |u| + 4 eps |rhs|``, one
-    matvec on the ring's layout.  geom is the grid or ring that uvec and parts
-    live on; on a ring, |A| is the full grid's (see
-    :func:`capmink.operators._ring_layout`).
+    matvec of the |A| that :func:`_assemble` builds on the ring layout's ``F``.
+    geom is the grid or ring that uvec and parts live on; on a ring, |A| is the
+    full grid's (see :func:`capmink.operators._ring_layout`).
     """
-    L, n = _ring_layout(geom), len(uvec)
     b11, b12, b22, _g1, _g2, _h, _w, rhs = parts
-    coeffs = np.stack([b22, b12, b11], axis=1).reshape(geom.Nphi, -1, 3)
-    data = np.matmul(np.abs(coeffs, out=coeffs), L.F)
-    A = sp.csr_matrix((data.ravel(), L.indices, L.indptr), shape=(n, n))
+    coeffs = np.stack([b22, b12, b11], axis=1)
+    A = _assemble(geom, np.abs(coeffs, out=coeffs), "F")
     return np.finfo(float).eps * (A @ np.abs(uvec) + 4.0 * np.abs(rhs))
 
 
@@ -600,22 +597,22 @@ THETA_REJECT = 0.5      # a trial step is given up above this contraction
 TRIAL_MIN_STEP = 0.25   # ... or when its line search wants a shorter step
 
 
-def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
+def _newton(ring: CapGeometry, fvals, p, q, starts, s, cfg: SolverConfig,
             trial: bool = False):
     """Damped Newton on the normalized equation on the psi ring ``ring``.
 
-    fvals is the density on the ring's cells and the start is
-    ``x = (uvec / mean(uvec), log_C)``.  The u field (x but its last entry,
-    log C) must stay positive and convex; convexity is read off the
-    residual's own frame.  A step is halved until that holds and the sup of
-    the residual and the pin ``mean(u_bar) - 1`` falls by ``1 - step/4`` or
-    the floor test (:func:`_floor_test`) holds.  The largest contraction of
-    successive directions goes to the trace's ``contraction``; with ``trial``
-    the solve is given up once it exceeds THETA_REJECT or the step falls
-    below TRIAL_MIN_STEP, instead of below MIN_STEP; any solve stops when
-    :func:`_bordered_directions` gives no direction.  Returns the last
-    iterate x, its NewtonTrace at s, its sup, its rounding floor and the
-    eigenvalue range of its b that the convexity check read.
+    fvals is the density on the ring's cells.  starts lists ``(uvec, log_C)`` pairs; the
+    solve starts from the first ``x = (uvec / mean(uvec), log_C)`` that its evaluation
+    accepts: the u field (x but its last entry, log C) is positive and convex, as every
+    iterate must be, with convexity read off the residual's own frame.  A step is halved
+    until that holds and the sup of the residual and the pin ``mean(u_bar) - 1`` falls
+    by ``1 - step/4`` or the floor test (:func:`_floor_test`) holds.  The largest
+    contraction of successive directions goes to the trace's ``contraction``; with
+    ``trial`` the solve is given up once it exceeds THETA_REJECT or the step falls below
+    TRIAL_MIN_STEP, instead of below MIN_STEP; any solve stops when
+    :func:`_bordered_directions` gives no direction.  Returns the last iterate x, its
+    NewtonTrace at s, its sup, its rounding floor and the eigenvalue range of its b that
+    the convexity check read.
     """
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else MIN_STEP
@@ -623,7 +620,9 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
     bordered = _bordered_directions(ring, trace)
 
     def evaluate(x):
-        """(x, sup, done, data) of a positive candidate, or None if not convex."""
+        """(x, sup, done, data) of a candidate, or None if not positive and convex."""
+        if not np.all(x[:-1] > 0.0):
+            return None
         res, parts, noise, passed = _floor_test(ring, fvals * np.exp(x[-1]), p, q, x[:-1], tol)
         b_range = eigen_range(*parts[:3])
         if b_range[0] < CONVEXITY_FLOOR:
@@ -633,9 +632,9 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise, b_range)
 
-    start = evaluate(np.append(uvec / np.mean(uvec), log_C))
+    start = next(filter(None, (evaluate(np.append(u / np.mean(u), c)) for u, c in starts)), None)
     if start is None:
-        raise ConvexityError("u0 is not uniformly convex (b below the floor)")
+        raise ConvexityError("no start is positive and uniformly convex (b below the floor)")
     x, sup, done, data = start
     trace.residuals.append(sup)
     last_size = None
@@ -656,8 +655,7 @@ def _newton(ring: CapGeometry, fvals, p, q, uvec, log_C, s, cfg: SolverConfig,
         last_size = size
         step = 1.0
         while step >= min_step:
-            cand = x + step * dx
-            out = evaluate(cand) if np.all(cand[:-1] > 0.0) else None
+            out = evaluate(x + step * dx)
             if out is not None and (out[1] <= (1.0 - 0.25 * step) * sup or out[2]):
                 break
             step *= 0.5
@@ -695,8 +693,9 @@ def newton_solve(
     fvals = _density(_base_density(geom, p, q), spec.f.values, s)
     m = _symmetry(fvals)
     uvec = u0.values.reshape(geom.Nphi, -1, m).mean(axis=1).ravel()
+    start = (uvec, (p - q) * math.log(np.mean(uvec)))
     x, trace, res_sup, floor, b_range = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q,
-                                                uvec, (p - q) * math.log(np.mean(uvec)), s, cfg)
+                                                [start], s, cfg)
     return _finalize(geom, x, b_range, p, q, [trace], trace.converged, s, res_sup, floor)
 
 
@@ -707,11 +706,11 @@ def continuation_solve(
 ) -> SolveResult:
     """Homotopy continuation from the exact s = 0 problem to the target at s = 1.
 
-    Each step solves for f_s (:func:`_density`) from the secant predictor or
-    the drifted last solution (see the module docstring), with a step length
-    set by the Newton contraction of the last accepted step.  Every step,
-    s = 0 included, runs on the psi ring of the target density's symmetry,
-    chosen once; the solution is tiled onto geom once, at the end.
+    Each step solves for f_s (:func:`_density`) from the first of the secant predictor
+    and the drifted last solution that :func:`_newton` accepts (see the module
+    docstring), with a step length set by the Newton contraction of the last accepted
+    step.  Every step, s = 0 included, runs on the psi ring of the target density's
+    symmetry, chosen once; the solution is tiled onto geom once, at the end.
     For p = q the result is the normalized pair: h = ell u_bar and C = exp(log_C).
     """
     if cfg is None:
@@ -726,7 +725,7 @@ def continuation_solve(
     f0, f = f0[:, :m].ravel(), spec.f.values[:, :m].ravel()
 
     # at s = 0 the density is f_0, solved exactly by u_bar = 1 and log C = 0
-    last, trace, res_sup, floor, b_range = _newton(ring, f0, p, q, np.ones(ring.size), 0.0,
+    last, trace, res_sup, floor, b_range = _newton(ring, f0, p, q, [(np.ones(ring.size), 0.0)],
                                                    0.0, cfg)
     traces, converged = [trace], trace.converged
     s, ds = 0.0, DS_INIT
@@ -734,15 +733,12 @@ def continuation_solve(
     while converged and s < 1.0:
         s_next = min(1.0, s + ds)
         x = np.append(last[:-1] / np.mean(last[:-1]), last[-1])  # (u_bar, log C)
-        start = np.append(x[:-1], x[-1] - (s_next - s) * log_kappa)
-        if prev is not None:
+        starts = [(x[:-1], x[-1] - (s_next - s) * log_kappa)]
+        if prev is not None:  # the secant predictor first
             pred = x + (s_next - s) / prev[1] * (x - prev[0])
-            if (np.all(pred[:-1] > 0.0)
-                    and eigen_range(*_u_frame(ring, pred[:-1])[:3])[0] >= CONVEXITY_FLOOR):
-                start = pred
+            starts.insert(0, (pred[:-1], pred[-1]))
         y, trace, y_sup, y_floor, y_range = _newton(ring, _density(f0, f, s_next), p, q,
-                                                    start[:-1], start[-1], s_next, cfg,
-                                                    trial=True)
+                                                    starts, s_next, cfg, trial=True)
         traces.append(trace)
         if trace.converged:
             theta = trace.contraction

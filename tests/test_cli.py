@@ -391,6 +391,18 @@ class TestSandwich:
         assert doc["min_ratio"] >= 1.0 - doc["tol"]
         assert (out / "sandwich_ratio.csv").exists()
 
+    def test_ratio_csv_is_the_ratio_the_report_checked(self, base_problem, monkeypatch):
+        """sandwich_ratio.csv writes the report's own ratio array, bit for bit."""
+        cfg, tmp = base_problem
+        reports, real = [], cli.verify_sandwich
+        monkeypatch.setattr(cli, "verify_sandwich",
+                            lambda *a: reports.append(real(*a)) or reports[-1])
+        out = tmp / "out"
+        assert main(["sandwich", "--config", cfg, "--out", str(out)]) == 0
+        (report,) = reports
+        written = field_from_csv(out / "sandwich_ratio.csv", math.pi / 3)
+        assert np.array_equal(written.values, report.ratio)
+
     def test_sandwich_from_h_csv(self, base_problem, tmp_path):
         cfg, tmp = base_problem
         out1 = tmp / "solve_out"
@@ -550,6 +562,23 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r["converged"] == "1" for r in rows)
         assert all(float(r["lambda_min"]) > 0.0 for r in rows)
+
+    @pytest.mark.parametrize("solver", [None, {"max_newton": 7}])
+    def test_sweep_header_resolves_the_solver_settings(self, tmp_path, solver):
+        """The sweep's provenance header is resolved as every artifact's: the grid's
+        size and every solver setting, given or defaulted."""
+        doc = {"p_values": [2.5], "q_values": [1.5], "theta_values": [1.0],
+               "grid": {"Nphi": 8, "Npsi": 16}}
+        if solver is not None:
+            doc["solver"] = solver
+        cfg = write_config(tmp_path / "sweep.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--grid", "8x12"]) == 0
+        first = (out / "sweep.csv").read_text().splitlines()[0]
+        config = json.loads(first.removeprefix("# config="))
+        assert config == {**doc, "grid": {"Nphi": 8, "Npsi": 12},
+                          "solver": {"newton_tol": 1e-10, "max_newton": (solver or {})
+                                     .get("max_newton", 50)}}
 
     def test_sweep_malformed_solver_option(self, tmp_path):
         cfg = write_config(
@@ -958,7 +987,7 @@ RECORDS = {
                                 strict_json(t / "solve-problem" / "result.json")["newton_trace"]],
                      _fields(NewtonTrace)),
     "sandwich.json": (lambda t: _json_keys(t / "sandwich-problem" / "sandwich.json"),
-                      _fields(SandwichReport, drop=("passed",), add=("pass",))),
+                      _fields(SandwichReport, drop=("passed", "ratio"), add=("pass",))),
     "gradient_quotient": (lambda t: _json_keys(t / "monitors-problem" / "monitors.json",
                                                "gradient_quotient"),
                           _fields(GradientQuotientReport)),

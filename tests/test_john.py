@@ -74,6 +74,21 @@ class TestVerify:
         report = verify_sandwich(geom, h, cap, factor)
         assert report.passed
 
+    def test_ratio_is_the_checked_ratio(self):
+        """``ratio`` is h / support(cap) per node, the array whose extremes are the
+        reported ratios, bit for bit."""
+        from capmink.ellipsoid import cap_support
+
+        geom = build_grid(1.2, 16, 32)
+        h = robin_bump(geom, eps=0.05)
+        cap, factor = john_construct(embed_body(geom, h).extents, geom.theta)
+        report = verify_sandwich(geom, h, cap, factor)
+        assert np.array_equal(report.ratio, h.values / cap_support(geom, cap).values)
+        assert (report.min_ratio, report.max_ratio) == (np.min(report.ratio),
+                                                        np.max(report.ratio))
+        assert (report.boundary_min_ratio, report.boundary_max_ratio) == (
+            np.min(report.ratio[-1]), np.max(report.ratio[-1]))
+
     def test_boundary_ratios_within_global(self, unit_cap_body):
         geom, h, body = unit_cap_body
         cap, factor = john_construct(body.extents, geom.theta)

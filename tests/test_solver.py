@@ -226,7 +226,7 @@ class TestNewton:
         g = build_grid(math.pi / 3, 16, 32)
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                            f=ell_power_density(g, alpha=-1.2, beta=-0.1))
-        _base_density(g, spec.p, spec.q)  # formed, and kept on g, before the seam
+        _base_density(g, spec.p, spec.q)  # caches ell's frame on the one-cell ring
         calls, real = [], solver.eigen_range
 
         def eigen_range(*b):
@@ -585,6 +585,28 @@ class TestRing:
         assert "ring_layout" in ring._cache
         assert nbytes(ring) <= 100 * ring.size
 
+    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
+    def test_ring_layout_is_read_only(self, problem):
+        """Every Jacobian shares the ring layout's indices and indptr, so the
+        layout is read-only: spsolve's in-place sum_duplicates on a Jacobian
+        raises ValueError instead of rewriting it, and the next solve on the
+        grid is the first one's, bit for bit."""
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = problem(g)
+        h = _solved_h(spec, g)
+        ring = _ring(g, _symmetry(spec.f.values))
+        layout = solver._ring_layout(ring)
+        assert not any(a.flags.writeable for a in layout)
+        uvec = np.ones(ring.size)
+        _, parts = _residual_u_vec(ring, spec.f.values[:, :ring.Npsi].ravel(), spec.p,
+                                   spec.q, uvec)
+        A = ring_jacobian(ring, spec.f.values[:, :ring.Npsi].ravel(), spec.p, spec.q, parts)
+        assert np.shares_memory(A.indices, layout.indices)
+        assert np.shares_memory(A.indptr, layout.indptr)
+        with pytest.raises(ValueError):
+            spla.spsolve(A, uvec)
+        assert np.array_equal(_solved_h(spec, g), h)
+
     def test_even_flag_with_a_defect_above_rounding_solves_the_grid(self):
         """Data within EVEN_TOL of even but not even to rounding is solved on all
         Npsi cells, so residual_sup is the residual of the given density."""
@@ -625,7 +647,7 @@ class TestOneRing:
         four accepted, the last three tried from the secant predictor."""
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                            f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.3, k=2))
-        _base_density(g, spec.p, spec.q)  # cached, as after any earlier solve on g
+        _base_density(g, spec.p, spec.q)  # ell's frame cached, as after an earlier solve
         return spec
 
     def _counted(self, monkeypatch, name):
@@ -648,7 +670,7 @@ class TestOneRing:
 
     def test_continuation_evaluates_no_grid_frame(self, monkeypatch):
         """Every residual, every predictor check and the solution's b run on the
-        half ring (the base density is cached before the solve)."""
+        half ring (ell's frame is cached on the one-cell ring before the solve)."""
         g, geoms = self._counted(monkeypatch, "_u_frame")
         assert geoms and all(geom is _ring(g, g.Npsi // 2) for geom in geoms)
         assert not any(geom is g for geom in geoms)
@@ -891,7 +913,7 @@ class TestLaggedFactor:
         m = ring.Npsi
         mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
         b = rng.standard_normal(C.shape[0])
-        expected = spla.spsolve(_assemble(ring, mean), b)
+        expected = spla.spsolve(_assemble(ring, mean).tocsc(), b)
         assert _rel_gap(_ModeFactor(ring, C).solve(b), expected) <= 1e-12
 
     @pytest.mark.parametrize("symmetry", ["even", "none"])
@@ -931,7 +953,7 @@ class TestLaggedFactor:
         assert np.flatnonzero(factor.swap).tolist() == [0, m // 2]
         mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
         b = rng.standard_normal(C.shape[0])
-        expected = spla.spsolve(_assemble(ring, mean), b)
+        expected = spla.spsolve(_assemble(ring, mean).tocsc(), b)
         assert _rel_gap(factor.solve(b), expected) <= 1e-12
 
     def test_singular_mode_is_refused(self):
@@ -1150,6 +1172,24 @@ class TestLaggedFactor:
                   "h_star": ell_bump_field(g, eps=0.05).values.ravel().tolist()}}))
         assert cli_main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command,report", [("sandwich", "sandwich.json"),
+                                                ("monitors", "monitors.json")])
+    def test_far_miss_certificates_exit_2_and_write_no_json(self, monkeypatch, tmp_path,
+                                                            command, report):
+        """A certificate of a solve that does not converge (every GMRES direction
+        of the even ell-bump misses) exits 2 and writes no report."""
+        monkeypatch.setattr(solver.spla, "gmres", gmres_miss)
+        g = build_grid(math.pi / 3, 16, 32)
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps({
+            "theta": g.theta, "p": 2.0, "q": 1.5, "even": True,
+            "grid": {"Nphi": 16, "Npsi": 32},
+            "f": {"kind": "manufactured",
+                  "h_star": ell_bump_field(g, eps=0.05).values.ravel().tolist()}}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / report).exists()
+
     def test_far_miss_runs_on_toward_eta_max(self, monkeypatch):
         """f = exp(3 cos(2 psi) sin(phi) / sin(theta)) at theta = 0.3, p = 4, q = 3:
         the psi-average fits this data poorly, and some directions miss
@@ -1231,12 +1271,13 @@ class TestStepControl:
         at half of a ds that overshoots 1: p = 1.5, q = 2.5, theta = 0.6 and
         f = exp(2 cos(psi) sin(phi) / sin(theta)) at 16x32 used to try the
         same s = 1 trial from the same start twice.  No two consecutive failed
-        trials share their s and start, and the continuation converges."""
+        trials share their s and starts, and the continuation converges."""
         trials, real_newton = [], solver._newton
 
-        def newton(ring, fvals, p, q, uvec, log_C, s, cfg, trial=False):
-            out = real_newton(ring, fvals, p, q, uvec, log_C, s, cfg, trial)
-            trials.append((s, np.append(uvec, log_C), out[1].converged))
+        def newton(ring, fvals, p, q, starts, s, cfg, trial=False):
+            out = real_newton(ring, fvals, p, q, starts, s, cfg, trial)
+            trials.append((s, np.concatenate([np.append(u, c) for u, c in starts]),
+                           out[1].converged))
             return out
 
         monkeypatch.setattr(solver, "_newton", newton)
@@ -1328,6 +1369,24 @@ class TestManufactured:
         g = build_grid(theta, Nphi, Npsi)
         f0 = _base_density(g, 2.0, 1.5)
         assert np.array_equal(f0, manufactured_f(g, ell_field(g), 2.0, 1.5).values)
+
+    def test_no_cache_is_kept_per_exponent(self):
+        """Solves of several (p, q) on one grid leave the caches of the grid and
+        of its rings as one solve does: ell's checked frame is cached on the
+        one-cell ring for every (p, q), and f0 is formed at each call."""
+        g = build_grid(math.pi / 3, 16, 32)
+
+        def keys():
+            rings = [v for v in g._cache.values() if isinstance(v, grid_module.CapGeometry)]
+            return [set(g._cache)] + [set(r._cache) for r in rings]
+
+        f = ell_power_density(g, c=0.8, alpha=-0.8, beta=-0.3)
+        _solved(ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=f, even=True), g)
+        once = keys()
+        for p, q in [(2.5, 1.5), (1.5, 2.5), (2.0, 2.0)]:
+            _solved(ProblemSpec(p=p, q=q, theta=g.theta, f=f, even=True), g)
+        assert keys() == once
+        assert "ell_frame" in _ring(g, 1)._cache
 
     def test_manufactured_solution_is_recovered_to_rounding(self):
         """The density of h* has h* as its discrete solution, boundary row included."""
@@ -1480,6 +1539,35 @@ class TestUniqueness:
         spread, ok = uniqueness_probe(spec, g, starts=starts)
         assert ok
         assert spread <= 1e-8
+
+    def test_probe_falls_back_to_the_continuation(self, monkeypatch):
+        """A start whose Newton solve does not converge is solved by the
+        continuation instead, which takes no start: each start here falls back, so
+        the probe compares equal continuation solutions."""
+        g = build_grid(math.pi / 3, 16, 32)
+        spec = _even_problem(g)
+        starts = [ScalarField(g, c * np.ones(g.shape)) for c in (0.5, 2.0)]
+        real_newton, real_continuation, fallbacks = (solver.newton_solve,
+                                                     solver.continuation_solve, [])
+        monkeypatch.setattr(solver, "newton_solve", lambda *a: dataclasses.replace(
+            real_newton(*a), converged=False))
+        monkeypatch.setattr(solver, "continuation_solve",
+                            lambda *a: fallbacks.append(a) or real_continuation(*a))
+        assert uniqueness_probe(spec, g, starts=starts) == (0.0, True)
+        assert len(fallbacks) == len(starts)
+
+    def test_probe_refuses_a_branch_that_neither_solve_converges(self, monkeypatch):
+        """Every GMRES direction misses: neither the Newton solve from a start nor
+        the continuation converges on psi-dependent data, and the probe says so."""
+        monkeypatch.setattr(solver.spla, "gmres", gmres_miss)
+        solves, real = [], solver.continuation_solve
+        monkeypatch.setattr(solver, "continuation_solve",
+                            lambda *a: solves.append(real(*a)) or solves[-1])
+        g = build_grid(math.pi / 3, 16, 32)
+        starts = [ScalarField(g, c * np.ones(g.shape)) for c in (0.5, 2.0)]
+        with pytest.raises(ApplicabilityError, match="^a probe branch did not converge$"):
+            uniqueness_probe(_even_problem(g), g, starts=starts)
+        assert [r.converged for r in solves] == [False]
 
     @pytest.mark.parametrize("Nphi,passes", [(8, False), (64, True)])
     def test_probe_threshold_follows_the_floor(self, monkeypatch, Nphi, passes):
