@@ -116,7 +116,6 @@ def cmd_solve(args) -> int:
 
 def cmd_sandwich(args) -> int:
     doc, geom, spec, cfg = _load(args)
-    config = resolved_config(doc, geom, cfg)
     if "h_csv" in doc:
         path = doc["h_csv"]
         # open() would read an integer as a file descriptor, and close it
@@ -132,9 +131,11 @@ def cmd_sandwich(args) -> int:
     body = embed_body(geom, h)
     cap, factor = john_construct(body.extents, geom.theta)
     report = verify_sandwich(geom, h, cap, factor)
+    config = resolved_config(doc, geom, cfg)  # the grid of the field certified
     os.makedirs(args.out, exist_ok=True)
     write_json_report(os.path.join(args.out, "sandwich.json"), report, config)
-    field_to_csv(ScalarField(geom, report.ratio), os.path.join(args.out, "sandwich_ratio.csv"))
+    field_to_csv(ScalarField(geom, report.ratio), os.path.join(args.out, "sandwich_ratio.csv"),
+                 provenance_comment(config))
     return EXIT_OK if report.passed else EXIT_NONCONVERGED
 
 

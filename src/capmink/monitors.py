@@ -252,7 +252,7 @@ def q_monitor(geom: CapGeometry, h: ScalarField, q: float) -> QMonitorReport:
 
 
 def c0_bound_check(geom: CapGeometry, h: ScalarField, spec,
-                   cfg: SolverConfig | None = None):
+                   cfg: SolverConfig = SolverConfig()):
     """Extremum inequalities tying max/min of u = h/ell to the data, at a solution h.
 
     At the max of u: u^(q-p) >= f ell^(p-1) (ell^2 + |grad ell|^2)^((3-q)/2);

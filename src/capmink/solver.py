@@ -111,7 +111,7 @@ from .grid import (
 from .operators import JACOBIAN_TERMS, _ring_layout
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Target data (p, q, theta, f) of the capillary Minkowski problem.  ``even`` admits
     1 < p < q and refuses f with an evenness defect above EVEN_TOL; it picks no ring."""
@@ -156,7 +156,7 @@ DS_INIT = 1.0            # first continuation step after s = 0: the whole path
 DS_MIN = 1e-4            # the continuation gives up below this step length
 
 
-@dataclass
+@dataclass(frozen=True)  # so that one instance can be every entry point's default
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
@@ -516,7 +516,7 @@ def _floor_test(geom: CapGeometry, fvals, p, q, uvec, tol):
 
 
 def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
-                cfg: SolverConfig | None = None):
+                cfg: SolverConfig = SolverConfig()):
     """``(passed, residual_sup)`` of the solver's own test of u = h / ell at newton_tol.
 
     It runs on the smallest psi ring under whose shift both the data and u
@@ -525,8 +525,6 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     scale and its floor all scale as t^2 under h -> t h, so the test of the
     solver's normalized iterate carries over to h up to rounding.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     _check_grid(geom, spec.f, h)
     u = h.values / _ell(geom)
     if np.any(u <= 0.0):
@@ -674,7 +672,7 @@ def newton_solve(
     geom: CapGeometry,
     s: float,
     u0: ScalarField,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
 ) -> SolveResult:
     """Damped Newton on the normalized equation at homotopy parameter s.
 
@@ -684,8 +682,6 @@ def newton_solve(
     ``(p - q) log`` of it, which makes ``h = m ell u_bar`` equal ``ell u0``
     for ``p != q``; at ``p = q`` log C cannot be read off u0 and starts at 0.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     _check_grid(geom, spec.f, u0)
     if np.any(u0.values <= 0.0):
         raise DomainError("u0 must be positive")
@@ -702,7 +698,7 @@ def newton_solve(
 def continuation_solve(
     spec: ProblemSpec,
     geom: CapGeometry,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
 ) -> SolveResult:
     """Homotopy continuation from the exact s = 0 problem to the target at s = 1.
 
@@ -713,8 +709,6 @@ def continuation_solve(
     symmetry, chosen once; the solution is tiled onto geom once, at the end.
     For p = q the result is the normalized pair: h = ell u_bar and C = exp(log_C).
     """
-    if cfg is None:
-        cfg = SolverConfig()
     _check_grid(geom, spec.f)
     p, q = spec.p, spec.q
     f0 = _base_density(geom, p, q)
@@ -859,7 +853,7 @@ class PqLimitResult:
 def pq_limit_solve(
     spec: ProblemSpec,
     geom: CapGeometry,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     eps_schedule=(0.1, 0.05, 0.025, 0.0125),
 ) -> PqLimitResult:
     """Dilation-normalized solution (h_bar, C*) of the degenerate case p = q.
@@ -873,8 +867,6 @@ def pq_limit_solve(
     solutions h' have a moderate scale for every eps; since f -> c f maps h
     to c^(-1/eps) h, (min h_eps)^eps = C* (min h')^eps.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if spec.p != spec.q:
         raise ApplicabilityError("pq_limit_solve applies only at p == q")
     eps_schedule = list(eps_schedule)
@@ -928,15 +920,16 @@ def pq_residual(geom: CapGeometry, f: ScalarField, p: float,
 def uniqueness_probe(
     spec: ProblemSpec,
     geom: CapGeometry,
-    cfg: SolverConfig | None = None,
-    starts: list | None = None,
+    cfg: SolverConfig = SolverConfig(),
+    *,
+    starts: list,
 ):
-    """Solve from several starts and measure sup |log(h_a / h_b)| over pairs.
+    """Sup |log(h_a / h_b)| over pairs of Newton solutions at s = 1, one per start.
 
-    Returns that spread and whether it is within the heuristic scale the
-    solves allow: the sum of their relative residuals over p - q.  Each
-    converged solve has a relative residual of at most newton_tol plus its
-    residual floor (the normalized equation has an O(1) scale).  In
+    A start whose solve does not converge is refused by its index.  Returns the spread
+    and whether it is within the heuristic scale the solves allow: the sum of their
+    relative residuals over p - q.  Each converged solve has a relative residual of at
+    most newton_tol plus its residual floor (the normalized equation has an O(1) scale).  In
     ``v = d log h`` the linearized equation has the zero-order term
     ``-(p - q) v`` (the dilation ``h -> t h`` shifts the log residual by
     ``-(p - q) log t``), so were the discrete operator monotone, a comparison
@@ -944,19 +937,15 @@ def uniqueness_probe(
     the mixed-derivative stencil of b12 is not monotone, and the argument is
     linearized, so the scale is an estimate, not a proven bound.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if not spec.p > spec.q:
         raise ApplicabilityError("uniqueness probe applies only for p > q")
-    if starts is None or len(starts) < 2:
+    if len(starts) < 2:
         raise ConfigError("at least two starts are required")
     solutions = []
-    for u0 in starts:
+    for i, u0 in enumerate(starts):
         r = newton_solve(spec, geom, 1.0, u0, cfg)
         if not r.converged:
-            r = continuation_solve(spec, geom, cfg)
-        if not r.converged:
-            raise ApplicabilityError("a probe branch did not converge")
+            raise ApplicabilityError(f"the Newton solve from start {i} did not converge")
         solutions.append(r)
     worst, ok = 0.0, True
     for i, a in enumerate(solutions):

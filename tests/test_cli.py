@@ -389,7 +389,10 @@ class TestSandwich:
         doc = json.loads((out / "sandwich.json").read_text())
         assert doc["pass"] is True
         assert doc["min_ratio"] >= 1.0 - doc["tol"]
-        assert (out / "sandwich_ratio.csv").exists()
+        # sandwich_ratio.csv opens with the provenance that sandwich.json holds
+        first = (out / "sandwich_ratio.csv").read_text().splitlines()[0]
+        assert first.startswith("# config=")
+        assert json.loads(first[len("# config="):]) == doc["config"]
 
     def test_ratio_csv_is_the_ratio_the_report_checked(self, base_problem, monkeypatch):
         """sandwich_ratio.csv writes the report's own ratio array, bit for bit."""
@@ -412,6 +415,19 @@ class TestSandwich:
         cfg2 = write_config(tmp / "with_h.json", doc)
         out2 = tmp / "sw_out"
         assert main(["sandwich", "--config", cfg2, "--out", str(out2)]) == 0
+
+    def test_sandwich_from_h_csv_records_the_grid_of_the_field(self, base_problem):
+        """A 16x32 solution.csv given to a config with no grid object (32x64 by
+        default) is certified on its own grid, and sandwich.json records that grid."""
+        cfg, tmp = base_problem
+        main(["solve", "--config", cfg, "--out", str(tmp / "solve")])
+        doc = json.loads((tmp / "problem.json").read_text())
+        del doc["grid"]
+        doc["h_csv"] = str(tmp / "solve" / "solution.csv")
+        out = tmp / "sw"
+        assert main(["sandwich", "--config", write_config(tmp / "h.json", doc),
+                     "--out", str(out)]) == 0
+        assert strict_json(out / "sandwich.json")["config"]["grid"] == {"Nphi": 16, "Npsi": 32}
 
     def test_sandwich_h_csv_must_be_a_path_string(self, base_problem):
         """An integer h_csv is refused, not opened as a file descriptor (and closed)."""

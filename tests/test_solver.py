@@ -141,6 +141,17 @@ class TestProblemSpec:
                 f=ScalarField(geom_pi3, np.zeros(geom_pi3.shape)),
             )
 
+    @pytest.mark.parametrize("record,name,value", [("spec", "q", 3.5),
+                                                   ("cfg", "newton_tol", 1e-3)])
+    def test_records_refuse_assignment(self, geom_pi3, record, name, value):
+        """An assignment would bypass the constructor's checks: q = 3.5 makes the
+        unsupported (2, 3.5), and every entry point shares one default SolverConfig."""
+        f = ell_power_density(geom_pi3)
+        obj = {"spec": ProblemSpec(p=2.0, q=1.5, theta=geom_pi3.theta, f=f, even=True),
+               "cfg": SolverConfig()}[record]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+
 
 class TestResiduals:
     def test_ell_solves_base_problem(self, geom_pi3):
@@ -1540,34 +1551,34 @@ class TestUniqueness:
         assert ok
         assert spread <= 1e-8
 
-    def test_probe_falls_back_to_the_continuation(self, monkeypatch):
-        """A start whose Newton solve does not converge is solved by the
-        continuation instead, which takes no start: each start here falls back, so
-        the probe compares equal continuation solutions."""
+    def test_probe_refuses_a_start_whose_newton_solve_misses(self, monkeypatch):
+        """Every Newton solve is reported unconverged: the probe refuses start 0 by
+        name and puts no continuation solution, which takes no start, in its place."""
         g = build_grid(math.pi / 3, 16, 32)
         spec = _even_problem(g)
         starts = [ScalarField(g, c * np.ones(g.shape)) for c in (0.5, 2.0)]
-        real_newton, real_continuation, fallbacks = (solver.newton_solve,
-                                                     solver.continuation_solve, [])
+        real_newton, continuations = solver.newton_solve, []
         monkeypatch.setattr(solver, "newton_solve", lambda *a: dataclasses.replace(
             real_newton(*a), converged=False))
-        monkeypatch.setattr(solver, "continuation_solve",
-                            lambda *a: fallbacks.append(a) or real_continuation(*a))
-        assert uniqueness_probe(spec, g, starts=starts) == (0.0, True)
-        assert len(fallbacks) == len(starts)
+        monkeypatch.setattr(solver, "continuation_solve", lambda *a: continuations.append(a))
+        with pytest.raises(ApplicabilityError,
+                           match="^the Newton solve from start 0 did not converge$"):
+            uniqueness_probe(spec, g, starts=starts)
+        assert continuations == []
 
-    def test_probe_refuses_a_branch_that_neither_solve_converges(self, monkeypatch):
-        """Every GMRES direction misses: neither the Newton solve from a start nor
-        the continuation converges on psi-dependent data, and the probe says so."""
+    def test_probe_refuses_a_branch_whose_gmres_misses(self, monkeypatch):
+        """Every GMRES direction misses: the Newton solve from the first start does
+        not converge on psi-dependent data, and the probe says so, by the start."""
         monkeypatch.setattr(solver.spla, "gmres", gmres_miss)
-        solves, real = [], solver.continuation_solve
+        continuations, real = [], solver.continuation_solve
         monkeypatch.setattr(solver, "continuation_solve",
-                            lambda *a: solves.append(real(*a)) or solves[-1])
+                            lambda *a: continuations.append(real(*a)) or continuations[-1])
         g = build_grid(math.pi / 3, 16, 32)
         starts = [ScalarField(g, c * np.ones(g.shape)) for c in (0.5, 2.0)]
-        with pytest.raises(ApplicabilityError, match="^a probe branch did not converge$"):
+        with pytest.raises(ApplicabilityError,
+                           match="^the Newton solve from start 0 did not converge$"):
             uniqueness_probe(_even_problem(g), g, starts=starts)
-        assert [r.converged for r in solves] == [False]
+        assert continuations == []
 
     @pytest.mark.parametrize("Nphi,passes", [(8, False), (64, True)])
     def test_probe_threshold_follows_the_floor(self, monkeypatch, Nphi, passes):
