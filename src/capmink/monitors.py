@@ -39,7 +39,7 @@ from .grid import (
 from .solver import SolverConfig, is_solution
 
 # the truncation tolerance of the extremum inequalities, in units of grid_eps, and
-# (times max(1, max u)) of phi_monitor's Neumann defect, a phi-derivative, in dphi^2
+# of phi_monitor's Neumann defect, in units of u's own phi-truncation
 TRUNCATION_TOL = 50.0
 
 
@@ -177,7 +177,9 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     h = ell * u, both gradients those of :func:`capmink.grid._u_frame`, all on
     the psi ring of u, and only Phi and the per-node derivative are tiled; a
     constant u has Phi = 0 exactly.  A u whose boundary phi-derivative exceeds
-    TRUNCATION_TOL * dphi^2 * max(1, max u) is not Neumann and is refused.
+    TRUNCATION_TOL * (dphi / theta)^2 * (max u - min u) / theta, the scale of
+    u's own phi-truncation, plus 8 eps * max u / dphi, the rounding of a
+    constant u, is not Neumann and is refused.
     For a Neumann u the outward derivative of log(Phi) at the boundary equals
     -gamma * cot(theta) (``target``) wherever the tangential gradient does not
     vanish; the returned per-node derivative is NaN at (near-)degenerate nodes.
@@ -192,7 +194,9 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
         raise DomainError("u must be positive")
     scale = float(np.max(np.abs(u.values)))
     defect = float(np.max(np.abs(boundary_values(geom, u.values)[1])))
-    if defect > TRUNCATION_TOL * geom.dphi**2 * max(1.0, scale):
+    spread = float(np.max(u.values) - np.min(u.values))
+    if defect > (TRUNCATION_TOL * (geom.dphi / geom.theta) ** 2 * spread / geom.theta
+                 + 8.0 * np.finfo(float).eps * scale / geom.dphi):
         raise ApplicabilityError(f"u violates the Neumann condition (defect {defect:.3g})")
     # the stencil is linear, so u may be offset by a constant first: then a
     # constant u gives v = 0 and Phi = 0 exactly

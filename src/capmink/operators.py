@@ -16,10 +16,11 @@ the full grid's Npsi) to the Nphi x Nphi matrix R_o of its phi-row weights:
 Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
 m = Npsi is the grid itself) the table gives the operators
-``sum_o kron(R_o, shift(o mod m))`` (:func:`u_system`).  The solver reads them,
-once per ring, as one fixed-stride layout on which it assembles the Newton Jacobian
-and the rounding floor's ``sum_o kron(|R_o|, shift(o mod m))`` per step, and as
-psi-Fourier symbols ``sum_o R_o exp(2 pi i k o / m)`` (:func:`_ring_layout`).
+``sum_o kron(R_o, shift(o mod m))``.  One builder, :func:`_ring_layout`, turns
+the table into them once per ring (the table is not cached): a fixed-stride
+layout on which the solver assembles the Newton Jacobian and the rounding floor's
+``sum_o kron(|R_o|, shift(o mod m))`` per step, and psi-Fourier symbols
+``sum_o R_o exp(2 pi i k o / m)``; :func:`u_system` reads its operators off it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _Layout = namedtuple("_Layout", "indices indptr W F rows cols pair_W omega")
 
 
 def _stencil_table(geom: CapGeometry):
-    """The Jacobian terms as one psi-offset table, cached on geom.
+    """The Jacobian terms as one psi-offset table, uncached: read once per ring layout.
 
     Returns ``(rows, cols, offsets, R)``: the phi-row pairs ``(i, i')`` that
     carry a weight, in column-major order; the psi offsets, mod the full
@@ -50,9 +51,6 @@ def _stencil_table(geom: CapGeometry):
     :data:`JACOBIAN_TERMS`, then the diagonal) gives u at ``(i', j + offset)``.
     geom may be a ring of the grid: the table depends only on the grid's dpsi.
     """
-    key = "stencil_table"
-    if key in geom._cache:
-        return geom._cache[key]
     st, N = _stencil(geom), geom.Nphi
     npsi = round(2.0 * math.pi / geom.dpsi)  # the full grid's Npsi, also on a ring of it
     antipode = npsi // 2
@@ -74,11 +72,10 @@ def _stencil_table(geom: CapGeometry):
     np.add.at(R, (pair, offset, term), weight)
     cols, rows = np.divmod(keys, N)
     R[rows == cols, offsets.index(0), -1] = 1.0
-    geom._cache[key] = (rows, cols, offsets, R)
-    return geom._cache[key]
+    return rows, cols, offsets, R
 
 
-def _wrapped(geom: CapGeometry, R):
+def _wrapped(geom: CapGeometry, offsets, R):
     """``(shifts, W)``: table weights R (pairs x offsets x terms) on the ring geom.
 
     The weights of the offsets that coincide mod the ring's m cells are
@@ -87,24 +84,11 @@ def _wrapped(geom: CapGeometry, R):
     and +1, are summed before the next offset, so the b12 and g2 weights that
     cancel on a one-cell ring cancel exactly.
     """
-    offsets = np.asarray(_stencil_table(geom)[2])
-    shifts, slot = np.unique(offsets % geom.Npsi, return_inverse=True)
+    shifts, slot = np.unique(np.asarray(offsets) % geom.Npsi, return_inverse=True)
     W = np.zeros((R.shape[0], len(shifts), R.shape[2]))
     for o, s in enumerate(slot):
         W[:, s] += R[:, o]
     return shifts, W
-
-
-def _ring_matrix(geom: CapGeometry, shifts, W) -> sp.csr_matrix:
-    """``sum_s kron(W[:, s], shift(s))``: the operator on the ring geom of the
-    wrapped weights W (pairs x shifts) on the pairs of :func:`_stencil_table`."""
-    rows, cols = _stencil_table(geom)[:2]
-    p, s = np.nonzero(W)
-    m, j = geom.Npsi, np.arange(geom.Npsi)
-    r = rows[p, None] * m + j
-    c = cols[p, None] * m + (j + shifts[s, None]) % m
-    return sp.csr_matrix((np.repeat(W[p, s], m), (r.ravel(), c.ravel())),
-                         shape=(geom.size, geom.size))
 
 
 def u_system(geom: CapGeometry) -> dict:
@@ -113,13 +97,21 @@ def u_system(geom: CapGeometry) -> dict:
     Returns csr matrices mapping the interior u-vector to b11, b12, b22 and
     the covariant gradient of h, plus the interior samples of ell.  On a
     ring of the grid they map the ring's cells, and equal the full grid's
-    operators restricted to fields with the ring's symmetry.
+    operators restricted to fields with the ring's symmetry.  Each is read
+    off :func:`_ring_layout`: the slots where its weight is nonzero, with
+    sorted column indices.
     """
     key = "u_system"
     if key not in geom._cache:
-        shifts, W = _wrapped(geom, _stencil_table(geom)[3])
-        ops = {k: _ring_matrix(geom, shifts, W[:, :, t])
-               for t, k in enumerate(JACOBIAN_TERMS)}
+        L = _ring_layout(geom)
+        cells = L.indices.reshape(geom.Nphi, geom.Npsi, -1)
+        ops = {}
+        for t, k in enumerate(JACOBIAN_TERMS):
+            w = np.broadcast_to(L.W[:, None, t], cells.shape)  # row i's weights in cell (i, j)
+            keep = w != 0.0  # the slots of term t, without the padding
+            indptr = np.append(0, np.cumsum(np.count_nonzero(keep, axis=2)))
+            ops[k] = sp.csr_matrix((w[keep], cells[keep], indptr), shape=(geom.size,) * 2)
+            ops[k].sort_indices()
         ops["ell"] = _ell(geom).ravel()
         geom._cache[key] = ops
     return geom._cache[key]
@@ -149,9 +141,9 @@ def _ring_layout(geom: CapGeometry) -> _Layout:
     """
     key = "ring_layout"
     if key not in geom._cache:
-        rows, cols, _, R = _stencil_table(geom)
-        shifts, W = _wrapped(geom, R)
-        F = _wrapped(geom, np.abs(R))[1]  # no weight cancels: the slots of every term
+        rows, cols, offsets, R = _stencil_table(geom)
+        shifts, W = _wrapped(geom, offsets, R)
+        F = _wrapped(geom, offsets, np.abs(R))[1]  # no weight cancels: the slots of every term
         p, s = np.nonzero(np.any(F != 0.0, axis=2))  # by pair (col, then row), then shift
         order = np.argsort(rows[p], kind="stable")
         p, s, i = p[order], s[order], rows[p[order]]

@@ -549,16 +549,18 @@ def _symmetry(fvals) -> int:
     return fvals.shape[1]
 
 
-def _finalize(geom: CapGeometry, x, b_range, p, q, trace, converged, s_reached,
+def _finalize(geom: CapGeometry, x, b_range, p, q, trace, s_reached,
               residual_sup, residual_floor) -> SolveResult:
     """SolveResult on geom of the normalized iterate x = (u_bar, log C).
 
     u_bar, on geom or a ring of it, is tiled onto geom, and
     h = m ell u_bar with m = C^(1/(p-q)), and m = 1 for p = q.  The residual
-    figures are the solver's own, those of the normalized equation; the Robin
-    defect is evaluated on h_bar = ell u_bar and scaled by m.  b_range is the
-    (min, max) eigenvalue range of b of h_bar that the convexity check of
-    :func:`_newton` read for x, on the ring, and is scaled by m.
+    figures are the solver's own, those of the normalized equation.  The
+    result has converged if the last Newton trace has; if not, its residual
+    is infinite.  The Robin defect is evaluated on h_bar = ell u_bar and
+    scaled by m.  b_range is the (min, max) eigenvalue range of b of h_bar
+    that the convexity check of :func:`_newton` read for x, on the ring, and
+    is scaled by m.
     """
     log_C = float(x[-1])
     log_m = log_C / (p - q) if p != q else 0.0
@@ -575,10 +577,11 @@ def _finalize(geom: CapGeometry, x, b_range, p, q, trace, converged, s_reached,
         raise DomainError(f"h = m h_bar is not representable in double precision "
                           f"(log10 m = {log_m / math.log(10.0):.6g})")
     u, h = ScalarField(geom, u), ScalarField(geom, h)
+    converged = trace[-1].converged
     return SolveResult(
         h=h,
         u=u,
-        residual_sup=residual_sup,
+        residual_sup=residual_sup if converged else math.inf,
         robin_defect_sup=m * float(np.max(np.abs(robin_residual(geom, h_bar)))),
         b_eigen_range=(m * b_range[0], m * b_range[1]),
         newton_trace=trace,
@@ -692,7 +695,7 @@ def newton_solve(
     start = (uvec, (p - q) * math.log(np.mean(uvec)))
     x, trace, res_sup, floor, b_range = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q,
                                                 [start], s, cfg)
-    return _finalize(geom, x, b_range, p, q, [trace], trace.converged, s, res_sup, floor)
+    return _finalize(geom, x, b_range, p, q, [trace], s, res_sup, floor)
 
 
 def continuation_solve(
@@ -743,8 +746,7 @@ def continuation_solve(
         else:  # retry at half the step tried, which is shorter than ds near s = 1
             ds = 0.5 * (s_next - s)
             converged = ds >= DS_MIN
-    return _finalize(geom, last, b_range, p, q, traces, converged, s,
-                     res_sup if converged else math.inf, floor)
+    return _finalize(geom, last, b_range, p, q, traces, s, res_sup, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +897,7 @@ def pq_limit_solve(
     lam = 1.0 / float(np.min(limit.h.values))
     x = np.append(lam * limit.u.values.ravel(), limit.log_C)  # u = u_bar at p = q
     b_range = eigen_range(*_u_frame(geom, x[:-1])[:3])  # the frame of the new field x
-    solution = _finalize(geom, x, b_range, spec.p, spec.q, traces, True, 1.0,
+    solution = _finalize(geom, x, b_range, spec.p, spec.q, traces, 1.0,
                          lam**2 * limit.residual_sup, lam**2 * limit.residual_floor)
     return PqLimitResult(
         C_star=C_star,

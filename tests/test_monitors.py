@@ -205,13 +205,25 @@ class TestPhiMonitor:
         with pytest.raises(ApplicabilityError):
             phi_monitor(g, u, 1.0)
 
-    @pytest.mark.parametrize("theta,N", [(math.pi / 3, 32), (1.0, 16)])
+    @pytest.mark.parametrize("theta,N", [(math.pi / 3, 32), (1.0, 16), (math.pi / 3, 8)])
     def test_ell_is_not_neumann(self, theta, N):
-        """ell's boundary phi-derivative (about 0.45) is refused at TRUNCATION_TOL * dphi^2,
-        where the scale of both directions, grid_eps, let it pass."""
+        """ell's boundary phi-derivative (about 0.45) is refused at TRUNCATION_TOL times
+        the scale of u's own phi-truncation, (dphi / theta)^2 (max u - min u) / theta,
+        also at 8 rows, where TRUNCATION_TOL * dphi^2 * max(1, max u) let it pass, as
+        the scale of both directions, grid_eps, lets it pass on every grid."""
         g = build_grid(theta, N, 2 * N)
         with pytest.raises(ApplicabilityError, match="Neumann"):
             phi_monitor(g, ell_field(g), 1.0)
+
+    def test_accepts_the_solvers_solution_at_small_theta(self):
+        """At theta = 0.3 the converged f = 1 solution (u from 4.2e4 to 5.6e4)
+        has a boundary phi-derivative of 510: twice TRUNCATION_TOL * dphi^2 *
+        max(1, max u), but a fifth of the gate read off its own phi-truncation."""
+        g = build_grid(0.3, 32, 64)
+        f = ScalarField(g, np.ones(g.shape))
+        result = continuation_solve(ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=f), g)
+        assert result.converged
+        assert not phi_monitor(g, result.u, 1.0).degenerate
 
     @pytest.mark.parametrize("case,ring,exact", [("even_density", 16, True),
                                                  ("psi_independent", 1, True),

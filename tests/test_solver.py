@@ -252,6 +252,19 @@ class TestNewton:
         assert trace.halvings == 21 == 1 - math.log2(solver.MIN_STEP)
         assert len(calls) == 1 + trace.halvings
 
+    def test_unconverged_newton_solve_reports_an_infinite_residual(self):
+        """As an unconverged continuation does: one Newton step from u0 = 1 does
+        not solve the non-even p, q = 4, 3 density, whose last residual is 0.61."""
+        g = build_grid(1.0, 16, 32)
+        phi, psi = g.phi_nodes[:, None], g.psi_nodes[None, :]
+        f = ScalarField(g, np.exp(np.cos(psi) * np.sin(phi) / g.sin_theta))
+        result = newton_solve(ProblemSpec(p=4.0, q=3.0, theta=g.theta, f=f), g, 1.0,
+                              ScalarField(g, np.ones(g.shape)), SolverConfig(max_newton=1))
+        (trace,) = result.newton_trace
+        assert not result.converged and not trace.converged
+        assert trace.residuals[-1] > 0.5
+        assert result.residual_sup == math.inf
+
     def test_nonpositive_start_rejected(self, geom_pi3):
         f = ell_power_density(geom_pi3, alpha=-1.0)
         spec = ProblemSpec(p=2.0, q=3.0, theta=geom_pi3.theta, f=f, even=True)
@@ -593,7 +606,7 @@ class TestRing:
         _solved(ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
                             f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05)), g)
         ring = _ring(g, g.Npsi // 2)
-        assert "ring_layout" in ring._cache
+        assert set(ring._cache) == {"stencil", "ring_layout", "ell"}
         assert nbytes(ring) <= 100 * ring.size
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
