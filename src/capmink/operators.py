@@ -16,11 +16,14 @@ the full grid's Npsi) to the Nphi x Nphi matrix R_o of its phi-row weights:
 Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
 m = Npsi is the grid itself) the table gives the operators
-``sum_o kron(R_o, shift(o mod m))``.  One builder, :func:`_ring_layout`, turns
-the table into them once per ring (the table is not cached): a fixed-stride
-layout on which the solver assembles the Newton Jacobian and the rounding floor's
+``sum_o kron(R_o, shift(o mod m))``.  One builder, :func:`_build_layout`, turns
+the table into them (the table is not cached): a fixed-stride layout on which
+the solver assembles the Newton Jacobian and the rounding floor's
 ``sum_o kron(|R_o|, shift(o mod m))`` per step, and psi-Fourier symbols
-``sum_o R_o exp(2 pi i k o / m)``; :func:`u_system` reads its operators off it.
+``sum_o R_o exp(2 pi i k o / m)``.  :func:`_ring_layout` caches it once per
+solver ring.  :func:`u_system`, which no solver path calls, reads its operators
+off a layout of its own and caches nothing: each call returns fresh matrices,
+and the grid holds no memory for them after the call.
 """
 
 from __future__ import annotations
@@ -98,27 +101,40 @@ def u_system(geom: CapGeometry) -> dict:
     the covariant gradient of h, plus the interior samples of ell.  On a
     ring of the grid they map the ring's cells, and equal the full grid's
     operators restricted to fields with the ring's symmetry.  Each is read
-    off :func:`_ring_layout`: the slots where its weight is nonzero, with
-    sorted column indices.
+    off a layout that :func:`_build_layout` builds for this call alone: the
+    slots where its weight is nonzero, with sorted column indices.  Nothing
+    is cached; every call returns fresh matrices, which the caller may change.
     """
-    key = "u_system"
-    if key not in geom._cache:
-        L = _ring_layout(geom)
-        cells = L.indices.reshape(geom.Nphi, geom.Npsi, -1)
-        ops = {}
-        for t, k in enumerate(JACOBIAN_TERMS):
-            w = np.broadcast_to(L.W[:, None, t], cells.shape)  # row i's weights in cell (i, j)
-            keep = w != 0.0  # the slots of term t, without the padding
-            indptr = np.append(0, np.cumsum(np.count_nonzero(keep, axis=2)))
-            ops[k] = sp.csr_matrix((w[keep], cells[keep], indptr), shape=(geom.size,) * 2)
-            ops[k].sort_indices()
-        ops["ell"] = _ell(geom).ravel()
-        geom._cache[key] = ops
-    return geom._cache[key]
+    L = _build_layout(geom)
+    cells = L.indices.reshape(geom.Nphi, geom.Npsi, -1)
+    ops = {}
+    for t, k in enumerate(JACOBIAN_TERMS):
+        w = np.broadcast_to(L.W[:, None, t], cells.shape)  # row i's weights in cell (i, j)
+        keep = w != 0.0  # the slots of term t, without the padding
+        indptr = np.append(0, np.cumsum(np.count_nonzero(keep, axis=2)))
+        ops[k] = sp.csr_matrix((w[keep], cells[keep], indptr), shape=(geom.size,) * 2)
+        ops[k].sort_indices()
+    ops["ell"] = _ell(geom).ravel()
+    return ops
 
 
 def _ring_layout(geom: CapGeometry) -> _Layout:
-    """Every operator on the ring geom, from one wrap of the stencil table, cached on it.
+    """:func:`_build_layout` of the ring geom, cached on it and read-only.
+
+    Every Jacobian shares the layout's arrays, so an in-place scipy operation
+    on one, as ``spsolve``'s ``sum_duplicates``, raises ValueError, not
+    rewrites them.
+    """
+    key = "ring_layout"
+    if key not in geom._cache:
+        geom._cache[key] = _build_layout(geom)
+        for a in geom._cache[key]:
+            a.flags.writeable = False
+    return geom._cache[key]
+
+
+def _build_layout(geom: CapGeometry) -> _Layout:
+    """Every operator on the ring geom, from one wrap of the stencil table, uncached.
 
     Cell (i, j) of ``sum_s kron(W[:, s], shift(s))`` has the (pair, shift) slots
     and weights of every cell of phi row i: ``indices`` and ``indptr`` list E
@@ -136,29 +152,22 @@ def _ring_layout(geom: CapGeometry) -> _Layout:
     cbar[i, t] sigma_t[i, i'](k)``, ``sigma_t = pair_W[:, :, t] @ omega`` over
     the phi-row pairs ``(rows, cols)``, ``omega[shift, k] = exp(2 pi i k shift
     / m)`` for k = 0 .. m // 2 (the full grid's antipode gives ``(-1)^k``).
-    Every array is read-only: an in-place scipy operation on a matrix that shares
-    them, as ``spsolve``'s ``sum_duplicates``, raises ValueError, not rewrites them.
     """
-    key = "ring_layout"
-    if key not in geom._cache:
-        rows, cols, offsets, R = _stencil_table(geom)
-        shifts, W = _wrapped(geom, offsets, R)
-        F = _wrapped(geom, offsets, np.abs(R))[1]  # no weight cancels: the slots of every term
-        p, s = np.nonzero(np.any(F != 0.0, axis=2))  # by pair (col, then row), then shift
-        order = np.argsort(rows[p], kind="stable")
-        p, s, i = p[order], s[order], rows[p[order]]
-        e = np.arange(len(i)) - np.searchsorted(i, i)  # slot within row i
-        N, m, E = geom.Nphi, geom.Npsi, int(np.max(e)) + 1
-        # slot e of row i reads phi row col at psi shift shift; padding reads the cell
-        col, shift = np.repeat(np.arange(N)[:, None], E, axis=1), np.zeros((N, E), int)
-        col[i, e], shift[i, e] = cols[p], shifts[s]
-        Wrow, Frow = np.zeros((N, W.shape[2], E)), np.zeros((N, 3, E))
-        Wrow[i, :, e], Frow[i, :, e] = W[p, s], F[p, s, :3] * [1.0, 2.0, 1.0]
-        cells = col[:, None] * m + (np.arange(m)[:, None] + shift[:, None]) % m
-        omega = np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))
-        geom._cache[key] = _Layout(cells.astype(np.int32).ravel(),
-                                   np.arange(0, geom.size * E + 1, E, dtype=np.int32),
-                                   Wrow, Frow, rows, cols, W, omega)
-        for a in geom._cache[key]:
-            a.flags.writeable = False
-    return geom._cache[key]
+    rows, cols, offsets, R = _stencil_table(geom)
+    shifts, W = _wrapped(geom, offsets, R)
+    F = _wrapped(geom, offsets, np.abs(R))[1]  # no weight cancels: the slots of every term
+    p, s = np.nonzero(np.any(F != 0.0, axis=2))  # by pair (col, then row), then shift
+    order = np.argsort(rows[p], kind="stable")
+    p, s, i = p[order], s[order], rows[p[order]]
+    e = np.arange(len(i)) - np.searchsorted(i, i)  # slot within row i
+    N, m, E = geom.Nphi, geom.Npsi, int(np.max(e)) + 1
+    # slot e of row i reads phi row col at psi shift shift; padding reads the cell
+    col, shift = np.repeat(np.arange(N)[:, None], E, axis=1), np.zeros((N, E), int)
+    col[i, e], shift[i, e] = cols[p], shifts[s]
+    Wrow, Frow = np.zeros((N, W.shape[2], E)), np.zeros((N, 3, E))
+    Wrow[i, :, e], Frow[i, :, e] = W[p, s], F[p, s, :3] * [1.0, 2.0, 1.0]
+    cells = col[:, None] * m + (np.arange(m)[:, None] + shift[:, None]) % m
+    omega = np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))
+    return _Layout(cells.astype(np.int32).ravel(),
+                   np.arange(0, geom.size * E + 1, E, dtype=np.int32),
+                   Wrow, Frow, rows, cols, W, omega)

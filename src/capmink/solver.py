@@ -312,6 +312,17 @@ def _assemble(geom: CapGeometry, C, weights: str = "W") -> sp.csr_matrix:
     return sp.csr_matrix((data.ravel(), L.indices, L.indptr), shape=(n, n))
 
 
+def _linearized(geom: CapGeometry, fvals, p, q, parts):
+    """``(A, factor)``: the Jacobian A on the ring geom at the frame ``parts`` and the
+    factor that a Newton direction solves with, the exact SuperLU factor of A on a
+    one-cell ring and the mode factor of its psi-average (:class:`_ModeFactor`)
+    otherwise.  Both read the coefficients C, which die on return: no GMRES run
+    shares memory with them."""
+    C = _jacobian_coeffs(geom, fvals, p, q, parts)
+    A = _assemble(geom, C)
+    return A, (_lu_factor(A) if geom.Npsi == 1 else _ModeFactor(geom, C))
+
+
 def _lu_factor(A):
     """SuperLU factor of A under a fill-reducing ordering."""
     try:
@@ -399,18 +410,19 @@ def _block_elimination(lu, row, col):
     return solve
 
 
-def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
+def _bordered_directions(geom: CapGeometry, fvals, p, q, trace: NewtonTrace):
     """Newton directions ``(d, dl)`` of one Newton solve of the normalized equation.
 
-    Each call ``direction(A, C, res, rhs, pin)`` solves
+    Each call ``direction(log_C, res, parts, pin)`` solves
     ``[[A, -rhs], [r, 0]] (d, dl) = -(res, pin)`` on the ring geom, where A is
-    the Jacobian of the coefficients C, ``-rhs`` the derivative of the
+    the Jacobian at the frame ``parts`` of the density ``C fvals``
+    (:func:`_linearized`), ``-rhs`` (rhs in ``parts``) the derivative of the
     residual in log C and ``r`` the gradient of the pin ``mean(u_bar) - 1``.
     On a one-cell ring (psi-independent data) A is factored exactly and the
     exact step taken: block elimination plus one refinement step with the
     same factor.  On a ring of m > 1 cells a direction runs GMRES on the
     bordered system, right-preconditioned by block elimination on the mode
-    factor of its own C (:class:`_ModeFactor`), to the forcing term
+    factor of its own Jacobian (:class:`_ModeFactor`), to the forcing term
     ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the
     first direction).  An iterate that misses eta_k within two restart cycles
     is still the step if its true bordered residual is within ETA_MAX
@@ -425,12 +437,13 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
     row = np.full(k, 1.0 / k)
     norm = None  # |F| at the last direction
 
-    def direction(A, C, res, rhs, pin):
+    def direction(log_C, res, parts, pin):
         nonlocal norm
-        col, top, bottom = -rhs, -res, -pin
+        A, factor = _linearized(geom, fvals * np.exp(log_C), p, q, parts)
+        col, top, bottom = -parts[7], -res, -pin
         if geom.Npsi == 1:
             trace.factorizations += 1
-            solve = _block_elimination(_lu_factor(A), row, col)
+            solve = _block_elimination(factor, row, col)
             d, dl = solve(top, bottom)
             dd, ddl = solve(top - A @ d - dl * col, bottom - row @ d)
             d, dl = d + dd, dl + ddl
@@ -438,7 +451,7 @@ def _bordered_directions(geom: CapGeometry, trace: NewtonTrace):
             norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
             eta = ETA_MAX if norm_prev is None else min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2)
             trace.mode_factorizations += 1
-            precond = _block_elimination(_ModeFactor(geom, C), row, col)
+            precond = _block_elimination(factor, row, col)
             last = None  # the last matvec: a copy of its v, its (d, dl), its product
 
             def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
@@ -618,7 +631,7 @@ def _newton(ring: CapGeometry, fvals, p, q, starts, s, cfg: SolverConfig,
     tol = cfg.newton_tol
     min_step = TRIAL_MIN_STEP if trial else MIN_STEP
     trace = NewtonTrace(s=s, iterations=0)
-    bordered = _bordered_directions(ring, trace)
+    bordered = _bordered_directions(ring, fvals, p, q, trace)
 
     def evaluate(x):
         """(x, sup, done, data) of a candidate, or None if not positive and convex."""
@@ -633,18 +646,20 @@ def _newton(ring: CapGeometry, fvals, p, q, starts, s, cfg: SolverConfig,
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise, b_range)
 
-    start = next(filter(None, (evaluate(np.append(u / np.mean(u), c)) for u, c in starts)), None)
-    if start is None:
-        raise ConvexityError("no start is positive and uniformly convex (b below the floor)")
-    x, sup, done, data = start
+    # the start's evaluation is bound only to the names each step rebinds
+    try:
+        x, sup, done, data = next(filter(None, (evaluate(np.append(u / np.mean(u), c))
+                                                for u, c in starts)))
+    except StopIteration:
+        raise ConvexityError("no start is positive and uniformly convex "
+                             "(b below the floor)") from None
     trace.residuals.append(sup)
     last_size = None
     for _it in range(cfg.max_newton):
         if done:
             break
         res, parts, pin, *_ = data
-        C = _jacobian_coeffs(ring, fvals * np.exp(x[-1]), p, q, parts)
-        dx = bordered(_assemble(ring, C), C, res, parts[7], pin)
+        dx = bordered(x[-1], res, parts, pin)
         if dx is None:  # GMRES missed ETA_MAX: no direction
             break
         size = float(np.max(np.abs(dx)))

@@ -16,7 +16,7 @@ import numpy as np
 import capmink.cli as cli
 import capmink.solver as solver
 from capmink import ProblemSpec, build_grid, ell_bump_f_exact
-from capmink.operators import u_system
+from capmink.operators import JACOBIAN_TERMS, u_system
 from capmink.problem_io import density_from_config
 
 
@@ -101,11 +101,15 @@ def test_solve_results_live_on_the_callers_grid():
                                                                     "even"]
 
 
-def test_u_system_cache_key():
+def test_u_system_caches_nothing():
+    """u_system leaves neither its operators nor their layout on the grid, and two
+    calls return the same operators bit for bit."""
     g = build_grid(1.0, 8, 16)
-    ops = u_system(g)
-    assert g._cache["u_system"] is ops
-    assert u_system(g) is ops
+    first, second = u_system(g), u_system(g)
+    assert not {"u_system", "ring_layout"} & set(g._cache)
+    for k in JACOBIAN_TERMS:
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(first[k], name), getattr(second[k], name)), (k, name)
 
 
 def test_pq_result_reports_polish(tmp_path):

@@ -41,3 +41,14 @@ def test_ring_operators_are_the_full_grid_operators_restricted(Nphi, Npsi, symme
         assert (gap - bound).max() <= 0.0, k
     if symmetry == "rot":
         assert ops["b12"].count_nonzero() == ops["g2"].count_nonzero() == 0
+
+
+def test_u_system_shares_no_state_between_calls():
+    """Scaling a returned operator in place leaves the next call's operators those
+    of a fresh grid, bit for bit."""
+    g = build_grid(1.0, 8, 16)
+    u_system(g)["b11"] *= 2.0
+    again, fresh = u_system(g), u_system(build_grid(1.0, 8, 16))
+    for k in JACOBIAN_TERMS:
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(again[k], name), getattr(fresh[k], name)), (k, name)
