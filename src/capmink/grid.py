@@ -27,6 +27,7 @@ import copy
 import csv
 import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ _NEUMANN_GHOST = -_W_DERIV[:3] / _W_DERIV[3]
 _W3_VALUE = np.array([3.0, -10.0, 15.0]) / 8.0
 _W3_DERIV = np.array([1.0, -3.0, 2.0])
 EVEN_TOL = 1e-10  # largest evenness_defect of data that counts as even
+# the frame terms odd under psi -> -psi: the psi derivatives, through one psi difference
+_PSI_ODD_TERMS = ("b12", "g2")
 
 
 class CapGeometry:
@@ -68,6 +71,9 @@ class CapGeometry:
         self.phi_nodes = (np.arange(self.Nphi) + 0.5) * self.dphi
         self.psi_nodes = np.arange(self.Npsi) * self.dpsi
         self.antipode = self.Npsi // 2  # psi shift, in cells, of the pole ghost
+        # the psi ring's gather map from the columns of one period to its cells, and
+        # each cell's orbit size: the identity and ones on the grid (see _ring)
+        self.gather, self.orbit = np.arange(self.Npsi), np.ones(self.Npsi, dtype=int)
         self.sin_phi = np.sin(self.phi_nodes)
         self.cos_phi = np.cos(self.phi_nodes)
         self.cos_theta = math.cos(self.theta)
@@ -99,22 +105,49 @@ def build_grid(theta: float, Nphi: int, Npsi: int) -> CapGeometry:
     return CapGeometry(theta, Nphi, Npsi)
 
 
-def _ring(geom: CapGeometry, m: int) -> CapGeometry:
-    """The periodic psi ring of m cells (m = Npsi, Npsi/2 or 1) of geom, cached on it.
+def _ring(geom: CapGeometry, period: int, mirror: bool = False) -> CapGeometry:
+    """The psi ring of fields of psi period ``period`` (Npsi, Npsi/2 or 1) of geom,
+    with ``mirror`` also invariant under psi -> -psi, cached on it.
 
-    A field invariant under the psi shift by m cells is its first m columns on
-    the ring: same dpsi, pole ghost shifted by ``(Npsi/2) mod m`` cells.  The
-    ring keeps no reference back to geom, so the cache makes no cycle.
+    Such a field is its first m columns on the ring: same dpsi, and the pole
+    ghost shifted by ``(Npsi/2) mod period`` columns.  A ring describes its
+    symmetry by two arrays, which every reader of a ring field takes:
+    ``gather``, the cell of each of the period's columns, and ``orbit``, the
+    number of the period's columns that each cell stands for.  The periodic
+    ring has m = period cells, gather the identity and every orbit 1.  The
+    reflection ring, about the node psi = 0 only, has the first
+    m = period // 2 + 1 columns, ``gather[j] = min(j, period - j)``, and
+    orbits 2 but at the mirror's fixed cells 0 and period / 2; it is taken only
+    where it has fewer cells than the periodic ring (period > 2).  The ring
+    keeps no reference back to geom, so the cache makes no cycle.
     """
+    m = period // 2 + 1 if mirror else period
+    if m >= period:
+        m, mirror = period, False
     if m == geom.Npsi:
         return geom
-    key = ("ring", m)
+    key = ("ring", period, mirror)
     if key not in geom._cache:
         ring = copy.copy(geom)  # shares the phi arrays
-        ring.Npsi, ring.antipode, ring._cache = m, geom.antipode % m, {}
+        ring.Npsi, ring.antipode, ring._cache = m, geom.antipode % period, {}
         ring.psi_nodes = geom.psi_nodes[:m]
+        j = np.arange(period)
+        ring.gather = np.minimum(j, period - j) if mirror else j
+        ring.orbit = np.bincount(ring.gather)
         geom._cache[key] = ring
     return geom._cache[key]
+
+
+def _tiled(geom: CapGeometry, ring: CapGeometry, a: np.ndarray, odd: bool = False):
+    """The field a of the ring's Nphi x m cells on all columns of geom: column j holds
+    cell ``gather[j mod period]``.  An ``odd`` field (b12 and g2, the psi derivatives,
+    of a reflection-symmetric u) changes sign on the columns that the gather reflects."""
+    j = np.arange(geom.Npsi) % len(ring.gather)
+    cells = ring.gather[j]
+    out = np.take(a, cells, axis=-1)
+    if odd:
+        out *= np.where(cells == j, 1.0, -1.0)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +181,10 @@ class ScalarField:
         if np.any(self.values <= 0.0):
             raise DomainError("support function must be positive")
         g, u = self.geometry, self.values / _ell(self.geometry)
-        m = _psi_period(u)
-        b11, b12, b22, g1, g2 = (np.tile(a, (1, g.Npsi // m))
-                                 for a in _u_frame(_ring(g, m), u[:, :m])[:5])
+        ring = _ring(g, *_psi_period(u))
+        frame = _u_frame(ring, u[:, :ring.Npsi])
+        b11, b12, b22, g1, g2 = (_tiled(g, ring, a, odd=name in _PSI_ODD_TERMS) for name, a in
+                                 zip(("b11", "b12", "b22", "g1", "g2"), frame))
         return CurvatureData(b11, b12, b22, b11 + b22, eigen_range(b11, b12, b22)[0], g1, g2)
 
     @classmethod
@@ -275,20 +309,24 @@ def _stencil(geom: CapGeometry) -> _Stencil:
 def _u_frame(geom: CapGeometry, u: np.ndarray):
     """(b11, b12, b22, g1, g2, h) of h = ell * u, shaped like u.
 
-    u holds the Nphi x Npsi cell values, as a grid or flattened.  This is the
+    u holds the Nphi x Npsi cell values of the grid or ring geom, as a grid or
+    flattened; on a ring, each cell's psi neighbours and pole antipode are the
+    cells that the ring's gather map gives them (:func:`_ring`).  This is the
     one evaluation of the stencil of :func:`_stencil`; the sparse operators of
     :func:`capmink.operators.u_system` are read off the same stencil and
     match it up to rounding.
     """
     shape, st = np.shape(u), _stencil(geom)
     u = np.reshape(u, geom.shape)
-    ext = st.X @ np.concatenate([u, np.roll(u[:1], geom.antipode, axis=1)])
-    # psi differences annihilate row constants; subtracting the row mean first
-    # removes the cancellation noise that the 1/sin(phi)^2 factor amplifies
-    # near the pole, which sets the attainable Newton residual floor
-    dev = ext - np.mean(ext, axis=1, keepdims=True)
-    wrap = np.concatenate([dev[:, -1:], dev, dev[:, :1]], axis=1)
-    left, right = wrap[:, :-2], wrap[:, 2:]
+    j, gather = np.arange(geom.Npsi), geom.gather
+    left, right, anti = (gather[(j + s) % len(gather)] for s in (-1, 1, geom.antipode))
+    ext = st.X @ np.concatenate([u, np.take(u[:1], anti, axis=1)])
+    # psi differences annihilate row constants; subtracting the row mean (over
+    # one whole period) first removes the cancellation noise that the
+    # 1/sin(phi)^2 factor amplifies near the pole, which sets the attainable
+    # Newton residual floor
+    dev = ext - np.mean(np.take(ext, gather, axis=1), axis=1, keepdims=True)
+    left, right = np.take(dev, left, axis=1), np.take(dev, right, axis=1)
     c1, c2 = st.psi[1][1], st.psi[2][1]  # each difference's weight at offset 1
     blocks = np.concatenate([ext, (right - left) * c1, (right - 2.0 * dev + left) * c2])
     frame = (st.Phi @ blocks).reshape(5, geom.Nphi, -1)
@@ -375,16 +413,19 @@ def bump_profile(phi, theta: float):
 # serialization
 
 
-def _psi_period(values: np.ndarray) -> int:
-    """The least m of 1, Npsi/2 and Npsi by whose psi shift values is bitwise invariant.
+def _psi_period(values: np.ndarray) -> tuple[int, bool]:
+    """``(period, mirror)``: the least period of 1, Npsi/2 and Npsi by whose psi shift
+    values is bitwise invariant, and whether it is bitwise invariant under psi -> -psi.
 
     Bitwise, not by float equality: 0.0 == -0.0, but the two print apart.
     """
     bits = values.view(np.uint64)
     half = bits.shape[1] // 2
     if np.all(bits == bits[:, :1]):
-        return 1
-    return half if np.array_equal(bits[:, :half], bits[:, half:]) else bits.shape[1]
+        return 1, True
+    period = half if np.array_equal(bits[:, :half], bits[:, half:]) else bits.shape[1]
+    mirror = (-np.arange(period)) % period
+    return period, np.array_equal(bits[:, :period], np.take(bits, mirror, axis=1))
 
 
 def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
@@ -394,15 +435,17 @@ def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
     none of which needs quoting, and ``\\r\\n`` line ends.  Each phi row of
     Npsi lines is joined at once from one list of six slots per line, shared
     by all rows: the ``,j,`` and ``,psi,`` texts and the line ends are set
-    once, and each row sets its i, phi and value texts.  Only the first m
-    values of a row are formatted, m the field's psi period
-    (:func:`_psi_period`; a solver's solution is tiled from its psi ring),
-    all in one ``%`` pass, and their texts fill the value slots Npsi / m
-    times over.
+    once, and each row sets its i, phi and value texts.  Only the m values of
+    a row on the psi ring of the field's own symmetry are formatted
+    (:func:`_psi_period`, :func:`_ring`; a solver's solution is tiled from its
+    ring), all in one ``%`` pass, and each column's value slot takes the text
+    of its ring cell.
     """
     g = s.geometry
-    N, m = g.Npsi, _psi_period(s.values)
+    N, ring = g.Npsi, _ring(g, *_psi_period(s.values))
+    m = ring.Npsi
     numbers = "%.17g\0" * m
+    texts = operator.itemgetter(*_tiled(g, ring, np.arange(m)).tolist())  # each column's cell
     slots = [None] * (6 * N)  # line j: i, ",j,", phi, ",psi_j,", value, "\r\n"
     slots[1::6] = [f",{j}," for j in range(N)]
     slots[3::6] = [f",{psi:.17g}," for psi in g.psi_nodes.tolist()]
@@ -414,7 +457,7 @@ def field_to_csv(s: ScalarField, path, header_comment: str | None = None):
         for i, (phi, values) in enumerate(zip(g.phi_nodes.tolist(), s.values[:, :m].tolist())):
             slots[0::6] = [str(i + 1)] * N
             slots[2::6] = [f"{phi:.17g}"] * N
-            slots[4::6] = (numbers % tuple(values)).split("\0")[:m] * (N // m)
+            slots[4::6] = texts((numbers % tuple(values)).split("\0"))
             fh.write("".join(slots))
 
 

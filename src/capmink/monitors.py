@@ -30,6 +30,7 @@ from .grid import (
     _ell,
     _psi_period,
     _ring,
+    _tiled,
     _u_frame,
     boundary_values,
     curvature_tensor,
@@ -200,8 +201,8 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
         raise ApplicabilityError(f"u violates the Neumann condition (defect {defect:.3g})")
     # the stencil is linear, so u may be offset by a constant first: then a
     # constant u gives v = 0 and Phi = 0 exactly
-    m = _psi_period(u.values)
-    ring, uv = _ring(geom, m), u.values[:, :m]
+    ring = _ring(geom, *_psi_period(u.values))
+    uv = u.values[:, :ring.Npsi]
     v = uv - scale
     _, _, _, g1, g2, _ = _u_frame(ring, v)
     _, _, _, ell_g1, _, ell = _u_frame(_ring(geom, 1), np.ones((geom.Nphi, 1)))
@@ -222,9 +223,9 @@ def phi_monitor(geom: CapGeometry, u: ScalarField, gamma: float) -> PhiMonitorRe
     # the first max row of the tiled Phi is the ring's
     i, _j = np.unravel_index(np.argmax(phi_vals), phi_vals.shape)
     return PhiMonitorReport(
-        phi_field=ScalarField(geom, np.tile(phi_vals, (1, geom.Npsi // m))),
+        phi_field=ScalarField(geom, _tiled(geom, ring, phi_vals)),
         interior_max=bool(i < geom.Nphi - 1),
-        boundary_derivative=np.tile(bnd_der, geom.Npsi // m),
+        boundary_derivative=_tiled(geom, ring, bnd_der),
         degenerate=degenerate,
         boundary_derivative_range=([float(np.min(held)), float(np.max(held))]
                                    if held.size else None),

@@ -15,15 +15,18 @@ ghost.  :func:`_stencil_table` lists it as a map from each psi offset o (mod
 the full grid's Npsi) to the Nphi x Nphi matrix R_o of its phi-row weights:
 Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
-m = Npsi is the grid itself) the table gives the operators
-``sum_o kron(R_o, shift(o mod m))``.  One builder, :func:`_build_layout`, turns
-the table into them (the table is not cached): a fixed-stride layout on which
-the solver assembles the Newton Jacobian and the rounding floor's
-``sum_o kron(|R_o|, shift(o mod m))`` per step, and psi-Fourier symbols
-``sum_o R_o exp(2 pi i k o / m)``.  :func:`_ring_layout` caches it once per
-solver ring.  :func:`u_system`, which no solver path calls, reads its operators
-off a layout of its own and caches nothing: each call returns fresh matrices,
-and the grid holds no memory for them after the call.
+m = Npsi is the grid itself), of period P and gather map g, the table gives
+the operators ``S A E`` of the full grid's A (S keeps the ring's cells, E is
+the gather): cell (i, j) reads cell ``g((j + o) mod P)`` with weight R_o, so
+a reflection ring's mirror cells read one cell twice, and a product sums the
+two.  One builder, :func:`_build_layout`, turns the table into them (the
+table is not cached): a fixed-stride layout on which the solver assembles
+the Newton Jacobian and the rounding floor's ``S |A| E`` per step, and the
+psi-Fourier symbols ``sum_o R_o exp(2 pi i k o / P)`` of the period.
+:func:`_ring_layout` caches it once per solver ring.  :func:`u_system`,
+which no solver path calls, reads its operators off a layout of its own and
+caches nothing: each call returns fresh matrices, and the grid holds no
+memory for them after the call.
 """
 
 from __future__ import annotations
@@ -81,13 +84,14 @@ def _stencil_table(geom: CapGeometry):
 def _wrapped(geom: CapGeometry, offsets, R):
     """``(shifts, W)``: table weights R (pairs x offsets x terms) on the ring geom.
 
-    The weights of the offsets that coincide mod the ring's m cells are
-    summed, in table order, into the column of their shift ``o mod m``.  In
+    The weights of the offsets that coincide mod the ring's period P (its m
+    cells on a periodic ring) are summed, in table order, into the column of
+    their shift ``o mod P``.  In
     that order the opposite psi weights at -1 and 1, and at the antipode -1
     and +1, are summed before the next offset, so the b12 and g2 weights that
     cancel on a one-cell ring cancel exactly.
     """
-    shifts, slot = np.unique(np.asarray(offsets) % geom.Npsi, return_inverse=True)
+    shifts, slot = np.unique(np.asarray(offsets) % len(geom.gather), return_inverse=True)
     W = np.zeros((R.shape[0], len(shifts), R.shape[2]))
     for o, s in enumerate(slot):
         W[:, s] += R[:, o]
@@ -102,7 +106,8 @@ def u_system(geom: CapGeometry) -> dict:
     ring of the grid they map the ring's cells, and equal the full grid's
     operators restricted to fields with the ring's symmetry.  Each is read
     off a layout that :func:`_build_layout` builds for this call alone: the
-    slots where its weight is nonzero, with sorted column indices.  Nothing
+    slots where its weight is nonzero, with sorted column indices, a
+    reflection ring's two slots on one cell summed into one.  Nothing
     is cached; every call returns fresh matrices, which the caller may change.
     """
     L = _build_layout(geom)
@@ -113,7 +118,7 @@ def u_system(geom: CapGeometry) -> dict:
         keep = w != 0.0  # the slots of term t, without the padding
         indptr = np.append(0, np.cumsum(np.count_nonzero(keep, axis=2)))
         ops[k] = sp.csr_matrix((w[keep], cells[keep], indptr), shape=(geom.size,) * 2)
-        ops[k].sort_indices()
+        ops[k].sum_duplicates()  # a reflection ring's mirror cells read one cell twice
     ops["ell"] = _ell(geom).ravel()
     return ops
 
@@ -136,22 +141,24 @@ def _ring_layout(geom: CapGeometry) -> _Layout:
 def _build_layout(geom: CapGeometry) -> _Layout:
     """Every operator on the ring geom, from one wrap of the stencil table, uncached.
 
-    Cell (i, j) of ``sum_s kron(W[:, s], shift(s))`` has the (pair, shift) slots
-    and weights of every cell of phi row i: ``indices`` and ``indptr`` list E
-    per cell (ELLPACK; Saad, *Iterative Methods for Sparse Linear Systems*,
-    2003, sec. 3.4), a row with fewer padded with the cell's diagonal at
-    weight 0.  ``W[i, t, e]`` weights slot e of row i in term t (the
+    Cell (i, j) has the (pair, shift) slots and weights of every cell of phi
+    row i, slot (pair, s) reading cell ``gather[(j + s) mod P]`` of the pair's
+    phi row: ``indices`` and ``indptr`` list E per cell (ELLPACK; Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2003, sec. 3.4), a row with
+    fewer padded with the cell's diagonal at weight 0.  On a reflection ring
+    two slots of a mirror cell can read one cell; a product sums them.
+    ``W[i, t, e]`` weights slot e of row i in term t (the
     :data:`JACOBIAN_TERMS`, then the diagonal): cell coefficients C (cells x
     terms) give the data ``matmul(C.reshape(Nphi, m, -1), W)``.  ``F[i, k, e]``
     weights it in the rounding floor's ``|A|`` of b11, 2 b12 and b22, taken
     before the ring wraps the offsets: ``S |A| E`` of the full grid's A (S keeps
-    the ring's cells, E tiles the ring onto the grid), where the ring's own
+    the ring's cells, E gathers the ring onto the grid), where the ring's own
     would add the pole ghost to its cell (even data) or the psi stencil to
     itself (one cell).  With coefficients cbar constant along each phi row, a
     ring Jacobian maps psi mode k of row i' to row i with the weight ``sum_t
     cbar[i, t] sigma_t[i, i'](k)``, ``sigma_t = pair_W[:, :, t] @ omega`` over
     the phi-row pairs ``(rows, cols)``, ``omega[shift, k] = exp(2 pi i k shift
-    / m)`` for k = 0 .. m // 2 (the full grid's antipode gives ``(-1)^k``).
+    / P)`` for k = 0 .. P // 2 (the full grid's antipode gives ``(-1)^k``).
     """
     rows, cols, offsets, R = _stencil_table(geom)
     shifts, W = _wrapped(geom, offsets, R)
@@ -161,13 +168,14 @@ def _build_layout(geom: CapGeometry) -> _Layout:
     p, s, i = p[order], s[order], rows[p[order]]
     e = np.arange(len(i)) - np.searchsorted(i, i)  # slot within row i
     N, m, E = geom.Nphi, geom.Npsi, int(np.max(e)) + 1
+    gather, period = geom.gather, len(geom.gather)
     # slot e of row i reads phi row col at psi shift shift; padding reads the cell
     col, shift = np.repeat(np.arange(N)[:, None], E, axis=1), np.zeros((N, E), int)
     col[i, e], shift[i, e] = cols[p], shifts[s]
     Wrow, Frow = np.zeros((N, W.shape[2], E)), np.zeros((N, 3, E))
     Wrow[i, :, e], Frow[i, :, e] = W[p, s], F[p, s, :3] * [1.0, 2.0, 1.0]
-    cells = col[:, None] * m + (np.arange(m)[:, None] + shift[:, None]) % m
-    omega = np.exp(2j * np.pi / m * np.outer(shifts, np.arange(m // 2 + 1)))
+    cells = col[:, None] * m + gather[(np.arange(m)[:, None] + shift[:, None]) % period]
+    omega = np.exp(2j * np.pi / period * np.outer(shifts, np.arange(period // 2 + 1)))
     return _Layout(cells.astype(np.int32).ravel(),
                    np.arange(0, geom.size * E + 1, E, dtype=np.int32),
                    Wrow, Frow, rows, cols, W, omega)

@@ -28,8 +28,13 @@ of the discrete residual: the determinant is linearized as ``cof(b) : db``
 and the right-hand side analytically in ``(u, grad u)``.
 Each solve runs on the psi ring of the density's own symmetry, flagged or not
 (:func:`capmink.grid._ring`, :func:`_symmetry`): one cell per phi row for
-psi-independent data, Npsi/2 for even data, all Npsi otherwise.  A
-continuation picks the ring of its target density once and runs every step
+psi-independent data, else a period P of Npsi/2 cells for even data and Npsi
+otherwise, of which data also invariant under psi -> -psi about the node
+psi = 0 (cos(k psi) data) needs only the first P/2 + 1 cells.  A ring reads
+its data through its gather map from the period's columns to its cells, and
+weights each cell by its orbit in every mean over the period: the pin and
+the start's normalization, the mode factor's psi-average and GMRES's norm.
+A continuation picks the ring of its target density once and runs every step
 on it, s = 0 included (f_0 is psi-independent, so each f_s has the target's
 symmetry); it tiles the solution back onto the grid once, at the end.  The
 residual, the convexity checks, the rounding floor and the Jacobian (assembled
@@ -97,10 +102,12 @@ from .grid import (
     EVEN_TOL,
     CapGeometry,
     ScalarField,
+    _PSI_ODD_TERMS,
     _check_grid,
     _ell,
     _psi_period,
     _ring,
+    _tiled,
     _u_frame,
     bump_profile,
     ell_field,
@@ -334,10 +341,15 @@ def _lu_factor(A):
 class _ModeFactor:
     """Solver of the psi-average of a ring Jacobian, all psi-Fourier modes in one factor.
 
-    Averaging the coefficients C over each phi row makes the Jacobian on a
-    ring of m > 1 cells circulant along psi (see
-    :func:`capmink.operators._ring_layout`), so a real FFT along psi splits it
-    into one Nphi x Nphi system per mode k = 0 .. m // 2.  Each is
+    Averaging the coefficients C over each phi row of one period of the grid
+    makes the Jacobian on a ring of m > 1 cells that of a circulant along the
+    period's P columns (see :func:`capmink.operators._ring_layout`), so a real
+    FFT along psi splits it into one Nphi x Nphi system per mode
+    k = 0 .. P // 2.  On a periodic ring P = m.  On a reflection ring the
+    average weights each cell by its orbit, and the terms odd under the
+    reflection, b12 and g2, average to exactly 0, so the circulant maps
+    mirror-symmetric fields to mirror-symmetric ones: ``solve`` gathers v onto
+    the period and keeps the first m columns of its result.  Each is
     tridiagonal in phi but for the Neumann ghost's entry (N-1, N-3), and rows
     N-2 and N-1 have entries only in columns N-3 .. N-1.  One step of partial
     pivoting on column N-3 removes that entry: the two rows are swapped where
@@ -352,8 +364,13 @@ class _ModeFactor:
     def __init__(self, geom: CapGeometry, C):
         L = _ring_layout(geom)  # the mode symbols' terms
         self.shape = Nphi, m = geom.shape
-        # the row means of C; einsum sums along the middle axis faster than mean
-        cbar = np.einsum("ijt->it", C.reshape(Nphi, m, -1)) / m
+        self.gather = gather = geom.gather
+        # the row means of C over one period, each cell weighted by its orbit; einsum
+        # sums along the middle axis faster than mean.  The terms odd in psi have
+        # cells that a reflection ring's orbits do not sum to their mean, which is 0
+        cbar = np.einsum("ijt,j->it", C.reshape(Nphi, m, -1), geom.orbit) / len(gather)
+        if len(gather) > m:
+            cbar[:, [JACOBIAN_TERMS.index(t) for t in _PSI_ODD_TERMS]] = 0.0
         # diagonals[i - i' + 1, k, i]: entry (i, i') of mode k, for i - i' = -1 .. 2
         diagonals = np.zeros((4, L.omega.shape[1], Nphi), complex)
         symbols = np.einsum("pst,pt->ps", L.pair_W, cbar[L.rows]) @ L.omega
@@ -378,13 +395,14 @@ class _ModeFactor:
 
     def solve(self, v):
         Nphi, m = self.shape
-        # one row of Nphi values per mode, in the order of the stacked system
-        modes = np.ascontiguousarray(np.fft.rfft(v.reshape(Nphi, m), axis=1).T)
+        # v on one period; one row of Nphi values per mode, in the order of the stacked system
+        period = np.take(v.reshape(Nphi, m), self.gather, axis=1)
+        modes = np.ascontiguousarray(np.fft.rfft(period, axis=1).T)
         top = np.where(self.swap, modes[:, -1], modes[:, -2])
         modes[:, -1] = np.where(self.swap, modes[:, -2], modes[:, -1]) - self.mu * top
         modes[:, -2] = top
         x = lapack.zgttrs(*self.factor, modes.reshape(-1, 1), overwrite_b=1)[0]
-        return np.fft.irfft(x.reshape(-1, Nphi).T, n=m, axis=1).ravel()
+        return np.fft.irfft(x.reshape(-1, Nphi).T, n=len(self.gather), axis=1)[:, :m].ravel()
 
 
 # Inexact Newton (Eisenstat-Walker): GMRES to a forcing term on psi-dependent data
@@ -417,14 +435,17 @@ def _bordered_directions(geom: CapGeometry, fvals, p, q, trace: NewtonTrace):
     ``[[A, -rhs], [r, 0]] (d, dl) = -(res, pin)`` on the ring geom, where A is
     the Jacobian at the frame ``parts`` of the density ``C fvals``
     (:func:`_linearized`), ``-rhs`` (rhs in ``parts``) the derivative of the
-    residual in log C and ``r`` the gradient of the pin ``mean(u_bar) - 1``.
+    residual in log C and ``r`` the gradient of the pin ``mean(u_bar) - 1``
+    (:func:`_mean`, each cell weighted by its orbit).
     On a one-cell ring (psi-independent data) A is factored exactly and the
     exact step taken: block elimination plus one refinement step with the
     same factor.  On a ring of m > 1 cells a direction runs GMRES on the
     bordered system, right-preconditioned by block elimination on the mode
     factor of its own Jacobian (:class:`_ModeFactor`), to the forcing term
     ``eta_k = min(ETA_MAX, 0.9 (|F_k| / |F_(k-1)|)^2)`` (ETA_MAX for the
-    first direction).  An iterate that misses eta_k within two restart cycles
+    first direction).  GMRES's norm, and |F|, are those of one period of the
+    grid: each cell weighted by the square root of its orbit, which is 1 on a
+    periodic ring.  An iterate that misses eta_k within two restart cycles
     is still the step if its true bordered residual is within ETA_MAX
     relative; otherwise GMRES runs on from it toward ETA_MAX, up to
     GMRES_MAX_CYCLES cycles in all, and if it misses again the call returns
@@ -433,8 +454,10 @@ def _bordered_directions(geom: CapGeometry, fvals, p, q, trace: NewtonTrace):
     it returns, so each direction makes one mode solve for z and at most one
     per GMRES matvec.
     """
-    k = geom.size
-    row = np.full(k, 1.0 / k)
+    k, orbits = geom.size, np.tile(geom.orbit, geom.Nphi)
+    row = orbits / (geom.Nphi * len(geom.gather))  # the pin's gradient
+    # GMRES's norm is that of the field on one period: each cell weighted by its orbit
+    weight = np.sqrt(np.append(orbits, 1.0))
     norm = None  # |F| at the last direction
 
     def direction(log_C, res, parts, pin):
@@ -448,23 +471,23 @@ def _bordered_directions(geom: CapGeometry, fvals, p, q, trace: NewtonTrace):
             dd, ddl = solve(top - A @ d - dl * col, bottom - row @ d)
             d, dl = d + dd, dl + ddl
         else:
-            norm_prev, norm = norm, math.hypot(float(np.linalg.norm(top)), pin)
+            norm_prev, norm = norm, math.hypot(float(np.linalg.norm(weight[:k] * top)), pin)
             eta = ETA_MAX if norm_prev is None else min(ETA_MAX, 0.9 * (norm / norm_prev) ** 2)
             trace.mode_factorizations += 1
             precond = _block_elimination(factor, row, col)
             last = None  # the last matvec: a copy of its v, its (d, dl), its product
 
-            def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v
+            def bordered(v):  # [[A, col], [row, 0]] applied to the preconditioned v, weighted
                 nonlocal last
                 if last is None or not np.array_equal(v, last[0]):
-                    d, dl = precond(v[:k], v[k])
-                    last = v.copy(), (d, dl), np.append(A @ d + dl * col, row @ d)
+                    d, dl = precond(v[:k] / weight[:k], v[k])
+                    last = v.copy(), (d, dl), weight * np.append(A @ d + dl * col, row @ d)
                 return last
 
             # gmres writes into an Arnoldi product, so each matvec returns a fresh one
-            op = spla.LinearOperator((k + 1, k + 1), matvec=lambda v: bordered(v)[2].copy(),
-                                     dtype=float)
-            b = np.append(top, bottom)
+            op = spla.LinearOperator((k + 1, k + 1),
+                                     matvec=lambda v: bordered(np.ravel(v))[2].copy(), dtype=float)
+            b = weight * np.append(top, bottom)
             inner, v = [], None
             for rtol, cycles in ((eta, 2), (ETA_MAX, GMRES_MAX_CYCLES - 2)):
                 v, info = spla.gmres(op, b, x0=v, rtol=rtol, atol=0.0, restart=GMRES_RESTART,
@@ -532,9 +555,10 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
                 cfg: SolverConfig = SolverConfig()):
     """``(passed, residual_sup)`` of the solver's own test of u = h / ell at newton_tol.
 
-    It runs on the smallest psi ring under whose shift both the data and u
-    are invariant: the larger of the ring of the data's symmetry and the psi
-    period of u (:func:`capmink.grid._psi_period`).  The residual, its
+    It runs on the psi ring of the symmetries that the data and u share: the
+    intersection of the data's group (:func:`_symmetry`) and u's bitwise one
+    (:func:`capmink.grid._psi_period`), the longer period and a reflection only
+    if both have it.  The residual, its
     scale and its floor all scale as t^2 under h -> t h, so the test of the
     solver's normalized iterate carries over to h up to rounding.
     """
@@ -542,31 +566,42 @@ def is_solution(spec: ProblemSpec, geom: CapGeometry, h: ScalarField,
     u = h.values / _ell(geom)
     if np.any(u <= 0.0):
         raise DomainError("u = h / ell must be positive")
-    m = max(_symmetry(spec.f.values), _psi_period(u))
-    res, _, _, passed = _floor_test(_ring(geom, m), spec.f.values[:, :m].ravel(),
+    (f_period, f_mirror), (u_period, u_mirror) = _symmetry(spec.f.values), _psi_period(u)
+    ring = _ring(geom, max(f_period, u_period), f_mirror and u_mirror)
+    m = ring.Npsi
+    res, _, _, passed = _floor_test(ring, spec.f.values[:, :m].ravel(),
                                     spec.p, spec.q, u[:, :m].ravel(), cfg.newton_tol)
     return passed, float(np.max(np.abs(res)))
 
 
-def _symmetry(fvals) -> int:
-    """Cells of the psi ring of the data's symmetry, read off the data, not the even
-    flag: 1 if psi-independent, else Npsi/2 if even, else Npsi.  Each test allows a
-    defect of 1e-13 of the scale, the rounding level: the ring sees only its own
-    cells, so data even only to EVEN_TOL takes all Npsi."""
+def _symmetry(fvals) -> tuple[int, bool]:
+    """``(period, mirror)`` of the data's psi symmetry, read off the data, not the even
+    flag, as :func:`capmink.grid._ring` takes it: the period is 1 if psi-independent,
+    else Npsi/2 if even, else Npsi, and mirror whether the data is invariant under
+    psi -> -psi (psi-independent data is).  Each test allows a defect of 1e-13 of the
+    scale, the rounding level: the ring sees only its own cells, so data even only to
+    EVEN_TOL takes all Npsi, and data mirror-symmetric only to 1e-12 no reflection."""
     tol = 1e-13 * np.max(np.abs(fvals))
     if np.max(np.max(fvals, axis=1) - np.min(fvals, axis=1)) <= tol:
-        return 1
-    half = fvals.shape[1] // 2
-    if np.max(np.abs(fvals - np.roll(fvals, half, axis=1))) <= tol:
-        return half
-    return fvals.shape[1]
+        return 1, True
+    npsi = fvals.shape[1]
+    even = np.max(np.abs(fvals - np.roll(fvals, npsi // 2, axis=1))) <= tol
+    mirror = np.max(np.abs(fvals - np.take(fvals, -np.arange(npsi) % npsi, axis=1))) <= tol
+    return (npsi // 2 if even else npsi), bool(mirror)
 
 
-def _finalize(geom: CapGeometry, x, b_range, p, q, trace, s_reached,
+def _mean(ring: CapGeometry, uvec) -> float:
+    """The mean over one psi period of the grid of the field uvec on the ring: each
+    cell counts as often as its orbit (:func:`capmink.grid._ring`)."""
+    return float(np.mean(np.take(np.reshape(uvec, (ring.Nphi, -1)), ring.gather,
+                                 axis=1).ravel()))
+
+
+def _finalize(geom: CapGeometry, ring: CapGeometry, x, b_range, p, q, trace, s_reached,
               residual_sup, residual_floor) -> SolveResult:
     """SolveResult on geom of the normalized iterate x = (u_bar, log C).
 
-    u_bar, on geom or a ring of it, is tiled onto geom, and
+    u_bar, on the ring of geom (or geom itself), is tiled onto geom, and
     h = m ell u_bar with m = C^(1/(p-q)), and m = 1 for p = q.  The residual
     figures are the solver's own, those of the normalized equation.  The
     result has converged if the last Newton trace has; if not, its residual
@@ -578,8 +613,7 @@ def _finalize(geom: CapGeometry, x, b_range, p, q, trace, s_reached,
     log_C = float(x[-1])
     log_m = log_C / (p - q) if p != q else 0.0
     ell = _ell(geom)
-    u_bar = x[:-1].reshape(geom.Nphi, -1)
-    u_bar = np.tile(u_bar, (1, geom.Npsi // u_bar.shape[1]))
+    u_bar = _tiled(geom, ring, x[:-1].reshape(geom.Nphi, -1))
     h_bar = ScalarField(geom, ell * u_bar)
     with np.errstate(over="ignore"):
         m = float(np.exp(log_m))
@@ -616,7 +650,8 @@ def _newton(ring: CapGeometry, fvals, p, q, starts, s, cfg: SolverConfig,
     """Damped Newton on the normalized equation on the psi ring ``ring``.
 
     fvals is the density on the ring's cells.  starts lists ``(uvec, log_C)`` pairs; the
-    solve starts from the first ``x = (uvec / mean(uvec), log_C)`` that its evaluation
+    solve starts from the first ``x = (uvec / mean(uvec), log_C)`` (:func:`_mean`, over
+    one period of the grid) that its evaluation
     accepts: the u field (x but its last entry, log C) is positive and convex, as every
     iterate must be, with convexity read off the residual's own frame.  A step is halved
     until that holds and the sup of the residual and the pin ``mean(u_bar) - 1`` falls
@@ -641,14 +676,14 @@ def _newton(ring: CapGeometry, fvals, p, q, starts, s, cfg: SolverConfig,
         b_range = eigen_range(*parts[:3])
         if b_range[0] < CONVEXITY_FLOOR:
             return None
-        pin = float(np.mean(x[:-1]) - 1.0)
+        pin = _mean(ring, x[:-1]) - 1.0
         done = passed and abs(pin) <= tol
         sup = max(float(np.max(np.abs(res))), abs(pin))
         return x, sup, done, (res, parts, pin, noise, b_range)
 
     # the start's evaluation is bound only to the names each step rebinds
     try:
-        x, sup, done, data = next(filter(None, (evaluate(np.append(u / np.mean(u), c))
+        x, sup, done, data = next(filter(None, (evaluate(np.append(u / _mean(ring, u), c))
                                                 for u, c in starts)))
     except StopIteration:
         raise ConvexityError("no start is positive and uniformly convex "
@@ -705,12 +740,17 @@ def newton_solve(
         raise DomainError("u0 must be positive")
     p, q = spec.p, spec.q
     fvals = _density(_base_density(geom, p, q), spec.f.values, s)
-    m = _symmetry(fvals)
-    uvec = u0.values.reshape(geom.Nphi, -1, m).mean(axis=1).ravel()
-    start = (uvec, (p - q) * math.log(np.mean(uvec)))
-    x, trace, res_sup, floor, b_range = _newton(_ring(geom, m), fvals[:, :m].ravel(), p, q,
+    period, mirror = _symmetry(fvals)
+    ring = _ring(geom, period, mirror)
+    # the mean over the period's shifts, then over the ring's orbits
+    u = u0.values.reshape(geom.Nphi, -1, period).mean(axis=1)
+    uvec = np.zeros(ring.shape)
+    np.add.at(uvec, (slice(None), ring.gather), u)
+    uvec = (uvec / ring.orbit).ravel()
+    start = (uvec, (p - q) * math.log(_mean(ring, uvec)))
+    x, trace, res_sup, floor, b_range = _newton(ring, fvals[:, :ring.Npsi].ravel(), p, q,
                                                 [start], s, cfg)
-    return _finalize(geom, x, b_range, p, q, [trace], s, res_sup, floor)
+    return _finalize(geom, ring, x, b_range, p, q, [trace], s, res_sup, floor)
 
 
 def continuation_solve(
@@ -732,8 +772,8 @@ def continuation_solve(
     f0 = _base_density(geom, p, q)
     # log C drifts by -log kappa per unit s, kappa the geometric mean of f / f_0
     log_kappa = float(np.mean(np.log(spec.f.values / f0)))
-    m = _symmetry(spec.f.values)
-    ring = _ring(geom, m)
+    ring = _ring(geom, *_symmetry(spec.f.values))
+    m = ring.Npsi
     f0, f = f0[:, :m].ravel(), spec.f.values[:, :m].ravel()
 
     # at s = 0 the density is f_0, solved exactly by u_bar = 1 and log C = 0
@@ -744,7 +784,7 @@ def continuation_solve(
     prev = None  # (x_(k-1), s_k - s_(k-1)) for the secant predictor
     while converged and s < 1.0:
         s_next = min(1.0, s + ds)
-        x = np.append(last[:-1] / np.mean(last[:-1]), last[-1])  # (u_bar, log C)
+        x = np.append(last[:-1] / _mean(ring, last[:-1]), last[-1])  # (u_bar, log C)
         starts = [(x[:-1], x[-1] - (s_next - s) * log_kappa)]
         if prev is not None:  # the secant predictor first
             pred = x + (s_next - s) / prev[1] * (x - prev[0])
@@ -761,7 +801,7 @@ def continuation_solve(
         else:  # retry at half the step tried, which is shorter than ds near s = 1
             ds = 0.5 * (s_next - s)
             converged = ds >= DS_MIN
-    return _finalize(geom, last, b_range, p, q, traces, s, res_sup, floor)
+    return _finalize(geom, ring, last, b_range, p, q, traces, s, res_sup, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +952,7 @@ def pq_limit_solve(
     lam = 1.0 / float(np.min(limit.h.values))
     x = np.append(lam * limit.u.values.ravel(), limit.log_C)  # u = u_bar at p = q
     b_range = eigen_range(*_u_frame(geom, x[:-1])[:3])  # the frame of the new field x
-    solution = _finalize(geom, x, b_range, spec.p, spec.q, traces, 1.0,
+    solution = _finalize(geom, geom, x, b_range, spec.p, spec.q, traces, 1.0,
                          lam**2 * limit.residual_sup, lam**2 * limit.residual_floor)
     return PqLimitResult(
         C_star=C_star,

@@ -47,8 +47,11 @@ def tangential_mask(geom, u):
 
 
 def ring_of(g, symmetry):
-    """The psi ring of the symmetry: all Npsi cells, Npsi/2 ("even") or one ("rot")."""
-    return _ring(g, {"none": g.Npsi, "even": g.Npsi // 2, "rot": 1}[symmetry])
+    """The psi ring of the symmetry: all Npsi cells ("none"), Npsi/2 ("even"), one
+    ("rot"), or the reflection ring psi -> -psi of period Npsi ("mirror") or Npsi/2
+    ("even_mirror")."""
+    return _ring(g, *{"none": (g.Npsi, False), "even": (g.Npsi // 2, False), "rot": (1, False),
+                      "mirror": (g.Npsi, True), "even_mirror": (g.Npsi // 2, True)}[symmetry])
 
 
 def on_ring(ring, values):
@@ -57,13 +60,14 @@ def on_ring(ring, values):
 
 
 def fold_pair(g, ring):
-    """(S, E): S keeps the ring's cells of the full grid, E tiles the ring onto it."""
+    """(S, E): S keeps the ring's cells of the full grid, E is the ring's gather onto it:
+    full-grid cell (i, j) takes ring cell (i, gather[j mod period])."""
     cells = np.arange(g.size)
     row, psi = np.divmod(cells, g.Npsi)
     m = ring.Npsi
-    reduced = row * m + psi % m
     first = psi < m
-    S = sp.csr_matrix((np.ones(ring.size), (reduced[first], cells[first])),
+    S = sp.csr_matrix((np.ones(ring.size), (row[first] * m + psi[first], cells[first])),
                       shape=(ring.size, g.size))
-    E = sp.csr_matrix((np.ones(g.size), (cells, reduced)), shape=(g.size, ring.size))
+    gathered = row * m + ring.gather[psi % len(ring.gather)]
+    E = sp.csr_matrix((np.ones(g.size), (cells, gathered)), shape=(g.size, ring.size))
     return S, E

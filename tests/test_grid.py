@@ -36,6 +36,7 @@ from capmink.grid import (
     _psi_period,
     _ring,
     _stencil,
+    _tiled,
     _u_frame,
     boundary_values,
     bump_profile,
@@ -43,7 +44,7 @@ from capmink.grid import (
     field_to_csv,
 )
 
-from conftest import neumann_bump, robin_bump
+from conftest import neumann_bump, ring_of, robin_bump
 
 
 class TestGeometry:
@@ -287,38 +288,57 @@ class TestSymmetry:
         assert evenness_defect(g, s.values) < 1e-15
 
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32), (128, 256)])
-    @pytest.mark.parametrize("kind", ["even", "psi_independent"])
+    @pytest.mark.parametrize("kind", ["even", "psi_independent", "mirror", "even_mirror"])
     def test_u_frame_on_ring_is_the_full_frame_restricted(self, Nphi, Npsi, kind):
-        """A field invariant under the psi shift by m cells is its first m columns
-        on the ring of m cells: the frame there is the full-grid frame's first m
-        columns (its psi differences of the row-mean-subtracted field see the
-        same neighbours, and the pole ghost the same antipode).  For a smooth
-        field they agree bit for bit.  The mean of a padded row and that of its
-        first m cells can round apart, so on a rough field, 1 + 0.3 N(0, 1), they
-        agree to rounding of the frame's scale."""
+        """A field with a ring's symmetry is its first m columns on the ring: the
+        frame there is the full-grid frame's first m columns (its psi differences
+        of the row-mean-subtracted field see the same neighbours, through the
+        ring's gather, and the pole ghost the same antipode).  For a smooth field
+        they agree bit for bit.  The mean of a padded row and that of one period
+        can round apart, so on a rough field, 1 + 0.3 N(0, 1) on the ring's
+        cells, they agree to rounding of the frame's scale."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
-        m = Npsi // 2 if kind == "even" else 1
-        u = neumann_bump(g, eps=0.1).values  # cos(2 psi): even
+        ring = ring_of(g, "rot" if kind == "psi_independent" else kind)
+        m = ring.Npsi
+        u = neumann_bump(g, eps=0.1, k=1 if kind == "mirror" else 2).values  # cos(k psi)
         if m == 1:
             u = u.mean(axis=1, keepdims=True)
-        u = np.tile(u[:, :m], (1, Npsi // m))
-        ring = _ring(g, m)
-        assert (ring.Npsi, ring.dpsi, ring.antipode) == (m, g.dpsi, 0)
-        assert _ring(g, m) is ring and _ring(g, Npsi) is g
+        u = _tiled(g, ring, u[:, :m])
+        assert (ring.Npsi, ring.dpsi) == (m, g.dpsi)
+        assert ring.antipode == (Npsi // 2) % len(ring.gather)
+        assert ring_of(g, "rot" if kind == "psi_independent" else kind) is ring
+        assert _ring(g, Npsi) is g
         for full, on_ring in zip(_u_frame(g, u), _u_frame(ring, u[:, :m])):
             assert np.array_equal(full[:, :m], on_ring)
         rng = np.random.default_rng(Nphi + Npsi)
         for _ in range(10):
-            u = np.tile(1.0 + 0.3 * rng.standard_normal((Nphi, m)), (1, Npsi // m))
+            u = _tiled(g, ring, 1.0 + 0.3 * rng.standard_normal((Nphi, m)))
             for full, on_ring in zip(_u_frame(g, u), _u_frame(ring, u[:, :m])):
                 bound = 4.0 * np.finfo(float).eps * np.max(np.abs(full))
                 assert np.all(np.abs(full[:, :m] - on_ring) <= bound)
 
+    def test_reflection_ring_is_taken_where_it_is_smaller(self):
+        """The reflection ring of period P has P // 2 + 1 cells, gather
+        min(j, P - j) and orbits 2 but at the mirror's fixed cells; at P = 2 it
+        would have no fewer cells, and the periodic ring stands in."""
+        g = build_grid(1.0, 8, 12)
+        ring = _ring(g, 12, True)
+        assert ring.Npsi == 7 and ring.antipode == 6
+        assert ring.gather.tolist() == [0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]
+        assert ring.orbit.tolist() == [1, 2, 2, 2, 2, 2, 1]
+        odd = _ring(build_grid(1.0, 8, 10), 5, True)  # an odd period has one fixed cell
+        assert odd.gather.tolist() == [0, 1, 2, 2, 1]
+        assert odd.orbit.tolist() == [1, 2, 2] and odd.antipode == 0
+        small = build_grid(1.0, 8, 4)
+        assert _ring(small, 2, True) is _ring(small, 2)
+        assert _ring(g, 1, True) is _ring(g, 1)
+
     @pytest.mark.parametrize("even", [True, False])
     def test_u_frame_of_a_solution_on_its_ring_is_bitwise(self, even):
         """The solver's u is tiled from its ring; its ring frame is the full-grid
-        frame's first m columns bit for bit: the even ell-bump on its half ring,
-        and psi-independent data on its one cell."""
+        frame's first m columns bit for bit: the even ell-bump, cos(2 psi) data, on
+        its reflection ring of period Npsi/2, and psi-independent data on its one
+        cell."""
         g = build_grid(math.pi / 3, 16, 32)
         ell = ell_field(g).values
         f = (ell_bump_f_exact(g, 2.0, 1.5, 0.05).values if even
@@ -326,10 +346,12 @@ class TestSymmetry:
         result = continuation_solve(ProblemSpec(p=2.0, q=1.5, theta=g.theta,
                                                 f=ScalarField(g, f), even=True), g)
         assert result.converged
-        m = g.Npsi // 2 if even else 1
         u = result.u.values
-        assert _psi_period(u) == m
-        for full, on_ring in zip(_u_frame(g, u), _u_frame(_ring(g, m), u[:, :m])):
+        assert _psi_period(u) == ((g.Npsi // 2, True) if even else (1, True))
+        ring = _ring(g, *_psi_period(u))
+        m = ring.Npsi
+        assert m == (g.Npsi // 4 + 1 if even else 1)
+        for full, on_ring in zip(_u_frame(g, u), _u_frame(ring, u[:, :m])):
             assert np.array_equal(full[:, :m], on_ring)
 
 
@@ -413,7 +435,7 @@ class TestSerialization:
             vals[5, 7] = math.nan
         elif edit == "nan_in_both_halves":
             vals[5] = math.nan
-        assert _psi_period(vals) == (m if periodic else 32)
+        assert _psi_period(vals)[0] == (m if periodic else 32)
         if edit is not None and edit.startswith("nan"):
             with pytest.raises(DomainError):
                 ScalarField(g, vals)
@@ -434,9 +456,31 @@ class TestSerialization:
             ell = ell_field(g).values
             f = ScalarField(g, ell**-1.2 * (ell**2 + ell_grad_sq(g)) ** -0.1)
         result = continuation_solve(ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=f, even=True), g)
-        assert result.converged and _psi_period(result.h.values) == m
+        assert result.converged and _psi_period(result.h.values)[0] == m
         field_to_csv(result.h, tmp_path / "fast.csv", "solution")
         csv_writer_reference(result.h, tmp_path / "ref.csv", "solution")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("mirror", ["bitwise", "to_rounding", "signed_zeros"])
+    def test_csv_bytes_of_a_mirror_field_match_csv_writer(self, tmp_path, mirror):
+        """A field bitwise invariant under psi -> -psi is written from the first
+        Npsi/2 + 1 values of each row, each column taking its mirror cell's text.
+        One mirror-symmetric only to rounding (cos(psi) as evaluated), or with
+        0.0 against -0.0 at two mirror cells, has no reflection ring and is
+        written from every value.  Either way the bytes are csv.writer's."""
+        g = build_grid(math.pi / 3, 16, 32)
+        ring = _ring(g, g.Npsi, True)
+        vals = _tiled(g, ring, np.random.default_rng(3).uniform(-2.0, 2.0, (16, ring.Npsi)))
+        if mirror == "to_rounding":
+            vals = 1.0 + 0.3 * g.sin_phi[:, None] * np.cos(g.psi_nodes)[None, :]
+            reflected = np.roll(vals[:, ::-1], 1, axis=1)
+            assert 0.0 < np.max(np.abs(vals - reflected)) <= 4.0 * np.finfo(float).eps
+        elif mirror == "signed_zeros":
+            vals[3, 5], vals[3, g.Npsi - 5] = 0.0, -0.0
+        assert _psi_period(vals) == (g.Npsi, mirror == "bitwise")
+        s = ScalarField(g, vals)
+        field_to_csv(s, tmp_path / "fast.csv")
+        csv_writer_reference(s, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("Nphi, Npsi", [(8, 16), (16, 32)])

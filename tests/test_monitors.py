@@ -28,8 +28,10 @@ from capmink import (
 
 import capmink.grid as grid_module
 import capmink.monitors as monitors_module
-from capmink.grid import _ring, _u_frame, bump_profile
+import capmink.solver as solver_module
+from capmink.grid import _psi_period, _ring, _u_frame, bump_profile
 from capmink.solver import _floor_test, is_solution
+from capmink.solver import _symmetry as _solver_symmetry
 
 from conftest import neumann_bump, tangential_mask
 
@@ -225,16 +227,18 @@ class TestPhiMonitor:
         assert result.converged
         assert not phi_monitor(g, result.u, 1.0).degenerate
 
-    @pytest.mark.parametrize("case,ring,exact", [("even_density", 16, True),
-                                                 ("psi_independent", 1, True),
-                                                 ("k1_bump", 32, True),
-                                                 ("even_bump", 16, False)])
-    def test_ring_frame_is_the_grid_frame(self, case, ring, exact, monkeypatch):
+    @pytest.mark.parametrize("case,period,exact", [("even_density", 16, True),
+                                                   ("psi_independent", 1, True),
+                                                   ("k1_bump", 32, True),
+                                                   ("even_bump", 16, False)])
+    def test_ring_frame_is_the_grid_frame(self, case, period, exact, monkeypatch):
         """Phi and its frame of v = u - max u are evaluated on u's psi ring, and Phi
-        is tiled: half the grid for even data, one cell per row for psi-independent
-        data.  That is Phi of all Npsi columns bit for bit on the even grid density, the
-        psi-independent and the k = 1 solution; on the even ell-bump at 16x32 the two
-        rings subtract their row means apart and agree to rounding."""
+        is tiled: each solution here is mirror-symmetric, so the reflection ring of
+        u's period, Npsi/2 for even data and Npsi for the k = 1 bump, and one cell per
+        row for psi-independent data.  That is Phi of all Npsi columns bit for bit on
+        the even grid density, the psi-independent and the k = 1 solution; on the even
+        ell-bump at 16x32 the two rings subtract their row means apart and agree to
+        rounding."""
         g = build_grid(math.pi / 3, 16, 32)
         ell, phi, psi = ell_field(g).values, g.phi_nodes[:, None], g.psi_nodes[None, :]
         f = {"even_density": np.exp(0.5 * np.cos(2 * psi) * np.sin(phi) ** 2 / g.sin_theta**2),
@@ -246,7 +250,7 @@ class TestPhiMonitor:
         calls, real = [], grid_module._u_frame
         monkeypatch.setattr(monitors_module, "_u_frame", lambda *a: calls.append(a[0]) or real(*a))
         Phi = phi_monitor(g, u, 1.0).phi_field.values
-        assert calls[0].Npsi == ring
+        assert calls[0] is _ring(g, period, True)
         v = u.values - np.max(u.values)
         _, _, _, g1, g2, _ = _u_frame(g, v)
         _, _, _, ell_g1, _, ell_u = _u_frame(_ring(g, 1), np.ones((g.Nphi, 1)))
@@ -385,9 +389,10 @@ class TestC0Bound:
     def test_half_periodic_h_of_psi_independent_data_is_judged_on_the_half_ring(
             self, delta, verdict):
         """psi-independent data with a half-periodic h (the solution times a
-        cos(2 psi) bump tiled from its first half) is tested on the half ring,
-        where both fields are invariant: the verdict is the full grid's, and so
-        is residual_sup, to rounding."""
+        cos(2 psi) bump tiled from its first half, which is bitwise mirror-symmetric
+        too) is tested on the reflection ring of the half period, where both fields
+        are invariant: the verdict is the full grid's, and so is residual_sup, to
+        rounding."""
         geom = build_grid(math.pi / 3, 16, 32)
         ell = ell_field(geom).values
         f = ScalarField(geom, ell ** (-1.2) * (ell**2 + ell_grad_sq(geom)) ** (-0.1))
@@ -397,9 +402,37 @@ class TestC0Bound:
         half = neumann_bump(geom, eps=delta).values[:, :geom.Npsi // 2]
         h = ScalarField(geom, result.h.values * np.tile(half, (1, 2)))
         passed, res_sup = is_solution(spec, geom, h)
-        assert "ring_layout" in _ring(geom, geom.Npsi // 2)._cache
+        assert "ring_layout" in _ring(geom, geom.Npsi // 2, True)._cache
         assert "ring_layout" not in geom._cache
         res, _, _, full = _floor_test(geom, f.values.ravel(), 2.0, 1.5, (h.values / ell).ravel(),
+                                      SolverConfig().newton_tol)
+        assert passed == full == verdict
+        assert res_sup == pytest.approx(float(np.max(np.abs(res))), rel=1e-12)
+
+    @pytest.mark.parametrize("delta,verdict", [(1e-13, True), (1e-9, False)])
+    def test_group_of_f_and_u_is_their_intersection(self, delta, verdict, monkeypatch):
+        """The even ell-bump's data is invariant under the half-turn shift and under
+        psi -> -psi, and its solution times a half-periodic bump that is not
+        mirror-symmetric (cos(2 psi) + sin(2 psi)) only under the shift: the test
+        runs on the periodic half ring, not on the data's reflection ring, and its
+        verdict is the full grid's."""
+        geom = build_grid(math.pi / 3, 16, 32)
+        f = ell_bump_f_exact(geom, 2.0, 1.5, 0.05)
+        spec = ProblemSpec(p=2.0, q=1.5, theta=geom.theta, f=f, even=True)
+        result = continuation_solve(spec, geom)
+        assert result.converged
+        phi, psi = geom.phi_nodes[:, None], geom.psi_nodes[None, :geom.Npsi // 2]
+        half = 1.0 + delta * (np.cos(2 * psi) + np.sin(2 * psi)) * bump_profile(phi, geom.theta)
+        h = ScalarField(geom, result.h.values * np.tile(half, (1, 2)))
+        assert _solver_symmetry(f.values) == (geom.Npsi // 2, True)
+        assert _psi_period(h.values / ell_field(geom).values) == (geom.Npsi // 2, False)
+        rings = []
+        monkeypatch.setattr(solver_module, "_floor_test",
+                            lambda ring, *a: rings.append(ring) or _floor_test(ring, *a))
+        passed, res_sup = is_solution(spec, geom, h)
+        assert rings == [_ring(geom, geom.Npsi // 2)]
+        res, _, _, full = _floor_test(geom, f.values.ravel(), 2.0, 1.5,
+                                      (h.values / ell_field(geom).values).ravel(),
                                       SolverConfig().newton_tol)
         assert passed == full == verdict
         assert res_sup == pytest.approx(float(np.max(np.abs(res))), rel=1e-12)

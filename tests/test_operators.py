@@ -25,12 +25,14 @@ def test_u_system_matches_dense_kernel(Nphi, Npsi):
         assert np.all(np.abs(ops[k] @ u - d) <= bound), k
 
 
-@pytest.mark.parametrize("symmetry", ["none", "even", "rot"])
+@pytest.mark.parametrize("symmetry", ["none", "even", "rot", "mirror", "even_mirror"])
 @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 8), (16, 32), (64, 128)])
 def test_ring_operators_are_the_full_grid_operators_restricted(Nphi, Npsi, symmetry):
     """Each operator built on the ring of m cells is S A E of the full grid's,
     to rounding, where the pole offsets meet the psi stencil mod Npsi (Npsi = 4)
-    or mod m (Npsi = 8) too; b12 and g2 vanish exactly on the one-cell ring."""
+    or mod m (Npsi = 8) too, and where a reflection ring's mirror cells read
+    one cell twice (E its gather); b12 and g2 vanish exactly on the one-cell
+    ring."""
     g = build_grid(math.pi / 3, Nphi, Npsi)
     ring = ring_of(g, symmetry)
     S, E = fold_pair(g, ring)

@@ -72,8 +72,9 @@ def ring_jacobian(g, fvals, p, q, parts):
 
 
 def full_bordered_direction(g, J, res, rhs, pin):
-    """(du, d log C) of the bordered system on the grid or ring g, by spsolve."""
-    mean_row = sp.csr_matrix(np.full((1, g.size), 1.0 / g.size))
+    """(du, d log C) of the bordered system on the grid or ring g, by spsolve: the pin's
+    row weights each cell by its orbit, the mean over one period of the grid."""
+    mean_row = sp.csr_matrix(np.tile(g.orbit, g.Nphi)[None, :] / (g.Nphi * len(g.gather)))
     B = sp.bmat([[J, sp.csc_matrix(-rhs[:, None])], [mean_row, None]], format="csc")
     return spla.spsolve(B, -np.append(res, pin))
 
@@ -94,7 +95,7 @@ def bordered_gap(g, fvals, p, q, uvec, symmetry, spsolve_ring=False):
     ring = ring_of(g, symmetry)
     fr, ur = on_ring(ring, fvals), on_ring(ring, uvec)
     res, parts = _residual_u_vec(ring, fr, p, q, ur)
-    pin = float(np.mean(ur) - 1.0)
+    pin = solver._mean(ring, ur) - 1.0
     if spsolve_ring:
         d = full_bordered_direction(ring, ring_jacobian(ring, fr, p, q, parts), res,
                                     parts[7], pin)
@@ -322,6 +323,22 @@ class TestEvenFold:
         assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even", spsolve_ring=True) <= 1e-10
         assert bordered_gap(g, f.values, 2.0, 1.5, uvec, "even") <= 1e-3
 
+    @pytest.mark.parametrize("symmetry", ["mirror", "even_mirror"])
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
+    def test_reflection_direction_matches_full_solve(self, Nphi, Npsi, symmetry):
+        """So does the reflection ring's, of period Npsi (cos(psi) data) or Npsi/2
+        (cos(2 psi) data), on data and u that its gather tiles from its cells: its
+        pin weights each cell by its orbit, and its GMRES, in the norm of one period,
+        reaches the full-grid step as the periodic ring's does."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        ring = ring_of(g, symmetry)
+        k = 1 if symmetry == "mirror" else 2
+        f = manufactured_f(g, robin_bump(g, eps=0.1, k=k), 2.0, 1.5).values
+        f = grid_module._tiled(g, ring, f[:, :ring.Npsi])
+        u = grid_module._tiled(g, ring, neumann_bump(g, eps=0.05, k=k).values[:, :ring.Npsi])
+        assert bordered_gap(g, f, 2.0, 1.5, u.ravel(), symmetry, spsolve_ring=True) <= 1e-10
+        assert bordered_gap(g, f, 2.0, 1.5, u.ravel(), symmetry) <= 1e-3
+
     def test_direction_near_p_equals_q_solution(self):
         """1e-5 off a p = q solution the one-cell ring's Jacobian is nearly
         singular; the refinement step keeps the exact bordered step accurate
@@ -347,10 +364,27 @@ class TestEvenFold:
             g, lambda phi, psi: 1.0 + 0.2 * np.cos(psi) * np.sin(phi) ** 2
         )
         spec = ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=False)
-        assert _symmetry(f.values) == g.Npsi and _ring(g, g.Npsi) is g
+        # cos(psi) data is mirror-symmetric: the ring of all Npsi columns under psi -> -psi
+        assert _symmetry(f.values) == (g.Npsi, True) and _ring(g, g.Npsi) is g
         result = continuation_solve(spec, g)
         assert result.converged
         assert evenness_defect(g, result.h.values) > 1e-4
+        assert np.max(np.abs(residual_u(spec, g, result.u).values)) < 1e-8
+
+    def test_identity_fold_on_data_with_no_symmetry(self, monkeypatch):
+        """cos(psi) + sin(psi) data is neither even nor mirror-symmetric about
+        psi = 0: it is solved on the full grid itself."""
+        g = build_grid(math.pi / 3, 16, 32)
+        f = ScalarField.from_function(
+            g, lambda phi, psi: 1.0 + 0.2 * (np.cos(psi) + np.sin(psi)) * np.sin(phi) ** 2
+        )
+        spec = ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=f, even=False)
+        assert _symmetry(f.values) == (g.Npsi, False)
+        rings, real = [], solver._floor_test
+        monkeypatch.setattr(solver, "_floor_test", lambda ring, *a: rings.append(ring)
+                            or real(ring, *a))
+        result = continuation_solve(spec, g)
+        assert result.converged and rings and all(ring is g for ring in rings)
         assert np.max(np.abs(residual_u(spec, g, result.u).values)) < 1e-8
 
 
@@ -371,11 +405,12 @@ def reference_jacobian(g, fvals, p, q, parts):
 
 
 class TestFoldedJacobian:
-    @pytest.mark.parametrize("symmetry", ["none", "even", "rot"])
+    @pytest.mark.parametrize("symmetry", ["none", "even", "rot", "mirror", "even_mirror"])
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (8, 16), (16, 32)])
     def test_assembly_matches_sparse_products(self, Nphi, Npsi, symmetry):
         """The fixed-pattern assembly on the ring, from the full grid's coefficients
-        at the ring's cells, equals S J E of the product-built full Jacobian."""
+        at the ring's cells, equals S J E of the product-built full Jacobian (E the
+        ring's gather, which a reflection ring's mirror cells read twice)."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         rng = np.random.default_rng(Nphi + Npsi)
         fvals = ell_power_density(g, alpha=-0.5).values.ravel()
@@ -425,6 +460,18 @@ def _even_problem(g, scale=1.0, roll=0, reflect=False, harmonics=(1.0, 0.5, 0.0,
 def _unflagged_even_problem(g):
     spec = _even_problem(g)
     return ProblemSpec(p=spec.p, q=spec.q, theta=g.theta, f=spec.f)
+
+
+def _mirror_problem(g):
+    """Even data that is also mirror-symmetric about psi = 0: cos(2 psi) and cos(4 psi)."""
+    return _even_problem(g, harmonics=(1.0, 0.0, 0.5, 0.0))
+
+
+def _cos_problem(g):
+    """p > q data of period Npsi, mirror-symmetric about psi = 0: a cos(psi) bump."""
+    f = ell_power_density(g, alpha=-1.2).values * (
+        1.0 + 0.1 * bump_profile(g.phi_nodes[:, None], g.theta) * np.cos(g.psi_nodes))
+    return ProblemSpec(p=2.5, q=1.5, theta=g.theta, f=ScalarField(g, f))
 
 
 def _rot_problem(g, scale=1.0):
@@ -478,6 +525,18 @@ class TestMetamorphic:
         rolled = _solved_h(_even_problem(g, roll=k, harmonics=harmonics), g)
         assert _rel_gap(rolled, np.roll(base, k, axis=1)) <= 1e-9
 
+    @given(a2=st.floats(0.1, 1.0), a4=st.floats(-1.0, 1.0), k=st.integers(1, 7))
+    def test_psi_roll_commutes_with_solving_on_the_reflection_ring(self, a2, a4, k):
+        """Mirror-symmetric even data, harmonics (a2, 0, a4, 0), runs on the
+        reflection ring of period Npsi/2; rolled by k cells (not a multiple of
+        Npsi/4, about which it is mirror-symmetric too) it runs on the periodic
+        half ring.  The two solutions are each other's roll."""
+        g = build_grid(math.pi / 3, 16, 32)
+        base, rolled = (_even_problem(g, roll=r, harmonics=(a2, 0.0, a4, 0.0)) for r in (0, k))
+        assert _symmetry(base.f.values) == (g.Npsi // 2, True)
+        assert _symmetry(rolled.f.values) == (g.Npsi // 2, False)
+        assert _rel_gap(_solved_h(rolled, g), np.roll(_solved_h(base, g), k, axis=1)) <= 1e-9
+
     @given(harmonics=_harmonics)
     def test_reflection_commutes_with_solving_on_random_even_data(self, harmonics):
         g = build_grid(math.pi / 3, 16, 32)
@@ -511,11 +570,11 @@ class TestMetamorphic:
         and the half ring gives the solve forced onto the full grid."""
         g = build_grid(math.pi / 3, 16, 32)
         spec = _unflagged_even_problem(g)
-        assert _symmetry(spec.f.values) == g.Npsi // 2
+        assert _symmetry(spec.f.values) == (g.Npsi // 2, False)
         half = _solved(spec, g)
         assert np.array_equal(half.h.values, _solved(_even_problem(g), g).h.values)
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_symmetry", lambda fvals: fvals.shape[1])
+            mp.setattr(solver, "_symmetry", lambda fvals: (fvals.shape[1], False))
             full = _solved(spec, g)
         assert ([(t.s, t.iterations, t.krylov_iterations) for t in full.newton_trace]
                 == [(t.s, t.iterations, t.krylov_iterations) for t in half.newton_trace])
@@ -532,27 +591,50 @@ class TestRing:
         even = flat * (1.0 + 0.3 * np.cos(2 * g.psi_nodes) * sin2)
         odd = flat * (1.0 + 0.3 * np.cos(g.psi_nodes) * sin2)
         for scale in (1e-15, 1.0, 1e15):
-            assert _symmetry(scale * flat) == 1
-            assert _symmetry(scale * even) == g.Npsi // 2
-            assert _symmetry(scale * odd) == g.Npsi
+            assert _symmetry(scale * flat) == (1, True)
+            assert _symmetry(scale * even) == (g.Npsi // 2, True)
+            assert _symmetry(scale * odd) == (g.Npsi, True)
             # a psi variation at the rounding level of the data is no variation
-            assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat))) == 1
+            assert _symmetry(scale * flat * (1.0 + 1e-15 * (even - flat))) == (1, True)
 
-    @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
-    def test_ring_floor_is_the_full_grid_floor(self, problem):
+    def test_reflection_is_read_off_the_data(self):
+        """A sine term breaks the reflection psi -> -psi about the node psi = 0:
+        cos(psi) + sin(psi) data takes the full grid, cos(2 psi) + sin(2 psi) data
+        the periodic half ring.  A mirror defect of 1e-12 of the scale, above the
+        rounding level, gets no reflection ring either; one of 1e-15 does."""
+        g = build_grid(1.0, 8, 16)
+        sin2, psi = g.sin_phi[:, None] ** 2, g.psi_nodes
+        flat = ell_field(g).values
+        for k, period in ((1, g.Npsi), (2, g.Npsi // 2)):
+            mirror = flat * (1.0 + 0.3 * np.cos(k * psi) * sin2)
+            assert _symmetry(mirror) == (period, True)
+            assert _ring(g, *_symmetry(mirror)).Npsi == period // 2 + 1
+            skew = flat * (1.0 + 0.3 * (np.cos(k * psi) + np.sin(k * psi)) * sin2)
+            assert _symmetry(skew) == (period, False)
+            assert _ring(g, *_symmetry(skew)) is _ring(g, period)
+            for defect, kept in ((1e-12, False), (1e-15, True)):
+                dented = mirror.copy()
+                dented[:, 1] *= 1.0 + defect
+                assert _symmetry(dented)[1] is kept
+
+    @pytest.mark.parametrize("problem,symmetry", [
+        (_even_problem, "even"), (_rot_problem, "rot"), (_mirror_problem, "even_mirror"),
+        (_cos_problem, "mirror")], ids=["even", "rot", "even_mirror", "mirror"])
+    def test_ring_floor_is_the_full_grid_floor(self, problem, symmetry):
         """The ring's floor is the full grid's on the ring cells, although the
         ring's own stencils merge the pole ghost or the psi stencil with the cell,
         also where the pole offsets antipode -1 and +1 meet the psi stencil mod
-        Npsi (Npsi = 4) or mod the ring (Npsi = 8).  The reference floor is
-        built from S |A| E of the full grid's operators."""
+        Npsi (Npsi = 4) or mod the ring (Npsi = 8), and where a reflection ring's
+        mirror cells read one cell twice.  The reference floor is built from
+        S |A| E of the full grid's operators, E the ring's gather."""
         for Nphi, Npsi in [(8, 4), (8, 8), (16, 32)]:
             g = build_grid(math.pi / 3, Nphi, Npsi)
             spec = problem(g)
-            ring = ring_of(g, "even" if problem is _even_problem else "rot")
+            ring = ring_of(g, symmetry)
             m = ring.Npsi
-            assert _symmetry(spec.f.values) == m
-            u = np.tile(np.random.default_rng(Npsi).uniform(0.5, 1.5, (Nphi, m)),
-                        (1, Npsi // m))
+            assert _ring(g, *_symmetry(spec.f.values)) is ring
+            u = grid_module._tiled(g, ring,
+                                   np.random.default_rng(Npsi).uniform(0.5, 1.5, (Nphi, m)))
             f, ur = spec.f.values, on_ring(ring, u)
             _, parts = _residual_u_vec(g, f, spec.p, spec.q, u.ravel())
             full = on_ring(ring, _residual_floor(g, u.ravel(), parts))
@@ -560,7 +642,7 @@ class TestRing:
             floor = _residual_floor(ring, ur, parts)
             assert np.max(np.abs(floor - full) / full) <= 1e-14
             row, psi = np.divmod(np.arange(g.size), Npsi)
-            ring_cell = row * m + psi % m
+            ring_cell = row * m + ring.gather[psi % len(ring.gather)]
             reference = {}
             for k in ("b11", "b12", "b22"):
                 a = abs(u_system(g)[k][psi < m]).tocoo()
@@ -584,9 +666,10 @@ class TestRing:
 
     def test_ring_caches_at_most_100_bytes_per_cell(self):
         """Every operator weight depends on the phi row alone, so all that the even
-        ell-bump's solve caches on its ring is per phi row, but for one fixed-stride
-        index layout (int32, 9 slots per cell) and ell: at most 100 bytes per ring
-        cell in all, counted through every cached array, matrix, field and ring."""
+        ell-bump's solve caches on the ring it used (its reflection ring) is per phi
+        row, but for one fixed-stride index layout (int32, 9 slots per cell) and ell:
+        at most 100 bytes per ring cell in all, counted through every cached array,
+        matrix, field and ring, and the ring's gather and orbits."""
 
         def nbytes(obj):
             if isinstance(obj, np.ndarray):
@@ -604,11 +687,12 @@ class TestRing:
             return 0
 
         g = build_grid(math.pi / 3, 64, 128)
-        _solved(ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True,
-                            f=ell_bump_f_exact(g, 2.0, 1.5, eps=0.05)), g)
-        ring = _ring(g, g.Npsi // 2)
+        f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05)
+        _solved(ProblemSpec(p=2.0, q=1.5, theta=g.theta, even=True, f=f), g)
+        ring = _ring(g, *_symmetry(f.values))
+        assert ring is _ring(g, g.Npsi // 2, True)
         assert set(ring._cache) == {"stencil", "ring_layout", "ell"}
-        assert nbytes(ring) <= 100 * ring.size
+        assert nbytes(ring) + nbytes([ring.gather, ring.orbit]) <= 100 * ring.size
 
     @pytest.mark.parametrize("problem", [_even_problem, _rot_problem], ids=["even", "rot"])
     def test_ring_layout_is_read_only(self, problem):
@@ -619,7 +703,7 @@ class TestRing:
         g = build_grid(math.pi / 3, 16, 32)
         spec = problem(g)
         h = _solved_h(spec, g)
-        ring = _ring(g, _symmetry(spec.f.values))
+        ring = _ring(g, *_symmetry(spec.f.values))
         layout = solver._ring_layout(ring)
         assert not any(a.flags.writeable for a in layout)
         uvec = np.ones(ring.size)
@@ -639,7 +723,7 @@ class TestRing:
         f = ell_bump_f_exact(g, 2.0, 1.5, eps=0.05).values.copy()
         f[:, g.Npsi // 2:] *= 1.0 + 5e-11
         spec = ProblemSpec(p=2.0, q=1.5, theta=g.theta, f=ScalarField(g, f), even=True)
-        assert _symmetry(f) == g.Npsi
+        assert _symmetry(f) == (g.Npsi, False)
         result = _solved(spec, g)
         u_bar = result.u.values / np.mean(result.u.values)
         res, _ = _residual_u_vec(g, f * math.exp(result.log_C), spec.p, spec.q, u_bar.ravel())
@@ -726,8 +810,10 @@ class TestMemory:
 
     def test_solve_peaks_at_most_540_bytes_per_ring_cell(self):
         """The warm even ell-bump solve at 64x128 allocates at most 540 bytes per
-        cell of its half ring above what it starts with (472 measured), as
-        tracemalloc counts numpy's allocations: independent of the allocator."""
+        cell of the periodic half ring, Nphi Npsi / 2 cells, above what it starts
+        with, as tracemalloc counts numpy's allocations: independent of the
+        allocator.  The solve runs on its reflection ring, whose bytes per cell
+        are printed."""
         g = build_grid(math.pi / 3, 64, 128)
         spec = self._even_bump(g)
         _solved(spec, g)  # the ring and its layout cached, as for a later solve
@@ -737,7 +823,10 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 540 * _ring(g, g.Npsi // 2).size
+        ring = _ring(g, *_symmetry(spec.f.values))
+        print(f"peak {peak} bytes, {peak / ring.size:.0f} per cell of the "
+              f"{ring.Npsi}-cell ring the solve used")
+        assert peak <= 540 * g.Nphi * g.Npsi // 2
 
 
 class TestOneRing:
@@ -772,15 +861,16 @@ class TestOneRing:
 
     def test_continuation_evaluates_no_grid_frame(self, monkeypatch):
         """Every residual, every predictor check and the solution's b run on the
-        half ring (ell's frame is cached on the one-cell ring before the solve)."""
+        reflection ring of the half period, the ring of the cos(2 psi) data (ell's
+        frame is cached on the one-cell ring before the solve)."""
         g, geoms = self._counted(monkeypatch, "_u_frame")
-        assert geoms and all(geom is _ring(g, g.Npsi // 2) for geom in geoms)
+        assert geoms and all(geom is _ring(g, g.Npsi // 2, True) for geom in geoms)
         assert not any(geom is g for geom in geoms)
 
     def test_every_step_tests_on_the_same_ring(self, monkeypatch):
-        """The s = 0 step included, every floor test gets the one half ring."""
+        """The s = 0 step included, every floor test gets the one reflection ring."""
         g, geoms = self._counted(monkeypatch, "_floor_test")
-        assert geoms and all(geom is _ring(g, g.Npsi // 2) for geom in geoms)
+        assert geoms and all(geom is _ring(g, g.Npsi // 2, True) for geom in geoms)
 
 
 class TestOneFrame:
@@ -829,19 +919,21 @@ class TestOneFrame:
     @pytest.mark.parametrize("density,m", [("_bump", 16), ("_power", 1)],
                              ids=["even_bump", "ell_power"])
     def test_certificates_evaluate_one_frame_on_the_psi_period(self, monkeypatch, density, m):
-        """Half the grid for the even ell-bump, one cell for a psi-independent
-        density; the tiled frame is the full grid's, bit for bit."""
+        """The reflection ring of the half period (9 cells) for the even ell-bump,
+        one cell for a psi-independent density; the tiled frame, b12 and g2 odd
+        under the reflection, is the full grid's, bit for bit."""
         g = build_grid(1.0, 16, 32)
         h = continuation_solve(getattr(self, density)(g), g).h
         u = h.values / ell_field(g).values
-        assert grid_module._psi_period(u) == m
+        assert grid_module._psi_period(u) == (m, True)
         calls, real = [], grid_module._u_frame
         monkeypatch.setattr(grid_module, "_u_frame",
                             lambda geom, v: calls.append((geom, np.shape(v))) or real(geom, v))
         cd = curvature_tensor(g, h)
         assert curvature_tensor(g, h) is cd
         embed_body(g, h)
-        assert calls == [(_ring(g, m), (g.Nphi, m))]
+        ring = _ring(g, m, True)
+        assert calls == [(ring, (g.Nphi, ring.Npsi))]
         b11, b12, b22, g1, g2, _ = real(g, u)
         for name, full in zip(("b11", "b12", "b22", "g1", "g2"), (b11, b12, b22, g1, g2)):
             assert np.array_equal(getattr(cd, name), full), name
@@ -864,7 +956,7 @@ class TestOneFrame:
         assert trace.converged
         parts = frames[-1][1]
         assert b_range == solver.eigen_range(*parts[:3])
-        ring = _ring(g, solver._symmetry(spec.f.values))
+        ring = _ring(g, *solver._symmetry(spec.f.values))
         assert np.array_equal(parts[0], solver._u_frame(ring, x[:-1])[0])
         m = float(np.exp(result.log_C / (spec.p - spec.q)))
         assert result.b_eigen_range == (m * b_range[0], m * b_range[1])
@@ -999,12 +1091,14 @@ def _strongly_psi_dependent(g):
 class TestLaggedFactor:
     """Directions of psi-dependent data run GMRES on psi-Fourier mode factors."""
 
-    @pytest.mark.parametrize("symmetry", ["even", "none"])
+    @pytest.mark.parametrize("symmetry", ["even", "none", "mirror", "even_mirror"])
     @pytest.mark.parametrize("Nphi,Npsi", [(8, 16), (16, 32)])
     def test_mode_factor_solves_the_psi_averaged_jacobian(self, Nphi, Npsi, symmetry):
         """The mode factor's solve is spsolve of the ring Jacobian whose
         coefficients are replaced by their phi-row means, the pole antipode of
-        the full grid (a shift by half the ring) included."""
+        the full grid (a shift by half the ring) included.  On a reflection
+        ring the means are over one period, each cell counted as often as its
+        orbit, and those of b12 and g2, odd under the reflection, are 0."""
         g = build_grid(math.pi / 3, Nphi, Npsi)
         rng = np.random.default_rng(Nphi + Npsi)
         ring = ring_of(g, symmetry)
@@ -1013,7 +1107,10 @@ class TestLaggedFactor:
         _, parts = _residual_u_vec(ring, fvals, 2.2, 1.7, uvec)
         C = _jacobian_coeffs(ring, fvals, 2.2, 1.7, parts)
         m = ring.Npsi
-        mean = np.repeat(C.reshape(Nphi, m, -1).mean(axis=1), m, axis=0)
+        mean = C.reshape(Nphi, m, -1)[:, ring.gather].mean(axis=1)
+        if "mirror" in symmetry:
+            mean[:, [JACOBIAN_TERMS.index("b12"), JACOBIAN_TERMS.index("g2")]] = 0.0
+        mean = np.repeat(mean, m, axis=0)
         b = rng.standard_normal(C.shape[0])
         expected = spla.spsolve(_assemble(ring, mean).tocsc(), b)
         assert _rel_gap(_ModeFactor(ring, C).solve(b), expected) <= 1e-12
@@ -1228,7 +1325,8 @@ class TestLaggedFactor:
     def test_far_miss_ends_the_newton_solve(self, monkeypatch, tmp_path):
         """A GMRES iterate that misses ETA_MAX, also after its run on toward
         ETA_MAX, gives no direction: each Newton solve of the even ell-bump
-        stops at its first direction, after one mode factor of the half ring,
+        stops at its first direction, after one mode factor of the reflection
+        ring of the half period,
         two GMRES runs and no exact factor, so every continuation trial is
         halved until ds falls below DS_MIN, and ``capmink solve`` exits 2.
         psi-independent data runs no GMRES and still converges."""
@@ -1257,7 +1355,7 @@ class TestLaggedFactor:
         assert all(t.iterations == 0 and not t.converged for t in traces[1:])
         assert [t.mode_factorizations for t in traces] == [0] + [1] * trials
         assert sum(t.factorizations for t in traces) == 0
-        assert rings == [g.Npsi // 2] * trials
+        assert rings == [_ring(g, g.Npsi // 2, True).Npsi] * trials
         assert runs == [False, True] * trials
 
         sweep = ProblemSpec(p=1.5, q=2.5, theta=g.theta, even=True,
