@@ -14,8 +14,9 @@ second-order accuracy.  A support function h is differentiated only through
 its quotient ``u = h / ell``: since ``ell'/ell = cot(theta)`` at the boundary,
 the Neumann condition on u is the Robin condition ``h_phi = cot(theta) * h``,
 so ``b = hess(h) + h I`` and ``grad h`` are those of ``h = ell * u`` on the
-Neumann-padded u.  That stencil is written once (:func:`_stencil`);
-:func:`_u_frame` evaluates it and :mod:`capmink.operators` reads it off.
+Neumann-padded u.  That stencil is written once (:func:`_stencil`), its psi
+offsets and weights in one psi table; :func:`_u_frame` evaluates it and
+:mod:`capmink.operators` reads it off.
 It is the one gradient of every grid field: a Neumann u's is
 ``(grad h - u grad ell) / ell`` with both gradients the stencil's, and only
 :func:`boundary_values` otherwise differences a field, to reach phi = theta.
@@ -257,7 +258,7 @@ def ell_grad_sq(geom: CapGeometry) -> np.ndarray:
     return np.repeat(vals[:, None], geom.Npsi, axis=1)
 
 
-_Stencil = namedtuple("_Stencil", "ell X Phi psi")
+_Stencil = namedtuple("_Stencil", "ell X Phi psi offsets")
 
 
 def _stencil(geom: CapGeometry) -> _Stencil:
@@ -270,8 +271,11 @@ def _stencil(geom: CapGeometry) -> _Stencil:
     ghost, each times ``ell`` at its phi.  ``Phi`` (5 Nphi x 3 (Nphi + 2))
     takes three psi blocks of the padded h (itself, its centred and its
     second psi difference) to b11, b12, b22, g1 and g2 on the cells, stacked
-    in that order; ``psi[k]`` holds block k's weights by psi offset.  Only
-    the pole ghost's psi shift, the geometry's antipode, is not in the maps,
+    in that order.  The psi table is the one statement of the psi
+    differences: ``psi[k]`` is block k's ``(scale, {offset: weight})``, its
+    weights listed in the order :func:`_u_frame` sums them, and ``offsets``
+    the psi offsets in the order the operator table lists them.  Only the
+    pole ghost's psi shift, the geometry's antipode, is not in the stencil,
     so a ring of the grid has the grid's stencil.
     """
     key = "stencil"
@@ -300,9 +304,11 @@ def _stencil(geom: CapGeometry) -> _Stencil:
     t, k, j, i = np.nonzero(w)
     Phi = sp.csr_matrix((w[t, k, j, i], (t * N + i, k * (N + 2) + i + j)),
                         shape=(5 * N, 3 * (N + 2)))
-    c1, c2 = 1.0 / (2.0 * e), 1.0 / e**2
-    psi = ({0: 1.0}, {-1: -c1, 1: c1}, {-1: c2, 0: -2.0 * c2, 1: c2})
-    geom._cache[key] = _Stencil(ell, X, Phi, psi)
+    # psi block k is (scale, {offset: weight}), its weights in the order _u_frame
+    # sums them; the offsets in the order the operator table lists them
+    psi = ((1.0, {0: 1.0}), (1.0 / (2.0 * e), {1: 1.0, -1: -1.0}),
+           (1.0 / e**2, {1: 1.0, 0: -2.0, -1: 1.0}))
+    geom._cache[key] = _Stencil(ell, X, Phi, psi, (-1, 0, 1))
     return geom._cache[key]
 
 
@@ -312,24 +318,39 @@ def _u_frame(geom: CapGeometry, u: np.ndarray):
     u holds the Nphi x Npsi cell values of the grid or ring geom, as a grid or
     flattened; on a ring, each cell's psi neighbours and pole antipode are the
     cells that the ring's gather map gives them (:func:`_ring`).  This is the
-    one evaluation of the stencil of :func:`_stencil`; the sparse operators of
-    :func:`capmink.operators.u_system` are read off the same stencil and
-    match it up to rounding.
+    one evaluation of the stencil of :func:`_stencil`: each psi offset's
+    neighbours are gathered once, and each difference block adds its weighted
+    neighbours in the order of the stencil's psi table, then takes its scale.
+    The sparse operators of :func:`capmink.operators.u_system` are read off
+    the same stencil and match it up to rounding.
     """
     shape, st = np.shape(u), _stencil(geom)
     u = np.reshape(u, geom.shape)
     j, gather = np.arange(geom.Npsi), geom.gather
-    left, right, anti = (gather[(j + s) % len(gather)] for s in (-1, 1, geom.antipode))
+    anti = gather[(j + geom.antipode) % len(gather)]
     ext = st.X @ np.concatenate([u, np.take(u[:1], anti, axis=1)])
     # psi differences annihilate row constants; subtracting the row mean (over
     # one whole period) first removes the cancellation noise that the
     # 1/sin(phi)^2 factor amplifies near the pole, which sets the attainable
     # Newton residual floor
     dev = ext - np.mean(np.take(ext, gather, axis=1), axis=1, keepdims=True)
-    left, right = np.take(dev, left, axis=1), np.take(dev, right, axis=1)
-    c1, c2 = st.psi[1][1], st.psi[2][1]  # each difference's weight at offset 1
-    blocks = np.concatenate([ext, (right - left) * c1, (right - 2.0 * dev + left) * c2])
-    frame = (st.Phi @ blocks).reshape(5, geom.Nphi, -1)
+    # each psi offset's neighbours in dev, gathered once through the ring's gather
+    # map (offset 0's are the cells themselves)
+    near = {o: np.take(dev, gather[(j + o) % len(gather)], axis=1) if o else dev
+            for o in st.offsets}
+    blocks = [ext]  # block 0, weight 1 at offset 0, is h itself, not a difference of dev
+    for scale, weights in st.psi[1:]:
+        # a difference block adds or subtracts its weighted neighbours in table
+        # order, a unit weight's as is, and then takes the block's scale
+        acc = None
+        for o, w in weights.items():
+            x = near[o] if abs(w) == 1.0 else abs(w) * near[o]
+            if acc is None:
+                acc = x if w > 0.0 else -x
+            else:
+                acc = acc + x if w > 0.0 else acc - x
+        blocks.append(acc * scale)
+    frame = (st.Phi @ np.concatenate(blocks)).reshape(5, geom.Nphi, -1)
     return tuple(a.reshape(shape) for a in (*frame, ext[1:-1]))
 
 

@@ -2,18 +2,20 @@
 
 The stencil of ``b = hess(h) + h I`` and the covariant gradient of
 ``h = ell * u`` is written once, in ``grid._stencil``: a ghost map X from u
-to the ghost-padded h and a phi-weight matrix Phi from three psi blocks of
-that h to the frame terms.  The dense kernel ``grid._u_frame`` evaluates it;
+to the ghost-padded h, a phi-weight matrix Phi from three psi blocks of
+that h to the frame terms, and a psi table of each block's scale and its
+weights by psi offset.  The dense kernel ``grid._u_frame`` evaluates it;
 this module reads the same stencil off as linear maps on flattened fields,
 so the solver can build an exact Jacobian.  Flattening is row-major over
 ``(phi, psi)``.  The dense kernel subtracts the row mean before its psi
 differences, so the two agree up to rounding, not bit for bit.
 
 Each frame operator has coefficients that depend on phi alone and reads u
-at psi offsets -1, 0 and 1, and at the same around the antipode for the pole
-ghost.  :func:`_stencil_table` lists it as a map from each psi offset o (mod
-the full grid's Npsi) to the Nphi x Nphi matrix R_o of its phi-row weights:
-Phi's blocks times X, each weighted by its block's psi weight at o.  On the psi
+at the psi table's offsets (-1, 0 and 1), and at the same around the
+antipode for the pole ghost.  :func:`_stencil_table` lists it as a map from
+each psi offset o (mod the full grid's Npsi) to the Nphi x Nphi matrix R_o
+of its phi-row weights: Phi's blocks times X, each weighted by its block's
+psi weight at o times the block's scale.  On the psi
 ring of m cells that the solver works on (:func:`capmink.grid._ring`;
 m = Npsi is the grid itself), of period P and gather map g, the table gives
 the operators ``S A E`` of the full grid's A (S keeps the ring's cells, E is
@@ -51,27 +53,29 @@ def _stencil_table(geom: CapGeometry):
 
     Returns ``(rows, cols, offsets, R)``: the phi-row pairs ``(i, i')`` that
     carry a weight, in column-major order; the psi offsets, mod the full
-    grid's Npsi, in the order -1, 0, 1 and then the pole ghost's around the
-    antipode (an offset met twice, as at Npsi = 4, is one offset); and
-    ``R[pair, offset, t]``, the weight that row ``(i, j)`` of term t (the
-    :data:`JACOBIAN_TERMS`, then the diagonal) gives u at ``(i', j + offset)``.
-    geom may be a ring of the grid: the table depends only on the grid's dpsi.
+    grid's Npsi, in the order of the stencil's psi table and then the pole
+    ghost's around the antipode (an offset met twice, as at Npsi = 4, is one
+    offset); and ``R[pair, offset, t]``, the weight that row ``(i, j)`` of
+    term t (the :data:`JACOBIAN_TERMS`, then the diagonal) gives u at
+    ``(i', j + offset)``, each psi weight times its block's scale (exact for
+    the table's weights).  geom may be a ring of the grid: the table depends
+    only on the grid's dpsi.
     """
     st, N = _stencil(geom), geom.Nphi
     npsi = round(2.0 * math.pi / geom.dpsi)  # the full grid's Npsi, also on a ring of it
     antipode = npsi // 2
-    offsets = list(dict.fromkeys((s + o) % npsi for s in (0, antipode) for o in (-1, 0, 1)))
+    offsets = list(dict.fromkeys((s + o) % npsi for s in (0, antipode) for o in st.offsets))
     # Phi's blocks times X: column i' < N is u at offset 0, column N row 0 at the antipode
     A = (st.Phi @ sp.block_diag([st.X] * len(st.psi))).tocoo()
     term, row = np.divmod(A.row, N)
     block, col = np.divmod(A.col, N + 1)
     entries = []  # (pair key, offset, term, weight) arrays
-    for b, psi_weights in enumerate(st.psi):
+    for b, (scale, psi_weights) in enumerate(st.psi):
         on = block == b
         for o, w in psi_weights.items():
             at = np.where(col[on] < N, offsets.index(o % npsi),
                           offsets.index((antipode + o) % npsi))
-            entries.append(((col[on] % N) * N + row[on], at, term[on], w * A.data[on]))
+            entries.append(((col[on] % N) * N + row[on], at, term[on], w * scale * A.data[on]))
     keys, offset, term, weight = (np.concatenate(x) for x in zip(*entries))
     keys, pair = np.unique(keys, return_inverse=True)
     R = np.zeros((len(keys), len(offsets), len(JACOBIAN_TERMS) + 1))
@@ -86,10 +90,11 @@ def _wrapped(geom: CapGeometry, offsets, R):
 
     The weights of the offsets that coincide mod the ring's period P (its m
     cells on a periodic ring) are summed, in table order, into the column of
-    their shift ``o mod P``.  In
-    that order the opposite psi weights at -1 and 1, and at the antipode -1
-    and +1, are summed before the next offset, so the b12 and g2 weights that
-    cancel on a one-cell ring cancel exactly.
+    their shift ``o mod P``.  The offsets come in the order of the stencil's
+    psi table, (-1, 0, 1), and then around the antipode; in that order the
+    opposite psi weights at -1 and 1, and at the antipode -1 and +1, are
+    summed with only the zero b12 and g2 weights at 0 between them, so the
+    b12 and g2 weights that cancel on a one-cell ring cancel exactly.
     """
     shifts, slot = np.unique(np.asarray(offsets) % len(geom.gather), return_inverse=True)
     W = np.zeros((R.shape[0], len(shifts), R.shape[2]))

@@ -110,6 +110,7 @@ from .grid import (
     _tiled,
     _u_frame,
     bump_profile,
+    curvature_tensor,
     ell_field,
     eigen_range,
     evenness_defect,
@@ -823,7 +824,9 @@ def manufactured_f(
 
 
 def _manufactured_frame(geom: CapGeometry, h_star: ScalarField):
-    """``(frame, h)`` of h_star for :func:`manufactured_f`, once h_star passes its checks."""
+    """``(frame, h)`` of h_star for :func:`manufactured_f`, once h_star passes its checks:
+    h_star's one frame (:func:`capmink.grid.curvature_tensor`), which every later
+    certificate of h_star reads, and its values."""
     if np.any(h_star.values <= 0.0):
         raise DomainError("h_star must be positive")
     rob = float(np.max(np.abs(robin_residual(geom, h_star))))
@@ -832,10 +835,10 @@ def _manufactured_frame(geom: CapGeometry, h_star: ScalarField):
         raise ApplicabilityError(
             f"h_star violates the Robin condition (defect {rob:.3g})"
         )
-    *frame, h = _u_frame(geom, h_star.values / _ell(geom))
-    if eigen_range(*frame[:3])[0] <= 0.0:
+    cd = curvature_tensor(geom, h_star)
+    if cd.lambda_min <= 0.0:
         raise ApplicabilityError("h_star is not strictly convex")
-    return frame, h
+    return (cd.b11, cd.b12, cd.b22, cd.g1, cd.g2), h_star.values
 
 
 def _manufactured_density(frame, h, p, q) -> np.ndarray:
@@ -951,7 +954,7 @@ def pq_limit_solve(
 
     lam = 1.0 / float(np.min(limit.h.values))
     x = np.append(lam * limit.u.values.ravel(), limit.log_C)  # u = u_bar at p = q
-    b_range = eigen_range(*_u_frame(geom, x[:-1])[:3])  # the frame of the new field x
+    b_range = tuple(lam * b for b in limit.b_eigen_range)  # b is linear in h
     solution = _finalize(geom, geom, x, b_range, spec.p, spec.q, traces, 1.0,
                          lam**2 * limit.residual_sup, lam**2 * limit.residual_floor)
     return PqLimitResult(

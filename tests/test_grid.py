@@ -266,6 +266,35 @@ class TestOperators:
         der = np.einsum("i,ij->j", _W_DERIV, ext[-4:])
         assert np.max(np.abs(der)) <= 8.0 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("symmetry", ["none", "even", "rot", "mirror", "even_mirror"])
+    @pytest.mark.parametrize("Nphi,Npsi", [(8, 4), (16, 32), (33, 18)])
+    def test_u_frame_psi_blocks_are_the_second_order_differences(self, Nphi, Npsi, symmetry):
+        """The psi blocks that _u_frame hands to Phi, summed from the stencil's psi
+        table in its order, are h, (right - left) c1 and ((right - 2 dev) + left) c2
+        of the row-mean-subtracted dev, bit for bit, on every ring kind."""
+        g = build_grid(math.pi / 3, Nphi, Npsi)
+        ring = ring_of(g, symmetry)
+        st = _stencil(ring)
+        seen = []
+
+        class Capture:  # Phi, recording the blocks it is applied to
+            def __matmul__(self, blocks):
+                seen.append(blocks)
+                return st.Phi @ blocks
+
+        ring._cache["stencil"] = st._replace(Phi=Capture())
+        u = np.random.default_rng(Nphi + Npsi).uniform(0.5, 1.5, (Nphi, ring.Npsi))
+        _u_frame(ring, u)
+        h, d1, d2 = seen[0].reshape(3, Nphi + 2, ring.Npsi)
+        j, gather = np.arange(ring.Npsi), ring.gather
+        left, right, anti = (gather[(j + s) % len(gather)] for s in (-1, 1, ring.antipode))
+        ext = st.X @ np.concatenate([u, np.take(u[:1], anti, axis=1)])
+        dev = ext - np.mean(np.take(ext, gather, axis=1), axis=1, keepdims=True)
+        left, right = np.take(dev, left, axis=1), np.take(dev, right, axis=1)
+        assert np.array_equal(h, ext)
+        assert np.array_equal(d1, (right - left) * (1.0 / (2.0 * g.dpsi)))
+        assert np.array_equal(d2, ((right - 2.0 * dev) + left) * (1.0 / g.dpsi**2))
+
     def test_boundary_values_exact_on_quadratic(self, geom_pi3):
         g = geom_pi3
         vals = np.repeat(((g.phi_nodes - g.theta) ** 2)[:, None], g.Npsi, axis=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capmink import build_grid
-from capmink.grid import _u_frame
+from capmink.grid import _stencil, _u_frame
 from capmink.operators import JACOBIAN_TERMS, u_system
 
 from conftest import fold_pair, ring_of
@@ -23,6 +23,29 @@ def test_u_system_matches_dense_kernel(Nphi, Npsi):
         # subtraction, which the |A| |u| backward-error scale bounds
         bound = 16.0 * np.finfo(float).eps * (abs(ops[k]) @ np.abs(u))
         assert np.all(np.abs(ops[k] @ u - d) <= bound), k
+
+
+@pytest.mark.parametrize("symmetry", ["none", "even", "mirror", "even_mirror"])
+def test_a_five_point_psi_table_reaches_both_kernels(symmetry):
+    """The psi weights are stated once, in the stencil's psi table: with Fornberg's
+    fourth-order weights swapped into it, the dense kernel and the sparse operators
+    both take them, and still agree at test_u_system_matches_dense_kernel's bound."""
+    g = build_grid(math.pi / 3, 16, 32)
+    ring = ring_of(g, symmetry)
+    u = np.random.default_rng(5).uniform(0.5, 1.5, ring.size)
+    second_order = _u_frame(ring, u)
+    e = g.dpsi
+    # each +-o pair summed before the next, so that the first difference, odd under
+    # psi -> -psi, vanishes exactly at a reflection ring's fixed cells, as its
+    # folded operator weights do
+    psi = ((1.0, {0: 1.0}), (1.0 / (12.0 * e), {1: 8.0, -1: -8.0, 2: -1.0, -2: 1.0}),
+           (1.0 / (12.0 * e**2), {1: 16.0, -1: 16.0, 2: -1.0, -2: -1.0, 0: -30.0}))
+    ring._cache["stencil"] = _stencil(ring)._replace(psi=psi, offsets=(-1, 1, -2, 2, 0))
+    ops, dense = u_system(ring), _u_frame(ring, u)
+    for k, d in zip(JACOBIAN_TERMS, dense):
+        bound = 16.0 * np.finfo(float).eps * (abs(ops[k]) @ np.abs(u))
+        assert np.all(np.abs(ops[k] @ u - d) <= bound), k
+    assert not np.allclose(dense[2], second_order[2], rtol=0.0, atol=1e-9)  # b22 moved
 
 
 @pytest.mark.parametrize("symmetry", ["none", "even", "rot", "mirror", "even_mirror"])

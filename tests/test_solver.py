@@ -894,27 +894,52 @@ class TestOneFrame:
                                        g).solution,
     ], ids=["newton", "continuation", "pq_limit"])
     def test_finalize_evaluates_no_frame(self, monkeypatch, solve):
+        """No kernel runs in _finalize, and outside _newton only the base density's
+        frame of ell on the one-cell ring: the p = q b_eigen_range is lam times the
+        continuation's, not read off a frame of lam u_bar."""
         g = build_grid(1.0, 16, 32)
         spec = self._bump(g)
-        inside, calls = [], []
-        real_frame, real_finalize = solver._u_frame, solver._finalize
+        inside, calls, outside = [], [], []
 
-        def frame(*args):
-            if inside:
-                calls.append(args[0])
-            return real_frame(*args)
+        def frame(real):
+            def run(geom, v):
+                if "finalize" in inside:
+                    calls.append(geom)
+                if "newton" not in inside:
+                    outside.append(geom.Npsi)
+                return real(geom, v)
+            return run
 
-        def finalize(*args, **kwargs):
-            inside.append(True)
-            try:
-                return real_finalize(*args, **kwargs)
-            finally:
-                inside.pop()
+        def within(name, real):
+            def run(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return run
 
-        monkeypatch.setattr(solver, "_u_frame", frame)
-        monkeypatch.setattr(solver, "_finalize", finalize)
+        for module in (solver, grid_module):
+            monkeypatch.setattr(module, "_u_frame", frame(module._u_frame))
+        monkeypatch.setattr(solver, "_finalize", within("finalize", solver._finalize))
+        monkeypatch.setattr(solver, "_newton", within("newton", solver._newton))
         assert solve(spec, g).converged
         assert calls == []
+        assert outside == [1]
+
+    def test_manufactured_f_reads_the_frame_certificates_read(self, monkeypatch):
+        """manufactured_f takes h*'s one frame, which curvature_tensor returns later:
+        the two run the kernel once."""
+        g = build_grid(1.0, 16, 32)
+        h_star = ell_bump_field(g, 0.05)
+        calls = []
+        for module in (solver, grid_module):
+            real = module._u_frame
+            monkeypatch.setattr(module, "_u_frame",
+                                lambda geom, v, real=real: calls.append(geom) or real(geom, v))
+        manufactured_f(g, h_star, 2.0, 1.5)
+        curvature_tensor(g, h_star)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("density,m", [("_bump", 16), ("_power", 1)],
                              ids=["even_bump", "ell_power"])
